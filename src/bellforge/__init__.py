@@ -27,7 +27,6 @@ from .bellpoly import (
     product_coefficients,
     ratio_coefficient,
     reciprocal_coefficient,
-    reciprocal_coefficient_by_recursion,
     reciprocal_coefficients,
     set_additivity_report,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "ratio_coefficient",
     "ratio_series",
     "reciprocal_coefficient",
-    "reciprocal_coefficient_by_recursion",
     "reciprocal_coefficients",
     "restricted_divisor_sum",
     "restricted_partition_count",

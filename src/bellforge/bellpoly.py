@@ -8,9 +8,11 @@ coefficient of ``t^n`` equals
 
 where ``w_j = -sum_factors a * (sum_{d in C, d|j} d * z^{j/d})`` is ``j``
 times the ``t^j`` coefficient of ``log f``.  The coefficient of ``t^n`` in
-``1/f(t)`` is the same sum with an extra ``(-1)^(k_1+...+k_n)``.  Everything
-is exact; every value computed here is independently checkable against
-:mod:`bellforge.series`.
+``1/f(t)`` is the same sum with an extra ``(-1)^(k_1+...+k_n)``.  Being a
+complete Bell polynomial in the ``w_j / j``, it obeys ``n c_n = sum_{k=1..n}
+w_k c_{n-k}`` (Comtet, 1974, ch. 3), which evaluates whole prefixes; the
+literal sum, one term per partition, remains as :func:`partition_power_sum`.
+Everything is exact and independently checkable against :mod:`bellforge.series`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 
 from .arith import require_natural, require_positive
 from .supports import Factor, ProductSpec, SupportSet
@@ -163,53 +166,75 @@ def _signed_partition_dfs(n, active, scaled, m_scale, denom) -> int:
     return acc
 
 
+class InconsistencyError(ArithmeticError):
+    """An exact computation produced a value its contract rules out."""
+
+
 def product_coefficient(n: int, spec: ProductSpec) -> Fraction:
-    """Coefficient of ``t^n`` in the product, via the partition sum."""
-    return partition_power_sum(n, log_weight_table(spec, n))
+    """Coefficient of ``t^n`` in the product, via the Bell recurrence."""
+    return product_coefficients(spec, n)[n]
 
 
 def reciprocal_coefficient(n: int, spec: ProductSpec) -> Fraction:
     """Coefficient of ``t^n`` in the reciprocal of the product: the same
-    partition sum with the alternating sign ``(-1)^(k_1+...+k_n)``."""
-    return partition_power_sum(n, log_weight_table(spec, n), alternate_sign=True)
+    sum with the alternating sign ``(-1)^(k_1+...+k_n)``."""
+    return reciprocal_coefficients(spec, n)[n]
 
 
-def reciprocal_coefficient_by_recursion(n: int, spec: ProductSpec) -> Fraction:
-    """Reciprocal coefficient from the convolution recursion
-    ``W_0 = 1, W_n = -sum_{k=0..n-1} W_k P_{n-k}``."""
-    require_natural(n)
-    prods = product_coefficients(spec, n)
-    out = [_ONE]
-    for m in range(1, n + 1):
-        s = _ZERO
-        for k in range(m):
-            s += out[k] * prods[m - k]
-        out.append(-s)
-    return out[n]
+def bell_extend(coeffs: list[int], weights: list[int], n: int) -> None:
+    """Append ``A_m`` for ``m = len(coeffs)..n`` to ``coeffs`` from
+    ``m A_m = sum_{k=1..m} weights[k] A_{m-k}``.  For weights of a product
+    every division is exact, so a remainder raises :class:`InconsistencyError`.
+    """
+    for m in range(len(coeffs), n + 1):
+        a_m, rem = divmod(sum(map(mul, weights[1 : m + 1], coeffs[m - 1 :: -1])), m)
+        if rem:
+            raise InconsistencyError(f"Bell recurrence: inexact division by {m}")
+        coeffs.append(a_m)
 
 
 _seq_lock = threading.Lock()
-_seq_cache: dict[tuple[str, ProductSpec], list[Fraction]] = {}
+# (sign, spec) -> (L, weights w_k L^k, A_m = c_m L^m, c_m); sign -1 is 1/f
+_seq_cache: dict[tuple[int, ProductSpec], tuple] = {}
 
 
 def product_coefficients(spec: ProductSpec, n: int) -> list[Fraction]:
     """Cached ``[coefficient(0), ..., coefficient(n)]`` of the product."""
-    return _cached_sequence("product", spec, n, product_coefficient)
+    return _cached_sequence(1, spec, n)
 
 
 def reciprocal_coefficients(spec: ProductSpec, n: int) -> list[Fraction]:
     """Cached reciprocal coefficients ``0..n``."""
-    return _cached_sequence("reciprocal", spec, n, reciprocal_coefficient)
+    return _cached_sequence(-1, spec, n)
 
 
-def _cached_sequence(kind, spec, n, compute) -> list[Fraction]:
+def _cached_sequence(sign, spec, n) -> list[Fraction]:
+    """Prefix ``0..n``, extended from the last cached order.  With ``L`` the
+    lcm of the z denominators, the weights and ``A_m`` are integers."""
     require_natural(n)
-    key = (kind, spec)
+    key = (sign, spec)
     with _seq_lock:
-        seq = _seq_cache.setdefault(key, [])
-        while len(seq) <= n:
-            seq.append(compute(len(seq), spec))
-        return seq[: n + 1]
+        state = _seq_cache.get(key)
+        if state is None:
+            scale = lcm(*(f.z.denominator for f in spec.factors))
+            state = _seq_cache[key] = (scale, [0], [1], [_ONE])
+        scale, weights, coeffs, values = state
+        if len(values) <= n:
+            weights.extend(sign * _scaled_weight(k, spec, scale) for k in range(len(weights), n + 1))
+            bell_extend(coeffs, weights, n)
+            values.extend(Fraction(coeffs[m], scale**m) for m in range(len(values), n + 1))
+        return values[: n + 1]
+
+
+def _scaled_weight(k: int, spec: ProductSpec, scale: int) -> int:
+    """``log_weight(k, spec) * scale^k`` in integers: ``z^(k/d) scale^k`` is
+    ``(z scale^d)^(k/d)``, and ``z scale`` is an integer."""
+    total = 0
+    for f in spec.factors:
+        z_scaled = f.z.numerator * (scale // f.z.denominator)
+        for d in f.support.divisors_in(k):
+            total -= f.a * d * (z_scaled * scale ** (d - 1)) ** (k // d)
+    return total
 
 
 def ratio_coefficient(n: int, numer: ProductSpec | None, denom: ProductSpec | None) -> Fraction:
@@ -224,13 +249,7 @@ def ratio_coefficient(n: int, numer: ProductSpec | None, denom: ProductSpec | No
         return reciprocal_coefficient(n, denom)
     if denom is None:
         return product_coefficient(n, numer)
-    prods = product_coefficients(numer, n)
-    recips = reciprocal_coefficients(denom, n)
-    total = _ZERO
-    for m in range(n + 1):
-        if prods[m]:
-            total += prods[m] * recips[n - m]
-    return total
+    return _convolve(product_coefficients(numer, n), reciprocal_coefficients(denom, n), n)
 
 
 @dataclass(frozen=True)
@@ -268,7 +287,7 @@ def index_additivity_report(n, base, a_index, b_index) -> IdentityReport:
         lhs = product_coefficient(n, ProductSpec(combined))
     else:
         lhs = _ONE if n == 0 else _ZERO
-    rhs = _convolve_products(n, spec_a, spec_b)
+    rhs = _convolve(product_coefficients(spec_a, n), product_coefficients(spec_b, n), n)
     return IdentityReport("additivity-index", n, lhs == rhs, str(lhs), str(rhs))
 
 
@@ -277,15 +296,14 @@ def set_additivity_report(n, spec_a: ProductSpec, spec_b: ProductSpec) -> Identi
     convolution of the two sides' coefficients."""
     require_natural(n)
     lhs = product_coefficient(n, ProductSpec(spec_a.factors + spec_b.factors))
-    rhs = _convolve_products(n, spec_a, spec_b)
+    rhs = _convolve(product_coefficients(spec_a, n), product_coefficients(spec_b, n), n)
     return IdentityReport("additivity-set", n, lhs == rhs, str(lhs), str(rhs))
 
 
-def _convolve_products(n, spec_a, spec_b) -> Fraction:
-    pa = product_coefficients(spec_a, n)
-    pb = product_coefficients(spec_b, n)
+def _convolve(u, v, n) -> Fraction:
+    """Coefficient ``n`` of the Cauchy product of two prefixes."""
     total = _ZERO
     for j in range(n + 1):
-        if pa[j]:
-            total += pa[j] * pb[n - j]
+        if u[j]:
+            total += u[j] * v[n - j]
     return total

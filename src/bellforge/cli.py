@@ -133,7 +133,7 @@ def cmd_eval(args) -> int:
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read spec file: {exc}") from exc
     try:
         numer, denom = ratio_from_json(text)
@@ -174,6 +174,8 @@ def cmd_verify(args) -> int:
     if args.max is not None and args.max < 0:
         raise UsageError("--max must be >= 0")
     rows = run_suite(args.identity, args.max)
+    if not rows:
+        raise UsageError(f"--max {args.max} leaves the {args.identity} suite with no checks")
     failures = 0
     for row in rows:
         status = "pass" if row.ok else "fail"

@@ -4,6 +4,7 @@ Each function here is the coefficient sequence of a fixed quotient of
 ``(1 - t^m)``-style products.  Two evaluation routes exist and must agree:
 
 * ``"faa"``: the partition-indexed closed sum (:mod:`bellforge.bellpoly`),
+  evaluated for the whole prefix ``0..n`` by the integer Bell recurrence,
 * ``"series"``: expansion of the product ratio (:mod:`bellforge.series`).
 
 ``method="auto"`` picks the closed sum up to :func:`bellpoly.faa_cap` and the
@@ -22,6 +23,7 @@ from fractions import Fraction
 from .arith import require_natural
 from .bellpoly import (
     IdentityReport,
+    InconsistencyError,
     faa_cap,
     ratio_coefficient,
     reciprocal_coefficient,
@@ -30,10 +32,6 @@ from .series import TruncatedSeries, expand_product
 from .supports import ProductSpec, SupportSet, spec_from_factors
 
 _ALL = SupportSet.all_naturals()
-
-
-class InconsistencyError(ArithmeticError):
-    """An exact computation produced a value its contract rules out."""
 
 
 # generating products for the named sequences

@@ -165,9 +165,6 @@ class TruncatedSeries:
                 base = base.mul(base)
         return result
 
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
-
     def _check_order(self, other: "TruncatedSeries"):
         if not isinstance(other, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries")

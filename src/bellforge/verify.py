@@ -17,7 +17,6 @@ from .bellpoly import (
     IdentityReport,
     index_additivity_report,
     product_coefficients,
-    ratio_coefficient,
     reciprocal_coefficients,
     set_additivity_report,
 )
@@ -191,19 +190,6 @@ def theta_suite(max_n: int = 100):
         else:
             want = 2 if isqrt(n) ** 2 == n else 0
         rows.append(IdentityReport("theta-phi", n, got == want, str(got), str(want)))
-    return rows
-
-
-def ratio_methods_agree(numer, denom, max_n: int):
-    """Closed-sum vs series coefficients of a ratio, per n."""
-    from .partfun import ratio_series
-
-    series = ratio_series(numer, denom, max_n)
-    rows = []
-    for n in range(max_n + 1):
-        faa = ratio_coefficient(n, numer, denom)
-        ser = series.coefficient(n)
-        rows.append(IdentityReport("ratio-methods", n, faa == ser, str(faa), str(ser)))
     return rows
 
 

@@ -177,3 +177,11 @@ def test_c10_errata_report():
         assert len(cubic.transcription) == 7
 
     run_criterion("criterion 10: transcription status report", 5, body)
+
+
+def test_c11_closed_sum_partition_function_to_1000():
+    def body():
+        for n in range(1001):
+            assert partition_function(n, method="faa") == count_partitions(n)
+
+    run_criterion("criterion 11: closed sum p(n) == pentagonal recurrence, n<=1000", 1, body)

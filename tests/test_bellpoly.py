@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from bellforge import (
+    InconsistencyError,
     divisor_power_sum,
     expand_product,
     index_additivity_report,
@@ -16,11 +17,19 @@ from bellforge import (
     product_coefficients,
     ratio_coefficient,
     reciprocal_coefficient,
-    reciprocal_coefficient_by_recursion,
     reciprocal_coefficients,
     set_additivity_report,
     sigma,
     spec_from_factors,
+)
+from bellforge.bellpoly import bell_extend
+from bellforge.partfun import (
+    CHAN_DENOMINATOR,
+    CHAN_NUMERATOR,
+    KIM_DENOMINATOR,
+    KIM_NUMERATOR,
+    OVERCUBIC_DENOMINATOR,
+    OVERCUBIC_NUMERATOR,
 )
 from bellforge.supports import Factor, ProductSpec, SupportSet
 from bellforge.verify import random_product_spec
@@ -110,9 +119,10 @@ def test_reciprocal_coefficient_examples():
 
 
 def test_reciprocal_recursion_examples():
-    assert reciprocal_coefficient_by_recursion(0, EULER) == 1
-    assert reciprocal_coefficient_by_recursion(1, EULER) == 1
-    assert reciprocal_coefficient_by_recursion(6, EULER) == 11
+    recips = reciprocal_coefficients(EULER, 6)
+    assert recips[0] == 1
+    assert recips[1] == 1
+    assert recips[6] == 11
 
 
 def test_closed_sum_matches_series_oracle_random_family():
@@ -158,8 +168,57 @@ def test_explicit_and_recursive_reciprocal_agree():
     rng = random.Random(24)
     for _ in range(8):
         spec = random_product_spec(rng)
+        weights = log_weight_table(spec, 12)
         for n in range(13):
-            assert reciprocal_coefficient(n, spec) == reciprocal_coefficient_by_recursion(n, spec)
+            explicit = partition_power_sum(n, weights, alternate_sign=True)
+            assert reciprocal_coefficient(n, spec) == explicit
+
+
+def assert_recurrence_matches_dfs(spec, max_n):
+    weights = log_weight_table(spec, max_n)
+    prods = product_coefficients(spec, max_n)
+    recips = reciprocal_coefficients(spec, max_n)
+    for n in range(max_n + 1):
+        assert prods[n] == partition_power_sum(n, weights)
+        assert recips[n] == partition_power_sum(n, weights, alternate_sign=True)
+
+
+def test_recurrence_matches_partition_dfs_random_family():
+    rng = random.Random(24)
+    for _ in range(30):
+        assert_recurrence_matches_dfs(random_product_spec(rng), 15)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CHAN_NUMERATOR,
+        CHAN_DENOMINATOR,
+        KIM_NUMERATOR,
+        KIM_DENOMINATOR,
+        OVERCUBIC_NUMERATOR,
+        OVERCUBIC_DENOMINATOR,
+    ],
+)
+def test_recurrence_matches_partition_dfs_named_specs(spec):
+    assert_recurrence_matches_dfs(spec, 30)
+
+
+def test_recurrence_prefix_extends_from_cached_order():
+    spec = spec_from_factors((ALL, F(1, 3), 2), (SupportSet.finite([2, 5]), F(-3, 2), -1))
+    short = reciprocal_coefficients(spec, 7)
+    assert reciprocal_coefficients(spec, 19)[:8] == short
+    assert reciprocal_coefficients(spec, 19) == list(
+        expand_product(spec, 19).reciprocal().coeffs
+    )
+
+
+def test_inexact_bell_division_raises():
+    # weights of exp(t): 2 c_2 = 1 has no integer solution
+    coeffs = [1]
+    with pytest.raises(InconsistencyError):
+        bell_extend(coeffs, [0, 1, 0], 2)
+    assert coeffs == [1, 1]
 
 
 def test_ratio_coefficient_same_spec_is_unit():

@@ -126,6 +126,16 @@ def test_eval_bad_json(capsys, tmp_path):
     assert code == 2
 
 
+def test_eval_non_utf8_spec_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"numerator": [], "z": "\xe9"}'.encode("latin-1"))
+    code, out, err = run_cli(capsys, "eval", "--spec", str(path), "--max", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bellforge: error: cannot read spec file")
+    assert len(err.splitlines()) == 1
+
+
 def test_eval_faa_respects_cap(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("BELLFORGE_FAA_CAP", "8")
     path = spec_file(
@@ -173,6 +183,14 @@ def test_verify_sigma_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "sigma", "--max", "50")
     assert code == 0
     assert len(out.splitlines()) == 51  # 50 verdicts + summary
+
+
+def test_verify_empty_suite_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "sigma", "--max", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bellforge: error:") and "no checks" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_euler_small(capsys):
