@@ -52,7 +52,7 @@ from .partitions import (
     iter_partitions,
     pentagonal_values,
 )
-from .series import TruncatedSeries, exp_log_expand, expand_product
+from .series import TruncatedSeries, exp_log_expand, expand_product, expand_ratio
 from .supports import Factor, ProductSpec, SupportSet, spec_from_factors
 
 __version__ = "1.0.0"
@@ -73,6 +73,7 @@ __all__ = [
     "divisor_power_sum",
     "exp_log_expand",
     "expand_product",
+    "expand_ratio",
     "faa_cap",
     "factorize",
     "four_factor_coefficient",

@@ -216,7 +216,7 @@ def _cached_sequence(sign, spec, n) -> list[Fraction]:
     with _seq_lock:
         state = _seq_cache.get(key)
         if state is None:
-            scale = lcm(*(f.z.denominator for f in spec.factors))
+            scale = spec.z_scale()
             state = _seq_cache[key] = (scale, [0], [1], [_ONE])
         scale, weights, coeffs, values = state
         if len(values) <= n:

@@ -34,7 +34,7 @@ from .partfun import (
     restricted_partition_count,
 )
 from .partitions import pentagonal_values
-from .series import expand_product
+from .series import expand_ratio
 from .supports import ratio_from_json
 from .verify import DEFAULT_MAX, SUITES, run_suite
 from . import errata as errata_mod
@@ -196,9 +196,7 @@ def cmd_bench(args) -> int:
     methods = {
         "closed-sum": lambda hi: [partition_function(n, method="faa") for n in range(hi + 1)],
         "pentagonal": pentagonal_values,
-        "series": lambda hi: list(
-            expand_product(PARTITION_PRODUCT, hi).reciprocal().coeffs
-        ),
+        "series": lambda hi: list(expand_ratio(None, PARTITION_PRODUCT, hi).coeffs),
     }
     buckets = list(range(10, n_max + 1, 10))
     if not buckets or buckets[-1] != n_max:

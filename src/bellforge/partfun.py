@@ -28,7 +28,7 @@ from .bellpoly import (
     ratio_coefficient,
     reciprocal_coefficient,
 )
-from .series import TruncatedSeries, expand_product
+from .series import TruncatedSeries, expand_ratio
 from .supports import ProductSpec, SupportSet, spec_from_factors
 
 _ALL = SupportSet.all_naturals()
@@ -73,25 +73,23 @@ _series_cache: dict[tuple, TruncatedSeries] = {}
 def ratio_series(
     numer: ProductSpec | None, denom: ProductSpec | None, order: int
 ) -> TruncatedSeries:
-    """Cached series of numerator/denominator to at least ``order``.
+    """Cached :func:`series.expand_ratio` of numerator/denominator to at
+    least ``order``.
 
-    The returned series may be longer than requested; coefficients up to the
-    requested order are unaffected by the truncation point.
+    A miss expands to ``order``; a request past the cached order re-expands
+    to ``max(order, 2 * cached order)``, so a loop over ``n = 0..N`` costs
+    O(log N) expansions rather than one per ``n``.  The returned series may
+    therefore be longer than requested; coefficients up to the requested
+    order are unaffected by the truncation point.
     """
     require_natural(order, "order")
     key = (numer, denom)
     with _series_lock:
         cur = _series_cache.get(key)
         if cur is None or cur.order < order:
-            if numer is None and denom is None:
-                cur = TruncatedSeries.constant(1, order)
-            elif denom is None:
-                cur = expand_product(numer, order)
-            else:
-                cur = expand_product(denom, order).reciprocal()
-                if numer is not None:
-                    cur = expand_product(numer, order).mul(cur)
-            _series_cache[key] = cur
+            if cur is not None:
+                order = max(order, 2 * cur.order)
+            cur = _series_cache[key] = expand_ratio(numer, denom, order)
         return cur
 
 

@@ -5,11 +5,21 @@ coefficient elsewhere is checked against plain series arithmetic done here.
 A series carries an explicit truncation order ``N`` and exactly ``N + 1``
 ``Fraction`` coefficients; binary operations require equal orders instead of
 silently re-truncating.
+
+Products and ratios of products (:func:`expand_product`,
+:func:`expand_ratio`) are computed on integers: with ``L`` the lcm of the z
+denominators and ``t = L s`` every factor ``(1 - z t^m)^a`` becomes
+``(1 - (z L^m) s^m)^a`` with an integer multiplier, so the fold, the
+reciprocal and the Cauchy product stay integral and the ``t^n`` coefficient
+is the integer ``s^n`` coefficient over ``L^n``.  The ``Fraction`` methods of
+:class:`TruncatedSeries` remain the general API and the cross-check path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .arith import require_natural
 from .supports import ProductSpec
@@ -186,17 +196,41 @@ class TruncatedSeries:
 def expand_product(spec: ProductSpec, order: int) -> TruncatedSeries:
     """Expand ``prod_factors prod_{m in support, m <= order} (1 - z t^m)^a``.
 
-    Support elements above the truncation order cannot influence any kept
-    coefficient and are skipped.  Each binomial is folded in by a sparse
-    O(order) pass, so the whole expansion costs O(order^2 * sum |a|).
+    The fold runs on the integers ``c_n L^n`` with ``L = spec.z_scale()``
+    (see :func:`expand_ratio`).  Support elements above the truncation order
+    cannot influence any kept coefficient and are skipped.  Each binomial is
+    folded in by a sparse O(order) pass per unit of ``|a|``, so the whole
+    expansion costs O(order^2 * sum |a|).
+    """
+    return expand_ratio(spec, None, order)
+
+
+def expand_ratio(
+    numer: ProductSpec | None, denom: ProductSpec | None, order: int
+) -> TruncatedSeries:
+    """Series of ``numer / denom`` to exactly ``order``; ``None`` on either
+    side is the constant 1.
+
+    Both sides are scaled by one ``L``, the lcm of their z denominators, and
+    folded in integers.  The scaled denominator has constant term 1, so its
+    reciprocal by the triangular recurrence ``v_n = -sum_{k=1..n} u_k v_{n-k}``
+    is integral, and so is its Cauchy product with the numerator.  The
+    coefficients become ``Fraction(c'_n, L^n)`` once, at the end.
     """
     require_natural(order, "order")
-    cs = [_ZERO] * (order + 1)
-    cs[0] = _ONE
-    for factor in spec.factors:
-        for m in factor.support.members_up_to(order):
-            _fold_binomial(cs, factor.z, m, factor.a)
-    return TruncatedSeries(cs)
+    scale = lcm(*(spec.z_scale() for spec in (numer, denom) if spec is not None))
+    cs = [1] + [0] * order
+    if denom is not None:
+        cs = _reciprocal(_scaled_product(denom, order, scale))
+    if numer is not None:
+        top = _scaled_product(numer, order, scale)
+        cs = top if denom is None else _cauchy(top, cs)
+    power = 1
+    out = []
+    for c in cs:
+        out.append(Fraction(c, power))
+        power *= scale
+    return TruncatedSeries(out)
 
 
 def exp_log_expand(spec: ProductSpec, order: int) -> TruncatedSeries:
@@ -211,18 +245,42 @@ def exp_log_expand(spec: ProductSpec, order: int) -> TruncatedSeries:
     return total.exp()
 
 
-def _fold_binomial(cs: list[Fraction], z: Fraction, m: int, a: int) -> None:
-    """Multiply the coefficient list in place by (1 - z t^m)^a."""
+def _scaled_product(spec: ProductSpec, order: int, scale: int) -> list[int]:
+    """Integer coefficients ``c_n scale^n``, ``n <= order``, of the product;
+    ``scale`` must be a multiple of ``spec.z_scale()``."""
+    cs = [1] + [0] * order
+    for factor in spec.factors:
+        z_scaled = factor.z.numerator * (scale // factor.z.denominator)
+        for m in factor.support.members_up_to(order):
+            _fold_binomial(cs, z_scaled * scale ** (m - 1), m, factor.a)
+    return cs
+
+
+def _fold_binomial(cs: list[int], k: int, m: int, a: int) -> None:
+    """Multiply the coefficient list in place by (1 - k s^m)^a."""
     n = len(cs) - 1
     if a > 0:
         for _ in range(a):
             for i in range(n, m - 1, -1):
                 prev = cs[i - m]
                 if prev:
-                    cs[i] -= z * prev
+                    cs[i] -= k * prev
     else:
         for _ in range(-a):
             for i in range(m, n + 1):
                 prev = cs[i - m]
                 if prev:
-                    cs[i] += z * prev
+                    cs[i] += k * prev
+
+
+def _reciprocal(u: list[int]) -> list[int]:
+    """Reciprocal of an integer series with ``u[0] == 1``."""
+    v = [1]
+    for n in range(1, len(u)):
+        v.append(-sum(map(mul, u[1 : n + 1], v[n - 1 :: -1])))
+    return v
+
+
+def _cauchy(u: list[int], v: list[int]) -> list[int]:
+    """Cauchy product of two integer series of equal length, truncated."""
+    return [sum(map(mul, u[: n + 1], v[n::-1])) for n in range(len(u))]

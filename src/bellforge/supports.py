@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 ALL = "all"
 MULTIPLES = "multiples"
@@ -33,10 +34,14 @@ class SupportSet:
         if self.kind not in (ALL, MULTIPLES, FINITE):
             raise ValueError(f"unknown support kind {self.kind!r}")
         if self.kind == MULTIPLES:
-            if not isinstance(self.r, int) or self.r < 1:
+            _require_int(self.r, "multiples-of support r")
+            if self.r < 1:
                 raise ValueError("multiples-of support needs an integer r >= 1")
         if self.kind == FINITE:
-            members = tuple(sorted(self.members))
+            members = tuple(self.members)
+            for m in members:
+                _require_int(m, "finite support member")
+            members = tuple(sorted(members))
             if not members:
                 raise ValueError("finite support must be non-empty")
             if len(set(members)) != len(members):
@@ -124,9 +129,12 @@ class Factor:
     a: int
 
     def __post_init__(self):
-        if not isinstance(self.a, int) or self.a == 0:
+        _require_int(self.a, "factor exponent a")
+        if self.a == 0:
             raise ValueError("factor exponent a must be a nonzero integer")
         if not isinstance(self.z, Fraction):
+            if isinstance(self.z, bool) or not isinstance(self.z, int):
+                raise TypeError(f"factor z must be an int or a Fraction, got {self.z!r}")
             object.__setattr__(self, "z", Fraction(self.z))
 
     def negated(self) -> "Factor":
@@ -168,13 +176,20 @@ class ProductSpec:
     def negated(self) -> "ProductSpec":
         return ProductSpec(tuple(f.negated() for f in self.factors))
 
+    def z_scale(self) -> int:
+        """The lcm ``L`` of the factors' z denominators.  Under ``t = L s``
+        each ``z t^m`` becomes ``(z L^m) s^m`` with ``z L^m`` an integer, so
+        the ``s^n`` coefficients of the product, its reciprocal or a ratio
+        of two products scaled by the same ``L`` are integers ``c_n L^n``."""
+        return lcm(*(f.z.denominator for f in self.factors))
+
     def to_json(self) -> list:
         return [f.to_json() for f in self.factors]
 
 
 def spec_from_factors(*triples) -> ProductSpec:
     """Build a ProductSpec from (support, z, a) triples."""
-    return ProductSpec(tuple(Factor(s, Fraction(z), a) for s, z, a in triples))
+    return ProductSpec(tuple(Factor(s, z, a) for s, z, a in triples))
 
 
 def ratio_from_json(text: str) -> tuple[ProductSpec | None, ProductSpec | None]:
@@ -201,6 +216,13 @@ def ratio_from_json(text: str) -> tuple[ProductSpec | None, ProductSpec | None]:
         return ProductSpec(tuple(Factor.from_json(f) for f in raw))
 
     return side("numerator"), side("denominator")
+
+
+def _require_int(value, name) -> None:
+    """Library-side type check: a real ``int``; ``bool`` and ``float`` are
+    rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def _as_int(value, name) -> int:

@@ -185,3 +185,17 @@ def test_c11_closed_sum_partition_function_to_1000():
             assert partition_function(n, method="faa") == count_partitions(n)
 
     run_criterion("criterion 11: closed sum p(n) == pentagonal recurrence, n<=1000", 1, body)
+
+
+def test_c12_series_route_to_1000():
+    def body():
+        for n in range(1001):
+            assert partition_function(n, method="series") == count_partitions(n)
+        triangulars = {k * (k + 1) // 2 for k in range(25)}
+        squares = {k * k for k in range(1, 18)}
+        for n in range(301):
+            assert ramanujan_psi_coefficient(n) == (1 if n in triangulars else 0)
+            want = 1 if n == 0 else (2 if n in squares else 0)
+            assert ramanujan_phi_coefficient(n) == want
+
+    run_criterion("criterion 12: series route p(n) to 1000, theta indicators to 300", 1, body)

@@ -1,8 +1,11 @@
 import json
+from math import isqrt
 
 import pytest
 
 from bellforge.cli import main
+from bellforge.series import exp_log_expand
+from bellforge.supports import ratio_from_json
 
 
 def run_cli(capsys, *argv):
@@ -22,6 +25,17 @@ def test_seq_psi_star(capsys):
     assert code == 0
     values = [line.split(",")[1] for line in out.splitlines()[1:]]
     assert values == ["1", "1", "0", "1", "0", "0", "1"]
+
+
+def test_seq_theta_golden_300(capsys):
+    triangular = [0] * 301
+    for k in range(25):
+        triangular[k * (k + 1) // 2] = 1
+    square = [1] + [2 if isqrt(n) ** 2 == n else 0 for n in range(1, 301)]
+    for name, want in (("psi-star", triangular), ("phi-star", square)):
+        code, out, _ = run_cli(capsys, "seq", name, "--max", "300")
+        assert code == 0
+        assert out == "n,value\n" + "".join(f"{n},{v}\n" for n, v in enumerate(want))
 
 
 def test_seq_w_with_parts(capsys):
@@ -112,6 +126,23 @@ def test_eval_geometric_in_z(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "eval", "--spec", path, "--max", "3")
     assert code == 0
     assert out.splitlines()[1:] == ["0,1", "1,1/2", "2,1/4", "3,1/8"]
+
+
+def test_eval_series_golden_rational_z(capsys, tmp_path):
+    payload = {
+        "numerator": [
+            {"support": {"kind": "multiples", "r": 2}, "z": "2/3", "a": 2},
+            {"support": {"kind": "finite", "set": [1, 4]}, "z": "-2/5", "a": -1},
+        ],
+        "denominator": [{"support": {"kind": "all"}, "z": "3/2", "a": 1}],
+    }
+    path = spec_file(tmp_path, payload)
+    code, out, _ = run_cli(capsys, "eval", "--spec", path, "--max", "60", "--method", "series")
+    assert code == 0
+    numer, denom = ratio_from_json(json.dumps(payload))
+    want = exp_log_expand(numer, 60).mul(exp_log_expand(denom.negated(), 60))
+    assert want.coefficient(60).denominator > 1
+    assert out == "n,value\n" + "".join(f"{n},{c}\n" for n, c in enumerate(want.coeffs))
 
 
 def test_eval_missing_file(capsys, tmp_path):

@@ -60,6 +60,13 @@ def test_restricted_partition_examples():
     assert restricted_partition_count(3, [2]) == 0
 
 
+def test_restricted_partition_rejects_bool_and_float_parts():
+    for parts in ([True, 2], [1.5, 2]):
+        for method in ("faa", "series"):
+            with pytest.raises(TypeError):
+                restricted_partition_count(3, parts, method=method)
+
+
 def test_restricted_partition_matches_bruteforce():
     rng = random.Random(31)
     for _ in range(12):

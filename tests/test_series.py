@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 from bellforge import TruncatedSeries, exp_log_expand, expand_product, spec_from_factors
+from bellforge.partfun import ratio_series
+from bellforge.series import expand_ratio
 from bellforge.supports import Factor, ProductSpec, SupportSet
+from bellforge.verify import random_product_spec
 
 F = Fraction
 
@@ -154,3 +157,93 @@ def test_immutability():
     u = series(1, 2)
     with pytest.raises(AttributeError):
         u.coeffs = ()
+
+
+# --- integer kernel against the Fraction methods ---------------------------
+
+KERNEL_ORDER = 25
+
+
+def fraction_product(spec, order):
+    """The product by ``TruncatedSeries`` arithmetic alone: one binomial per
+    support member, raised with ``int_pow`` (``reciprocal`` for a < 0)."""
+    total = TruncatedSeries.constant(1, order)
+    for factor in spec.factors:
+        for m in factor.support.members_up_to(order):
+            binom = TruncatedSeries.from_dict({0: 1, m: -factor.z}, order)
+            total = total.mul(binom.int_pow(factor.a))
+    return total
+
+
+def fraction_ratio(numer, denom, order):
+    out = TruncatedSeries.constant(1, order)
+    if denom is not None:
+        out = expand_product(denom, order).reciprocal()
+    if numer is not None:
+        out = expand_product(numer, order).mul(out)
+    return out
+
+
+def kernel_specs():
+    rng = random.Random(2311)
+    specs = [random_product_spec(rng) for _ in range(30)]
+    assert any(f.a < 0 for spec in specs for f in spec.factors)
+    for z in (F(2, 3), F(-2, 5), F(3, 2)):
+        specs.append(spec_from_factors((SupportSet.all_naturals(), z, 1)))
+        specs.append(spec_from_factors((SupportSet.multiples_of(2), z, -2)))
+    specs.append(
+        spec_from_factors(
+            (SupportSet.all_naturals(), F(2, 3), 1),
+            (SupportSet.finite([1, 3]), F(-2, 5), -1),
+            (SupportSet.multiples_of(3), F(3, 2), 2),
+        )
+    )
+    return specs
+
+
+def test_expand_product_matches_fraction_paths():
+    for spec in kernel_specs():
+        got = expand_product(spec, KERNEL_ORDER)
+        assert got == fraction_product(spec, KERNEL_ORDER)
+        assert got == exp_log_expand(spec, KERNEL_ORDER)
+
+
+def test_expand_ratio_matches_fraction_path():
+    specs = kernel_specs()
+    pairs = list(zip(specs[::2], specs[1::2]))
+    pairs += [(specs[0], None), (None, specs[1]), (specs[-1], None), (None, specs[-1])]
+    for numer, denom in pairs:
+        for order in (0, 1, 7, KERNEL_ORDER):
+            want = fraction_ratio(numer, denom, order)
+            assert expand_ratio(numer, denom, order) == want
+            if denom is not None:
+                inverse = exp_log_expand(denom.negated(), order)
+                top = TruncatedSeries.constant(1, order)
+                if numer is not None:
+                    top = exp_log_expand(numer, order)
+                assert want == top.mul(inverse)
+    for order in (0, 5):
+        assert expand_ratio(None, None, order) == TruncatedSeries.constant(1, order)
+
+
+def test_ratio_series_matches_fraction_path():
+    specs = kernel_specs()
+    for numer, denom in ((specs[-1], specs[30]), (specs[-1], None), (None, specs[-1])):
+        series = ratio_series(numer, denom, KERNEL_ORDER)
+        assert series.truncate(KERNEL_ORDER) == fraction_ratio(numer, denom, KERNEL_ORDER)
+
+
+def test_ratio_series_regrows_geometrically():
+    # a spec no other test uses, so the cache starts empty for it
+    numer = spec_from_factors((SupportSet.finite([2, 3]), F(5, 7), 2))
+    denom = spec_from_factors((SupportSet.all_naturals(), F(-7, 3), 1))
+    first = ratio_series(numer, denom, 5)
+    assert first.order == 5
+    assert ratio_series(numer, denom, 3) is first
+    regrown = ratio_series(numer, denom, 7)
+    assert regrown.order == 10
+    assert regrown == expand_ratio(numer, denom, 10)
+    assert regrown.truncate(7) == expand_ratio(numer, denom, 7)
+    assert regrown.truncate(7) == fraction_ratio(numer, denom, 7)
+    assert ratio_series(numer, denom, 10) is regrown
+    assert ratio_series(numer, denom, 31).order == 31

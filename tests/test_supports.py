@@ -95,3 +95,43 @@ def test_ratio_from_json_accepts_integer_z():
     )
     assert denom is None
     assert numer.factors[0].z == Fraction(2)
+
+
+def test_support_rejects_bool_and_float():
+    with pytest.raises(TypeError):
+        SupportSet.finite([1.5])
+    with pytest.raises(TypeError):
+        SupportSet.finite([True, 2])
+    with pytest.raises(TypeError):
+        SupportSet.multiples_of(True)
+    with pytest.raises(TypeError):
+        SupportSet.multiples_of(2.0)
+
+
+def test_factor_rejects_bool_and_float():
+    support = SupportSet.all_naturals()
+    with pytest.raises(TypeError):
+        Factor(support, Fraction(1), True)
+    with pytest.raises(TypeError):
+        Factor(support, Fraction(1), 1.0)
+    for z in (0.1, 1.0, True, "1/2"):
+        with pytest.raises(TypeError):
+            Factor(support, z, 1)
+    assert Factor(support, -3, 1).z == Fraction(-3)
+
+
+def test_spec_from_factors_leaves_z_to_factor():
+    with pytest.raises(TypeError):
+        spec_from_factors((SupportSet.all_naturals(), 0.1, 1))
+    spec = spec_from_factors((SupportSet.all_naturals(), Fraction(2, 3), 1))
+    assert spec.factors[0].z == Fraction(2, 3)
+
+
+def test_z_scale_is_lcm_of_z_denominators():
+    spec = spec_from_factors(
+        (SupportSet.all_naturals(), Fraction(2, 3), 1),
+        (SupportSet.multiples_of(2), Fraction(-2, 5), -1),
+        (SupportSet.finite([1]), 4, 2),
+    )
+    assert spec.z_scale() == 15
+    assert spec_from_factors((SupportSet.all_naturals(), 1, 1)).z_scale() == 1
