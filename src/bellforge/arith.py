@@ -7,7 +7,7 @@ stored reduced with a positive denominator.
 
 from __future__ import annotations
 
-from math import comb, isqrt
+from math import comb
 
 from .supports import SupportSet
 
@@ -49,20 +49,6 @@ def factorize(n: int) -> Factorization:
     if n > 1:
         pairs.append((n, 1))
     return pairs
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of ``n >= 1``, ascending."""
-    require_positive(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
 
 
 def sigma(n: int) -> int:
@@ -108,13 +94,3 @@ def indicator(i: int, j: int) -> int:
     require_positive(i, "i")
     require_positive(j, "j")
     return 1 if j % i == 0 else 0
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check."""
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True

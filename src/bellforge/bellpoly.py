@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from operator import mul
 
 from .arith import require_natural, require_positive
-from .supports import Factor, ProductSpec, SupportSet
+from .supports import Factor, ProductSpec, Record, SupportSet
 
 DEFAULT_FAA_CAP = 60
 
@@ -252,15 +251,13 @@ def ratio_coefficient(n: int, numer: ProductSpec | None, denom: ProductSpec | No
     return _convolve(product_coefficients(numer, n), reciprocal_coefficients(denom, n), n)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """Outcome of one exact identity check, with both sides' values."""
 
-    check: str
-    n: int
-    ok: bool
-    lhs: str
-    rhs: str
+    _fields = ("check", "n", "ok", "lhs", "rhs")
+
+    def __init__(self, check: str, n: int, ok: bool, lhs: str, rhs: str):
+        self._assign(check, n, ok, lhs, rhs)
 
 
 def index_additivity_report(n, base, a_index, b_index) -> IdentityReport:

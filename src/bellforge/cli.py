@@ -11,14 +11,16 @@ Subcommands:
 Exit codes: 0 success, 1 verification/disagreement failure, 2 usage or
 parse error.  Data output is byte-stable for identical inputs; only
 ``bench`` prints timings.
+
+Each request is a fresh process, so start-up is part of its cost: modules
+that only one command needs (:mod:`bellforge.verify`, :mod:`bellforge.errata`,
+``json``) are imported inside that command.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
 
 from . import __version__
 from .bellpoly import faa_cap, ratio_coefficient
@@ -33,11 +35,28 @@ from .partfun import (
     ratio_series,
     restricted_partition_count,
 )
-from .partitions import pentagonal_values
-from .series import expand_ratio
+from .series import expand_steps
 from .supports import ratio_from_json
-from .verify import DEFAULT_MAX, SUITES, run_suite
-from . import errata as errata_mod
+
+# The keys of verify.SUITES, listed here so that building the parser does
+# not import the suites; a test keeps the two equal.
+SUITE_NAMES = (
+    "additivity-index",
+    "additivity-set",
+    "chan",
+    "euler",
+    "kim",
+    "reciprocal",
+    "restricted-recursion",
+    "sigma",
+    "theta",
+)
+
+# Largest series.expand_steps estimate that eval runs on the series route
+# (--method series or both); above it eval exits 2 before any work.  The
+# largest eval in the tests and in the benchmark mix (order 140, |a| <= 2)
+# is about 5e4 steps.
+SERIES_STEP_BUDGET = 10**7
 
 
 class UsageError(Exception):
@@ -69,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_eval)
 
     ver = sub.add_parser("verify", help="run an exact identity suite")
-    ver.add_argument("identity", choices=sorted(SUITES))
+    ver.add_argument("identity", choices=SUITE_NAMES)
     ver.add_argument("--max", type=int, default=None, metavar="N")
     ver.set_defaults(func=cmd_verify)
 
@@ -124,6 +143,8 @@ def cmd_seq(args) -> int:
             "values": [[n, str(v)] for n, v in values],
             "verdicts": [],
         }
+        import json
+
         print(json.dumps(report, indent=2))
     return 0
 
@@ -145,6 +166,13 @@ def cmd_eval(args) -> int:
             f"--max {n_max} exceeds the closed-sum cap {faa_cap()} "
             "(set BELLFORGE_FAA_CAP to raise it, or use --method series)"
         )
+    if args.method in ("series", "both"):
+        steps = expand_steps(numer, denom, n_max)
+        if steps > SERIES_STEP_BUDGET:
+            raise UsageError(
+                f"--max {n_max} on this spec needs about {steps} series steps, "
+                f"over the budget of {SERIES_STEP_BUDGET}"
+            )
 
     if args.method == "series":
         series = ratio_series(numer, denom, n_max)
@@ -171,6 +199,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import DEFAULT_MAX, run_suite
+
     if args.max is not None and args.max < 0:
         raise UsageError("--max must be >= 0")
     rows = run_suite(args.identity, args.max)
@@ -187,6 +217,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import time
+
+    from .partitions import pentagonal_values
+    from .series import expand_ratio
+
     n_max = _require_max(args.max)
     if args.repeat < 1:
         raise UsageError("--repeat must be >= 1")
@@ -224,11 +259,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_errata(args) -> int:
-    report = errata_mod.build_report(_require_max(args.max))
+    from . import errata
+
+    report = errata.build_report(_require_max(args.max))
     if args.format == "md":
-        print(errata_mod.render_markdown(report))
+        print(errata.render_markdown(report))
     else:
-        print(errata_mod.render_json(report))
+        print(errata.render_json(report))
     return 0
 
 

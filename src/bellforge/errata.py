@@ -11,8 +11,6 @@ transcriptions "should" give.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import require_natural, sigma
@@ -23,6 +21,7 @@ from .partfun import (
     ramanujan_phi_coefficient,
     ramanujan_psi_coefficient,
 )
+from .supports import Record
 
 _ZERO = Fraction(0)
 
@@ -120,17 +119,32 @@ def printed_square_theta(n: int) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class FormulaStatus:
+class FormulaStatus(Record):
     """Comparison of one transcription against the product-form values."""
 
-    name: str
-    description: str
-    checked_n: tuple[int, ...]
-    product_form: tuple[str, ...]
-    transcription: tuple[str, ...]
-    agrees: bool
-    first_mismatch: int | None
+    _fields = (
+        "name",
+        "description",
+        "checked_n",
+        "product_form",
+        "transcription",
+        "agrees",
+        "first_mismatch",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        checked_n: tuple[int, ...],
+        product_form: tuple[str, ...],
+        transcription: tuple[str, ...],
+        agrees: bool,
+        first_mismatch: int | None,
+    ):
+        self._assign(
+            name, description, checked_n, product_form, transcription, agrees, first_mismatch
+        )
 
 
 _FORMULAS = (
@@ -224,6 +238,8 @@ def render_markdown(statuses) -> str:
 
 
 def render_json(statuses) -> str:
+    import json
+
     payload = [
         {
             "name": st.name,

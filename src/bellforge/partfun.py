@@ -17,7 +17,6 @@ must come out as nonnegative integers; anything else raises
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import require_natural
@@ -29,7 +28,7 @@ from .bellpoly import (
     reciprocal_coefficient,
 )
 from .series import TruncatedSeries, expand_ratio
-from .supports import ProductSpec, SupportSet, spec_from_factors
+from .supports import ProductSpec, Record, SupportSet, spec_from_factors
 
 _ALL = SupportSet.all_naturals()
 
@@ -172,8 +171,7 @@ def ramanujan_phi_coefficient(n: int, method: str = "series") -> int:
     return _as_count(_value(n, PHI_NUMERATOR, PHI_DENOMINATOR, method), f"phi*({n})")
 
 
-@dataclass(frozen=True)
-class FourFactorSpec:
+class FourFactorSpec(Record):
     """Up to two multiples-of factors above and two below the line:
     ``prod (1-t^{r1 m})^{a1} (1-t^{r2 m})^{a2} /
     [prod (1-t^{s1 m})^{b1} (1-t^{s2 m})^{b2}]``.
@@ -181,26 +179,30 @@ class FourFactorSpec:
     and exponent >= 1.
     """
 
-    r1: int | None = None
-    a1: int = 1
-    r2: int | None = None
-    a2: int = 1
-    s1: int | None = None
-    b1: int = 1
-    s2: int | None = None
-    b2: int = 1
+    _fields = ("r1", "a1", "r2", "a2", "s1", "b1", "s2", "b2")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        r1: int | None = None,
+        a1: int = 1,
+        r2: int | None = None,
+        a2: int = 1,
+        s1: int | None = None,
+        b1: int = 1,
+        s2: int | None = None,
+        b2: int = 1,
+    ):
         for r, e, name in (
-            (self.r1, self.a1, "numerator 1"),
-            (self.r2, self.a2, "numerator 2"),
-            (self.s1, self.b1, "denominator 1"),
-            (self.s2, self.b2, "denominator 2"),
+            (r1, a1, "numerator 1"),
+            (r2, a2, "numerator 2"),
+            (s1, b1, "denominator 1"),
+            (s2, b2, "denominator 2"),
         ):
             if r is None:
                 continue
             if r < 1 or e < 1:
                 raise ValueError(f"{name}: modulus and exponent must be >= 1")
+        self._assign(r1, a1, r2, a2, s1, b1, s2, b2)
 
     def numerator(self) -> ProductSpec | None:
         return _multiples_spec((self.r1, self.a1), (self.r2, self.a2))

@@ -11,8 +11,6 @@ reciprocals, and of ratios of two of them.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -21,24 +19,60 @@ MULTIPLES = "multiples"
 FINITE = "finite"
 
 
-@dataclass(frozen=True)
-class SupportSet:
+class Record:
+    """Base of the package's immutable value records.
+
+    A subclass lists its attributes in ``_fields`` and sets them in
+    ``__init__`` through :meth:`_assign`.  Equality holds only between
+    instances of the same class with equal fields, ``hash`` is the hash of
+    the field tuple, ``repr`` reads ``Name(field=value, ...)``, and setting
+    or deleting an attribute raises :class:`AttributeError`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SupportSet(Record):
     """A set of positive integers: all of them, all multiples of ``r``,
     or an explicit finite set."""
 
-    kind: str
-    r: int = 1
-    members: tuple[int, ...] = ()
+    _fields = ("kind", "r", "members")
 
-    def __post_init__(self):
-        if self.kind not in (ALL, MULTIPLES, FINITE):
-            raise ValueError(f"unknown support kind {self.kind!r}")
-        if self.kind == MULTIPLES:
-            _require_int(self.r, "multiples-of support r")
-            if self.r < 1:
+    def __init__(self, kind: str, r: int = 1, members: tuple[int, ...] = ()):
+        if kind not in (ALL, MULTIPLES, FINITE):
+            raise ValueError(f"unknown support kind {kind!r}")
+        if kind == MULTIPLES:
+            _require_int(r, "multiples-of support r")
+            if r < 1:
                 raise ValueError("multiples-of support needs an integer r >= 1")
-        if self.kind == FINITE:
-            members = tuple(self.members)
+        if kind == FINITE:
+            members = tuple(members)
             for m in members:
                 _require_int(m, "finite support member")
             members = tuple(sorted(members))
@@ -48,7 +82,7 @@ class SupportSet:
                 raise ValueError("finite support members must be distinct")
             if members[0] < 1:
                 raise ValueError("finite support members must be >= 1")
-            object.__setattr__(self, "members", members)
+        self._assign(kind, r, members)
 
     @classmethod
     def all_naturals(cls) -> "SupportSet":
@@ -120,22 +154,20 @@ class SupportSet:
         raise ValueError(f"unknown support kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Record):
     """One factor family ``prod_{m in support} (1 - z * t^m)^a``."""
 
-    support: SupportSet
-    z: Fraction
-    a: int
+    _fields = ("support", "z", "a")
 
-    def __post_init__(self):
-        _require_int(self.a, "factor exponent a")
-        if self.a == 0:
+    def __init__(self, support: SupportSet, z: Fraction, a: int):
+        _require_int(a, "factor exponent a")
+        if a == 0:
             raise ValueError("factor exponent a must be a nonzero integer")
-        if not isinstance(self.z, Fraction):
-            if isinstance(self.z, bool) or not isinstance(self.z, int):
-                raise TypeError(f"factor z must be an int or a Fraction, got {self.z!r}")
-            object.__setattr__(self, "z", Fraction(self.z))
+        if not isinstance(z, Fraction):
+            if isinstance(z, bool) or not isinstance(z, int):
+                raise TypeError(f"factor z must be an int or a Fraction, got {z!r}")
+            z = Fraction(z)
+        self._assign(support, z, a)
 
     def negated(self) -> "Factor":
         return Factor(self.support, self.z, -self.a)
@@ -154,24 +186,23 @@ class Factor:
                 z = Fraction(z)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"bad rational {obj.get('z')!r}") from exc
-        elif isinstance(z, int):
+        elif isinstance(z, int) and not isinstance(z, bool):
             z = Fraction(z)
         else:
             raise ValueError("z must be an integer or a 'p/q' string")
         return cls(support, z, _as_int(obj.get("a"), "a"))
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(Record):
     """A non-empty list of factors, multiplied together."""
 
-    factors: tuple[Factor, ...]
+    _fields = ("factors",)
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
+    def __init__(self, factors: tuple[Factor, ...]):
+        factors = tuple(factors)
         if not factors:
             raise ValueError("a product spec needs at least one factor")
-        object.__setattr__(self, "factors", factors)
+        self._assign(factors)
 
     def negated(self) -> "ProductSpec":
         return ProductSpec(tuple(f.negated() for f in self.factors))
@@ -197,6 +228,8 @@ def ratio_from_json(text: str) -> tuple[ProductSpec | None, ProductSpec | None]:
 
     Either side may be empty (meaning the constant series 1).
     """
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

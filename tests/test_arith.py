@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given
@@ -12,8 +12,17 @@ from bellforge import (
     sigma,
     sigma_via_factorization,
 )
-from bellforge.arith import divisors, is_prime
 from bellforge.supports import SupportSet
+
+
+def is_prime(n: int) -> bool:
+    """Reference primality check by trial division."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def divisors(n: int) -> list[int]:
+    """Reference divisor list by scanning 1..n."""
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def test_factorize_examples():

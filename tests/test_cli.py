@@ -1,10 +1,12 @@
 import json
+import time
 from math import isqrt
 
 import pytest
 
-from bellforge.cli import main
-from bellforge.series import exp_log_expand
+from bellforge import verify
+from bellforge.cli import SERIES_STEP_BUDGET, SUITE_NAMES, main
+from bellforge.series import exp_log_expand, expand_steps
 from bellforge.supports import ratio_from_json
 
 
@@ -145,6 +147,67 @@ def test_eval_series_golden_rational_z(capsys, tmp_path):
     assert out == "n,value\n" + "".join(f"{n},{c}\n" for n, c in enumerate(want.coeffs))
 
 
+def test_eval_boolean_z_exits_2(capsys, tmp_path):
+    path = spec_file(
+        tmp_path,
+        {"numerator": [{"support": {"kind": "all"}, "z": True, "a": 1}]},
+    )
+    code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bellforge: error: bad spec file")
+    assert len(err.splitlines()) == 1
+
+
+HUGE_EXPONENT = {"denominator": [{"support": {"kind": "finite", "set": [1]}, "z": "1", "a": 100000000}]}
+
+
+@pytest.mark.parametrize("method", ["series", "both"])
+def test_eval_huge_exponent_exits_2_before_work(capsys, tmp_path, method):
+    path = spec_file(tmp_path, HUGE_EXPONENT)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "5", "--method", method)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    # 10^8 fold passes of 5 steps, plus 15 for the reciprocal
+    assert err == (
+        "bellforge: error: --max 5 on this spec needs about 500000015 series steps, "
+        f"over the budget of {SERIES_STEP_BUDGET}\n"
+    )
+
+
+def test_eval_huge_order_exits_2_before_work(capsys, tmp_path):
+    # one fold pass, but the reciprocal alone is order^2 / 2 steps
+    path = spec_file(
+        tmp_path,
+        {"denominator": [{"support": {"kind": "finite", "set": [1]}, "z": "1", "a": 1}]},
+    )
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "series steps" in err
+
+
+def test_series_budget_leaves_room_for_the_largest_documented_eval():
+    # the largest eval shape of the benchmark mix: order 140, |a| <= 2, and
+    # every factor at its largest support
+    numer, denom = ratio_from_json(
+        json.dumps(
+            {
+                "numerator": [{"support": {"kind": "multiples", "r": 2}, "z": "2/3", "a": 2}],
+                "denominator": [
+                    {"support": {"kind": "all"}, "z": "3/2", "a": 2},
+                    {"support": {"kind": "multiples", "r": 2}, "z": "-2/5", "a": 1},
+                ],
+            }
+        )
+    )
+    assert 100 * expand_steps(numer, denom, 140) <= SERIES_STEP_BUDGET
+
+
 def test_eval_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "eval", "--spec", str(tmp_path / "nope.json"), "--max", "3")
     assert code == 2
@@ -200,6 +263,10 @@ def test_verify_unknown_identity_exits_2(capsys):
         main(["verify", "everything"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_verify_suite_names_match_the_suites():
+    assert list(SUITE_NAMES) == sorted(verify.SUITES)
 
 
 def test_verify_theta(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from bellforge import TruncatedSeries, exp_log_expand, expand_product, spec_from_factors
 from bellforge.partfun import ratio_series
-from bellforge.series import expand_ratio
+from bellforge.series import expand_ratio, expand_steps
 from bellforge.supports import Factor, ProductSpec, SupportSet
 from bellforge.verify import random_product_spec
 
@@ -247,3 +247,34 @@ def test_ratio_series_regrows_geometrically():
     assert regrown.truncate(7) == fraction_ratio(numer, denom, 7)
     assert ratio_series(numer, denom, 10) is regrown
     assert ratio_series(numer, denom, 31).order == 31
+
+
+def test_expand_steps_counts_the_fold_passes_that_run(monkeypatch):
+    from bellforge import series
+
+    folded = []
+    fold = series._fold_binomial
+
+    def counting_fold(cs, k, m, a):
+        folded.append(abs(a) * (len(cs) - m))
+        fold(cs, k, m, a)
+
+    monkeypatch.setattr(series, "_fold_binomial", counting_fold)
+    specs = kernel_specs()
+    pairs = [(specs[0], specs[1]), (specs[2], None), (None, specs[3]), (None, None)]
+    pairs += [(specs[-1], specs[30]), (None, spec_from_factors((SupportSet.multiples_of(7), 1, 3)))]
+    for numer, denom in pairs:
+        for order in (0, 1, 6, 13, 40):
+            folded.clear()
+            expand_ratio(numer, denom, order)
+            triangle = order * (order + 1) // 2
+            sides = (denom is not None) + (numer is not None and denom is not None)
+            assert expand_steps(numer, denom, order) == sum(folded) + sides * triangle
+
+
+def test_expand_steps_is_closed_form_for_infinite_supports():
+    spec = spec_from_factors((SupportSet.all_naturals(), 1, -3), (SupportSet.multiples_of(5), 2, 1))
+    order = 10**12
+    k = order // 5
+    want = 3 * order * (order + 1) // 2 + (k * (order + 1) - 5 * k * (k + 1) // 2)
+    assert expand_steps(spec, None, order) == want

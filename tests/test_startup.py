@@ -1,0 +1,62 @@
+"""What a CLI request imports: each command loads only the modules it uses.
+
+Every request is a fresh ``python -m bellforge`` process, so an unused import
+is paid on every request.  The checks run the package's ``__main__`` in a
+child interpreter and list the modules that the run added."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CHILD = """
+import runpy, sys
+before = set(sys.modules)
+sys.argv = ["bellforge", *sys.argv[1:]]
+try:
+    runpy.run_module("bellforge", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+sys.stderr.write("\\n" + " ".join(sorted(set(sys.modules) - before)) + "\\n")
+sys.exit(code)
+"""
+
+# never needed by a request
+HEAVY = {"dataclasses", "inspect", "bellforge.errata"}
+
+
+def loaded_by(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_seq_loads_neither_suites_nor_json():
+    loaded = loaded_by("seq", "p", "--max", "1")
+    assert "bellforge.cli" in loaded
+    assert not loaded & (HEAVY | {"bellforge.verify", "json"})
+
+
+def test_eval_series_loads_json_but_not_suites(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"denominator": [{"support": {"kind": "all"}, "z": "1/2", "a": 1}]}))
+    loaded = loaded_by("eval", "--spec", str(spec), "--max", "5", "--method", "series")
+    assert "json" in loaded
+    assert not loaded & (HEAVY | {"bellforge.verify"})
+
+
+@pytest.mark.parametrize("argv", [("verify", "chan", "--max", "2"), ("verify", "chan")])
+def test_verify_loads_its_suites_only(argv):
+    loaded = loaded_by(*argv)
+    assert "bellforge.verify" in loaded
+    assert not loaded & (HEAVY | {"json"})

@@ -89,6 +89,13 @@ def test_ratio_from_json_errors():
         ratio_from_json('{"denominator": [{"support": {"kind": "all"}, "z": "1", "a": true}]}')
 
 
+def test_ratio_from_json_rejects_boolean_z():
+    for z in ("true", "false"):
+        text = '{"numerator": [{"support": {"kind": "all"}, "z": %s, "a": 1}]}' % z
+        with pytest.raises(ValueError):
+            ratio_from_json(text)
+
+
 def test_ratio_from_json_accepts_integer_z():
     numer, denom = ratio_from_json(
         '{"numerator": [{"support": {"kind": "finite", "set": [2]}, "z": 2, "a": 1}]}'
