@@ -18,7 +18,6 @@ from .arith import (
 from .bellpoly import (
     IdentityReport,
     divisor_power_sum,
-    faa_cap,
     index_additivity_report,
     log_weight,
     log_weight_table,
@@ -74,7 +73,6 @@ __all__ = [
     "exp_log_expand",
     "expand_product",
     "expand_ratio",
-    "faa_cap",
     "factorize",
     "four_factor_coefficient",
     "index_additivity_report",

@@ -17,7 +17,6 @@ Everything is exact and independently checkable against :mod:`bellforge.series`.
 
 from __future__ import annotations
 
-import os
 import threading
 from fractions import Fraction
 from math import factorial, lcm
@@ -26,24 +25,8 @@ from operator import mul
 from .arith import require_natural, require_positive
 from .supports import Factor, ProductSpec, Record, SupportSet
 
-DEFAULT_FAA_CAP = 60
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def faa_cap() -> int:
-    """Size cap for the partition-sum path (env ``BELLFORGE_FAA_CAP``)."""
-    raw = os.environ.get("BELLFORGE_FAA_CAP")
-    if raw is None:
-        return DEFAULT_FAA_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"BELLFORGE_FAA_CAP must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise ValueError("BELLFORGE_FAA_CAP must be >= 0")
-    return cap
 
 
 def divisor_power_sum(n: int, support: SupportSet, z: Fraction) -> Fraction:
@@ -205,6 +188,12 @@ def product_coefficients(spec: ProductSpec, n: int) -> list[Fraction]:
 def reciprocal_coefficients(spec: ProductSpec, n: int) -> list[Fraction]:
     """Cached reciprocal coefficients ``0..n``."""
     return _cached_sequence(-1, spec, n)
+
+
+def clear_cache() -> None:
+    """Drop every cached prefix; the next request starts from order 0."""
+    with _seq_lock:
+        _seq_cache.clear()
 
 
 def _cached_sequence(sign, spec, n) -> list[Fraction]:

@@ -23,7 +23,7 @@ import argparse
 import sys
 
 from . import __version__
-from .bellpoly import faa_cap, ratio_coefficient
+from .bellpoly import clear_cache, ratio_coefficient, reciprocal_coefficients
 from .partfun import (
     InconsistencyError,
     PARTITION_PRODUCT,
@@ -57,6 +57,10 @@ SUITE_NAMES = (
 # largest eval in the tests and in the benchmark mix (order 140, |a| <= 2)
 # is about 5e4 steps.
 SERIES_STEP_BUDGET = 10**7
+
+# Largest --max that eval --method faa|both and bench accept on the closed
+# sum.  A fixed order bound; the closed sum has no cost estimate yet.
+CLOSED_SUM_MAX_N = 60
 
 
 class UsageError(Exception):
@@ -161,10 +165,10 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad spec file: {exc}") from exc
 
-    if args.method in ("faa", "both") and n_max > faa_cap():
+    if args.method in ("faa", "both") and n_max > CLOSED_SUM_MAX_N:
         raise UsageError(
-            f"--max {n_max} exceeds the closed-sum cap {faa_cap()} "
-            "(set BELLFORGE_FAA_CAP to raise it, or use --method series)"
+            f"--max {n_max} exceeds the closed-sum bound {CLOSED_SUM_MAX_N} "
+            "(use --method series)"
         )
     if args.method in ("series", "both"):
         steps = expand_steps(numer, denom, n_max)
@@ -225,11 +229,15 @@ def cmd_bench(args) -> int:
     n_max = _require_max(args.max)
     if args.repeat < 1:
         raise UsageError("--repeat must be >= 1")
-    if n_max > faa_cap():
-        raise UsageError(f"--max {n_max} exceeds the closed-sum cap {faa_cap()}")
+    if n_max > CLOSED_SUM_MAX_N:
+        raise UsageError(f"--max {n_max} exceeds the closed-sum bound {CLOSED_SUM_MAX_N}")
+
+    def closed_sum(hi):
+        clear_cache()  # time the recurrence, not a cached prefix
+        return reciprocal_coefficients(PARTITION_PRODUCT, hi)
 
     methods = {
-        "closed-sum": lambda hi: [partition_function(n, method="faa") for n in range(hi + 1)],
+        "closed-sum": closed_sum,
         "pentagonal": pentagonal_values,
         "series": lambda hi: list(expand_ratio(None, PARTITION_PRODUCT, hi).coeffs),
     }

@@ -7,10 +7,11 @@ Each function here is the coefficient sequence of a fixed quotient of
   evaluated for the whole prefix ``0..n`` by the integer Bell recurrence,
 * ``"series"``: expansion of the product ratio (:mod:`bellforge.series`).
 
-``method="auto"`` picks the closed sum up to :func:`bellpoly.faa_cap` and the
-series route above it.  The theta coefficient functions default to the series
-route because their defining checks run far past the cap.  All named counts
-must come out as nonnegative integers; anything else raises
+The default ``method="auto"`` is the closed sum at every ``n``: the
+recurrence costs O(n) integer operations per new ``n``, so no size needs the
+series route.  The theta coefficient functions default to the series route,
+so that their defining checks exercise the oracle.  All named counts must
+come out as nonnegative integers; anything else raises
 :class:`InconsistencyError` since it can only mean an internal defect.
 """
 
@@ -23,7 +24,6 @@ from .arith import require_natural
 from .bellpoly import (
     IdentityReport,
     InconsistencyError,
-    faa_cap,
     ratio_coefficient,
     reciprocal_coefficient,
 )
@@ -93,18 +93,12 @@ def ratio_series(
 
 
 def _value(n, numer, denom, method) -> Fraction:
+    """Coefficient ``n`` of numer/denom; ``"auto"`` is the closed sum."""
     require_natural(n)
-    route = _resolve_method(method, n)
-    if route == "faa":
+    if method in ("auto", "faa"):
         return ratio_coefficient(n, numer, denom)
-    return ratio_series(numer, denom, n).coefficient(n)
-
-
-def _resolve_method(method: str, n: int) -> str:
-    if method == "auto":
-        return "faa" if n <= faa_cap() else "series"
-    if method in ("faa", "series"):
-        return method
+    if method == "series":
+        return ratio_series(numer, denom, n).coefficient(n)
     raise ValueError(f"method must be 'faa', 'series' or 'auto', got {method!r}")
 
 

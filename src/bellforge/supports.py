@@ -142,16 +142,17 @@ class SupportSet(Record):
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError("support must be an object with a 'kind' field")
         kind = obj["kind"]
+        if not isinstance(kind, str) or kind not in _SUPPORT_KEYS:
+            raise ValueError(f"unknown support kind {kind!r}")
+        _reject_unknown(obj, _SUPPORT_KEYS[kind], f"{kind!r} support")
         if kind == "all":
             return cls.all_naturals()
         if kind == "multiples":
             return cls.multiples_of(_as_int(obj.get("r"), "r"))
-        if kind == "finite":
-            members = obj.get("set")
-            if not isinstance(members, list):
-                raise ValueError("finite support needs a 'set' list")
-            return cls.finite(_as_int(m, "set member") for m in members)
-        raise ValueError(f"unknown support kind {kind!r}")
+        members = obj.get("set")
+        if not isinstance(members, list):
+            raise ValueError("finite support needs a 'set' list")
+        return cls.finite(_as_int(m, "set member") for m in members)
 
 
 class Factor(Record):
@@ -179,6 +180,7 @@ class Factor(Record):
     def from_json(cls, obj) -> "Factor":
         if not isinstance(obj, dict):
             raise ValueError("factor must be an object")
+        _reject_unknown(obj, ("support", "z", "a"), "factor")
         support = SupportSet.from_json(obj.get("support"))
         z = obj.get("z", "1")
         if isinstance(z, str):
@@ -234,11 +236,11 @@ def ratio_from_json(text: str) -> tuple[ProductSpec | None, ProductSpec | None]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("invalid JSON: nested too deeply") from exc
     if not isinstance(obj, dict):
         raise ValueError("spec file must contain a JSON object")
-    unknown = set(obj) - {"numerator", "denominator"}
-    if unknown:
-        raise ValueError(f"unknown spec fields: {sorted(unknown)}")
+    _reject_unknown(obj, ("numerator", "denominator"), "spec")
 
     def side(name):
         raw = obj.get(name, [])
@@ -249,6 +251,16 @@ def ratio_from_json(text: str) -> tuple[ProductSpec | None, ProductSpec | None]:
         return ProductSpec(tuple(Factor.from_json(f) for f in raw))
 
     return side("numerator"), side("denominator")
+
+
+# the keys a JSON support object may carry, by kind
+_SUPPORT_KEYS = {ALL: ("kind",), MULTIPLES: ("kind", "r"), FINITE: ("kind", "set")}
+
+
+def _reject_unknown(obj: dict, allowed, what: str) -> None:
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
 
 
 def _require_int(value, name) -> None:

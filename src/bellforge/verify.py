@@ -228,9 +228,4 @@ def run_suite(name: str, max_n: int | None = None):
     """Run one named suite; ``max_n`` falls back to the suite default."""
     if name not in SUITES:
         raise ValueError(f"unknown identity {name!r}")
-    limit = DEFAULT_MAX[name] if max_n is None else max_n
-    if name in ("additivity-index", "additivity-set"):
-        return SUITES[name](max_n=limit)
-    if name == "restricted-recursion":
-        return restricted_recursion_suite(max_n=limit)
-    return SUITES[name](limit)
+    return SUITES[name](max_n=DEFAULT_MAX[name] if max_n is None else max_n)

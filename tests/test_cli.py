@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from bellforge import verify
+from bellforge import bellpoly, verify
 from bellforge.cli import SERIES_STEP_BUDGET, SUITE_NAMES, main
 from bellforge.series import exp_log_expand, expand_steps
 from bellforge.supports import ratio_from_json
@@ -230,18 +230,50 @@ def test_eval_non_utf8_spec_exits_2(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
-def test_eval_faa_respects_cap(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("BELLFORGE_FAA_CAP", "8")
+def test_eval_faa_bound_is_fixed(capsys, tmp_path, monkeypatch):
     path = spec_file(
         tmp_path,
         {"denominator": [{"support": {"kind": "all"}, "z": "1", "a": 1}]},
     )
-    code, _, err = run_cli(capsys, "eval", "--spec", path, "--max", "9", "--method", "faa")
+    # the removed BELLFORGE_FAA_CAP variable changes nothing
+    for cap in (None, "8", "100", "not-a-number"):
+        if cap is not None:
+            monkeypatch.setenv("BELLFORGE_FAA_CAP", cap)
+        for method in ("faa", "both"):
+            code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "61", "--method", method)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("bellforge: error:") and "--method series" in err
+            assert len(err.splitlines()) == 1
+        code, out, _ = run_cli(capsys, "eval", "--spec", path, "--max", "60", "--method", "faa")
+        assert code == 0
+        assert out.splitlines()[-1] == "60,966467"
+
+
+def test_eval_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "eval", "--spec", str(path), "--max", "3")
     assert code == 2
-    assert "cap" in err
-    code, out, _ = run_cli(capsys, "eval", "--spec", path, "--max", "8", "--method", "faa")
-    assert code == 0
-    assert out.splitlines()[-1] == "8,22"
+    assert out == ""
+    assert err.startswith("bellforge: error: bad spec file")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [
+        {"support": {"kind": "all"}, "zz": "1/2", "a": 1},
+        {"support": {"kind": "multiples", "r": 2, "set": [1]}, "z": "1", "a": 1},
+    ],
+)
+def test_eval_unknown_spec_keys_exit_2(capsys, tmp_path, factor):
+    path = spec_file(tmp_path, {"denominator": [factor]})
+    code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bellforge: error: bad spec file: unknown")
+    assert len(err.splitlines()) == 1
 
 
 def test_eval_multiples_support(capsys, tmp_path):
@@ -320,11 +352,30 @@ def test_bench_small(capsys):
     assert all(row[3] == "true" for row in rows)
 
 
-def test_bench_rejects_max_beyond_cap(capsys, monkeypatch):
-    monkeypatch.setenv("BELLFORGE_FAA_CAP", "10")
-    code, _, err = run_cli(capsys, "bench", "--max", "11")
+def test_bench_rejects_max_beyond_bound(capsys):
+    code, out, err = run_cli(capsys, "bench", "--max", "61", "--repeat", "1")
     assert code == 2
-    assert "cap" in err
+    assert out == ""
+    assert err.startswith("bellforge: error:") and "61" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_bench_times_the_closed_sum_cold(capsys, monkeypatch):
+    extended = []
+    real = bellpoly.bell_extend
+
+    def recording(coeffs, weights, n):
+        start = len(coeffs)
+        real(coeffs, weights, n)
+        extended.append((start, len(coeffs) - 1))
+
+    monkeypatch.setattr(bellpoly, "bell_extend", recording)
+    run_cli(capsys, "seq", "p", "--max", "20")  # warm the cache first
+    extended.clear()
+    code, _, _ = run_cli(capsys, "bench", "--max", "20", "--repeat", "3")
+    assert code == 0
+    # each repeat of each bucket extends the whole prefix 1..hi from scratch
+    assert extended == [(1, 10)] * 3 + [(1, 20)] * 3
 
 
 def test_errata_json(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import bellforge
 from bellforge import (
     FourFactorSpec,
     InconsistencyError,
@@ -19,6 +20,7 @@ from bellforge import (
     restricted_partition_count,
     restricted_recursion_report,
 )
+from bellforge import partfun
 from bellforge.partfun import _as_count
 
 
@@ -221,15 +223,47 @@ def test_restricted_recursion_needs_two_parts():
         restricted_recursion_report(5, [2])
 
 
-def test_auto_route_switches_at_cap(monkeypatch):
-    monkeypatch.setenv("BELLFORGE_FAA_CAP", "6")
-    # values must be identical on both sides of the cap boundary
-    assert [partition_function(n) for n in range(12)] == [
-        count_partitions(n) for n in range(12)
-    ]
-    monkeypatch.setenv("BELLFORGE_FAA_CAP", "not-a-number")
+def coin_counts(parts, n):
+    """Independent oracle: partitions of 0..n into the given parts, by the
+    coin-change table."""
+    table = [1] + [0] * n
+    for d in parts:
+        for m in range(d, n + 1):
+            table[m] += table[m - d]
+    return table
+
+
+def convolve(u, v):
+    return [sum(u[k] * v[m - k] for k in range(m + 1)) for m in range(len(u))]
+
+
+def test_auto_is_the_closed_sum_at_every_n(monkeypatch):
+    top = 200
+    parts = [1, 2, 5, 10, 25]
+    p = [count_partitions(m) for m in range(top + 1)]
+    cubic = convolve(p, coin_counts(range(2, top + 1, 2), top))
+    overcubic = convolve(cubic, coin_counts([m for m in range(1, top + 1) if m % 4], top))
+    cases = (
+        (partition_function, p),
+        (cubic_partition_count, cubic),
+        (overcubic_partition_count, overcubic),
+        (lambda n, **kw: restricted_partition_count(n, parts, **kw), coin_counts(parts, top)),
+    )
+
+    def no_series(*args):
+        raise AssertionError("auto took the series route")
+
+    assert not hasattr(bellforge, "faa_cap")
+    # the removed size switch's environment variable changes nothing
+    for cap in ("6", "not-a-number"):
+        monkeypatch.setenv("BELLFORGE_FAA_CAP", cap)
+        with monkeypatch.context() as patched:
+            patched.setattr(partfun, "ratio_series", no_series)
+            for fn, want in cases:
+                assert fn(100, method="auto") == want[100]
+                assert [fn(n) for n in range(top + 1)] == want
     with pytest.raises(ValueError):
-        partition_function(1)
+        partition_function(1, method="fast")
 
 
 def test_count_guard_rejects_non_integral():

@@ -87,6 +87,26 @@ def test_ratio_from_json_errors():
         ratio_from_json('{"denominator": [{"support": {"kind": "all"}, "z": "abc", "a": 1}]}')
     with pytest.raises(ValueError):
         ratio_from_json('{"denominator": [{"support": {"kind": "all"}, "z": "1", "a": true}]}')
+    with pytest.raises(ValueError):
+        ratio_from_json('{"denominator": [{"support": {"kind": [1]}, "z": "1", "a": 1}]}')
+    with pytest.raises(ValueError, match="nested too deeply"):
+        ratio_from_json("[" * 100_000)
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [
+        {"support": {"kind": "all"}, "zz": "1/2", "a": 1},
+        {"support": {"kind": "all"}, "z": "1", "a": 1, "b": 2},
+        {"support": {"kind": "all", "r": 2}, "z": "1", "a": 1},
+        {"support": {"kind": "multiples", "r": 2, "set": [1]}, "z": "1", "a": 1},
+        {"support": {"kind": "finite", "set": [1], "r": 1}, "z": "1", "a": 1},
+        {"support": {"kind": "finite", "set": [1], "members": [2]}, "z": "1", "a": 1},
+    ],
+)
+def test_ratio_from_json_rejects_unknown_factor_and_support_keys(factor):
+    with pytest.raises(ValueError, match="unknown"):
+        ratio_from_json(json.dumps({"denominator": [factor]}))
 
 
 def test_ratio_from_json_rejects_boolean_z():
