@@ -25,6 +25,7 @@ from .bellpoly import (
     product_coefficient,
     product_coefficients,
     ratio_coefficient,
+    ratio_coefficients,
     reciprocal_coefficient,
     reciprocal_coefficients,
     set_additivity_report,
@@ -90,6 +91,7 @@ __all__ = [
     "ramanujan_phi_coefficient",
     "ramanujan_psi_coefficient",
     "ratio_coefficient",
+    "ratio_coefficients",
     "ratio_series",
     "reciprocal_coefficient",
     "reciprocal_coefficients",

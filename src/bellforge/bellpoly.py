@@ -8,11 +8,13 @@ coefficient of ``t^n`` equals
 
 where ``w_j = -sum_factors a * (sum_{d in C, d|j} d * z^{j/d})`` is ``j``
 times the ``t^j`` coefficient of ``log f``.  The coefficient of ``t^n`` in
-``1/f(t)`` is the same sum with an extra ``(-1)^(k_1+...+k_n)``.  Being a
-complete Bell polynomial in the ``w_j / j``, it obeys ``n c_n = sum_{k=1..n}
-w_k c_{n-k}`` (Comtet, 1974, ch. 3), which evaluates whole prefixes; the
+``1/f(t)`` is the same sum with every weight negated, so a ratio ``f/g``
+has weights ``f``'s minus ``g``'s.  Being a complete Bell polynomial in the
+``w_j / j``, the sum obeys ``n c_n = sum_{k=1..n} w_k c_{n-k}`` (Comtet,
+1974, ch. 3), which :func:`ratio_coefficients` runs on whole prefixes; the
 literal sum, one term per partition, remains as :func:`partition_power_sum`.
-Everything is exact and independently checkable against :mod:`bellforge.series`.
+:func:`cached_prefix` is the one prefix cache of both routes.  Everything is
+exact and independently checkable against :mod:`bellforge.series`.
 """
 
 from __future__ import annotations
@@ -152,17 +154,6 @@ class InconsistencyError(ArithmeticError):
     """An exact computation produced a value its contract rules out."""
 
 
-def product_coefficient(n: int, spec: ProductSpec) -> Fraction:
-    """Coefficient of ``t^n`` in the product, via the Bell recurrence."""
-    return product_coefficients(spec, n)[n]
-
-
-def reciprocal_coefficient(n: int, spec: ProductSpec) -> Fraction:
-    """Coefficient of ``t^n`` in the reciprocal of the product: the same
-    sum with the alternating sign ``(-1)^(k_1+...+k_n)``."""
-    return reciprocal_coefficients(spec, n)[n]
-
-
 def bell_extend(coeffs: list[int], weights: list[int], n: int) -> None:
     """Append ``A_m`` for ``m = len(coeffs)..n`` to ``coeffs`` from
     ``m A_m = sum_{k=1..m} weights[k] A_{m-k}``.  For weights of a product
@@ -175,69 +166,101 @@ def bell_extend(coeffs: list[int], weights: list[int], n: int) -> None:
         coeffs.append(a_m)
 
 
-_seq_lock = threading.Lock()
-# (sign, spec) -> (L, weights w_k L^k, A_m = c_m L^m, c_m); sign -1 is 1/f
-_seq_cache: dict[tuple[int, ProductSpec], tuple] = {}
+_cache_lock = threading.Lock()
+# (route, numer, denom) -> (order, entry); an entry is never mutated once published
+_cache: dict[tuple, tuple] = {}
 
 
-def product_coefficients(spec: ProductSpec, n: int) -> list[Fraction]:
-    """Cached ``[coefficient(0), ..., coefficient(n)]`` of the product."""
-    return _cached_sequence(1, spec, n)
+def cached_prefix(route: str, numer, denom, n: int, grow):
+    """The cached entry of ``route`` for ``numer/denom``, covering order ``n``.
 
-
-def reciprocal_coefficients(spec: ProductSpec, n: int) -> list[Fraction]:
-    """Cached reciprocal coefficients ``0..n``."""
-    return _cached_sequence(-1, spec, n)
+    On a miss ``grow(numer, denom, entry, n)`` returns ``(order, new_entry)``
+    with ``order >= n``, built from the cached ``entry`` (``None`` if there is
+    none) without mutating it.  The lock is held only to read and to publish,
+    so a request never waits on another's computation; when two requests for
+    one key race, both compute and the longer entry is kept and returned.
+    """
+    key = (route, numer, denom)
+    with _cache_lock:
+        hit = _cache.get(key)
+    if hit is not None and hit[0] >= n:
+        return hit[1]
+    fresh = grow(numer, denom, None if hit is None else hit[1], n)
+    with _cache_lock:
+        hit = _cache.get(key)
+        if hit is None or hit[0] < fresh[0]:
+            hit = _cache[key] = fresh
+    return hit[1]
 
 
 def clear_cache() -> None:
-    """Drop every cached prefix; the next request starts from order 0."""
-    with _seq_lock:
-        _seq_cache.clear()
+    """Drop every cached prefix of both routes; the next request starts cold."""
+    with _cache_lock:
+        _cache.clear()
 
 
-def _cached_sequence(sign, spec, n) -> list[Fraction]:
-    """Prefix ``0..n``, extended from the last cached order.  With ``L`` the
-    lcm of the z denominators, the weights and ``A_m`` are integers."""
+def ratio_coefficients(
+    numer: ProductSpec | None, denom: ProductSpec | None, n: int
+) -> list[Fraction]:
+    """Cached coefficients ``0..n`` of numerator-product / denominator-product;
+    ``None`` on either side is the constant 1.  The ratio is the product of the
+    numerator's factors and the denominator's with negated exponents, so one
+    Bell recurrence evaluates it; with ``L`` the lcm of all z denominators the
+    weights ``w_k L^k`` and ``A_m = c_m L^m`` are integers."""
     require_natural(n)
-    key = (sign, spec)
-    with _seq_lock:
-        state = _seq_cache.get(key)
-        if state is None:
-            scale = spec.z_scale()
-            state = _seq_cache[key] = (scale, [0], [1], [_ONE])
-        scale, weights, coeffs, values = state
-        if len(values) <= n:
-            weights.extend(sign * _scaled_weight(k, spec, scale) for k in range(len(weights), n + 1))
-            bell_extend(coeffs, weights, n)
-            values.extend(Fraction(coeffs[m], scale**m) for m in range(len(values), n + 1))
-        return values[: n + 1]
+    values = cached_prefix("faa", numer, denom, n, _grow_bell)[3]
+    return values[: n + 1]
 
 
-def _scaled_weight(k: int, spec: ProductSpec, scale: int) -> int:
+def _grow_bell(numer, denom, entry, n):
+    """A copy of the cached ``(L, weights, A_m, c_m)`` extended to exactly ``n``."""
+    sides = [s for s in (numer, denom if denom is None else denom.negated()) if s is not None]
+    if entry is None:
+        entry = (lcm(*(s.z_scale() for s in sides)), [0], [1], [_ONE])
+    scale, weights, coeffs, values = entry
+    factors = tuple(f for s in sides for f in s.factors)
+    weights = weights + [_scaled_weight(k, factors, scale) for k in range(len(weights), n + 1)]
+    coeffs = coeffs.copy()
+    bell_extend(coeffs, weights, n)
+    values = values + [Fraction(coeffs[m], scale**m) for m in range(len(values), n + 1)]
+    return n, (scale, weights, coeffs, values)
+
+
+def _scaled_weight(k: int, factors, scale: int) -> int:
     """``log_weight(k, spec) * scale^k`` in integers: ``z^(k/d) scale^k`` is
     ``(z scale^d)^(k/d)``, and ``z scale`` is an integer."""
     total = 0
-    for f in spec.factors:
+    for f in factors:
         z_scaled = f.z.numerator * (scale // f.z.denominator)
         for d in f.support.divisors_in(k):
             total -= f.a * d * (z_scaled * scale ** (d - 1)) ** (k // d)
     return total
 
 
+def product_coefficients(spec: ProductSpec, n: int) -> list[Fraction]:
+    """Cached ``[coefficient(0), ..., coefficient(n)]`` of the product."""
+    return ratio_coefficients(spec, None, n)
+
+
+def reciprocal_coefficients(spec: ProductSpec, n: int) -> list[Fraction]:
+    """Cached reciprocal coefficients ``0..n``."""
+    return ratio_coefficients(None, spec, n)
+
+
+def product_coefficient(n: int, spec: ProductSpec) -> Fraction:
+    """Coefficient of ``t^n`` in the product, via the Bell recurrence."""
+    return ratio_coefficients(spec, None, n)[n]
+
+
+def reciprocal_coefficient(n: int, spec: ProductSpec) -> Fraction:
+    """Coefficient of ``t^n`` in the reciprocal of the product: the same
+    sum with the alternating sign ``(-1)^(k_1+...+k_n)``."""
+    return ratio_coefficients(None, spec, n)[n]
+
+
 def ratio_coefficient(n: int, numer: ProductSpec | None, denom: ProductSpec | None) -> Fraction:
-    """Coefficient of ``t^n`` in numerator-product / denominator-product,
-    as the convolution of product and reciprocal coefficients.  ``None``
-    on either side means the constant series 1.
-    """
-    require_natural(n)
-    if numer is None and denom is None:
-        return _ONE if n == 0 else _ZERO
-    if numer is None:
-        return reciprocal_coefficient(n, denom)
-    if denom is None:
-        return product_coefficient(n, numer)
-    return _convolve(product_coefficients(numer, n), reciprocal_coefficients(denom, n), n)
+    """Coefficient of ``t^n`` in numerator-product / denominator-product."""
+    return ratio_coefficients(numer, denom, n)[n]
 
 
 class IdentityReport(Record):
@@ -269,10 +292,7 @@ def index_additivity_report(n, base, a_index, b_index) -> IdentityReport:
         for (s, z), a, b in zip(base, a_index, b_index)
         if a + b != 0
     )
-    if combined:
-        lhs = product_coefficient(n, ProductSpec(combined))
-    else:
-        lhs = _ONE if n == 0 else _ZERO
+    lhs = ratio_coefficient(n, ProductSpec(combined) if combined else None, None)
     rhs = _convolve(product_coefficients(spec_a, n), product_coefficients(spec_b, n), n)
     return IdentityReport("additivity-index", n, lhs == rhs, str(lhs), str(rhs))
 

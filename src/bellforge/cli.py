@@ -23,18 +23,8 @@ import argparse
 import sys
 
 from . import __version__
-from .bellpoly import clear_cache, ratio_coefficient, reciprocal_coefficients
-from .partfun import (
-    InconsistencyError,
-    PARTITION_PRODUCT,
-    cubic_partition_count,
-    overcubic_partition_count,
-    partition_function,
-    ramanujan_phi_coefficient,
-    ramanujan_psi_coefficient,
-    ratio_series,
-    restricted_partition_count,
-)
+from .bellpoly import clear_cache, ratio_coefficients, reciprocal_coefficients
+from .partfun import InconsistencyError, PARTITION_PRODUCT, SEQUENCES, ratio_series, sequence
 from .series import expand_steps
 from .supports import ratio_from_json
 
@@ -78,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     seq = sub.add_parser("seq", help="print a named sequence for n = 0..N")
     seq.add_argument(
         "function",
-        choices=["p", "w", "cubic", "overcubic", "psi-star", "phi-star"],
+        choices=list(SEQUENCES),
     )
     seq.add_argument("--max", type=int, required=True, metavar="N")
     seq.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -119,20 +109,7 @@ def cmd_seq(args) -> int:
     elif args.parts:
         raise UsageError("--parts only applies to function w")
 
-    def value(n: int) -> int:
-        if args.function == "p":
-            return partition_function(n)
-        if args.function == "w":
-            return restricted_partition_count(n, parts)
-        if args.function == "cubic":
-            return cubic_partition_count(n)
-        if args.function == "overcubic":
-            return overcubic_partition_count(n)
-        if args.function == "psi-star":
-            return ramanujan_psi_coefficient(n)
-        return ramanujan_phi_coefficient(n)
-
-    values = [(n, value(n)) for n in range(n_max + 1)]
+    values = list(enumerate(sequence(args.function, n_max, parts=parts)))
     if args.format == "csv":
         print("n,value")
         for n, v in values:
@@ -178,24 +155,20 @@ def cmd_eval(args) -> int:
                 f"over the budget of {SERIES_STEP_BUDGET}"
             )
 
-    if args.method == "series":
-        series = ratio_series(numer, denom, n_max)
+    faa = series = None
+    if args.method in ("faa", "both"):
+        faa = ratio_coefficients(numer, denom, n_max)
+    if args.method in ("series", "both"):
+        series = ratio_series(numer, denom, n_max).coeffs[: n_max + 1]
+    if args.method != "both":
         print("n,value")
-        for n in range(n_max + 1):
-            print(f"{n},{series.coefficient(n)}")
-        return 0
-    if args.method == "faa":
-        print("n,value")
-        for n in range(n_max + 1):
-            print(f"{n},{ratio_coefficient(n, numer, denom)}")
+        for n, value in enumerate(faa or series):
+            print(f"{n},{value}")
         return 0
 
-    series = ratio_series(numer, denom, n_max)
     mismatched = False
     print("n,faa,series,agree")
-    for n in range(n_max + 1):
-        left = ratio_coefficient(n, numer, denom)
-        right = series.coefficient(n)
+    for n, (left, right) in enumerate(zip(faa, series)):
         agree = left == right
         mismatched |= not agree
         print(f"{n},{left},{right},{str(agree).lower()}")

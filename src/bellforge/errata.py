@@ -15,12 +15,7 @@ from fractions import Fraction
 
 from .arith import require_natural, sigma
 from .bellpoly import partition_power_sum
-from .partfun import (
-    cubic_partition_count,
-    overcubic_partition_count,
-    ramanujan_phi_coefficient,
-    ramanujan_psi_coefficient,
-)
+from .partfun import sequence
 from .supports import Record
 
 _ZERO = Fraction(0)
@@ -152,37 +147,37 @@ _FORMULAS = (
         "cubic",
         "two-color partition count a(n)",
         printed_cubic,
-        lambda n: cubic_partition_count(n, method="series"),
+        lambda n: sequence("cubic", n, "series"),
     ),
     (
         "cubic-progression",
         "a(3n+2), indexed by n",
         printed_cubic_progression,
-        lambda n: cubic_partition_count(3 * n + 2, method="series"),
+        lambda n: sequence("cubic", 3 * n + 2, "series")[2::3],
     ),
     (
         "overcubic",
         "overcubic partition count abar(n)",
         printed_overcubic,
-        lambda n: overcubic_partition_count(n, method="series"),
+        lambda n: sequence("overcubic", n, "series"),
     ),
     (
         "overcubic-progression",
         "abar(3n+2), indexed by n",
         printed_overcubic_progression,
-        lambda n: overcubic_partition_count(3 * n + 2, method="series"),
+        lambda n: sequence("overcubic", 3 * n + 2, "series")[2::3],
     ),
     (
         "triangular-theta",
         "triangular-number indicator psi*(n)",
         printed_triangular_theta,
-        ramanujan_psi_coefficient,
+        lambda n: sequence("psi-star", n),
     ),
     (
         "square-theta",
         "doubled square indicator phi*(n)",
         printed_square_theta,
-        ramanujan_phi_coefficient,
+        lambda n: sequence("phi-star", n),
     ),
 )
 
@@ -193,7 +188,7 @@ def build_report(max_n: int = 8) -> list[FormulaStatus]:
     ns = tuple(range(max_n + 1))
     statuses = []
     for name, description, transcribed, reference in _FORMULAS:
-        ref = [Fraction(reference(n)) for n in ns]
+        ref = [Fraction(v) for v in reference(max_n)]
         got = [transcribed(n) for n in ns]
         first = next((n for n in ns if ref[n] != got[n]), None)
         statuses.append(

@@ -4,8 +4,12 @@ Each function here is the coefficient sequence of a fixed quotient of
 ``(1 - t^m)``-style products.  Two evaluation routes exist and must agree:
 
 * ``"faa"``: the partition-indexed closed sum (:mod:`bellforge.bellpoly`),
-  evaluated for the whole prefix ``0..n`` by the integer Bell recurrence,
+  evaluated for the whole prefix ``0..n`` by one integer Bell recurrence on
+  the numerator's weights minus the denominator's,
 * ``"series"``: expansion of the product ratio (:mod:`bellforge.series`).
+
+Both keep their prefixes in the one cache of :func:`bellpoly.cached_prefix`;
+the per-``n`` functions slice a prefix, :func:`sequence` asks for it once.
 
 The default ``method="auto"`` is the closed sum at every ``n``: the
 recurrence costs O(n) integer operations per new ``n``, so no size needs the
@@ -17,16 +21,10 @@ come out as nonnegative integers; anything else raises
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from .arith import require_natural
-from .bellpoly import (
-    IdentityReport,
-    InconsistencyError,
-    ratio_coefficient,
-    reciprocal_coefficient,
-)
+from .bellpoly import IdentityReport, InconsistencyError, cached_prefix, ratio_coefficients
 from .series import TruncatedSeries, expand_ratio
 from .supports import ProductSpec, Record, SupportSet, spec_from_factors
 
@@ -65,10 +63,6 @@ def restricted_product(parts) -> ProductSpec:
     return spec_from_factors((SupportSet.finite(parts), 1, 1))
 
 
-_series_lock = threading.Lock()
-_series_cache: dict[tuple, TruncatedSeries] = {}
-
-
 def ratio_series(
     numer: ProductSpec | None, denom: ProductSpec | None, order: int
 ) -> TruncatedSeries:
@@ -82,24 +76,53 @@ def ratio_series(
     order are unaffected by the truncation point.
     """
     require_natural(order, "order")
-    key = (numer, denom)
-    with _series_lock:
-        cur = _series_cache.get(key)
-        if cur is None or cur.order < order:
-            if cur is not None:
-                order = max(order, 2 * cur.order)
-            cur = _series_cache[key] = expand_ratio(numer, denom, order)
-        return cur
+    return cached_prefix("series", numer, denom, order, _grow_series)
 
 
-def _value(n, numer, denom, method) -> Fraction:
-    """Coefficient ``n`` of numer/denom; ``"auto"`` is the closed sum."""
+def _grow_series(numer, denom, cached, order):
+    if cached is not None:
+        order = max(order, 2 * cached.order)
+    return order, expand_ratio(numer, denom, order)
+
+
+def _prefix(numer, denom, n, method) -> list[Fraction]:
+    """Coefficients ``0..n`` of numer/denom; ``"auto"`` is the closed sum."""
     require_natural(n)
     if method in ("auto", "faa"):
-        return ratio_coefficient(n, numer, denom)
+        return ratio_coefficients(numer, denom, n)
     if method == "series":
-        return ratio_series(numer, denom, n).coefficient(n)
+        return list(ratio_series(numer, denom, n).coeffs[: n + 1])
     raise ValueError(f"method must be 'faa', 'series' or 'auto', got {method!r}")
+
+
+# name -> (numerator, denominator, default method) of the named count
+# sequences; the denominator of "w" is the product over its parts list
+SEQUENCES = {
+    "p": (None, PARTITION_PRODUCT, "auto"),
+    "w": (None, None, "auto"),
+    "cubic": (None, CUBIC_PRODUCT, "auto"),
+    "overcubic": (OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR, "auto"),
+    "psi-star": (PSI_NUMERATOR, PSI_DENOMINATOR, "series"),
+    "phi-star": (PHI_NUMERATOR, PHI_DENOMINATOR, "series"),
+}
+
+
+def sequence(name: str, n: int, method: str | None = None, parts=None) -> list[int]:
+    """Values ``0..n`` of a named sequence from one prefix request, on
+    ``method`` or the sequence's default route; ``"w"`` needs ``parts``."""
+    prefix = _named_prefix(name, n, method, parts)
+    return [_as_count(v, f"{name}({m})") for m, v in enumerate(prefix)]
+
+
+def _count(name: str, n: int, method: str, parts=None) -> int:
+    return _as_count(_named_prefix(name, n, method, parts)[n], f"{name}({n})")
+
+
+def _named_prefix(name, n, method, parts) -> list[Fraction]:
+    numer, denom, default = SEQUENCES[name]
+    if name == "w":
+        denom = restricted_product(parts)
+    return _prefix(numer, denom, n, method or default)
 
 
 def _as_count(value: Fraction, what: str) -> int:
@@ -114,19 +137,17 @@ def partition_function(n: int, method: str = "auto") -> int:
     On the closed-sum route this is the sum over partitions of
     ``prod (1/k_j!) (sigma(j)/j)^{k_j}``, which must collapse to an integer.
     """
-    return _as_count(_value(n, None, PARTITION_PRODUCT, method), f"p({n})")
+    return _count("p", n, method)
 
 
 def restricted_partition_count(n: int, parts, method: str = "auto") -> int:
     """Partitions of ``n`` into parts from a distinct positive list."""
-    return _as_count(
-        _value(n, None, restricted_product(parts), method), f"W({n},{sorted(parts)})"
-    )
+    return _count("w", n, method, parts)
 
 
 def cubic_partition_count(n: int, method: str = "auto") -> int:
     """a(n): partitions of ``n`` where even parts come in two colors."""
-    return _as_count(_value(n, None, CUBIC_PRODUCT, method), f"a({n})")
+    return _count("cubic", n, method)
 
 
 def chan_product_coefficient(n: int) -> int:
@@ -140,9 +161,7 @@ def chan_product_coefficient(n: int) -> int:
 def overcubic_partition_count(n: int, method: str = "auto") -> int:
     """abar(n): overlined variant of the cubic partitions, generated by
     ``prod (1-t^{4m}) / [prod (1-t^m)^2 prod (1-t^{2m})]``."""
-    return _as_count(
-        _value(n, OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR, method), f"abar({n})"
-    )
+    return _count("overcubic", n, method)
 
 
 def kim_product_coefficient(n: int) -> int:
@@ -155,14 +174,14 @@ def kim_product_coefficient(n: int) -> int:
 def ramanujan_psi_coefficient(n: int, method: str = "series") -> int:
     """Coefficient of ``t^n`` in ``prod (1-t^{2m})^2 / prod (1-t^m)``:
     1 when ``n`` is a triangular number, else 0."""
-    return _as_count(_value(n, PSI_NUMERATOR, PSI_DENOMINATOR, method), f"psi*({n})")
+    return _count("psi-star", n, method)
 
 
 def ramanujan_phi_coefficient(n: int, method: str = "series") -> int:
     """Coefficient of ``t^n`` in
     ``prod (1-t^{2m})^5 / [prod (1-t^m)^2 prod (1-t^{4m})^2]``:
     2 when ``n`` is a positive square, 1 at ``n = 0``, else 0."""
-    return _as_count(_value(n, PHI_NUMERATOR, PHI_DENOMINATOR, method), f"phi*({n})")
+    return _count("phi-star", n, method)
 
 
 class FourFactorSpec(Record):
@@ -215,7 +234,7 @@ def _multiples_spec(*slots) -> ProductSpec | None:
 def four_factor_coefficient(n: int, spec: FourFactorSpec, method: str = "auto") -> Fraction:
     """Exact ``t^n`` coefficient of the four-factor quotient.  Returned as a
     rational: arbitrary exponent choices need not give integer coefficients."""
-    return _value(n, spec.numerator(), spec.denominator(), method)
+    return _prefix(spec.numerator(), spec.denominator(), n, method)[n]
 
 
 def restricted_recursion_report(n: int, parts) -> IdentityReport:
@@ -226,13 +245,9 @@ def restricted_recursion_report(n: int, parts) -> IdentityReport:
     if len(parts) < 2:
         raise ValueError("the recursion needs at least two parts")
     last = parts[-1]
-    full = restricted_partition_count(n, parts, method="series")
-    shifted = (
-        restricted_partition_count(n - last, parts, method="series")
-        if n - last >= 0
-        else 0
-    )
-    rhs = restricted_partition_count(n, parts[:-1], method="series")
+    counts = sequence("w", n, "series", parts)
+    full, shifted = counts[n], counts[n - last] if n >= last else 0
+    rhs = sequence("w", n, "series", parts[:-1])[n]
     lhs = full - shifted
     return IdentityReport(
         "restricted-recursion",

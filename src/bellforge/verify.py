@@ -21,14 +21,10 @@ from .bellpoly import (
     set_additivity_report,
 )
 from .partfun import (
-    cubic_partition_count,
     chan_product_coefficient,
     kim_product_coefficient,
-    overcubic_partition_count,
-    partition_function,
-    ramanujan_phi_coefficient,
-    ramanujan_psi_coefficient,
     restricted_recursion_report,
+    sequence,
 )
 from .partitions import count_partitions, iter_partitions
 from .supports import Factor, ProductSpec, SupportSet
@@ -61,7 +57,7 @@ def random_product_spec(rng: random.Random, max_factors: int = 3) -> ProductSpec
     )
 
 
-def reciprocal_suite(max_n: int = 20, spec_count: int = 30, seed: int = DEFAULT_SEED):
+def reciprocal_suite(max_n: int, spec_count: int = 30, seed: int = DEFAULT_SEED):
     """Convolving product and reciprocal coefficients must give the unit
     sequence: ``sum_k P_k W_{n-k} == [n == 0]``."""
     rng = random.Random(seed)
@@ -79,12 +75,11 @@ def reciprocal_suite(max_n: int = 20, spec_count: int = 30, seed: int = DEFAULT_
     return rows
 
 
-def euler_suite(max_n: int = 60):
+def euler_suite(max_n: int):
     """Triple agreement for p(n): closed sum, pentagonal recurrence, and
     the cardinality of the partition iterator."""
     rows = []
-    for n in range(max_n + 1):
-        closed = partition_function(n, method="faa")
+    for n, closed in enumerate(sequence("p", max_n, "faa")):
         pent = count_partitions(n)
         iterated = sum(1 for _ in iter_partitions(n))
         ok = closed == pent == iterated
@@ -96,7 +91,7 @@ def euler_suite(max_n: int = 60):
     return rows
 
 
-def sigma_suite(max_n: int = 10_000):
+def sigma_suite(max_n: int):
     """Divisor enumeration against the prime-factorization formula."""
     rows = []
     for n in range(1, max_n + 1):
@@ -106,29 +101,31 @@ def sigma_suite(max_n: int = 10_000):
     return rows
 
 
-def chan_suite(max_n: int = 20):
+def chan_suite(max_n: int):
     """a(3n+2) equals Chan's product value and is divisible by 3."""
+    cubic = sequence("cubic", 3 * max_n + 2, "series")
     rows = []
     for n in range(max_n + 1):
-        lhs = cubic_partition_count(3 * n + 2, method="series")
+        lhs = cubic[3 * n + 2]
         rhs = chan_product_coefficient(n)
         ok = lhs == rhs and lhs % 3 == 0
         rows.append(IdentityReport("chan", n, ok, f"a({3 * n + 2})={lhs}", f"3*coeff={rhs}"))
     return rows
 
 
-def kim_suite(max_n: int = 20):
+def kim_suite(max_n: int):
     """abar(3n+2) equals Kim's product value and is divisible by 6."""
+    overcubic = sequence("overcubic", 3 * max_n + 2, "series")
     rows = []
     for n in range(max_n + 1):
-        lhs = overcubic_partition_count(3 * n + 2, method="series")
+        lhs = overcubic[3 * n + 2]
         rhs = kim_product_coefficient(n)
         ok = lhs == rhs and lhs % 6 == 0
         rows.append(IdentityReport("kim", n, ok, f"abar({3 * n + 2})={lhs}", f"6*coeff={rhs}"))
     return rows
 
 
-def index_additivity_suite(instances: int = 20, max_n: int = 12, seed: int = DEFAULT_SEED):
+def index_additivity_suite(max_n: int, instances: int = 20, seed: int = DEFAULT_SEED):
     """Adding exponent vectors over a fixed factor family must convolve
     the coefficient sequences."""
     rng = random.Random(seed)
@@ -142,7 +139,7 @@ def index_additivity_suite(instances: int = 20, max_n: int = 12, seed: int = DEF
     return rows
 
 
-def set_additivity_suite(instances: int = 20, max_n: int = 12, seed: int = DEFAULT_SEED):
+def set_additivity_suite(max_n: int, instances: int = 20, seed: int = DEFAULT_SEED):
     """Merging two factor families must convolve the coefficient sequences."""
     rng = random.Random(seed)
     rows = []
@@ -162,9 +159,7 @@ def set_additivity_suite(instances: int = 20, max_n: int = 12, seed: int = DEFAU
     return rows
 
 
-def restricted_recursion_suite(
-    max_n: int = 40, list_count: int = 30, seed: int = DEFAULT_SEED
-):
+def restricted_recursion_suite(max_n: int, list_count: int = 30, seed: int = DEFAULT_SEED):
     """Dropping the last allowed part: W(n,d) - W(n-last,d) == W(n,d[:-1])."""
     rng = random.Random(seed)
     rows = []
@@ -175,16 +170,14 @@ def restricted_recursion_suite(
     return rows
 
 
-def theta_suite(max_n: int = 100):
+def theta_suite(max_n: int):
     """The two theta quotients must reduce to the triangular-number
     indicator and the doubled square indicator."""
     rows = []
-    for n in range(max_n + 1):
-        got = ramanujan_psi_coefficient(n)
+    for n, got in enumerate(sequence("psi-star", max_n)):
         want = 1 if _is_triangular(n) else 0
         rows.append(IdentityReport("theta-psi", n, got == want, str(got), str(want)))
-    for n in range(max_n + 1):
-        got = ramanujan_phi_coefficient(n)
+    for n, got in enumerate(sequence("phi-star", max_n)):
         if n == 0:
             want = 1
         else:

@@ -16,6 +16,7 @@ from bellforge import (
     product_coefficient,
     product_coefficients,
     ratio_coefficient,
+    ratio_coefficients,
     reciprocal_coefficient,
     reciprocal_coefficients,
     set_additivity_report,
@@ -30,6 +31,10 @@ from bellforge.partfun import (
     KIM_NUMERATOR,
     OVERCUBIC_DENOMINATOR,
     OVERCUBIC_NUMERATOR,
+    PHI_DENOMINATOR,
+    PHI_NUMERATOR,
+    PSI_DENOMINATOR,
+    PSI_NUMERATOR,
 )
 from bellforge.supports import Factor, ProductSpec, SupportSet
 from bellforge.verify import random_product_spec
@@ -250,6 +255,68 @@ def test_ratio_coefficient_none_sides():
     assert ratio_coefficient(3, None, None) == 0
     assert ratio_coefficient(4, EULER, None) == product_coefficient(4, EULER)
     assert ratio_coefficient(4, None, EULER) == reciprocal_coefficient(4, EULER)
+
+
+def literal_ratio_weights(numer, denom, n):
+    """``log_weight_table(numer) - log_weight_table(denom)``, a missing side
+    contributing nothing: the weights of the paper's sum for numer/denom."""
+    zero = [F(0)] * (n + 1)
+    top = log_weight_table(numer, n) if numer is not None else zero
+    bottom = log_weight_table(denom, n) if denom is not None else zero
+    return [a - b for a, b in zip(top, bottom)]
+
+
+def assert_ratio_matches_literal_sum(numer, denom, top):
+    prefix = ratio_coefficients(numer, denom, top)
+    weights = literal_ratio_weights(numer, denom, top)
+    for n in range(top + 1):
+        assert prefix[n] == partition_power_sum(n, weights), n
+
+
+@pytest.mark.parametrize(
+    "numer, denom",
+    [
+        (OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR),
+        (CHAN_NUMERATOR, CHAN_DENOMINATOR),
+        (KIM_NUMERATOR, KIM_DENOMINATOR),
+        (PSI_NUMERATOR, PSI_DENOMINATOR),
+        (PHI_NUMERATOR, PHI_DENOMINATOR),
+        (None, EULER),
+    ],
+    ids=["overcubic", "chan", "kim", "psi-star", "phi-star", "inverse-euler"],
+)
+def test_ratio_matches_literal_partition_sum_named(numer, denom):
+    assert_ratio_matches_literal_sum(numer, denom, 20)
+
+
+def test_ratio_matches_literal_partition_sum_random():
+    rng = random.Random(61)
+    for i in range(20):
+        numer = random_product_spec(rng, max_factors=2)
+        denom = random_product_spec(rng, max_factors=2)
+        # pairs 1, 2 and 3 of every five drop the numerator, the denominator, both
+        side = i % 5
+        numer = None if side in (1, 3) else numer
+        denom = None if side in (2, 3) else denom
+        assert_ratio_matches_literal_sum(numer, denom, 20)
+
+
+def test_ratio_coefficients_are_one_recurrence(monkeypatch):
+    # a ratio is one Bell recurrence on merged weights, with no convolution
+    from bellforge import bellpoly
+
+    def no_convolution(*args):
+        raise AssertionError("the ratio path convolved two prefixes")
+
+    monkeypatch.setattr(bellpoly, "_convolve", no_convolution)
+    numer = spec_from_factors((SupportSet.multiples_of(2), F(2, 3), 2))
+    denom = spec_from_factors((ALL, F(-1, 4), 1), (SupportSet.finite([3]), 1, -2))
+    values = ratio_coefficients(numer, denom, 15)
+    assert values == list(
+        expand_product(numer, 15).mul(expand_product(denom, 15).reciprocal()).coeffs
+    )
+    assert ratio_coefficients(None, None, 4) == [1, 0, 0, 0, 0]
+    assert [ratio_coefficient(n, numer, denom) for n in range(16)] == values
 
 
 def test_index_additivity_examples():

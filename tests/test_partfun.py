@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,8 +23,11 @@ from bellforge import (
     restricted_partition_count,
     restricted_recursion_report,
 )
-from bellforge import partfun
-from bellforge.partfun import _as_count
+from bellforge import bellpoly, partfun
+from bellforge.bellpoly import clear_cache, reciprocal_coefficients
+from bellforge.partfun import PARTITION_PRODUCT, _as_count, ratio_series
+from bellforge.series import expand_ratio
+from bellforge.supports import SupportSet, spec_from_factors
 
 
 def cubic_by_convolution(n):
@@ -272,3 +278,172 @@ def test_count_guard_rejects_non_integral():
     with pytest.raises(InconsistencyError):
         _as_count(Fraction(-1), "test")
     assert _as_count(Fraction(7), "test") == 7
+
+
+def test_sequence_is_the_per_n_functions_as_one_prefix():
+    parts = [2, 3, 7]
+    cases = (
+        ("p", {}, partition_function),
+        ("w", {"parts": parts}, lambda n, **kw: restricted_partition_count(n, parts, **kw)),
+        ("cubic", {}, cubic_partition_count),
+        ("overcubic", {}, overcubic_partition_count),
+        ("psi-star", {}, ramanujan_psi_coefficient),
+        ("phi-star", {}, ramanujan_phi_coefficient),
+    )
+    for name, extra, fn in cases:
+        for method in ("faa", "series"):
+            want = [fn(n, method=method) for n in range(41)]
+            assert partfun.sequence(name, 40, method, **extra) == want
+        assert partfun.sequence(name, 40, **extra) == [fn(n) for n in range(41)]
+    with pytest.raises(ValueError):
+        partfun.sequence("p", 3, "fast")
+    with pytest.raises(KeyError):
+        partfun.sequence("q", 3)
+
+
+def _signal_on_extend(monkeypatch, hook):
+    """Patch ``bellpoly.bell_extend`` so that ``hook(n, run)`` wraps each
+    call, ``run()`` being the real extension."""
+    real = bellpoly.bell_extend
+
+    def wrapped(coeffs, weights, n):
+        hook(n, lambda: real(coeffs, weights, n))
+
+    monkeypatch.setattr(bellpoly, "bell_extend", wrapped)
+
+
+def test_cached_lookup_does_not_wait_on_unrelated_work(monkeypatch):
+    clear_cache()
+    unrelated = spec_from_factors((SupportSet.multiples_of(2), Fraction(1, 3), 2))
+    want = reciprocal_coefficients(unrelated, 30)
+    entered = threading.Event()
+
+    def hook(n, run):
+        entered.set()
+        run()
+
+    _signal_on_extend(monkeypatch, hook)
+    worker = threading.Thread(target=reciprocal_coefficients, args=(PARTITION_PRODUCT, 4000))
+    worker.start()
+    try:
+        assert entered.wait(10)
+        start = time.perf_counter()
+        got = reciprocal_coefficients(unrelated, 30)
+        waited = time.perf_counter() - start
+        still_computing = worker.is_alive()
+    finally:
+        worker.join(60)
+    assert not worker.is_alive()
+    assert got == want
+    assert waited < 0.1
+    assert still_computing
+
+
+def test_racing_requests_for_one_key_keep_the_longer_prefix(monkeypatch):
+    clear_cache()
+    shorter_entered = threading.Event()
+    longer_done = threading.Event()
+    longer_finished_first = []
+
+    def hook(n, run):
+        if n == 2000:
+            shorter_entered.set()
+        run()
+        if n == 2000:
+            # publish the shorter prefix only after the longer one is out
+            longer_finished_first.append(longer_done.wait(10))
+
+    _signal_on_extend(monkeypatch, hook)
+    results = {}
+
+    def ask(n):
+        results[n] = reciprocal_coefficients(PARTITION_PRODUCT, n)
+        if n == 3000:
+            longer_done.set()
+
+    shorter = threading.Thread(target=ask, args=(2000,))
+    shorter.start()
+    assert shorter_entered.wait(10)
+    longer = threading.Thread(target=ask, args=(3000,))
+    longer.start()
+    longer.join(60)
+    shorter.join(60)
+    assert not longer.is_alive() and not shorter.is_alive()
+    assert longer_finished_first == [True]
+    want = [count_partitions(n) for n in range(3001)]
+    assert results[3000] == want
+    assert results[2000] == want[:2001]
+
+    def no_extension(n, run):
+        raise AssertionError(f"the cache recomputed up to {n}")
+
+    _signal_on_extend(monkeypatch, no_extension)
+    assert reciprocal_coefficients(PARTITION_PRODUCT, 3000) == want
+
+
+def test_clear_cache_empties_both_routes(monkeypatch):
+    spec = spec_from_factors((SupportSet.finite([1, 4]), Fraction(2, 5), -2))
+    before = ratio_series(None, spec, 12)
+    reciprocal_coefficients(spec, 12)
+    clear_cache()
+    after = ratio_series(None, spec, 12)
+    assert after is not before and after == before
+    extended = []
+
+    def hook(n, run):
+        extended.append(n)
+        run()
+
+    _signal_on_extend(monkeypatch, hook)
+    assert reciprocal_coefficients(spec, 12) == list(after.coeffs)
+    assert extended == [12]
+
+
+def test_cache_under_thread_stress(monkeypatch):
+    # more threads than cores, switching often, over both routes and three keys
+    clear_cache()
+    specs = [spec_from_factors((SupportSet.multiples_of(r), Fraction(1, r + 1), 1)) for r in (1, 2, 3)]
+    want = {spec: list(expand_ratio(None, spec, 120).coeffs) for spec in specs}
+    requests = []
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            spec, n, route = rng.choice(specs), rng.randint(0, 120), rng.choice(("faa", "series"))
+            if route == "faa":
+                got = reciprocal_coefficients(spec, n)
+            else:
+                got = list(ratio_series(None, spec, n).coeffs[: n + 1])
+            requests.append((route, spec, n))
+            if got != want[spec][: n + 1]:
+                errors.append((route, spec, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+    asked = {}
+    for route, spec, n in requests:
+        asked[route, spec] = max(asked.get((route, spec), 0), n)
+
+    # a shorter entry published over a longer one would need recomputing here
+    def no_work(*args):
+        raise AssertionError("the cache lost a longer prefix")
+
+    monkeypatch.setattr(bellpoly, "bell_extend", no_work)
+    monkeypatch.setattr(partfun, "expand_ratio", no_work)
+    for (route, spec), n in asked.items():
+        if route == "faa":
+            assert reciprocal_coefficients(spec, n) == want[spec][: n + 1]
+        else:
+            assert ratio_series(None, spec, n).coeffs[: n + 1] == tuple(want[spec][: n + 1])

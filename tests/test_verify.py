@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -58,6 +59,14 @@ def test_run_suite_rejects_unknown():
 
 def test_defaults_cover_every_suite():
     assert set(DEFAULT_MAX) == set(SUITES)
+
+
+def test_default_sizes_live_only_in_default_max():
+    for name, suite in SUITES.items():
+        assert inspect.signature(suite).parameters["max_n"].default is inspect.Parameter.empty, name
+        with pytest.raises(TypeError):
+            suite()
+    assert run_suite("chan") == SUITES["chan"](DEFAULT_MAX["chan"])
 
 
 def test_suites_are_deterministic():
