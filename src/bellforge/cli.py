@@ -13,8 +13,12 @@ parse error.  Data output is byte-stable for identical inputs; only
 ``bench`` prints timings.
 
 Each request is a fresh process, so start-up is part of its cost: modules
-that only one command needs (:mod:`bellforge.verify`, :mod:`bellforge.errata`,
-``json``) are imported inside that command.
+that only one command or route needs (:mod:`bellforge.verify`,
+:mod:`bellforge.errata`, :mod:`bellforge.series`, :mod:`bellforge.partitions`,
+``json``) are imported where it runs, and the package namespace loads its
+names on first use.  ``seq`` on a closed-sum sequence and
+``eval --method faa`` load neither the series route nor the partition
+iterator.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import sys
 from . import __version__
 from .bellpoly import clear_cache, ratio_coefficients, reciprocal_coefficients
 from .partfun import InconsistencyError, PARTITION_PRODUCT, SEQUENCES, ratio_series, sequence
-from .series import expand_steps
 from .supports import ratio_from_json
 
 # The keys of verify.SUITES, listed here so that building the parser does
@@ -148,6 +151,8 @@ def cmd_eval(args) -> int:
             "(use --method series)"
         )
     if args.method in ("series", "both"):
+        from .series import expand_steps
+
         steps = expand_steps(numer, denom, n_max)
         if steps > SERIES_STEP_BUDGET:
             raise UsageError(

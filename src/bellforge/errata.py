@@ -29,8 +29,20 @@ def transcription_sum(n: int, coeff, weight=1) -> Fraction:
     ``w^(sum k_j) * prod c_j^{k_j} == prod (w c_j)^{k_j}``.
     """
     require_natural(n)
+    return partition_power_sum(n, _weight_table(n, coeff, weight))
+
+
+def _weight_table(n: int, coeff, weight) -> list[Fraction]:
     w = Fraction(weight)
-    return partition_power_sum(n, [_ZERO] + [w * Fraction(coeff(j)) for j in range(1, n + 1)])
+    return [_ZERO] + [w * Fraction(coeff(j)) for j in range(1, n + 1)]
+
+
+def _transcription_prefix(n: int, coeff, weight) -> list[Fraction]:
+    """``transcription_sum(m, coeff, weight)`` for ``m = 0..n``, from one
+    weight table: the sum for ``m`` reads only the table's first ``m``
+    weights."""
+    table = _weight_table(n, coeff, weight)
+    return [partition_power_sum(m, table) for m in range(n + 1)]
 
 
 def _sig_at(j: int, i: int) -> int:
@@ -47,71 +59,76 @@ def _chan_inner_coeff(j):
     return _sig_at(j, 3) + _sig_at(j, 6)
 
 
-def printed_cubic(n: int) -> Fraction:
-    """As-printed closed sum for the two-color partition count a(n)."""
-    return transcription_sum(n, _cubic_coeff, weight=-1)
-
-
-def printed_cubic_progression(n: int) -> Fraction:
-    """As-printed closed sum for a(3n+2)."""
-    total = 3 * transcription_sum(n, _cubic_coeff, weight=4)
-    for m in range(1, n + 1):
-        total += (
-            3
-            * transcription_sum(m, _chan_inner_coeff, weight=-3)
-            * transcription_sum(n - m, _cubic_coeff, weight=4)
-        )
-    return total
-
-
 def _overcubic_coeff(j):
     return 2 * sigma(j) + _sig_at(j, 2)
-
-
-def printed_overcubic(n: int) -> Fraction:
-    """As-printed closed sum for the overcubic count abar(n)."""
-    total = transcription_sum(n, _overcubic_coeff)
-    for m in range(1, n + 1):
-        total += transcription_sum(m, lambda j: _sig_at(j, 4), weight=-1) * transcription_sum(
-            n - m, _overcubic_coeff
-        )
-    return total
 
 
 def _overcubic_prog_coeff(j):
     return 8 * sigma(j) + 3 * _sig_at(j, 2)
 
 
+# Every transcription reads  c R(n) + d sum_{m=1..n} L(m) R(n-m),  where R and
+# L are transcription sums given by (coeff, weight); per formula the entry is
+# (c, R, d, L), with L None for a single sum.
+_PRINTED = {
+    "cubic": (1, (_cubic_coeff, -1), 1, None),
+    "cubic-progression": (3, (_cubic_coeff, 4), 3, (_chan_inner_coeff, -3)),
+    "overcubic": (1, (_overcubic_coeff, 1), 1, (lambda j: _sig_at(j, 4), -1)),
+    "overcubic-progression": (
+        6,
+        (_overcubic_prog_coeff, 1),
+        1,
+        (lambda j: -6 * _sig_at(j, 3) - 3 * _sig_at(j, 4), 1),
+    ),
+    "triangular-theta": (1, (sigma, 1), 1, (lambda j: _sig_at(j, 2), -2)),
+    "square-theta": (1, (lambda j: sigma(j) + _sig_at(j, 4), 2), 1, (lambda j: _sig_at(j, 2), -5)),
+}
+
+
+def _printed_prefix(name: str, n: int) -> list[Fraction]:
+    """Values ``0..n`` of a transcription: each of its sums is evaluated
+    once as a prefix, and the double sum is their convolution."""
+    require_natural(n)
+    c, right, d, left = _PRINTED[name]
+    rs = _transcription_prefix(n, *right)
+    if left is None:
+        return [c * v for v in rs]
+    ls = _transcription_prefix(n, *left)
+    return [
+        c * rs[k] + d * sum((ls[m] * rs[k - m] for m in range(1, k + 1)), _ZERO)
+        for k in range(n + 1)
+    ]
+
+
+def printed_cubic(n: int) -> Fraction:
+    """As-printed closed sum for the two-color partition count a(n)."""
+    return _printed_prefix("cubic", n)[n]
+
+
+def printed_cubic_progression(n: int) -> Fraction:
+    """As-printed closed sum for a(3n+2)."""
+    return _printed_prefix("cubic-progression", n)[n]
+
+
+def printed_overcubic(n: int) -> Fraction:
+    """As-printed closed sum for the overcubic count abar(n)."""
+    return _printed_prefix("overcubic", n)[n]
+
+
 def printed_overcubic_progression(n: int) -> Fraction:
     """As-printed closed sum for abar(3n+2); the prefactor 6 sits on the
     first sum only, as displayed."""
-    total = 6 * transcription_sum(n, _overcubic_prog_coeff)
-    for m in range(1, n + 1):
-        total += transcription_sum(
-            m, lambda j: -6 * _sig_at(j, 3) - 3 * _sig_at(j, 4)
-        ) * transcription_sum(n - m, _overcubic_prog_coeff)
-    return total
+    return _printed_prefix("overcubic-progression", n)[n]
 
 
 def printed_triangular_theta(n: int) -> Fraction:
     """As-printed closed sum for the triangular-number indicator."""
-    total = transcription_sum(n, sigma)
-    for m in range(1, n + 1):
-        total += transcription_sum(m, lambda j: _sig_at(j, 2), weight=-2) * transcription_sum(
-            n - m, sigma
-        )
-    return total
+    return _printed_prefix("triangular-theta", n)[n]
 
 
 def printed_square_theta(n: int) -> Fraction:
     """As-printed closed sum for the doubled square indicator."""
-    coeff = lambda j: sigma(j) + _sig_at(j, 4)
-    total = transcription_sum(n, coeff, weight=2)
-    for m in range(1, n + 1):
-        total += transcription_sum(m, lambda j: _sig_at(j, 2), weight=-5) * transcription_sum(
-            n - m, coeff, weight=2
-        )
-    return total
+    return _printed_prefix("square-theta", n)[n]
 
 
 class FormulaStatus(Record):
@@ -146,37 +163,31 @@ _FORMULAS = (
     (
         "cubic",
         "two-color partition count a(n)",
-        printed_cubic,
         lambda n: sequence("cubic", n, "series"),
     ),
     (
         "cubic-progression",
         "a(3n+2), indexed by n",
-        printed_cubic_progression,
         lambda n: sequence("cubic", 3 * n + 2, "series")[2::3],
     ),
     (
         "overcubic",
         "overcubic partition count abar(n)",
-        printed_overcubic,
         lambda n: sequence("overcubic", n, "series"),
     ),
     (
         "overcubic-progression",
         "abar(3n+2), indexed by n",
-        printed_overcubic_progression,
         lambda n: sequence("overcubic", 3 * n + 2, "series")[2::3],
     ),
     (
         "triangular-theta",
         "triangular-number indicator psi*(n)",
-        printed_triangular_theta,
         lambda n: sequence("psi-star", n),
     ),
     (
         "square-theta",
         "doubled square indicator phi*(n)",
-        printed_square_theta,
         lambda n: sequence("phi-star", n),
     ),
 )
@@ -187,9 +198,9 @@ def build_report(max_n: int = 8) -> list[FormulaStatus]:
     require_natural(max_n, "max_n")
     ns = tuple(range(max_n + 1))
     statuses = []
-    for name, description, transcribed, reference in _FORMULAS:
+    for name, description, reference in _FORMULAS:
         ref = [Fraction(v) for v in reference(max_n)]
-        got = [transcribed(n) for n in ns]
+        got = _printed_prefix(name, max_n)
         first = next((n for n in ns if ref[n] != got[n]), None)
         statuses.append(
             FormulaStatus(

@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .arith import require_natural
 from .bellpoly import IdentityReport, InconsistencyError, cached_prefix, ratio_coefficients
-from .series import TruncatedSeries, expand_ratio
 from .supports import ProductSpec, Record, SupportSet, spec_from_factors
 
 _ALL = SupportSet.all_naturals()
@@ -67,7 +66,7 @@ def ratio_series(
     numer: ProductSpec | None, denom: ProductSpec | None, order: int
 ) -> TruncatedSeries:
     """Cached :func:`series.expand_ratio` of numerator/denominator to at
-    least ``order``.
+    least ``order``, as a :class:`series.TruncatedSeries`.
 
     A miss expands to ``order``; a request past the cached order re-expands
     to ``max(order, 2 * cached order)``, so a loop over ``n = 0..N`` costs
@@ -80,6 +79,9 @@ def ratio_series(
 
 
 def _grow_series(numer, denom, cached, order):
+    # imported here so that closed-sum requests never load the series route
+    from .series import expand_ratio
+
     if cached is not None:
         order = max(order, 2 * cached.order)
     return order, expand_ratio(numer, denom, order)

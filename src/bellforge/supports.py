@@ -25,8 +25,9 @@ class Record:
     A subclass lists its attributes in ``_fields`` and sets them in
     ``__init__`` through :meth:`_assign`.  Equality holds only between
     instances of the same class with equal fields, ``hash`` is the hash of
-    the field tuple, ``repr`` reads ``Name(field=value, ...)``, and setting
-    or deleting an attribute raises :class:`AttributeError`.
+    the field tuple (computed once, since records key the prefix cache),
+    ``repr`` reads ``Name(field=value, ...)``, and setting or deleting an
+    attribute raises :class:`AttributeError`.
     """
 
     __slots__ = ()
@@ -45,7 +46,20 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self._values())
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    # the pickled state is the fields alone: a string's hash differs between
+    # processes, so a cached hash must not travel
+    def __getstate__(self):
+        return self._values()
+
+    def __setstate__(self, state):
+        self._assign(*state)
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -64,9 +78,16 @@ class SupportSet(Record):
 
     _fields = ("kind", "r", "members")
 
-    def __init__(self, kind: str, r: int = 1, members: tuple[int, ...] = ()):
+    def __init__(self, kind: str, r: int | None = None, members: tuple[int, ...] | None = None):
         if kind not in (ALL, MULTIPLES, FINITE):
             raise ValueError(f"unknown support kind {kind!r}")
+        # one representation per set: r and members only where they mean something
+        if r is not None and kind != MULTIPLES:
+            raise ValueError(f"r applies only to a multiples-of support, not {kind!r}")
+        if members is not None and kind != FINITE:
+            raise ValueError(f"members apply only to a finite support, not {kind!r}")
+        r = 1 if r is None else r
+        members = () if members is None else members
         if kind == MULTIPLES:
             _require_int(r, "multiples-of support r")
             if r < 1:

@@ -26,7 +26,6 @@ from .partfun import (
     restricted_recursion_report,
     sequence,
 )
-from .partitions import count_partitions, iter_partitions
 from .supports import Factor, ProductSpec, SupportSet
 
 DEFAULT_SEED = 1103
@@ -78,6 +77,9 @@ def reciprocal_suite(max_n: int, spec_count: int = 30, seed: int = DEFAULT_SEED)
 def euler_suite(max_n: int):
     """Triple agreement for p(n): closed sum, pentagonal recurrence, and
     the cardinality of the partition iterator."""
+    # the only suite that uses the partition iterator
+    from .partitions import count_partitions, iter_partitions
+
     rows = []
     for n, closed in enumerate(sequence("p", max_n, "faa")):
         pent = count_partitions(n)

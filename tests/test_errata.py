@@ -75,3 +75,57 @@ def test_renderings():
     assert "product form" in md
     js = render_json(report)
     assert '"first_mismatch"' in js and '"agrees"' in js
+
+
+def test_transcription_column_is_the_literal_double_sums():
+    # each formula written out with one transcription_sum per term, as printed
+    from bellforge.arith import sigma
+
+    T = transcription_sum
+
+    def sig_at(j, i):
+        return sigma(j // i) if j % i == 0 else 0
+
+    def cubic(j):
+        return sigma(j) + sig_at(j, 2)
+
+    def overcubic(j):
+        return 2 * sigma(j) + sig_at(j, 2)
+
+    def overcubic_prog(j):
+        return 8 * sigma(j) + 3 * sig_at(j, 2)
+
+    def square(j):
+        return sigma(j) + sig_at(j, 4)
+
+    def double(n, head, term):
+        return head + sum((term(m) for m in range(1, n + 1)), Fraction(0))
+
+    literal = {
+        "cubic": lambda n: T(n, cubic, -1),
+        "cubic-progression": lambda n: double(
+            n,
+            3 * T(n, cubic, 4),
+            lambda m: 3 * T(m, lambda j: sig_at(j, 3) + sig_at(j, 6), -3) * T(n - m, cubic, 4),
+        ),
+        "overcubic": lambda n: double(
+            n, T(n, overcubic), lambda m: T(m, lambda j: sig_at(j, 4), -1) * T(n - m, overcubic)
+        ),
+        "overcubic-progression": lambda n: double(
+            n,
+            6 * T(n, overcubic_prog),
+            lambda m: T(m, lambda j: -6 * sig_at(j, 3) - 3 * sig_at(j, 4)) * T(n - m, overcubic_prog),
+        ),
+        "triangular-theta": lambda n: double(
+            n, T(n, sigma), lambda m: T(m, lambda j: sig_at(j, 2), -2) * T(n - m, sigma)
+        ),
+        "square-theta": lambda n: double(
+            n, T(n, square, 2), lambda m: T(m, lambda j: sig_at(j, 2), -5) * T(n - m, square, 2)
+        ),
+    }
+    report = build_report(max_n=8)
+    assert [st.name for st in report] == list(literal)
+    for st in report:
+        assert st.transcription == tuple(str(literal[st.name](n)) for n in range(9)), st.name
+    assert printed_cubic(8) == literal["cubic"](8)
+    assert printed_triangular_theta(8) == literal["triangular-theta"](8)

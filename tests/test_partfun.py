@@ -23,7 +23,7 @@ from bellforge import (
     restricted_partition_count,
     restricted_recursion_report,
 )
-from bellforge import bellpoly, partfun
+from bellforge import bellpoly, partfun, series
 from bellforge.bellpoly import clear_cache, reciprocal_coefficients
 from bellforge.partfun import PARTITION_PRODUCT, _as_count, ratio_series
 from bellforge.series import expand_ratio
@@ -441,7 +441,7 @@ def test_cache_under_thread_stress(monkeypatch):
         raise AssertionError("the cache lost a longer prefix")
 
     monkeypatch.setattr(bellpoly, "bell_extend", no_work)
-    monkeypatch.setattr(partfun, "expand_ratio", no_work)
+    monkeypatch.setattr(series, "expand_ratio", no_work)
     for (route, spec), n in asked.items():
         if route == "faa":
             assert reciprocal_coefficients(spec, n) == want[spec][: n + 1]

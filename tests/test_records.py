@@ -9,6 +9,7 @@ import pytest
 
 from bellforge import Factor, FourFactorSpec, IdentityReport, ProductSpec, SupportSet
 from bellforge.errata import FormulaStatus
+from bellforge.supports import Record
 
 
 def formula_status(**changes):
@@ -133,6 +134,29 @@ def test_records_survive_copy_and_pickle():
         assert pickle.loads(pickle.dumps(record)) == record
 
 
+def test_a_record_is_hashed_once(monkeypatch):
+    # records key the prefix cache, so a lookup must not rehash nested fields
+    calls = []
+    values = Record._values
+
+    def counting(self):
+        calls.append(type(self))
+        return values(self)
+
+    monkeypatch.setattr(Record, "_values", counting)
+    for record, _ in samples():
+        cls = type(record)
+        first = hash(record)
+        assert hash(record) == first
+        assert calls.count(cls) == 1
+        # a pickled copy hashes afresh: string hashes differ between processes
+        copied = pickle.loads(pickle.dumps(record))
+        calls.clear()
+        assert hash(copied) == first
+        assert calls.count(cls) == 1
+        calls.clear()
+
+
 def test_constructor_validation():
     support = SupportSet.all_naturals()
     cases = [
@@ -143,6 +167,11 @@ def test_constructor_validation():
         (ValueError, lambda: SupportSet("finite", members=(1, 1))),
         (ValueError, lambda: SupportSet("finite", members=(0, 2))),
         (TypeError, lambda: SupportSet("finite", members=(True,))),
+        (ValueError, lambda: SupportSet("all", r=5)),
+        (ValueError, lambda: SupportSet("all", r=2.5)),
+        (ValueError, lambda: SupportSet("all", members=(1,))),
+        (ValueError, lambda: SupportSet("finite", r=0, members=(1, 2))),
+        (ValueError, lambda: SupportSet("multiples", r=2, members=(2,))),
         (ValueError, lambda: Factor(support, 1, 0)),
         (TypeError, lambda: Factor(support, 1, True)),
         (TypeError, lambda: Factor(support, 0.5, 1)),

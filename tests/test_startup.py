@@ -29,22 +29,39 @@ sys.exit(code)
 
 # never needed by a request
 HEAVY = {"dataclasses", "inspect", "bellforge.errata"}
+# the series route and the partition iterator, unused by the closed sum
+SERIES_ROUTE = {"bellforge.series", "bellforge.partitions"}
 
 
-def loaded_by(*argv):
+def run_child(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.splitlines()[-1].split())
+    return proc
+
+
+def loaded_by(*argv):
+    return set(run_child("-c", CHILD, *argv).stderr.splitlines()[-1].split())
 
 
 def test_seq_loads_neither_suites_nor_json():
     loaded = loaded_by("seq", "p", "--max", "1")
     assert "bellforge.cli" in loaded
-    assert not loaded & (HEAVY | {"bellforge.verify", "json"})
+    assert not loaded & (HEAVY | SERIES_ROUTE | {"bellforge.verify", "json"})
+
+
+def test_closed_sum_requests_load_no_series_route(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"denominator": [{"support": {"kind": "all"}, "z": "1/2", "a": 1}]}))
+    loaded = loaded_by("eval", "--spec", str(spec), "--max", "5", "--method", "faa")
+    assert "bellforge.bellpoly" in loaded
+    assert not loaded & (HEAVY | SERIES_ROUTE | {"bellforge.verify"})
+    loaded = loaded_by("verify", "additivity-set", "--max", "3")
+    assert "bellforge.verify" in loaded
+    assert not loaded & (HEAVY | SERIES_ROUTE)
 
 
 def test_eval_series_loads_json_but_not_suites(tmp_path):
@@ -60,3 +77,32 @@ def test_verify_loads_its_suites_only(argv):
     loaded = loaded_by(*argv)
     assert "bellforge.verify" in loaded
     assert not loaded & (HEAVY | {"json"})
+
+
+def test_import_loads_no_submodule():
+    code = "import sys, bellforge; print(sorted(m for m in sys.modules if m.startswith('bellforge.')))"
+    assert run_child("-c", code).stdout.strip() == "[]"
+
+
+def test_public_names_resolve_to_their_submodules():
+    import bellforge
+
+    for name in bellforge.__all__:
+        obj = getattr(bellforge, name)
+        assert obj.__module__.startswith("bellforge.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    namespace = {}
+    exec("from bellforge import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(bellforge.__all__)
+    assert len(bellforge.__all__) == len(set(bellforge.__all__))
+
+
+def test_unknown_names_and_dir():
+    import bellforge
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bellforge.no_such_name
+    assert not hasattr(bellforge, "expand_steps")  # public in its module, not exported
+    listed = dir(bellforge)
+    assert "__all__" in listed and "__version__" in listed
+    assert set(bellforge.__all__) <= set(listed)
