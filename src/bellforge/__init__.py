@@ -24,7 +24,7 @@ _EXPORTS = {
             "IdentityReport InconsistencyError divisor_power_sum index_additivity_report "
             "log_weight log_weight_table partition_power_sum product_coefficient "
             "product_coefficients ratio_coefficient ratio_coefficients reciprocal_coefficient "
-            "reciprocal_coefficients set_additivity_report",
+            "reciprocal_coefficients set_additivity_report work_estimate",
         ),
         (
             "partfun",

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 from operator import mul
 
 from .arith import require_natural, require_positive
-from .supports import Factor, ProductSpec, Record, SupportSet
+from .supports import FINITE, Factor, ProductSpec, Record, SupportSet
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -197,6 +197,47 @@ def clear_cache() -> None:
     """Drop every cached prefix of both routes; the next request starts cold."""
     with _cache_lock:
         _cache.clear()
+
+
+def work_estimate(route: str, numer, denom, n: int) -> int:
+    """Work of ``route`` (``"faa"`` or ``"series"``) on ``numer/denom`` to order
+    ``n`` in one unit: ``steps (1 + B/64)^1.5``, plus ``(1 + B/64)^2`` per output
+    coefficient for its gcd and decimal form.  Callers check it; nothing here does."""
+    steps, bits = kernel_size(route, numer, denom, n)
+    return (8 * steps * isqrt((64 + bits) ** 3) + (n + 1) * (64 + bits) ** 2) // 4096
+
+
+def kernel_size(route: str, numer, denom, n: int) -> tuple[int, int]:
+    """``(steps, B)`` of ``route`` to order ``n``, in O(factors) closed forms:
+    the Bell recurrence's terms and weight table, or the fold passes and an
+    ``n (n + 1) / 2`` triangle per reciprocal and per Cauchy product.  Every
+    integer either route produces is dominated by ``prod (1 - Z L^m s^m)^-S``
+    (``L`` the lcm of the z denominators, ``Z = max(1, |z|)``, ``S = sum |a|``),
+    so as ``p_S(n) <= exp(pi sqrt(2Sn/3))`` it has at most ``B`` bits."""
+    require_natural(n)
+    factors = [f for side in (numer, denom) if side is not None for f in side.factors]
+    triangle = n * (n + 1) // 2
+    if route == "faa":
+        steps = triangle + len(factors) * n * (isqrt(n) + n.bit_length())
+    elif route == "series":
+        steps = sum(abs(f.a) * _fold_steps(f.support, n) for f in factors)
+        steps += triangle * ((denom is not None) + (numer is not None and denom is not None))
+    else:
+        raise ValueError(f"unknown route {route!r}")
+    scale = lcm(*(f.z.denominator for f in factors))
+    lz = max([scale] + [abs(f.z.numerator) * (scale // f.z.denominator) for f in factors])
+    size = sum(abs(f.a) for f in factors)
+    # B = n log2(L Z) + 3.71 sqrt(S n) + 1, as (x^16 - 1).bit_length() is ceil(16 log2 x)
+    bits = -(-n * (lz**16 - 1).bit_length() // 16) + 371 * (isqrt(size * n) + 1) // 100 + 1
+    return steps, bits
+
+
+def _fold_steps(support: SupportSet, n: int) -> int:
+    """``sum (n - m + 1)`` over the members ``m <= n`` of ``support``."""
+    if support.kind == FINITE:
+        return sum(n - m + 1 for m in support.members if m <= n)
+    k = n // support.r
+    return k * (n + 1) - support.r * k * (k + 1) // 2
 
 
 def ratio_coefficients(

@@ -9,8 +9,9 @@ Subcommands:
 * ``errata`` — print the closed-formula transcription status report.
 
 Exit codes: 0 success, 1 verification/disagreement failure, 2 usage or
-parse error.  Data output is byte-stable for identical inputs; only
-``bench`` prints timings.
+parse error, or an ``eval`` or ``bench`` request whose
+:func:`~bellforge.bellpoly.work_estimate` exceeds :data:`WORK_BUDGET`.  Data
+output is byte-stable for identical inputs; only ``bench`` prints timings.
 
 Each request is a fresh process, so start-up is part of its cost: modules
 that only one command or route needs (:mod:`bellforge.verify`,
@@ -27,7 +28,7 @@ import argparse
 import sys
 
 from . import __version__
-from .bellpoly import clear_cache, ratio_coefficients, reciprocal_coefficients
+from .bellpoly import clear_cache, ratio_coefficients, reciprocal_coefficients, work_estimate
 from .partfun import InconsistencyError, PARTITION_PRODUCT, SEQUENCES, ratio_series, sequence
 from .supports import ratio_from_json
 
@@ -45,15 +46,9 @@ SUITE_NAMES = (
     "theta",
 )
 
-# Largest series.expand_steps estimate that eval runs on the series route
-# (--method series or both); above it eval exits 2 before any work.  The
-# largest eval in the tests and in the benchmark mix (order 140, |a| <= 2)
-# is about 5e4 steps.
-SERIES_STEP_BUDGET = 10**7
-
-# Largest --max that eval --method faa|both and bench accept on the closed
-# sum.  A fixed order bound; the closed sum has no cost estimate yet.
-CLOSED_SUM_MAX_N = 60
+# Largest summed bellpoly.work_estimate that eval and bench run: 100 times the largest eval
+# of the tests, CI and benchmark, and seconds at 2-25 ns per unit on a 2-vCPU Xeon.
+WORK_BUDGET = 10**9
 
 
 class UsageError(Exception):
@@ -145,26 +140,14 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad spec file: {exc}") from exc
 
-    if args.method in ("faa", "both") and n_max > CLOSED_SUM_MAX_N:
-        raise UsageError(
-            f"--max {n_max} exceeds the closed-sum bound {CLOSED_SUM_MAX_N} "
-            "(use --method series)"
-        )
-    if args.method in ("series", "both"):
-        from .series import expand_steps
+    routes = ("faa", "series") if args.method == "both" else (args.method,)
+    work = sum(work_estimate(route, numer, denom, n_max) for route in routes)
+    _check_work(f"--max {n_max} on this spec", work)
 
-        steps = expand_steps(numer, denom, n_max)
-        if steps > SERIES_STEP_BUDGET:
-            raise UsageError(
-                f"--max {n_max} on this spec needs about {steps} series steps, "
-                f"over the budget of {SERIES_STEP_BUDGET}"
-            )
-
-    faa = series = None
-    if args.method in ("faa", "both"):
-        faa = ratio_coefficients(numer, denom, n_max)
-    if args.method in ("series", "both"):
-        series = ratio_series(numer, denom, n_max).coeffs[: n_max + 1]
+    faa = ratio_coefficients(numer, denom, n_max) if "faa" in routes else None
+    series = ratio_series(numer, denom, n_max).coeffs[: n_max + 1] if "series" in routes else None
+    # the budget bounds every value's bits: print past the digit limit (main restores it)
+    getattr(sys, "set_int_max_str_digits", int)(0)
     if args.method != "both":
         print("n,value")
         for n, value in enumerate(faa or series):
@@ -201,14 +184,16 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     import time
 
-    from .partitions import pentagonal_values
-    from .series import expand_ratio
-
     n_max = _require_max(args.max)
     if args.repeat < 1:
         raise UsageError("--repeat must be >= 1")
-    if n_max > CLOSED_SUM_MAX_N:
-        raise UsageError(f"--max {n_max} exceeds the closed-sum bound {CLOSED_SUM_MAX_N}")
+    # buckets 10, 20, ..., n_max; pentagonal is bounded by the closed sum's estimate
+    faa, series = (work_estimate(r, None, PARTITION_PRODUCT, n_max) for r in ("faa", "series"))
+    runs = (len(range(10, n_max, 10)) + 1) * args.repeat
+    _check_work(f"bench --max {n_max} --repeat {args.repeat}", runs * (2 * faa + series))
+
+    from .partitions import pentagonal_values
+    from .series import expand_ratio
 
     def closed_sum(hi):
         clear_cache()  # time the recurrence, not a cached prefix
@@ -219,9 +204,7 @@ def cmd_bench(args) -> int:
         "pentagonal": pentagonal_values,
         "series": lambda hi: list(expand_ratio(None, PARTITION_PRODUCT, hi).coeffs),
     }
-    buckets = list(range(10, n_max + 1, 10))
-    if not buckets or buckets[-1] != n_max:
-        buckets.append(n_max)
+    buckets = [*range(10, n_max, 10), n_max]
 
     print("n_max,method,seconds,agree")
     disagreement = False
@@ -255,6 +238,11 @@ def cmd_errata(args) -> int:
     return 0
 
 
+def _check_work(request: str, work: int) -> None:
+    if work > WORK_BUDGET:
+        raise UsageError(f"{request} needs more work than the budget of {WORK_BUDGET:.0e} units")
+
+
 def _require_max(n: int) -> int:
     if n < 0:
         raise UsageError("--max must be >= 0")
@@ -274,6 +262,7 @@ def _parse_parts(text: str) -> list[int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit to restore
     try:
         return args.func(args)
     except UsageError as exc:
@@ -282,6 +271,8 @@ def main(argv=None) -> int:
     except InconsistencyError as exc:
         print(f"bellforge: inconsistency: {exc}", file=sys.stderr)
         return 1
+    finally:
+        getattr(sys, "set_int_max_str_digits", int)(limit)
 
 
 if __name__ == "__main__":

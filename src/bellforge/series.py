@@ -22,7 +22,7 @@ from math import lcm
 from operator import mul
 
 from .arith import require_natural
-from .supports import ALL, FINITE, ProductSpec, SupportSet
+from .supports import ProductSpec
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -198,9 +198,8 @@ def expand_product(spec: ProductSpec, order: int) -> TruncatedSeries:
 
     The fold runs on the integers ``c_n L^n`` with ``L = spec.z_scale()``
     (see :func:`expand_ratio`).  Support elements above the truncation order
-    cannot influence any kept coefficient and are skipped.  Each binomial is
-    folded in by a sparse O(order) pass per unit of ``|a|``, so the whole
-    expansion costs O(order^2 * sum |a|).
+    cannot influence any kept coefficient and are skipped; each binomial is
+    folded in by a sparse pass per unit of ``|a|``.
     """
     return expand_ratio(spec, None, order)
 
@@ -231,33 +230,6 @@ def expand_ratio(
         out.append(Fraction(c, power))
         power *= scale
     return TruncatedSeries(out)
-
-
-def expand_steps(numer: ProductSpec | None, denom: ProductSpec | None, order: int) -> int:
-    """Inner-loop steps that :func:`expand_ratio` takes to ``order``, from
-    the specs alone: a fold pass of ``order - m + 1`` steps per support
-    member ``m <= order`` and per unit of ``|a|``, plus ``order (order + 1)
-    / 2`` for the reciprocal of a denominator and as many again for the
-    Cauchy product of two sides.  Closed forms keep it O(factors) for
-    infinite supports, so it can be checked before any work starts."""
-    require_natural(order, "order")
-    steps = 0
-    for spec in (numer, denom):
-        if spec is not None:
-            steps += sum(abs(f.a) * _fold_pass_steps(f.support, order) for f in spec.factors)
-    if denom is not None:
-        triangle = order * (order + 1) // 2
-        steps += triangle if numer is None else 2 * triangle
-    return steps
-
-
-def _fold_pass_steps(support: SupportSet, order: int) -> int:
-    """``sum (order - m + 1)`` over the members ``m <= order`` of ``support``."""
-    if support.kind == FINITE:
-        return sum(order - m + 1 for m in support.members if m <= order)
-    r = 1 if support.kind == ALL else support.r
-    k = order // r
-    return k * (order + 1) - r * k * (k + 1) // 2
 
 
 def exp_log_expand(spec: ProductSpec, order: int) -> TruncatedSeries:

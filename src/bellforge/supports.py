@@ -92,6 +92,8 @@ class SupportSet(Record):
             _require_int(r, "multiples-of support r")
             if r < 1:
                 raise ValueError("multiples-of support needs an integer r >= 1")
+            if r == 1:
+                kind = ALL  # the multiples of 1 are all naturals: one key per set
         if kind == FINITE:
             members = tuple(members)
             for m in members:
@@ -118,21 +120,15 @@ class SupportSet(Record):
         return cls(FINITE, members=tuple(members))
 
     def contains(self, d: int) -> bool:
-        if d < 1:
-            return False
-        if self.kind == ALL:
-            return True
-        if self.kind == MULTIPLES:
-            return d % self.r == 0
-        return d in self.members
+        if self.kind == FINITE:
+            return d in self.members
+        return d >= 1 and d % self.r == 0  # all naturals are the multiples of r = 1
 
     def members_up_to(self, n: int):
         """Elements of the set that are <= n, in increasing order."""
-        if self.kind == ALL:
-            return range(1, n + 1)
-        if self.kind == MULTIPLES:
-            return range(self.r, n + 1, self.r)
-        return [m for m in self.members if m <= n]
+        if self.kind == FINITE:
+            return [m for m in self.members if m <= n]
+        return range(self.r, n + 1, self.r)
 
     def divisors_in(self, n: int) -> list[int]:
         """Divisors of ``n`` that lie in the set, in increasing order."""

@@ -1,12 +1,17 @@
+import itertools
 import json
+import sys
 import time
 from math import isqrt
 
 import pytest
 
 from bellforge import bellpoly, verify
-from bellforge.cli import SERIES_STEP_BUDGET, SUITE_NAMES, main
-from bellforge.series import exp_log_expand, expand_steps
+from bellforge.bellpoly import work_estimate
+from bellforge.cli import SUITE_NAMES, WORK_BUDGET, main
+from bellforge.partfun import PARTITION_PRODUCT
+from bellforge.partitions import pentagonal_values
+from bellforge.series import exp_log_expand
 from bellforge.supports import ratio_from_json
 
 
@@ -130,14 +135,29 @@ def test_eval_geometric_in_z(capsys, tmp_path):
     assert out.splitlines()[1:] == ["0,1", "1,1/2", "2,1/4", "3,1/8"]
 
 
+GOLDEN_RATIONAL_Z = {
+    "numerator": [
+        {"support": {"kind": "multiples", "r": 2}, "z": "2/3", "a": 2},
+        {"support": {"kind": "finite", "set": [1, 4]}, "z": "-2/5", "a": -1},
+    ],
+    "denominator": [{"support": {"kind": "all"}, "z": "3/2", "a": 1}],
+}
+# the ratio spec of the CI step that runs eval --method both --max 60
+CI_RATIO = {
+    "numerator": [
+        {"support": {"kind": "multiples", "r": 2}, "z": "2/3", "a": 2},
+        {"support": {"kind": "finite", "set": [1, 3]}, "z": "-1/5", "a": -1},
+    ],
+    "denominator": [{"support": {"kind": "all"}, "z": "3/7", "a": 1}],
+}
+EULER = {"denominator": [{"support": {"kind": "all"}, "z": "1", "a": 1}]}
+HUGE_Z = {
+    "denominator": [{"support": {"kind": "finite", "set": [1]}, "z": "1" + "0" * 4000, "a": 1}]
+}
+
+
 def test_eval_series_golden_rational_z(capsys, tmp_path):
-    payload = {
-        "numerator": [
-            {"support": {"kind": "multiples", "r": 2}, "z": "2/3", "a": 2},
-            {"support": {"kind": "finite", "set": [1, 4]}, "z": "-2/5", "a": -1},
-        ],
-        "denominator": [{"support": {"kind": "all"}, "z": "3/2", "a": 1}],
-    }
+    payload = GOLDEN_RATIONAL_Z
     path = spec_file(tmp_path, payload)
     code, out, _ = run_cli(capsys, "eval", "--spec", path, "--max", "60", "--method", "series")
     assert code == 0
@@ -160,6 +180,8 @@ def test_eval_boolean_z_exits_2(capsys, tmp_path):
 
 
 HUGE_EXPONENT = {"denominator": [{"support": {"kind": "finite", "set": [1]}, "z": "1", "a": 100000000}]}
+# z with a 98-digit denominator L: few steps, but every integer has about n log2(L) bits
+LARGE_L = {"denominator": [{"support": {"kind": "all"}, "z": "1/" + "9" * 98, "a": 1}]}
 
 
 @pytest.mark.parametrize("method", ["series", "both"])
@@ -170,11 +192,22 @@ def test_eval_huge_exponent_exits_2_before_work(capsys, tmp_path, method):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    # 10^8 fold passes of 5 steps, plus 15 for the reciprocal
     assert err == (
-        "bellforge: error: --max 5 on this spec needs about 500000015 series steps, "
-        f"over the budget of {SERIES_STEP_BUDGET}\n"
+        "bellforge: error: --max 5 on this spec needs more work than the budget of 1e+09 units\n"
     )
+
+
+@pytest.mark.parametrize("method", ["faa", "series", "both"])
+def test_eval_large_operands_exit_2_before_work(capsys, tmp_path, method):
+    # 360,600 series steps, but on integers of about 195,000 bits
+    path = spec_file(tmp_path, LARGE_L)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "600", "--method", method)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bellforge: error: --max 600 on this spec needs more work")
+    assert len(err.splitlines()) == 1
 
 
 def test_eval_huge_order_exits_2_before_work(capsys, tmp_path):
@@ -188,24 +221,65 @@ def test_eval_huge_order_exits_2_before_work(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    assert "series steps" in err
+    assert "needs more work than the budget" in err
+
+
+# the int-to-str digit limit as collected, before any command has run
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.mark.parametrize("method", ["faa", "series"])
+def test_eval_prints_values_past_the_digit_limit(capsys, tmp_path, method):
+    path = spec_file(tmp_path, HUGE_Z)
+    code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "2", "--method", method)
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert len(rows) == 4  # header and n = 0, 1, 2
+    assert rows[-1] == "2,1" + "0" * 8000
+    # the lifted limit does not outlive the command
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == DIGIT_LIMIT
+
+
+def largest_documented_evals():
+    """(method, numer, denom, n) of the largest eval shape in the tests, CI and
+    each benchmark template: every z and |a| a template draws, at its largest
+    support and order."""
+    shapes = [
+        ("both", None, PARTITION_PRODUCT, 1000),  # the Euler spec, here and in CI
+        ("both", *ratio_from_json(json.dumps(CI_RATIO)), 60),
+        ("series", *ratio_from_json(json.dumps(GOLDEN_RATIONAL_Z)), 60),
+        ("both", *ratio_from_json(json.dumps(HUGE_Z)), 2),
+    ]
+    series_z = ("1/2", "2/3", "-1/3", "3/2", "-2/5", "3/4")
+    for z1, z2, z3 in itertools.product(series_z, repeat=3):
+        numer, denom = ratio_from_json(
+            json.dumps(
+                {
+                    "numerator": [{"support": {"kind": "multiples", "r": 2}, "z": z1, "a": 2}],
+                    "denominator": [
+                        {"support": {"kind": "all"}, "z": z2, "a": 2},
+                        {"support": {"kind": "multiples", "r": 2}, "z": z3, "a": 1},
+                    ],
+                }
+            )
+        )
+        shapes.append(("series", numer, denom, 140))
+    for zs in itertools.product(("1", "-1", "2", "1/2", "-1/2"), repeat=3):
+        for signs in itertools.product((1, 2, -1), repeat=3):
+            factors = [{"support": {"kind": "all"}, "z": z, "a": a} for z, a in zip(zs, signs)]
+            numer, denom = ratio_from_json(
+                json.dumps({"numerator": factors[:1], "denominator": factors[1:]})
+            )
+            shapes += [("faa", numer, denom, 34), ("both", numer, denom, 32)]
+    return shapes
 
 
 def test_series_budget_leaves_room_for_the_largest_documented_eval():
-    # the largest eval shape of the benchmark mix: order 140, |a| <= 2, and
-    # every factor at its largest support
-    numer, denom = ratio_from_json(
-        json.dumps(
-            {
-                "numerator": [{"support": {"kind": "multiples", "r": 2}, "z": "2/3", "a": 2}],
-                "denominator": [
-                    {"support": {"kind": "all"}, "z": "3/2", "a": 2},
-                    {"support": {"kind": "multiples", "r": 2}, "z": "-2/5", "a": 1},
-                ],
-            }
-        )
-    )
-    assert 100 * expand_steps(numer, denom, 140) <= SERIES_STEP_BUDGET
+    # both routes: the budget is 100 times the largest eval that is meant to run
+    for method, numer, denom, n in largest_documented_evals():
+        routes = ("faa", "series") if method == "both" else (method,)
+        work = sum(work_estimate(route, numer, denom, n) for route in routes)
+        assert 100 * work <= WORK_BUDGET, (method, numer, denom, n)
 
 
 def test_eval_missing_file(capsys, tmp_path):
@@ -231,23 +305,21 @@ def test_eval_non_utf8_spec_exits_2(capsys, tmp_path):
 
 
 def test_eval_faa_bound_is_fixed(capsys, tmp_path, monkeypatch):
-    path = spec_file(
-        tmp_path,
-        {"denominator": [{"support": {"kind": "all"}, "z": "1", "a": 1}]},
-    )
+    # the closed sum takes any --max within the one work budget
+    path = spec_file(tmp_path, EULER)
+    p = pentagonal_values(1000)
     # the removed BELLFORGE_FAA_CAP variable changes nothing
     for cap in (None, "8", "100", "not-a-number"):
         if cap is not None:
             monkeypatch.setenv("BELLFORGE_FAA_CAP", cap)
-        for method in ("faa", "both"):
-            code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "61", "--method", method)
-            assert code == 2
-            assert out == ""
-            assert err.startswith("bellforge: error:") and "--method series" in err
-            assert len(err.splitlines()) == 1
-        code, out, _ = run_cli(capsys, "eval", "--spec", path, "--max", "60", "--method", "faa")
-        assert code == 0
-        assert out.splitlines()[-1] == "60,966467"
+        for top, method in itertools.product((61, 1000), ("faa", "both")):
+            argv = ("eval", "--spec", path, "--max", str(top), "--method", method)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            header = "n,value" if method == "faa" else "n,faa,series,agree"
+            both = method == "both"
+            rows = [f"{n},{p[n]}" + (f",{p[n]},true" if both else "") for n in range(top + 1)]
+            assert out.splitlines() == [header, *rows]
 
 
 def test_eval_deeply_nested_json_exits_2(capsys, tmp_path):
@@ -353,11 +425,20 @@ def test_bench_small(capsys):
 
 
 def test_bench_rejects_max_beyond_bound(capsys):
-    code, out, err = run_cli(capsys, "bench", "--max", "61", "--repeat", "1")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("bellforge: error:") and "61" in err
-    assert len(err.splitlines()) == 1
+    for argv in (("--max", "100000"), ("--max", "0", "--repeat", str(10**9))):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "bench", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("bellforge: error: bench --max") and "budget" in err
+        assert len(err.splitlines()) == 1
+    # a run well inside the budget still agrees
+    code, out, _ = run_cli(capsys, "bench", "--max", "200", "--repeat", "1")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 3 * 20
+    assert all(row.endswith(",true") for row in rows)
 
 
 def test_bench_times_the_closed_sum_cold(capsys, monkeypatch):

@@ -5,7 +5,9 @@ import pytest
 
 from bellforge import TruncatedSeries, exp_log_expand, expand_product, spec_from_factors
 from bellforge.partfun import ratio_series
-from bellforge.series import expand_ratio, expand_steps
+from bellforge import bellpoly, partfun
+from bellforge.bellpoly import kernel_size, work_estimate
+from bellforge.series import expand_ratio
 from bellforge.supports import Factor, ProductSpec, SupportSet
 from bellforge.verify import random_product_spec
 
@@ -249,7 +251,7 @@ def test_ratio_series_regrows_geometrically():
     assert ratio_series(numer, denom, 31).order == 31
 
 
-def test_expand_steps_counts_the_fold_passes_that_run(monkeypatch):
+def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
     from bellforge import series
 
     folded = []
@@ -269,12 +271,83 @@ def test_expand_steps_counts_the_fold_passes_that_run(monkeypatch):
             expand_ratio(numer, denom, order)
             triangle = order * (order + 1) // 2
             sides = (denom is not None) + (numer is not None and denom is not None)
-            assert expand_steps(numer, denom, order) == sum(folded) + sides * triangle
+            assert kernel_size("series", numer, denom, order)[0] == sum(folded) + sides * triangle
 
 
-def test_expand_steps_is_closed_form_for_infinite_supports():
+def test_kernel_size_is_closed_form_for_infinite_supports():
     spec = spec_from_factors((SupportSet.all_naturals(), 1, -3), (SupportSet.multiples_of(5), 2, 1))
     order = 10**12
     k = order // 5
     want = 3 * order * (order + 1) // 2 + (k * (order + 1) - 5 * k * (k + 1) // 2)
-    assert expand_steps(spec, None, order) == want
+    assert kernel_size("series", spec, None, order)[0] == want
+    assert kernel_size("faa", spec, None, order)[0] >= order * (order + 1) // 2
+    assert work_estimate("faa", spec, None, order) > work_estimate("faa", spec, None, order - 1)
+    with pytest.raises(ValueError):
+        kernel_size("dfs", spec, None, 3)
+
+
+def probe_pairs():
+    """Ratios to check the estimate on, with the largest order to check: the
+    kernel specs paired up, the named products and large-operand probes
+    (rational z of the benchmark's shape, a 98-digit z denominator, z = 10^6
+    and z = 10^4000)."""
+    specs = kernel_specs()
+    pairs = list(zip(specs[::2], specs[1::2])) + [(None, s) for s in specs[:30:3]]
+    pairs += [(s, None) for s in specs[1:30:3]]
+    pairs += [(numer, denom) for numer, denom, _ in partfun.SEQUENCES.values() if denom is not None]
+    pairs += [(partfun.CHAN_NUMERATOR, partfun.CHAN_DENOMINATOR)]
+    pairs += [(partfun.KIM_NUMERATOR, partfun.KIM_DENOMINATOR)]
+    rational_z = spec_from_factors(
+        (SupportSet.all_naturals(), F(2, 3), 2), (SupportSet.multiples_of(2), F(-2, 5), 1)
+    )
+    pairs.append((spec_from_factors((SupportSet.multiples_of(2), F(3, 4), 2)), rational_z))
+    pairs = [(numer, denom, 30) for numer, denom in pairs]
+    for z, top in ((F(1, 10**98 - 1), 30), (F(10**6), 30), (F(10**4000), 7)):
+        pairs.append((None, spec_from_factors((SupportSet.all_naturals(), z, 1)), top))
+        pairs.append((None, spec_from_factors((SupportSet.finite([1]), z, 1)), top))
+    return pairs
+
+
+def test_kernel_size_bounds_the_closed_sum_terms(monkeypatch):
+    terms = []
+    extend = bellpoly.bell_extend
+
+    def counting_extend(coeffs, weights, n):
+        terms.append(sum(range(len(coeffs), n + 1)))
+        extend(coeffs, weights, n)
+
+    monkeypatch.setattr(bellpoly, "bell_extend", counting_extend)
+    for numer, denom, top in probe_pairs():
+        for order in (0, 1, 2, 7, top):
+            terms.clear()
+            bellpoly._grow_bell(numer, denom, None, order)
+            assert sum(terms) == order * (order + 1) // 2
+            assert kernel_size("faa", numer, denom, order)[0] >= sum(terms)
+
+
+def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
+    from bellforge import series
+
+    seen = []
+    fold, reciprocal, cauchy = series._fold_binomial, series._reciprocal, series._cauchy
+
+    def record(values):
+        seen.append(max(abs(v) for v in values).bit_length())
+        return values
+
+    def recording_fold(cs, k, m, a):
+        fold(cs, k, m, a)
+        record(cs + [k])
+
+    monkeypatch.setattr(series, "_fold_binomial", recording_fold)
+    monkeypatch.setattr(series, "_reciprocal", lambda u: record(reciprocal(u)))
+    monkeypatch.setattr(series, "_cauchy", lambda u, v: record(cauchy(u, v)))
+    for numer, denom, top in probe_pairs():
+        for order in (0, 1, 2, 7, top):
+            bits = kernel_size("faa", numer, denom, order)[1]
+            assert bits == kernel_size("series", numer, denom, order)[1]
+            seen.clear()
+            expand_ratio(numer, denom, order)
+            _, (_, weights, coeffs, _) = bellpoly._grow_bell(numer, denom, None, order)
+            record(weights + coeffs)
+            assert max(seen) <= bits, (numer, denom, order)

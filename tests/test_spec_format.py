@@ -1,0 +1,95 @@
+"""Property tests of the JSON ratio spec format that ``eval`` reads."""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from bellforge.cli import main
+from bellforge.supports import Factor, ProductSpec, SupportSet, ratio_from_json
+
+supports = st.one_of(
+    st.just(SupportSet.all_naturals()),
+    st.integers(1, 10**6).map(SupportSet.multiples_of),
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=6, unique=True).map(SupportSet.finite),
+)
+exact_z = st.one_of(st.integers(-(10**30), 10**30), st.fractions(max_denominator=10**30))
+exponents = st.integers(-(10**12), 10**12).filter(bool)
+factors = st.builds(Factor, supports, exact_z, exponents)
+sides = st.one_of(st.none(), st.lists(factors, min_size=1, max_size=4).map(ProductSpec))
+
+
+def document(numer, denom) -> dict:
+    return {
+        "numerator": [] if numer is None else numer.to_json(),
+        "denominator": [] if denom is None else denom.to_json(),
+    }
+
+
+@given(sides, sides)
+def test_valid_specs_survive_a_round_trip(numer, denom):
+    assert ratio_from_json(json.dumps(document(numer, denom))) == (numer, denom)
+
+
+NOT_AN_OBJECT = (None, True, False, 0, 1.5, "x", [], [1])
+# (where, replacement): the field of the first factor to spoil, and with what
+SPOILERS = (
+    [("support", {"kind": bad}) for bad in (None, True, 1, 1.5, [], {}, "odd", "ALL")]
+    + [("support", {"kind": "multiples", "r": bad}) for bad in (None, True, 0, -2, 1.5, "2", [2])]
+    + [("support", {"kind": "multiples"})]
+    + [
+        ("support", {"kind": "finite", "set": bad})
+        for bad in (None, True, 1, "1,2", [], [0], [1, 1], [True], [1.5], ["1"], [[1]], {"1": 1})
+    ]
+    + [("support", {"kind": "all", "r": 1}), ("support", {"kind": "finite", "set": [1], "r": 1})]
+    + [("support", bad) for bad in NOT_AN_OBJECT]
+    + [("z", bad) for bad in (None, True, False, 1.5, [], {}, "abc", "1/0", "", "1/2/3")]
+    + [("a", bad) for bad in (None, True, False, 0, 1.5, "1", [], {})]
+    + [("extra", 1)]
+)
+
+
+@given(sides.filter(bool), sides, st.sampled_from(SPOILERS), st.booleans())
+def test_spoiled_factors_are_rejected(spec_path, numer, denom, spoiler, on_numerator):
+    doc = document(numer, denom)
+    if on_numerator or not doc["denominator"]:
+        factor = doc["numerator"][0]
+    else:
+        factor = doc["denominator"][0]
+    where, replacement = spoiler
+    factor[where] = replacement
+    assert_rejected(spec_path, json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [*NOT_AN_OBJECT, {"numerator": [], "extra": []}]
+    + [{"numerator": bad} for bad in (None, True, 1, "x", {})]
+    + [{"denominator": [bad]} for bad in NOT_AN_OBJECT],
+)
+def test_malformed_documents_are_rejected(spec_path, doc):
+    assert_rejected(spec_path, json.dumps(doc))
+
+
+@pytest.fixture(scope="module")
+def spec_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("spec") / "spec.json"
+
+
+def assert_rejected(path, text: str) -> None:
+    """``text`` is refused by the parser, and by ``eval`` with exit 2, one
+    line on stderr and nothing on stdout."""
+    with pytest.raises(ValueError):
+        ratio_from_json(text)
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["eval", "--spec", str(path), "--max", "3", "--method", "both"])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("bellforge: error: bad spec file")
+    assert len(err.getvalue().splitlines()) == 1
+

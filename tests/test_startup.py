@@ -102,7 +102,7 @@ def test_unknown_names_and_dir():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         bellforge.no_such_name
-    assert not hasattr(bellforge, "expand_steps")  # public in its module, not exported
+    assert not hasattr(bellforge, "kernel_size")  # public in its module, not exported
     listed = dir(bellforge)
     assert "__all__" in listed and "__version__" in listed
     assert set(bellforge.__all__) <= set(listed)

@@ -162,3 +162,25 @@ def test_z_scale_is_lcm_of_z_denominators():
     )
     assert spec.z_scale() == 15
     assert spec_from_factors((SupportSet.all_naturals(), 1, 1)).z_scale() == 1
+
+
+def test_multiples_of_one_is_all_naturals():
+    from bellforge import bellpoly
+
+    everything = SupportSet.all_naturals()
+    spellings = (
+        SupportSet.multiples_of(1),
+        SupportSet("multiples"),
+        SupportSet.from_json({"kind": "multiples", "r": 1}),
+    )
+    for support in spellings:
+        assert support == everything and hash(support) == hash(everything)
+        assert support.to_json() == {"kind": "all"}
+    text = '{"denominator": [{"support": %s, "z": "1", "a": 1}]}'
+    multiples = ratio_from_json(text % '{"kind": "multiples", "r": 1}')
+    assert multiples == ratio_from_json(text % '{"kind": "all"}')
+    # both spellings of prod (1 - t^m) share one prefix cache entry
+    bellpoly.clear_cache()
+    for support in (SupportSet.multiples_of(1), everything):
+        bellpoly.reciprocal_coefficients(spec_from_factors((support, 1, 1)), 20)
+    assert len(bellpoly._cache) == 1
