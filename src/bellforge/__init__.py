@@ -18,28 +18,27 @@ __version__ = "1.0.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("arith", "factorize indicator restricted_divisor_sum sigma sigma_via_factorization"),
+        ("arith", "factorize sigma sigma_via_factorization"),
         (
             "bellpoly",
-            "IdentityReport InconsistencyError divisor_power_sum index_additivity_report "
-            "log_weight log_weight_table partition_power_sum product_coefficient "
-            "product_coefficients ratio_coefficient ratio_coefficients reciprocal_coefficient "
-            "reciprocal_coefficients set_additivity_report work_estimate",
+            "InconsistencyError product_coefficient product_coefficients ratio_coefficient "
+            "ratio_coefficients reciprocal_coefficient reciprocal_coefficients work_estimate",
         ),
         (
             "partfun",
             "FourFactorSpec chan_product_coefficient cubic_partition_count "
             "four_factor_coefficient kim_product_coefficient overcubic_partition_count "
             "partition_function ramanujan_phi_coefficient ramanujan_psi_coefficient "
-            "ratio_series restricted_partition_count restricted_recursion_report",
+            "ratio_series restricted_partition_count",
         ),
-        (
-            "partitions",
-            "count_exact_parts count_partitions count_restricted_bruteforce iter_partitions "
-            "pentagonal_values",
-        ),
+        ("partitions", "count_partitions iter_partitions pentagonal_values"),
         ("series", "TruncatedSeries exp_log_expand expand_product expand_ratio"),
         ("supports", "Factor ProductSpec SupportSet spec_from_factors"),
+        (
+            "verify",
+            "IdentityReport index_additivity_report restricted_recursion_report "
+            "set_additivity_report",
+        ),
     )
     for name in names.split()
 }

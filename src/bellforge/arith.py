@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: factorization, divisor sums, divisibility.
+"""Exact integer arithmetic: argument checks, factorization, divisor sums.
 
 Everything here is plain unbounded-``int`` arithmetic.  Exact rationals
 elsewhere in the package are ``fractions.Fraction`` values, which are always
@@ -8,8 +8,6 @@ stored reduced with a positive denominator.
 from __future__ import annotations
 
 from math import comb
-
-from .supports import SupportSet
 
 Factorization = list[tuple[int, int]]
 
@@ -82,15 +80,3 @@ def sigma_via_factorization(pairs: Factorization) -> int:
             term += -summand if k % 2 else summand
         total *= term
     return total
-
-
-def restricted_divisor_sum(n: int, support: SupportSet) -> int:
-    """Sum of the divisors of ``n`` that lie in ``support``."""
-    return sum(support.divisors_in(require_positive(n)))
-
-
-def indicator(i: int, j: int) -> int:
-    """1 if ``i`` divides ``j``, else 0."""
-    require_positive(i, "i")
-    require_positive(j, "j")
-    return 1 if j % i == 0 else 0

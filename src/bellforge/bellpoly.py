@@ -12,142 +12,24 @@ times the ``t^j`` coefficient of ``log f``.  The coefficient of ``t^n`` in
 has weights ``f``'s minus ``g``'s.  Being a complete Bell polynomial in the
 ``w_j / j``, the sum obeys ``n c_n = sum_{k=1..n} w_k c_{n-k}`` (Comtet,
 1974, ch. 3), which :func:`ratio_coefficients` runs on whole prefixes; the
-literal sum, one term per partition, remains as :func:`partition_power_sum`.
-:func:`cached_prefix` is the one prefix cache of both routes.  Everything is
-exact and independently checkable against :mod:`bellforge.series`.
+literal sum, one term per partition, is kept only as the tests' reference.
+:func:`cached_prefix` is the one prefix cache of both routes and
+:func:`work_estimate` the price of a request, checked before it runs.
+Everything is exact and independently checkable against
+:mod:`bellforge.series`.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 
-from .arith import require_natural, require_positive
-from .supports import FINITE, Factor, ProductSpec, Record, SupportSet
+from .arith import require_natural
+from .supports import FINITE, ProductSpec, SupportSet
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def divisor_power_sum(n: int, support: SupportSet, z: Fraction) -> Fraction:
-    """``sum_{d | n, d in support} d * z^(n/d)``."""
-    require_positive(n)
-    z = Fraction(z)
-    total = _ZERO
-    for d in support.divisors_in(n):
-        total += d * z ** (n // d)
-    return total
-
-
-def log_weight(n: int, spec: ProductSpec) -> Fraction:
-    """``-sum_factors a * divisor_power_sum(n, support, z)``; equals ``n``
-    times the ``t^n`` coefficient of ``log f``."""
-    require_positive(n)
-    total = _ZERO
-    for f in spec.factors:
-        total -= f.a * divisor_power_sum(n, f.support, f.z)
-    return total
-
-
-def log_weight_table(spec: ProductSpec, n: int) -> list[Fraction]:
-    """Weights ``[_, w_1, ..., w_n]`` for the partition sums (index 0 unused)."""
-    require_natural(n)
-    return [_ZERO] + [log_weight(j, spec) for j in range(1, n + 1)]
-
-
-def partition_power_sum(n: int, weights, alternate_sign: bool = False) -> Fraction:
-    """Exact evaluation of ``sum over (k_1..k_n), sum j k_j = n, of
-    prod_j (1/k_j!) (weights[j]/j)^{k_j}``, one term per partition of ``n``.
-
-    With ``alternate_sign`` each term also carries ``(-1)^(k_1+...+k_n)``,
-    which is folded in by negating every weight.  Denominators are cleared
-    up front (all weights are scaled by their lcm ``M``), so the depth-first
-    accumulation below runs on plain integers: a partition with multiplicity
-    vector ``k`` contributes ``prod scaled_j^{k_j}`` over the global
-    denominator ``prod (M j)^{k_j} k_j!``, and the latter always divides
-    ``M^n n!``.  Partitions using any part with weight zero contribute
-    nothing and are pruned.
-    """
-    require_natural(n)
-    if n == 0:
-        return _ONE
-    ws = [Fraction(w) for w in weights[: n + 1]]
-    if len(ws) != n + 1:
-        raise ValueError(f"need weights for parts 1..{n}")
-    m_scale = lcm(*(w.denominator for w in ws[1:]))
-    sign = -1 if alternate_sign else 1
-    scaled = [0] * (n + 1)
-    for j in range(1, n + 1):
-        scaled[j] = sign * ws[j].numerator * (m_scale // ws[j].denominator)
-
-    active = [j for j in range(n, 0, -1) if scaled[j]]
-    denom = m_scale**n * factorial(n)
-    if not active:
-        return _ZERO
-    return Fraction(_signed_partition_dfs(n, active, scaled, m_scale, denom), denom)
-
-
-def _signed_partition_dfs(n, active, scaled, m_scale, denom) -> int:
-    """Integer accumulator for :func:`partition_power_sum`; see there."""
-    levels = len(active)
-    # per part j: numerator powers scaled_j^k and denominators (M j)^k k!
-    num_pow = []
-    den_pow = []
-    for j in active:
-        kmax = n // j
-        ps = [1] * (kmax + 1)
-        ds = [1] * (kmax + 1)
-        w = scaled[j]
-        mj = m_scale * j
-        for k in range(1, kmax + 1):
-            ps[k] = ps[k - 1] * w
-            ds[k] = ds[k - 1] * mj * k
-        num_pow.append(ps)
-        den_pow.append(ds)
-    smallest = active[-1]
-
-    acc = 0
-    st_k = [0] * levels
-    st_rem = [0] * levels
-    st_num = [0] * levels
-    st_den = [0] * levels
-    st_rem[0] = n
-    st_num[0] = 1
-    st_den[0] = 1
-    st_k[0] = n // active[0]
-    i = 0
-    while i >= 0:
-        k = st_k[i]
-        if k < 0:
-            i -= 1
-            if i >= 0:
-                st_k[i] -= 1
-            continue
-        j = active[i]
-        rem = st_rem[i] - j * k
-        num = st_num[i] * num_pow[i][k]
-        den = st_den[i] * den_pow[i][k]
-        if rem == 0:
-            acc += num * (denom // den)
-            st_k[i] -= 1
-            continue
-        nxt = i + 1
-        if nxt == levels or rem < smallest:
-            st_k[i] -= 1
-            continue
-        if active[nxt] == 1:
-            # multiplicity of part 1 is forced by the remainder
-            acc += (num * num_pow[nxt][rem]) * (denom // (den * den_pow[nxt][rem]))
-            st_k[i] -= 1
-            continue
-        st_rem[nxt] = rem
-        st_num[nxt] = num
-        st_den[nxt] = den
-        st_k[nxt] = rem // active[nxt]
-        i = nxt
-    return acc
 
 
 class InconsistencyError(ArithmeticError):
@@ -213,7 +95,8 @@ def kernel_size(route: str, numer, denom, n: int) -> tuple[int, int]:
     ``n (n + 1) / 2`` triangle per reciprocal and per Cauchy product.  Every
     integer either route produces is dominated by ``prod (1 - Z L^m s^m)^-S``
     (``L`` the lcm of the z denominators, ``Z = max(1, |z|)``, ``S = sum |a|``),
-    so as ``p_S(n) <= exp(pi sqrt(2Sn/3))`` it has at most ``B`` bits."""
+    so as ``p_S(n) <= exp(pi sqrt(2Sn/3))`` and ``p_S(n) <= p(n) S^n`` it has
+    at most ``B`` bits."""
     require_natural(n)
     factors = [f for side in (numer, denom) if side is not None for f in side.factors]
     triangle = n * (n + 1) // 2
@@ -227,9 +110,21 @@ def kernel_size(route: str, numer, denom, n: int) -> tuple[int, int]:
     scale = lcm(*(f.z.denominator for f in factors))
     lz = max([scale] + [abs(f.z.numerator) * (scale // f.z.denominator) for f in factors])
     size = sum(abs(f.a) for f in factors)
-    # B = n log2(L Z) + 3.71 sqrt(S n) + 1, as (x^16 - 1).bit_length() is ceil(16 log2 x)
-    bits = -(-n * (lz**16 - 1).bit_length() // 16) + 371 * (isqrt(size * n) + 1) // 100 + 1
-    return steps, bits
+    # B = n log2(L Z) + min(3.71 sqrt(S n), n log2 S + 3.71 sqrt n) + 1
+    count = min(_sqrt_bits(size * n), _log2_times(size, n) + _sqrt_bits(n))
+    return steps, _log2_times(lz, n) + count + 1
+
+
+def _log2_times(x: int, n: int) -> int:
+    """At least ``n log2 x`` and within ``n / 16 + 1`` of it, as
+    ``(x^16 - 1).bit_length()`` is ``ceil(16 log2 x)``."""
+    return -(-n * (x**16 - 1).bit_length() // 16)
+
+
+def _sqrt_bits(x: int) -> int:
+    """``3.71 (isqrt(x) + 1)`` rounded down; with one bit added it bounds the
+    bits of ``p(x) <= exp(pi sqrt(2x/3))``."""
+    return 371 * (isqrt(x) + 1) // 100
 
 
 def _fold_steps(support: SupportSet, n: int) -> int:
@@ -268,8 +163,8 @@ def _grow_bell(numer, denom, entry, n):
 
 
 def _scaled_weight(k: int, factors, scale: int) -> int:
-    """``log_weight(k, spec) * scale^k`` in integers: ``z^(k/d) scale^k`` is
-    ``(z scale^d)^(k/d)``, and ``z scale`` is an integer."""
+    """The weight ``w_k`` of ``factors`` times ``scale^k``, in integers:
+    ``z^(k/d) scale^k`` is ``(z scale^d)^(k/d)``, and ``z scale`` is an integer."""
     total = 0
     for f in factors:
         z_scaled = f.z.numerator * (scale // f.z.denominator)
@@ -302,55 +197,3 @@ def reciprocal_coefficient(n: int, spec: ProductSpec) -> Fraction:
 def ratio_coefficient(n: int, numer: ProductSpec | None, denom: ProductSpec | None) -> Fraction:
     """Coefficient of ``t^n`` in numerator-product / denominator-product."""
     return ratio_coefficients(numer, denom, n)[n]
-
-
-class IdentityReport(Record):
-    """Outcome of one exact identity check, with both sides' values."""
-
-    _fields = ("check", "n", "ok", "lhs", "rhs")
-
-    def __init__(self, check: str, n: int, ok: bool, lhs: str, rhs: str):
-        self._assign(check, n, ok, lhs, rhs)
-
-
-def index_additivity_report(n, base, a_index, b_index) -> IdentityReport:
-    """Check that coefficients for exponent vector ``a + b`` equal the
-    convolution of the coefficients for ``a`` and for ``b``, over the same
-    (support, z) families.
-
-    ``base`` is a sequence of (support, z) pairs; ``a_index``/``b_index``
-    are equal-length vectors of nonzero integers.  Combined exponents that
-    cancel to zero simply drop their factor.
-    """
-    require_natural(n)
-    base = list(base)
-    if not (len(base) == len(a_index) == len(b_index)):
-        raise ValueError("index vectors must match the factor family")
-    spec_a = ProductSpec(tuple(Factor(s, z, a) for (s, z), a in zip(base, a_index)))
-    spec_b = ProductSpec(tuple(Factor(s, z, b) for (s, z), b in zip(base, b_index)))
-    combined = tuple(
-        Factor(s, z, a + b)
-        for (s, z), a, b in zip(base, a_index, b_index)
-        if a + b != 0
-    )
-    lhs = ratio_coefficient(n, ProductSpec(combined) if combined else None, None)
-    rhs = _convolve(product_coefficients(spec_a, n), product_coefficients(spec_b, n), n)
-    return IdentityReport("additivity-index", n, lhs == rhs, str(lhs), str(rhs))
-
-
-def set_additivity_report(n, spec_a: ProductSpec, spec_b: ProductSpec) -> IdentityReport:
-    """Check that coefficients of the merged factor list equal the
-    convolution of the two sides' coefficients."""
-    require_natural(n)
-    lhs = product_coefficient(n, ProductSpec(spec_a.factors + spec_b.factors))
-    rhs = _convolve(product_coefficients(spec_a, n), product_coefficients(spec_b, n), n)
-    return IdentityReport("additivity-set", n, lhs == rhs, str(lhs), str(rhs))
-
-
-def _convolve(u, v, n) -> Fraction:
-    """Coefficient ``n`` of the Cauchy product of two prefixes."""
-    total = _ZERO
-    for j in range(n + 1):
-        if u[j]:
-            total += u[j] * v[n - j]
-    return total

@@ -3,18 +3,20 @@
 The named partition functions have closed formulas in circulation whose
 divisor weights drop the factor ``r`` in multiples-of-``r`` divisor sums and
 whose sign/prefactor conventions are internally inconsistent.  This module
-evaluates those transcriptions literally, next to the values forced by the
-generating products, and reports per formula where they first depart.  The
-product-form column is the ground truth; nothing here asserts what the
-transcriptions "should" give.
+evaluates those transcriptions as printed, next to the values forced by the
+generating products, and reports per formula where they first depart.  Each
+printed sum over partitions is evaluated exactly by the Bell recurrence that
+it satisfies, and each double sum as a convolution.  The product-form column
+is the ground truth; nothing here asserts what the transcriptions "should"
+give.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .arith import require_natural, sigma
-from .bellpoly import partition_power_sum
 from .partfun import sequence
 from .supports import Record
 
@@ -28,21 +30,22 @@ def transcription_sum(n: int, coeff, weight=1) -> Fraction:
     The per-term weight folds into the coefficients, since
     ``w^(sum k_j) * prod c_j^{k_j} == prod (w c_j)^{k_j}``.
     """
-    require_natural(n)
-    return partition_power_sum(n, _weight_table(n, coeff, weight))
-
-
-def _weight_table(n: int, coeff, weight) -> list[Fraction]:
-    w = Fraction(weight)
-    return [_ZERO] + [w * Fraction(coeff(j)) for j in range(1, n + 1)]
+    return _transcription_prefix(n, coeff, weight)[n]
 
 
 def _transcription_prefix(n: int, coeff, weight) -> list[Fraction]:
-    """``transcription_sum(m, coeff, weight)`` for ``m = 0..n``, from one
-    weight table: the sum for ``m`` reads only the table's first ``m``
-    weights."""
-    table = _weight_table(n, coeff, weight)
-    return [partition_power_sum(m, table) for m in range(n + 1)]
+    """``transcription_sum(m, coeff, weight)`` for ``m = 0..n``.  With
+    ``w_j = weight * coeff(j)`` each sum is a complete Bell polynomial in the
+    ``w_j / j``, so ``m A_m = sum_{k=1..m} w_k A_{m-k}`` gives the prefix in
+    O(n^2) steps.  The ``w_j`` are not a product's weights, so ``A_m`` need
+    not be an integer: the recurrence runs on exact rationals."""
+    require_natural(n)
+    w = Fraction(weight)
+    weights = [w * Fraction(coeff(j)) for j in range(1, n + 1)]
+    sums = [Fraction(1)]
+    for m in range(1, n + 1):
+        sums.append(sum(map(mul, weights[:m], reversed(sums)), _ZERO) / m)
+    return sums
 
 
 def _sig_at(j: int, i: int) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import require_natural
-from .bellpoly import IdentityReport, InconsistencyError, cached_prefix, ratio_coefficients
+from .bellpoly import InconsistencyError, cached_prefix, ratio_coefficients
 from .supports import ProductSpec, Record, SupportSet, spec_from_factors
 
 _ALL = SupportSet.all_naturals()
@@ -237,24 +237,3 @@ def four_factor_coefficient(n: int, spec: FourFactorSpec, method: str = "auto") 
     """Exact ``t^n`` coefficient of the four-factor quotient.  Returned as a
     rational: arbitrary exponent choices need not give integer coefficients."""
     return _prefix(spec.numerator(), spec.denominator(), n, method)[n]
-
-
-def restricted_recursion_report(n: int, parts) -> IdentityReport:
-    """Check ``W(n, parts) - W(n - last, parts) == W(n, parts-without-last)``
-    exactly, counting ``W`` at negative arguments as 0."""
-    require_natural(n)
-    parts = list(parts)
-    if len(parts) < 2:
-        raise ValueError("the recursion needs at least two parts")
-    last = parts[-1]
-    counts = sequence("w", n, "series", parts)
-    full, shifted = counts[n], counts[n - last] if n >= last else 0
-    rhs = sequence("w", n, "series", parts[:-1])[n]
-    lhs = full - shifted
-    return IdentityReport(
-        "restricted-recursion",
-        n,
-        lhs == rhs,
-        f"{full}-{shifted}={lhs}",
-        str(rhs),
-    )

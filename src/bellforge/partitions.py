@@ -1,4 +1,4 @@
-"""Partition enumeration and independent partition-count oracles.
+"""Partition enumeration and the pentagonal partition count.
 
 Partitions of ``n`` are represented as multiplicity vectors
 ``(k_1, ..., k_n)`` with ``sum j*k_j == n``; for ``n == 0`` the vector is
@@ -9,7 +9,6 @@ and the all-ones partition last.  Golden tests rely on this order.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterator
 
 from .arith import require_natural
@@ -49,28 +48,19 @@ def iter_partitions(n: int) -> Iterator[PartitionVector]:
         j -= 1
 
 
-_pent_lock = threading.Lock()
-_pent_table = [1]
-
-
 def count_partitions(n: int) -> int:
-    """Number of partitions of ``n`` via the pentagonal-number recurrence
-
-        p(n) = sum_{k>=1} (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)]
-
-    with p(0) = 1 and p(m) = 0 for m < 0.  Memoized; results never change.
-    """
-    require_natural(n)
-    if n < len(_pent_table):
-        return _pent_table[n]
-    with _pent_lock:
-        while len(_pent_table) <= n:
-            _pent_table.append(_pentagonal_step(_pent_table))
-    return _pent_table[n]
+    """Number of partitions of ``n``: entry ``n`` of :func:`pentagonal_values`."""
+    return pentagonal_values(n)[n]
 
 
 def pentagonal_values(n: int) -> list[int]:
-    """Fresh, unmemoized table ``[p(0), ..., p(n)]`` (used for benchmarking)."""
+    """``[p(0), ..., p(n)]`` from the pentagonal-number recurrence
+
+        p(n) = sum_{k>=1} (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)]
+
+    with p(0) = 1 and p(m) = 0 for m < 0.  Nothing is memoized: a loop over
+    ``n`` should read one table.
+    """
     require_natural(n)
     table = [1]
     while len(table) <= n:
@@ -93,53 +83,3 @@ def _pentagonal_step(table: list[int]) -> int:
             total += sign * table[m - g2]
         k += 1
     return total
-
-
-def count_exact_parts(n: int, m: int) -> int:
-    """Number of partitions of ``n`` into exactly ``m`` parts, from the
-    recurrence p_m(n) = p_m(n-m) + p_{m-1}(n-1)."""
-    require_natural(n)
-    require_natural(m, "m")
-    if m > n:
-        return 0
-    if m == 0:
-        return 1 if n == 0 else 0
-    # row[j] holds p_j(i) while sweeping i upward
-    rows = [[0] * (n + 1) for _ in range(m + 1)]
-    rows[0][0] = 1
-    for j in range(1, m + 1):
-        for i in range(j, n + 1):
-            rows[j][i] = rows[j][i - j] + rows[j - 1][i - 1]
-    return rows[m][n]
-
-
-def count_restricted_bruteforce(n: int, parts) -> int:
-    """Number of multisets over ``parts`` summing to ``n``, by exhaustive
-    recursion over how often each allowed part is used."""
-    require_natural(n)
-    allowed = list(parts)
-    if not allowed:
-        raise ValueError("parts must be non-empty")
-    if len(set(allowed)) != len(allowed):
-        raise ValueError("parts must be distinct")
-    if min(allowed) < 1:
-        raise ValueError("parts must be >= 1")
-    allowed.sort(reverse=True)
-    seen: dict[tuple[int, int], int] = {}
-
-    def rec(m: int, i: int) -> int:
-        if m == 0:
-            return 1
-        if i == len(allowed):
-            return 0
-        key = (m, i)
-        cached = seen.get(key)
-        if cached is not None:
-            return cached
-        total = rec(m, i + 1)
-        if allowed[i] <= m:
-            total += rec(m - allowed[i], i)
-        seen[key] = total
-        return total
-
-    return rec(n, 0)

@@ -3,7 +3,9 @@
 Each suite returns :class:`IdentityReport` rows (one per checked instance)
 so the CLI can print per-``n`` verdicts and the tests can assert them.
 Randomized suites draw from a fixed documented family with a fixed default
-seed, keeping output byte-stable across runs.
+seed, keeping output byte-stable across runs.  The single-instance checks
+(additivity over exponents and over supports, the restricted-count
+recursion) live here as well, so a closed-sum request never compiles them.
 """
 
 from __future__ import annotations
@@ -12,26 +14,90 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from .arith import factorize, sigma, sigma_via_factorization
+from .arith import factorize, require_natural, sigma, sigma_via_factorization
 from .bellpoly import (
-    IdentityReport,
-    index_additivity_report,
+    product_coefficient,
     product_coefficients,
+    ratio_coefficient,
     reciprocal_coefficients,
-    set_additivity_report,
 )
-from .partfun import (
-    chan_product_coefficient,
-    kim_product_coefficient,
-    restricted_recursion_report,
-    sequence,
-)
-from .supports import Factor, ProductSpec, SupportSet
+from .partfun import chan_product_coefficient, kim_product_coefficient, sequence
+from .supports import Factor, ProductSpec, Record, SupportSet
 
 DEFAULT_SEED = 1103
 
+_ZERO = Fraction(0)
 _Z_CHOICES = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
 _A_CHOICES = (-3, -2, -1, 1, 2, 3)
+
+
+class IdentityReport(Record):
+    """Outcome of one exact identity check, with both sides' values."""
+
+    _fields = ("check", "n", "ok", "lhs", "rhs")
+
+    def __init__(self, check: str, n: int, ok: bool, lhs: str, rhs: str):
+        self._assign(check, n, ok, lhs, rhs)
+
+
+def index_additivity_report(n, base, a_index, b_index) -> IdentityReport:
+    """Check that coefficients for exponent vector ``a + b`` equal the
+    convolution of the coefficients for ``a`` and for ``b``, over the same
+    (support, z) families.
+
+    ``base`` is a sequence of (support, z) pairs; ``a_index``/``b_index``
+    are equal-length vectors of nonzero integers.  Combined exponents that
+    cancel to zero simply drop their factor.
+    """
+    require_natural(n)
+    base = list(base)
+    if not (len(base) == len(a_index) == len(b_index)):
+        raise ValueError("index vectors must match the factor family")
+    spec_a = ProductSpec(tuple(Factor(s, z, a) for (s, z), a in zip(base, a_index)))
+    spec_b = ProductSpec(tuple(Factor(s, z, b) for (s, z), b in zip(base, b_index)))
+    combined = tuple(
+        Factor(s, z, a + b)
+        for (s, z), a, b in zip(base, a_index, b_index)
+        if a + b != 0
+    )
+    lhs = ratio_coefficient(n, ProductSpec(combined) if combined else None, None)
+    rhs = _convolve(product_coefficients(spec_a, n), product_coefficients(spec_b, n), n)
+    return IdentityReport("additivity-index", n, lhs == rhs, str(lhs), str(rhs))
+
+
+def set_additivity_report(n, spec_a: ProductSpec, spec_b: ProductSpec) -> IdentityReport:
+    """Check that coefficients of the merged factor list equal the
+    convolution of the two sides' coefficients."""
+    require_natural(n)
+    lhs = product_coefficient(n, ProductSpec(spec_a.factors + spec_b.factors))
+    rhs = _convolve(product_coefficients(spec_a, n), product_coefficients(spec_b, n), n)
+    return IdentityReport("additivity-set", n, lhs == rhs, str(lhs), str(rhs))
+
+
+def restricted_recursion_report(n: int, parts) -> IdentityReport:
+    """Check ``W(n, parts) - W(n - last, parts) == W(n, parts-without-last)``
+    exactly, counting ``W`` at negative arguments as 0."""
+    require_natural(n)
+    parts = list(parts)
+    if len(parts) < 2:
+        raise ValueError("the recursion needs at least two parts")
+    last = parts[-1]
+    counts = sequence("w", n, "series", parts)
+    full, shifted = counts[n], counts[n - last] if n >= last else 0
+    rhs = sequence("w", n, "series", parts[:-1])[n]
+    lhs = full - shifted
+    return IdentityReport(
+        "restricted-recursion",
+        n,
+        lhs == rhs,
+        f"{full}-{shifted}={lhs}",
+        str(rhs),
+    )
+
+
+def _convolve(u, v, n) -> Fraction:
+    """Coefficient ``n`` of the Cauchy product of two prefixes."""
+    return sum((u[j] * v[n - j] for j in range(n + 1) if u[j]), _ZERO)
 
 
 def random_support(rng: random.Random) -> SupportSet:
@@ -66,7 +132,7 @@ def reciprocal_suite(max_n: int, spec_count: int = 30, seed: int = DEFAULT_SEED)
         prods = product_coefficients(spec, max_n)
         recips = reciprocal_coefficients(spec, max_n)
         for n in range(max_n + 1):
-            conv = sum((prods[k] * recips[n - k] for k in range(n + 1)), Fraction(0))
+            conv = _convolve(prods, recips, n)
             expected = Fraction(1 if n == 0 else 0)
             rows.append(
                 IdentityReport(f"reciprocal#{i:02d}", n, conv == expected, str(conv), str(expected))
@@ -78,11 +144,11 @@ def euler_suite(max_n: int):
     """Triple agreement for p(n): closed sum, pentagonal recurrence, and
     the cardinality of the partition iterator."""
     # the only suite that uses the partition iterator
-    from .partitions import count_partitions, iter_partitions
+    from .partitions import iter_partitions, pentagonal_values
 
+    closed_sums = sequence("p", max_n, "faa")
     rows = []
-    for n, closed in enumerate(sequence("p", max_n, "faa")):
-        pent = count_partitions(n)
+    for n, (closed, pent) in enumerate(zip(closed_sums, pentagonal_values(max_n))):
         iterated = sum(1 for _ in iter_partitions(n))
         ok = closed == pent == iterated
         rows.append(

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bellforge import (
-    factorize,
-    indicator,
-    restricted_divisor_sum,
-    sigma,
-    sigma_via_factorization,
-)
+from bellforge import factorize, sigma, sigma_via_factorization
 from bellforge.supports import SupportSet
+from reference import indicator, restricted_divisor_sum
 
 
 def is_prime(n: int) -> bool:

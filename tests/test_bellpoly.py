@@ -6,13 +6,9 @@ import pytest
 
 from bellforge import (
     InconsistencyError,
-    divisor_power_sum,
     expand_product,
     index_additivity_report,
     iter_partitions,
-    log_weight,
-    log_weight_table,
-    partition_power_sum,
     product_coefficient,
     product_coefficients,
     ratio_coefficient,
@@ -38,6 +34,7 @@ from bellforge.partfun import (
 )
 from bellforge.supports import Factor, ProductSpec, SupportSet
 from bellforge.verify import random_product_spec
+from reference import divisor_power_sum, log_weight, log_weight_table, partition_power_sum
 
 F = Fraction
 ALL = SupportSet.all_naturals()
@@ -303,12 +300,12 @@ def test_ratio_matches_literal_partition_sum_random():
 
 def test_ratio_coefficients_are_one_recurrence(monkeypatch):
     # a ratio is one Bell recurrence on merged weights, with no convolution
-    from bellforge import bellpoly
+    from bellforge import verify
 
     def no_convolution(*args):
         raise AssertionError("the ratio path convolved two prefixes")
 
-    monkeypatch.setattr(bellpoly, "_convolve", no_convolution)
+    monkeypatch.setattr(verify, "_convolve", no_convolution)
     numer = spec_from_factors((SupportSet.multiples_of(2), F(2, 3), 2))
     denom = spec_from_factors((ALL, F(-1, 4), 1), (SupportSet.finite([3]), 1, -2))
     values = ratio_coefficients(numer, denom, 15)

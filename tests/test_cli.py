@@ -2,7 +2,7 @@ import itertools
 import json
 import sys
 import time
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 
@@ -195,6 +195,16 @@ def test_eval_huge_exponent_exits_2_before_work(capsys, tmp_path, method):
     assert err == (
         "bellforge: error: --max 5 on this spec needs more work than the budget of 1e+09 units\n"
     )
+
+
+def test_eval_huge_exponent_runs_on_the_closed_sum(capsys, tmp_path):
+    # the closed sum needs n(n+1)/2 steps on integers of about n log2(a) bits
+    path = spec_file(tmp_path, HUGE_EXPONENT)
+    code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "50", "--method", "faa")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert len(rows) == 52
+    assert rows[-1] == f"50,{comb(10**8 + 49, 50)}"
 
 
 @pytest.mark.parametrize("method", ["faa", "series", "both"])

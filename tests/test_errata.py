@@ -2,6 +2,8 @@ from fractions import Fraction
 
 from bellforge import cubic_partition_count, count_partitions
 from bellforge.errata import (
+    _PRINTED,
+    _transcription_prefix,
     build_report,
     printed_cubic,
     printed_triangular_theta,
@@ -9,6 +11,12 @@ from bellforge.errata import (
     render_markdown,
     transcription_sum,
 )
+from reference import partition_power_sum
+
+def literal_sum(n, coeff, weight=1):
+    """The transcription sum written out, one term per partition of ``n``."""
+    return partition_power_sum(n, [0] + [Fraction(weight) * coeff(j) for j in range(1, n + 1)])
+
 
 EXPECTED_NAMES = [
     "cubic",
@@ -78,10 +86,10 @@ def test_renderings():
 
 
 def test_transcription_column_is_the_literal_double_sums():
-    # each formula written out with one transcription_sum per term, as printed
+    # each formula written out with one literal partition sum per term, as printed
     from bellforge.arith import sigma
 
-    T = transcription_sum
+    T = literal_sum
 
     def sig_at(j, i):
         return sigma(j // i) if j % i == 0 else 0
@@ -129,3 +137,13 @@ def test_transcription_column_is_the_literal_double_sums():
         assert st.transcription == tuple(str(literal[st.name](n)) for n in range(9)), st.name
     assert printed_cubic(8) == literal["cubic"](8)
     assert printed_triangular_theta(8) == literal["triangular-theta"](8)
+
+
+def test_each_printed_sum_is_the_literal_partition_sum():
+    # the Bell recurrence in errata against the one-term-per-partition reference
+    sums = [s for _, right, _, left in _PRINTED.values() for s in (right, left) if s is not None]
+    assert len(sums) == 11
+    for coeff, weight in sums:
+        want = [literal_sum(m, coeff, weight) for m in range(31)]
+        assert _transcription_prefix(30, coeff, weight) == want
+        assert transcription_sum(30, coeff, weight) == want[30]

@@ -11,13 +11,12 @@ from bellforge import (
     FourFactorSpec,
     InconsistencyError,
     chan_product_coefficient,
-    count_partitions,
-    count_restricted_bruteforce,
     cubic_partition_count,
     four_factor_coefficient,
     kim_product_coefficient,
     overcubic_partition_count,
     partition_function,
+    pentagonal_values,
     ramanujan_phi_coefficient,
     ramanujan_psi_coefficient,
     restricted_partition_count,
@@ -28,12 +27,14 @@ from bellforge.bellpoly import clear_cache, reciprocal_coefficients
 from bellforge.partfun import PARTITION_PRODUCT, _as_count, ratio_series
 from bellforge.series import expand_ratio
 from bellforge.supports import SupportSet, spec_from_factors
+from reference import count_restricted_bruteforce
 
 
 def cubic_by_convolution(n):
     """Independent oracle: partitions times even-part partitions, where the
     even-part count of 2m is the plain partition count of m."""
-    return sum(count_partitions(m) * count_partitions(n - 2 * m) for m in range(n // 2 + 1))
+    p = pentagonal_values(n)
+    return sum(p[m] * p[n - 2 * m] for m in range(n // 2 + 1))
 
 
 def overcubic_by_convolution(n):
@@ -55,10 +56,11 @@ def test_partition_function_examples():
 
 
 def test_partition_function_routes_agree():
+    p = pentagonal_values(30)
     for n in range(31):
         faa = partition_function(n, method="faa")
         ser = partition_function(n, method="series")
-        assert faa == ser == count_partitions(n)
+        assert faa == ser == p[n]
 
 
 def test_restricted_partition_examples():
@@ -246,7 +248,7 @@ def convolve(u, v):
 def test_auto_is_the_closed_sum_at_every_n(monkeypatch):
     top = 200
     parts = [1, 2, 5, 10, 25]
-    p = [count_partitions(m) for m in range(top + 1)]
+    p = pentagonal_values(top)
     cubic = convolve(p, coin_counts(range(2, top + 1, 2), top))
     overcubic = convolve(cubic, coin_counts([m for m in range(1, top + 1) if m % 4], top))
     cases = (
@@ -370,7 +372,7 @@ def test_racing_requests_for_one_key_keep_the_longer_prefix(monkeypatch):
     shorter.join(60)
     assert not longer.is_alive() and not shorter.is_alive()
     assert longer_finished_first == [True]
-    want = [count_partitions(n) for n in range(3001)]
+    want = pentagonal_values(3000)
     assert results[3000] == want
     assert results[2000] == want[:2001]
 

@@ -1,12 +1,7 @@
 import pytest
 
-from bellforge import (
-    count_exact_parts,
-    count_partitions,
-    count_restricted_bruteforce,
-    iter_partitions,
-    pentagonal_values,
-)
+from bellforge import count_partitions, iter_partitions, pentagonal_values
+from reference import count_exact_parts, count_restricted_bruteforce
 
 
 def test_iter_partitions_base_cases():

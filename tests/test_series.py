@@ -342,12 +342,32 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
     monkeypatch.setattr(series, "_fold_binomial", recording_fold)
     monkeypatch.setattr(series, "_reciprocal", lambda u: record(reciprocal(u)))
     monkeypatch.setattr(series, "_cauchy", lambda u, v: record(cauchy(u, v)))
-    for numer, denom, top in probe_pairs():
+    for numer, denom, top in probe_pairs() + large_size_pairs():
+        # the series route folds one pass per unit of |a|
+        size = sum(abs(f.a) for side in (numer, denom) if side is not None for f in side.factors)
         for order in (0, 1, 2, 7, top):
             bits = kernel_size("faa", numer, denom, order)[1]
             assert bits == kernel_size("series", numer, denom, order)[1]
             seen.clear()
-            expand_ratio(numer, denom, order)
+            if size <= 1000:
+                expand_ratio(numer, denom, order)
             _, (_, weights, coeffs, _) = bellpoly._grow_bell(numer, denom, None, order)
             record(weights + coeffs)
             assert max(seen) <= bits, (numer, denom, order)
+
+
+def large_size_pairs():
+    """Ratios whose ``S = sum |a|`` is large against the order (up to 10^8 at
+    order 50), where ``B`` takes ``n log2 S + 3.71 sqrt n`` for the count."""
+    pairs = []
+    for a in (10**3, -(10**3), 10**5, 10**8, -(10**8)):
+        for support, z in (
+            (SupportSet.finite([1]), F(1)),
+            (SupportSet.finite([1, 3]), F(-2, 3)),
+            (SupportSet.all_naturals(), F(1)),
+        ):
+            spec = spec_from_factors((support, z, a))
+            pairs += [(spec, None, 50), (None, spec, 50)]
+    big = spec_from_factors((SupportSet.finite([1]), 1, 10**8))
+    pairs.append((big, spec_from_factors((SupportSet.multiples_of(2), F(1, 2), 10**5)), 50))
+    return pairs

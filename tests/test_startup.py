@@ -106,3 +106,20 @@ def test_unknown_names_and_dir():
     listed = dir(bellforge)
     assert "__all__" in listed and "__version__" in listed
     assert set(bellforge.__all__) <= set(listed)
+
+
+def test_test_only_oracles_are_not_exported():
+    import bellforge
+
+    removed = (
+        "partition_power_sum divisor_power_sum log_weight log_weight_table "
+        "count_exact_parts count_restricted_bruteforce restricted_divisor_sum indicator"
+    ).split()
+    for name in removed:
+        with pytest.raises(AttributeError):
+            getattr(bellforge, name)
+        assert name not in bellforge.__all__
+    assert len(bellforge.__all__) == 37
+    checks = "IdentityReport index_additivity_report set_additivity_report restricted_recursion_report"
+    for name in checks.split():
+        assert getattr(bellforge, name).__module__ == "bellforge.verify"
