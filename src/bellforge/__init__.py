@@ -18,18 +18,18 @@ __version__ = "1.0.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("arith", "factorize sigma sigma_via_factorization"),
+        ("divisors", "factorize sigma sigma_via_factorization"),
         (
             "bellpoly",
             "InconsistencyError product_coefficient product_coefficients ratio_coefficient "
             "ratio_coefficients reciprocal_coefficient reciprocal_coefficients work_estimate",
         ),
+        ("fourfactor", "FourFactorSpec four_factor_coefficient"),
         (
             "partfun",
-            "FourFactorSpec chan_product_coefficient cubic_partition_count "
-            "four_factor_coefficient kim_product_coefficient overcubic_partition_count "
-            "partition_function ramanujan_phi_coefficient ramanujan_psi_coefficient "
-            "ratio_series restricted_partition_count",
+            "chan_product_coefficient cubic_partition_count kim_product_coefficient "
+            "overcubic_partition_count partition_function ramanujan_phi_coefficient "
+            "ramanujan_psi_coefficient ratio_series restricted_partition_count",
         ),
         ("partitions", "count_partitions iter_partitions pentagonal_values"),
         ("series", "TruncatedSeries exp_log_expand expand_product expand_ratio"),

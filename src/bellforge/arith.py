@@ -1,15 +1,12 @@
-"""Exact integer arithmetic: argument checks, factorization, divisor sums.
+"""Argument checks shared by the package.
 
-Everything here is plain unbounded-``int`` arithmetic.  Exact rationals
-elsewhere in the package are ``fractions.Fraction`` values, which are always
-stored reduced with a positive denominator.
+Everything in the package is exact: unbounded ``int`` arithmetic, and
+``fractions.Fraction`` values, which are always stored reduced with a
+positive denominator.  Factorization and divisor sums are in
+:mod:`bellforge.divisors`.
 """
 
 from __future__ import annotations
-
-from math import comb
-
-Factorization = list[tuple[int, int]]
 
 
 def require_natural(n: int, name: str = "n") -> int:
@@ -25,58 +22,3 @@ def require_positive(n: int, name: str = "n") -> int:
     if n == 0:
         raise ValueError(f"{name} must be >= 1")
     return n
-
-
-def factorize(n: int) -> Factorization:
-    """Prime factorization of ``n >= 1`` by trial division.
-
-    Returns (prime, exponent) pairs with strictly increasing primes;
-    ``factorize(1)`` is the empty list.
-    """
-    require_positive(n)
-    pairs = []
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            e += 1
-            n //= d
-        if e:
-            pairs.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        pairs.append((n, 1))
-    return pairs
-
-
-def sigma(n: int) -> int:
-    """Sum of all positive divisors of ``n``, by direct enumeration."""
-    require_positive(n)
-    total = 0
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            total += i
-            j = n // i
-            if j != i:
-                total += j
-        i += 1
-    return total
-
-
-def sigma_via_factorization(pairs: Factorization) -> int:
-    """Divisor sum from a prime factorization, one alternating binomial sum
-    per prime power:
-
-        sigma(p^b) = sum_{k=0}^{floor(b/2)} (-1)^k C(b-k, k) p^k (1+p)^(b-2k)
-
-    The empty factorization gives 1.
-    """
-    total = 1
-    for p, b in pairs:
-        term = 0
-        for k in range(b // 2 + 1):
-            summand = comb(b - k, k) * p**k * (1 + p) ** (b - 2 * k)
-            term += -summand if k % 2 else summand
-        total *= term
-    return total

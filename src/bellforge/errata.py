@@ -5,8 +5,8 @@ divisor weights drop the factor ``r`` in multiples-of-``r`` divisor sums and
 whose sign/prefactor conventions are internally inconsistent.  This module
 evaluates those transcriptions as printed, next to the values forced by the
 generating products, and reports per formula where they first depart.  Each
-printed sum over partitions is evaluated exactly by the Bell recurrence that
-it satisfies, and each double sum as a convolution.  The product-form column
+printed sum over partitions is evaluated exactly, on integers, by the Bell
+recurrence that it satisfies, and each double sum as a convolution.  The product-form column
 is the ground truth; nothing here asserts what the transcriptions "should"
 give.
 """
@@ -14,13 +14,14 @@ give.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm
 from operator import mul
 
-from .arith import require_natural, sigma
+from .arith import require_natural
+from .bellpoly import bell_extend
+from .divisors import sigma
 from .partfun import sequence
 from .supports import Record
-
-_ZERO = Fraction(0)
 
 
 def transcription_sum(n: int, coeff, weight=1) -> Fraction:
@@ -34,18 +35,34 @@ def transcription_sum(n: int, coeff, weight=1) -> Fraction:
 
 
 def _transcription_prefix(n: int, coeff, weight) -> list[Fraction]:
-    """``transcription_sum(m, coeff, weight)`` for ``m = 0..n``.  With
-    ``w_j = weight * coeff(j)`` each sum is a complete Bell polynomial in the
-    ``w_j / j``, so ``m A_m = sum_{k=1..m} w_k A_{m-k}`` gives the prefix in
-    O(n^2) steps.  The ``w_j`` are not a product's weights, so ``A_m`` need
-    not be an integer: the recurrence runs on exact rationals."""
+    """``transcription_sum(m, coeff, weight)`` for ``m = 0..n``, from
+    :func:`_integer_prefixes`."""
+    scale, (sums,) = _integer_prefixes(n, (coeff, weight))
+    top = factorial(n)
+    return [Fraction(s, top * scale**m) for m, s in enumerate(sums)]
+
+
+def _integer_prefixes(n: int, *sums) -> tuple[int, list[list[int]]]:
+    """``(L, [[n! L^m A_m for m = 0..n] per sum])`` for transcription sums
+    given as ``(coeff, weight)``, all integers.  With ``w_j = weight * coeff(j)``
+    each ``A_m`` is a complete Bell polynomial in the ``w_j / j``, so
+    ``m A_m = sum_{k=1..m} w_k A_{m-k}``.  ``L`` is the lcm of the ``w_j``
+    denominators: the weights ``w_j L^j`` are integers, so ``m! L^m A_m`` is
+    one (a sum over permutations of cycle type ``k``), and started from
+    ``n!`` the recurrence divides exactly.  It is :func:`bellpoly.bell_extend`."""
     require_natural(n)
-    w = Fraction(weight)
-    weights = [w * Fraction(coeff(j)) for j in range(1, n + 1)]
-    sums = [Fraction(1)]
-    for m in range(1, n + 1):
-        sums.append(sum(map(mul, weights[:m], reversed(sums)), _ZERO) / m)
-    return sums
+    tables = [[Fraction(w) * Fraction(coeff(j)) for j in range(1, n + 1)] for coeff, w in sums]
+    scale = lcm(*(w.denominator for table in tables for w in table))
+    prefixes = []
+    for table in tables:
+        weights = [0] + [
+            w.numerator * (scale // w.denominator) * scale ** (j - 1)
+            for j, w in enumerate(table, 1)
+        ]
+        prefix = [factorial(n)]
+        bell_extend(prefix, weights, n)
+        prefixes.append(prefix)
+    return scale, prefixes
 
 
 def _sig_at(j: int, i: int) -> int:
@@ -90,17 +107,15 @@ _PRINTED = {
 
 def _printed_prefix(name: str, n: int) -> list[Fraction]:
     """Values ``0..n`` of a transcription: each of its sums is evaluated
-    once as a prefix, and the double sum is their convolution."""
-    require_natural(n)
+    once as an integer prefix, the double sum is their convolution, and each
+    value is one ``Fraction``."""
     c, right, d, left = _PRINTED[name]
-    rs = _transcription_prefix(n, *right)
     if left is None:
-        return [c * v for v in rs]
-    ls = _transcription_prefix(n, *left)
-    return [
-        c * rs[k] + d * sum((ls[m] * rs[k - m] for m in range(1, k + 1)), _ZERO)
-        for k in range(n + 1)
-    ]
+        return [c * v for v in _transcription_prefix(n, *right)]
+    scale, (rs, ls) = _integer_prefixes(n, right, left)
+    top = factorial(n)
+    doubles = [sum(map(mul, ls[1 : k + 1], rs[k - 1 :: -1])) for k in range(n + 1)]
+    return [Fraction(c * top * rs[k] + d * doubles[k], top**2 * scale**k) for k in range(n + 1)]
 
 
 def printed_cubic(n: int) -> Fraction:
@@ -262,3 +277,10 @@ def render_json(statuses) -> str:
         for st in statuses
     ]
     return json.dumps(payload, indent=2)
+
+
+def cmd_errata(args) -> int:
+    """The ``errata`` command: the report to ``--max``, as Markdown or JSON."""
+    report = build_report(args["max"])
+    print(render_markdown(report) if args["format"] == "md" else render_json(report))
+    return 0

@@ -6,7 +6,8 @@ A :class:`ProductSpec` describes a (possibly infinite) product
 
 with exact rational ``z`` and nonzero integer exponent ``a``.  The rest of
 the library extracts power-series coefficients of such products, of their
-reciprocals, and of ratios of two of them.
+reciprocals, and of ratios of two of them; :mod:`bellforge.specfile` reads
+and writes them as JSON.
 """
 
 from __future__ import annotations
@@ -147,30 +148,6 @@ class SupportSet(Record):
         found.sort()
         return found
 
-    def to_json(self) -> dict:
-        if self.kind == ALL:
-            return {"kind": "all"}
-        if self.kind == MULTIPLES:
-            return {"kind": "multiples", "r": self.r}
-        return {"kind": "finite", "set": list(self.members)}
-
-    @classmethod
-    def from_json(cls, obj) -> "SupportSet":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError("support must be an object with a 'kind' field")
-        kind = obj["kind"]
-        if not isinstance(kind, str) or kind not in _SUPPORT_KEYS:
-            raise ValueError(f"unknown support kind {kind!r}")
-        _reject_unknown(obj, _SUPPORT_KEYS[kind], f"{kind!r} support")
-        if kind == "all":
-            return cls.all_naturals()
-        if kind == "multiples":
-            return cls.multiples_of(_as_int(obj.get("r"), "r"))
-        members = obj.get("set")
-        if not isinstance(members, list):
-            raise ValueError("finite support needs a 'set' list")
-        return cls.finite(_as_int(m, "set member") for m in members)
-
 
 class Factor(Record):
     """One factor family ``prod_{m in support} (1 - z * t^m)^a``."""
@@ -189,27 +166,6 @@ class Factor(Record):
 
     def negated(self) -> "Factor":
         return Factor(self.support, self.z, -self.a)
-
-    def to_json(self) -> dict:
-        return {"support": self.support.to_json(), "z": str(self.z), "a": self.a}
-
-    @classmethod
-    def from_json(cls, obj) -> "Factor":
-        if not isinstance(obj, dict):
-            raise ValueError("factor must be an object")
-        _reject_unknown(obj, ("support", "z", "a"), "factor")
-        support = SupportSet.from_json(obj.get("support"))
-        z = obj.get("z", "1")
-        if isinstance(z, str):
-            try:
-                z = Fraction(z)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad rational {obj.get('z')!r}") from exc
-        elif isinstance(z, int) and not isinstance(z, bool):
-            z = Fraction(z)
-        else:
-            raise ValueError("z must be an integer or a 'p/q' string")
-        return cls(support, z, _as_int(obj.get("a"), "a"))
 
 
 class ProductSpec(Record):
@@ -233,51 +189,10 @@ class ProductSpec(Record):
         of two products scaled by the same ``L`` are integers ``c_n L^n``."""
         return lcm(*(f.z.denominator for f in self.factors))
 
-    def to_json(self) -> list:
-        return [f.to_json() for f in self.factors]
-
 
 def spec_from_factors(*triples) -> ProductSpec:
     """Build a ProductSpec from (support, z, a) triples."""
     return ProductSpec(tuple(Factor(s, z, a) for s, z, a in triples))
-
-
-def ratio_from_json(text: str) -> tuple[ProductSpec | None, ProductSpec | None]:
-    """Parse the ``{"numerator": [...], "denominator": [...]}`` spec format.
-
-    Either side may be empty (meaning the constant series 1).
-    """
-    import json
-
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ValueError("invalid JSON: nested too deeply") from exc
-    if not isinstance(obj, dict):
-        raise ValueError("spec file must contain a JSON object")
-    _reject_unknown(obj, ("numerator", "denominator"), "spec")
-
-    def side(name):
-        raw = obj.get(name, [])
-        if not isinstance(raw, list):
-            raise ValueError(f"{name} must be a list of factors")
-        if not raw:
-            return None
-        return ProductSpec(tuple(Factor.from_json(f) for f in raw))
-
-    return side("numerator"), side("denominator")
-
-
-# the keys a JSON support object may carry, by kind
-_SUPPORT_KEYS = {ALL: ("kind",), MULTIPLES: ("kind", "r"), FINITE: ("kind", "set")}
-
-
-def _reject_unknown(obj: dict, allowed, what: str) -> None:
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
 
 
 def _require_int(value, name) -> None:
@@ -285,9 +200,3 @@ def _require_int(value, name) -> None:
     rejected rather than coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {value!r}")
-
-
-def _as_int(value, name) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value

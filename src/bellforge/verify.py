@@ -14,13 +14,14 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from .arith import factorize, require_natural, sigma, sigma_via_factorization
+from .arith import require_natural
 from .bellpoly import (
     product_coefficient,
     product_coefficients,
     ratio_coefficient,
     reciprocal_coefficients,
 )
+from .divisors import factorize, sigma, sigma_via_factorization
 from .partfun import chan_product_coefficient, kim_product_coefficient, sequence
 from .supports import Factor, ProductSpec, Record, SupportSet
 
@@ -290,3 +291,21 @@ def run_suite(name: str, max_n: int | None = None):
     if name not in SUITES:
         raise ValueError(f"unknown identity {name!r}")
     return SUITES[name](max_n=DEFAULT_MAX[name] if max_n is None else max_n)
+
+
+def cmd_verify(args) -> int:
+    """The ``verify`` command: one line per check, then a summary line."""
+    from .cli import UsageError
+
+    name, max_n = args["identity"], args["max"]
+    rows = run_suite(name, max_n)
+    if not rows:
+        raise UsageError(f"--max {max_n} leaves the {name} suite with no checks")
+    failures = 0
+    for row in rows:
+        status = "pass" if row.ok else "fail"
+        print(f"{row.check} n={row.n} {status} lhs={row.lhs} rhs={row.rhs}")
+        failures += not row.ok
+    limit = DEFAULT_MAX[name] if max_n is None else max_n
+    print(f"# {name}: {len(rows) - failures}/{len(rows)} checks passed (max {limit})")
+    return 1 if failures else 0

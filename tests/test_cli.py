@@ -12,7 +12,7 @@ from bellforge.cli import SUITE_NAMES, WORK_BUDGET, main
 from bellforge.partfun import PARTITION_PRODUCT
 from bellforge.partitions import pentagonal_values
 from bellforge.series import exp_log_expand
-from bellforge.supports import ratio_from_json
+from bellforge.specfile import ratio_from_json
 
 
 def run_cli(capsys, *argv):

@@ -64,7 +64,7 @@ def test_cubic_transcription_differs_from_engine_at_two():
 def test_transcription_sum_weight_folding():
     # weight^(sum k_j) folds into the coefficients: with all-one coefficients
     # and weight 1 the sum over partitions of sigma-weights gives p(n)
-    from bellforge.arith import sigma
+    from bellforge.divisors import sigma
 
     for n in range(12):
         assert transcription_sum(n, sigma) == count_partitions(n)
@@ -87,7 +87,7 @@ def test_renderings():
 
 def test_transcription_column_is_the_literal_double_sums():
     # each formula written out with one literal partition sum per term, as printed
-    from bellforge.arith import sigma
+    from bellforge.divisors import sigma
 
     T = literal_sum
 
@@ -147,3 +147,18 @@ def test_each_printed_sum_is_the_literal_partition_sum():
         want = [literal_sum(m, coeff, weight) for m in range(31)]
         assert _transcription_prefix(30, coeff, weight) == want
         assert transcription_sum(30, coeff, weight) == want[30]
+
+
+def test_rational_weights_scale_to_integers():
+    # the denominators of weight * coeff(j) are cleared by their lcm before the recurrence
+    from bellforge.divisors import sigma
+
+    cases = (
+        (sigma, Fraction(-3, 2)),
+        (lambda j: Fraction(j, 3), 1),
+        (lambda j: Fraction(1, j), Fraction(2, 5)),
+    )
+    for coeff, weight in cases:
+        want = [literal_sum(m, coeff, weight) for m in range(13)]
+        assert _transcription_prefix(12, coeff, weight) == want
+        assert transcription_sum(12, coeff, weight) == want[12]

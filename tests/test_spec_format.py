@@ -3,13 +3,15 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bellforge.cli import main
-from bellforge.supports import Factor, ProductSpec, SupportSet, ratio_from_json
+from bellforge.specfile import ratio_from_json, spec_to_json
+from bellforge.supports import Factor, ProductSpec, SupportSet
 
 supports = st.one_of(
     st.just(SupportSet.all_naturals()),
@@ -24,8 +26,8 @@ sides = st.one_of(st.none(), st.lists(factors, min_size=1, max_size=4).map(Produ
 
 def document(numer, denom) -> dict:
     return {
-        "numerator": [] if numer is None else numer.to_json(),
-        "denominator": [] if denom is None else denom.to_json(),
+        "numerator": [] if numer is None else spec_to_json(numer),
+        "denominator": [] if denom is None else spec_to_json(denom),
     }
 
 
@@ -47,6 +49,8 @@ SPOILERS = (
     + [("support", {"kind": "all", "r": 1}), ("support", {"kind": "finite", "set": [1], "r": 1})]
     + [("support", bad) for bad in NOT_AN_OBJECT]
     + [("z", bad) for bad in (None, True, False, 1.5, [], {}, "abc", "1/0", "", "1/2/3")]
+    # only [+-]digits[/digits] in ASCII: Fraction would expand "1e-20000000" for seconds
+    + [("z", bad) for bad in ("0.5", "1e3", "1e-20000000", "1_000", " 1/2 ", "1/ 2", "1/-2", "+-1", "\u0661", "0x10")]
     + [("a", bad) for bad in (None, True, False, 0, 1.5, "1", [], {})]
     + [("extra", 1)]
 )
@@ -93,3 +97,15 @@ def assert_rejected(path, text: str) -> None:
     assert err.getvalue().startswith("bellforge: error: bad spec file")
     assert len(err.getvalue().splitlines()) == 1
 
+
+
+@pytest.mark.parametrize("z", ["0.5", "1e3", "1e-20000000", "1_000", " 1/2 ", "١"])
+def test_z_strings_outside_the_documented_forms_are_rejected(spec_path, z):
+    assert_rejected(spec_path, json.dumps({"denominator": [{"support": {"kind": "all"}, "z": z, "a": 1}]}))
+
+
+@pytest.mark.parametrize("z, value", [("-3", -3), ("+1/2", Fraction(1, 2)), ("007/0014", Fraction(1, 2))])
+def test_z_strings_in_the_documented_forms_are_exact(z, value):
+    text = json.dumps({"numerator": [{"support": {"kind": "all"}, "z": z, "a": 1}]})
+    numer, _ = ratio_from_json(text)
+    assert numer.factors[0].z == value

@@ -31,6 +31,10 @@ sys.exit(code)
 HEAVY = {"dataclasses", "inspect", "bellforge.errata"}
 # the series route and the partition iterator, unused by the closed sum
 SERIES_ROUTE = {"bellforge.series", "bellforge.partitions"}
+# the argparse parser and what it imports, needed only for help and errors
+ARGPARSE = {"argparse", "gettext", "locale"}
+# loaded by other commands only, or by none
+OTHER_COMMANDS = {"bellforge.specfile", "bellforge.bench", "bellforge.fourfactor", "bellforge.divisors"}
 
 
 def run_child(*args):
@@ -50,15 +54,58 @@ def loaded_by(*argv):
 def test_seq_loads_neither_suites_nor_json():
     loaded = loaded_by("seq", "p", "--max", "1")
     assert "bellforge.cli" in loaded
-    assert not loaded & (HEAVY | SERIES_ROUTE | {"bellforge.verify", "json"})
+    assert not loaded & (HEAVY | SERIES_ROUTE | ARGPARSE | OTHER_COMMANDS | {"bellforge.verify", "json"})
+
+
+def test_seq_compiles_under_900_lines():
+    # every request compiles its modules when no bytecode cache is written
+    code = """
+import runpy, sys
+sys.argv = ["bellforge", "seq", "p", "--max", "1"]
+try:
+    runpy.run_module("bellforge", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+for name in sorted(m for m in sys.modules if m.startswith("bellforge")):
+    with open(sys.modules[name].__file__, encoding="utf-8") as fh:
+        print(name, len(fh.readlines()), file=sys.stderr)
+"""
+    sizes = dict(line.split() for line in run_child("-c", code).stderr.splitlines())
+    assert set(sizes) == {f"bellforge{m}" for m in ("", ".cli", ".arith", ".supports", ".bellpoly", ".partfun")}
+    assert sum(map(int, sizes.values())) < 900, sizes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seq", "cubic", "--max", "5", "--format", "json"),
+        ("seq", "w", "--max", "4", "--parts", "1,2"),
+        ("eval", "--spec", "SPEC", "--max", "5", "--method", "both"),
+        ("verify", "sigma", "--max", "3"),
+        ("verify", "chan"),
+        ("errata", "--max", "2", "--format", "json"),
+    ],
+)
+def test_well_formed_requests_never_import_argparse(argv, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"denominator": [{"support": {"kind": "all"}, "z": "1/2", "a": 1}]}))
+    loaded = loaded_by(*(str(spec) if arg == "SPEC" else arg for arg in argv))
+    assert not loaded & ARGPARSE
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("seq", "--help")])
+def test_help_still_comes_from_argparse(argv):
+    proc = run_child("-c", CHILD, *argv)
+    assert proc.stdout.startswith("usage: bellforge")
+    assert ARGPARSE <= set(proc.stderr.splitlines()[-1].split())
 
 
 def test_closed_sum_requests_load_no_series_route(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"denominator": [{"support": {"kind": "all"}, "z": "1/2", "a": 1}]}))
     loaded = loaded_by("eval", "--spec", str(spec), "--max", "5", "--method", "faa")
-    assert "bellforge.bellpoly" in loaded
-    assert not loaded & (HEAVY | SERIES_ROUTE | {"bellforge.verify"})
+    assert "bellforge.bellpoly" in loaded and "bellforge.specfile" in loaded
+    assert not loaded & (HEAVY | SERIES_ROUTE | {"bellforge.verify", "bellforge.bench", "bellforge.fourfactor"})
     loaded = loaded_by("verify", "additivity-set", "--max", "3")
     assert "bellforge.verify" in loaded
     assert not loaded & (HEAVY | SERIES_ROUTE)
