@@ -87,66 +87,61 @@ def _overcubic_prog_coeff(j):
     return 8 * sigma(j) + 3 * _sig_at(j, 2)
 
 
+# name -> (description, the product-form values 0..n, the transcription).
 # Every transcription reads  c R(n) + d sum_{m=1..n} L(m) R(n-m),  where R and
-# L are transcription sums given by (coeff, weight); per formula the entry is
-# (c, R, d, L), with L None for a single sum.
-_PRINTED = {
-    "cubic": (1, (_cubic_coeff, -1), 1, None),
-    "cubic-progression": (3, (_cubic_coeff, 4), 3, (_chan_inner_coeff, -3)),
-    "overcubic": (1, (_overcubic_coeff, 1), 1, (lambda j: _sig_at(j, 4), -1)),
-    "overcubic-progression": (
-        6,
-        (_overcubic_prog_coeff, 1),
-        1,
-        (lambda j: -6 * _sig_at(j, 3) - 3 * _sig_at(j, 4), 1),
+# L are transcription sums given by (coeff, weight); it is listed as
+# (c, R, d, L), with L None for a single sum.  The overcubic progression's
+# prefactor 6 sits on the first sum only, as displayed.
+_FORMULAS = {
+    "cubic": (
+        "two-color partition count a(n)",
+        lambda n: sequence("cubic", n, "series"),
+        (1, (_cubic_coeff, -1), 1, None),
     ),
-    "triangular-theta": (1, (sigma, 1), 1, (lambda j: _sig_at(j, 2), -2)),
-    "square-theta": (1, (lambda j: sigma(j) + _sig_at(j, 4), 2), 1, (lambda j: _sig_at(j, 2), -5)),
+    "cubic-progression": (
+        "a(3n+2), indexed by n",
+        lambda n: sequence("cubic", 3 * n + 2, "series")[2::3],
+        (3, (_cubic_coeff, 4), 3, (_chan_inner_coeff, -3)),
+    ),
+    "overcubic": (
+        "overcubic partition count abar(n)",
+        lambda n: sequence("overcubic", n, "series"),
+        (1, (_overcubic_coeff, 1), 1, (lambda j: _sig_at(j, 4), -1)),
+    ),
+    "overcubic-progression": (
+        "abar(3n+2), indexed by n",
+        lambda n: sequence("overcubic", 3 * n + 2, "series")[2::3],
+        (6, (_overcubic_prog_coeff, 1), 1, (lambda j: -6 * _sig_at(j, 3) - 3 * _sig_at(j, 4), 1)),
+    ),
+    "triangular-theta": (
+        "triangular-number indicator psi*(n)",
+        lambda n: sequence("psi-star", n, "series"),
+        (1, (sigma, 1), 1, (lambda j: _sig_at(j, 2), -2)),
+    ),
+    "square-theta": (
+        "doubled square indicator phi*(n)",
+        lambda n: sequence("phi-star", n, "series"),
+        (1, (lambda j: sigma(j) + _sig_at(j, 4), 2), 1, (lambda j: _sig_at(j, 2), -5)),
+    ),
 }
+
+
+def printed(name: str, n: int) -> Fraction:
+    """The transcription ``name`` of :data:`_FORMULAS` at ``n``, as printed."""
+    return _printed_prefix(name, n)[n]
 
 
 def _printed_prefix(name: str, n: int) -> list[Fraction]:
     """Values ``0..n`` of a transcription: each of its sums is evaluated
     once as an integer prefix, the double sum is their convolution, and each
     value is one ``Fraction``."""
-    c, right, d, left = _PRINTED[name]
+    c, right, d, left = _FORMULAS[name][2]
     if left is None:
         return [c * v for v in _transcription_prefix(n, *right)]
     scale, (rs, ls) = _integer_prefixes(n, right, left)
     top = factorial(n)
     doubles = [sum(map(mul, ls[1 : k + 1], rs[k - 1 :: -1])) for k in range(n + 1)]
     return [Fraction(c * top * rs[k] + d * doubles[k], top**2 * scale**k) for k in range(n + 1)]
-
-
-def printed_cubic(n: int) -> Fraction:
-    """As-printed closed sum for the two-color partition count a(n)."""
-    return _printed_prefix("cubic", n)[n]
-
-
-def printed_cubic_progression(n: int) -> Fraction:
-    """As-printed closed sum for a(3n+2)."""
-    return _printed_prefix("cubic-progression", n)[n]
-
-
-def printed_overcubic(n: int) -> Fraction:
-    """As-printed closed sum for the overcubic count abar(n)."""
-    return _printed_prefix("overcubic", n)[n]
-
-
-def printed_overcubic_progression(n: int) -> Fraction:
-    """As-printed closed sum for abar(3n+2); the prefactor 6 sits on the
-    first sum only, as displayed."""
-    return _printed_prefix("overcubic-progression", n)[n]
-
-
-def printed_triangular_theta(n: int) -> Fraction:
-    """As-printed closed sum for the triangular-number indicator."""
-    return _printed_prefix("triangular-theta", n)[n]
-
-
-def printed_square_theta(n: int) -> Fraction:
-    """As-printed closed sum for the doubled square indicator."""
-    return _printed_prefix("square-theta", n)[n]
 
 
 class FormulaStatus(Record):
@@ -177,46 +172,12 @@ class FormulaStatus(Record):
         )
 
 
-_FORMULAS = (
-    (
-        "cubic",
-        "two-color partition count a(n)",
-        lambda n: sequence("cubic", n, "series"),
-    ),
-    (
-        "cubic-progression",
-        "a(3n+2), indexed by n",
-        lambda n: sequence("cubic", 3 * n + 2, "series")[2::3],
-    ),
-    (
-        "overcubic",
-        "overcubic partition count abar(n)",
-        lambda n: sequence("overcubic", n, "series"),
-    ),
-    (
-        "overcubic-progression",
-        "abar(3n+2), indexed by n",
-        lambda n: sequence("overcubic", 3 * n + 2, "series")[2::3],
-    ),
-    (
-        "triangular-theta",
-        "triangular-number indicator psi*(n)",
-        lambda n: sequence("psi-star", n),
-    ),
-    (
-        "square-theta",
-        "doubled square indicator phi*(n)",
-        lambda n: sequence("phi-star", n),
-    ),
-)
-
-
 def build_report(max_n: int = 8) -> list[FormulaStatus]:
     """Evaluate all transcriptions for ``n = 0..max_n`` and compare."""
     require_natural(max_n, "max_n")
     ns = tuple(range(max_n + 1))
     statuses = []
-    for name, description, reference in _FORMULAS:
+    for name, (description, reference, _) in _FORMULAS.items():
         ref = [Fraction(v) for v in reference(max_n)]
         got = _printed_prefix(name, max_n)
         first = next((n for n in ns if ref[n] != got[n]), None)
@@ -264,18 +225,7 @@ def render_markdown(statuses) -> str:
 def render_json(statuses) -> str:
     import json
 
-    payload = [
-        {
-            "name": st.name,
-            "description": st.description,
-            "checked_n": list(st.checked_n),
-            "product_form": list(st.product_form),
-            "transcription": list(st.transcription),
-            "agrees": st.agrees,
-            "first_mismatch": st.first_mismatch,
-        }
-        for st in statuses
-    ]
+    payload = [dict(zip(FormulaStatus._fields, st._values())) for st in statuses]
     return json.dumps(payload, indent=2)
 
 

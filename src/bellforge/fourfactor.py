@@ -2,23 +2,23 @@
 
 :class:`FourFactorSpec` is a shorthand for the ratios of the classical
 theta and cubic generating functions; :func:`four_factor_coefficient`
-evaluates one on either route of :mod:`bellforge.partfun`.
+evaluates one by the closed sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .partfun import _prefix
-from .supports import ProductSpec, Record, SupportSet, spec_from_factors
+from .partfun import route_prefix
+from .supports import ProductSpec, Record, SupportSet, _require_int, spec_from_factors
 
 
 class FourFactorSpec(Record):
     """Up to two multiples-of factors above and two below the line:
     ``prod (1-t^{r1 m})^{a1} (1-t^{r2 m})^{a2} /
     [prod (1-t^{s1 m})^{b1} (1-t^{s2 m})^{b2}]``.
-    A slot with modulus ``None`` is absent; present slots need modulus >= 1
-    and exponent >= 1.
+    A slot with modulus ``None`` is absent; a present slot needs an ``int``
+    modulus and exponent, each >= 1.
     """
 
     _fields = ("r1", "a1", "r2", "a2", "s1", "b1", "s2", "b2")
@@ -42,6 +42,8 @@ class FourFactorSpec(Record):
         ):
             if r is None:
                 continue
+            _require_int(r, f"{name} modulus")
+            _require_int(e, f"{name} exponent")
             if r < 1 or e < 1:
                 raise ValueError(f"{name}: modulus and exponent must be >= 1")
         self._assign(r1, a1, r2, a2, s1, b1, s2, b2)
@@ -60,7 +62,7 @@ def _multiples_spec(*slots) -> ProductSpec | None:
     return spec_from_factors(*triples) if triples else None
 
 
-def four_factor_coefficient(n: int, spec: FourFactorSpec, method: str = "auto") -> Fraction:
+def four_factor_coefficient(n: int, spec: FourFactorSpec) -> Fraction:
     """Exact ``t^n`` coefficient of the four-factor quotient.  Returned as a
     rational: arbitrary exponent choices need not give integer coefficients."""
-    return _prefix(spec.numerator(), spec.denominator(), n, method)[n]
+    return route_prefix(spec.numerator(), spec.denominator(), n, "faa")[n]

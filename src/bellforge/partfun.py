@@ -8,15 +8,14 @@ Each function here is the coefficient sequence of a fixed quotient of
   the numerator's weights minus the denominator's,
 * ``"series"``: expansion of the product ratio (:mod:`bellforge.series`).
 
-Both keep their prefixes in the one cache of :func:`bellpoly.cached_prefix`;
-the per-``n`` functions slice a prefix, :func:`sequence` asks for it once.
-
-The default ``method="auto"`` is the closed sum at every ``n``: the
-recurrence costs O(n) integer operations per new ``n``, so no size needs the
-series route.  The theta coefficient functions default to the series route,
-so that their defining checks exercise the oracle.  All named counts must
-come out as nonnegative integers; anything else raises
-:class:`InconsistencyError` since it can only mean an internal defect.
+:func:`route_prefix` is the one map from a route name to its evaluator; both
+routes keep their prefixes in the one cache of :func:`bellpoly.cached_prefix`.
+The recurrence costs O(n) integer operations per new ``n``, so the named
+counts take the closed sum and only :func:`sequence`, whose callers check the
+routes against each other, takes a route; the Chan and Kim product quotients
+stay on the series route.  All named counts must come out as nonnegative
+integers; anything else raises :class:`InconsistencyError` since it can only
+mean an internal defect.
 """
 
 from __future__ import annotations
@@ -87,44 +86,45 @@ def _grow_series(numer, denom, cached, order):
     return order, expand_ratio(numer, denom, order)
 
 
-def _prefix(numer, denom, n, method) -> list[Fraction]:
-    """Coefficients ``0..n`` of numer/denom; ``"auto"`` is the closed sum."""
+def route_prefix(numer, denom, n: int, method: str) -> list[Fraction]:
+    """Coefficients ``0..n`` of numer/denom on the route ``method``:
+    ``"faa"`` (the closed sum) or ``"series"`` (the oracle)."""
     require_natural(n)
-    if method in ("auto", "faa"):
+    if method == "faa":
         return ratio_coefficients(numer, denom, n)
     if method == "series":
         return list(ratio_series(numer, denom, n).coeffs[: n + 1])
-    raise ValueError(f"method must be 'faa', 'series' or 'auto', got {method!r}")
+    raise ValueError(f"method must be 'faa' or 'series', got {method!r}")
 
 
-# name -> (numerator, denominator, default method) of the named count
-# sequences; the denominator of "w" is the product over its parts list
+# name -> (numerator, denominator) of the named count sequences; the
+# denominator of "w" is the product over its parts list
 SEQUENCES = {
-    "p": (None, PARTITION_PRODUCT, "auto"),
-    "w": (None, None, "auto"),
-    "cubic": (None, CUBIC_PRODUCT, "auto"),
-    "overcubic": (OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR, "auto"),
-    "psi-star": (PSI_NUMERATOR, PSI_DENOMINATOR, "series"),
-    "phi-star": (PHI_NUMERATOR, PHI_DENOMINATOR, "series"),
+    "p": (None, PARTITION_PRODUCT),
+    "w": (None, None),
+    "cubic": (None, CUBIC_PRODUCT),
+    "overcubic": (OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR),
+    "psi-star": (PSI_NUMERATOR, PSI_DENOMINATOR),
+    "phi-star": (PHI_NUMERATOR, PHI_DENOMINATOR),
 }
 
 
-def sequence(name: str, n: int, method: str | None = None, parts=None) -> list[int]:
-    """Values ``0..n`` of a named sequence from one prefix request, on
-    ``method`` or the sequence's default route; ``"w"`` needs ``parts``."""
+def sequence(name: str, n: int, method: str = "faa", parts=None) -> list[int]:
+    """Values ``0..n`` of a named sequence from one prefix request on the
+    route ``method``; ``"w"`` needs ``parts``."""
     prefix = _named_prefix(name, n, method, parts)
     return [_as_count(v, f"{name}({m})") for m, v in enumerate(prefix)]
 
 
-def _count(name: str, n: int, method: str, parts=None) -> int:
-    return _as_count(_named_prefix(name, n, method, parts)[n], f"{name}({n})")
+def _count(name: str, n: int, parts=None) -> int:
+    return _as_count(_named_prefix(name, n, "faa", parts)[n], f"{name}({n})")
 
 
 def _named_prefix(name, n, method, parts) -> list[Fraction]:
-    numer, denom, default = SEQUENCES[name]
+    numer, denom = SEQUENCES[name]
     if name == "w":
         denom = restricted_product(parts)
-    return _prefix(numer, denom, n, method or default)
+    return route_prefix(numer, denom, n, method)
 
 
 def _as_count(value: Fraction, what: str) -> int:
@@ -133,54 +133,53 @@ def _as_count(value: Fraction, what: str) -> int:
     return int(value)
 
 
-def partition_function(n: int, method: str = "auto") -> int:
-    """p(n): partitions of ``n``, from the reciprocal of ``prod (1 - t^m)``.
-
-    On the closed-sum route this is the sum over partitions of
-    ``prod (1/k_j!) (sigma(j)/j)^{k_j}``, which must collapse to an integer.
+def partition_function(n: int) -> int:
+    """p(n): partitions of ``n``, from the reciprocal of ``prod (1 - t^m)``:
+    the sum over partitions of ``prod (1/k_j!) (sigma(j)/j)^{k_j}``, which
+    must collapse to an integer.
     """
-    return _count("p", n, method)
+    return _count("p", n)
 
 
-def restricted_partition_count(n: int, parts, method: str = "auto") -> int:
+def restricted_partition_count(n: int, parts) -> int:
     """Partitions of ``n`` into parts from a distinct positive list."""
-    return _count("w", n, method, parts)
+    return _count("w", n, parts)
 
 
-def cubic_partition_count(n: int, method: str = "auto") -> int:
+def cubic_partition_count(n: int) -> int:
     """a(n): partitions of ``n`` where even parts come in two colors."""
-    return _count("cubic", n, method)
+    return _count("cubic", n)
 
 
 def chan_product_coefficient(n: int) -> int:
     """Three times the ``t^n`` coefficient of Chan's product quotient;
     equals ``a(3n+2)``.  Series route only, so the identity check against
     :func:`cubic_partition_count` compares two independent expansions."""
-    value = 3 * ratio_series(CHAN_NUMERATOR, CHAN_DENOMINATOR, n).coefficient(n)
+    value = 3 * route_prefix(CHAN_NUMERATOR, CHAN_DENOMINATOR, n, "series")[n]
     return _as_count(value, f"chan({n})")
 
 
-def overcubic_partition_count(n: int, method: str = "auto") -> int:
+def overcubic_partition_count(n: int) -> int:
     """abar(n): overlined variant of the cubic partitions, generated by
     ``prod (1-t^{4m}) / [prod (1-t^m)^2 prod (1-t^{2m})]``."""
-    return _count("overcubic", n, method)
+    return _count("overcubic", n)
 
 
 def kim_product_coefficient(n: int) -> int:
     """Six times the ``t^n`` coefficient of Kim's product quotient;
     equals ``abar(3n+2)``.  Series route only, as for Chan."""
-    value = 6 * ratio_series(KIM_NUMERATOR, KIM_DENOMINATOR, n).coefficient(n)
+    value = 6 * route_prefix(KIM_NUMERATOR, KIM_DENOMINATOR, n, "series")[n]
     return _as_count(value, f"kim({n})")
 
 
-def ramanujan_psi_coefficient(n: int, method: str = "series") -> int:
+def ramanujan_psi_coefficient(n: int) -> int:
     """Coefficient of ``t^n`` in ``prod (1-t^{2m})^2 / prod (1-t^m)``:
     1 when ``n`` is a triangular number, else 0."""
-    return _count("psi-star", n, method)
+    return _count("psi-star", n)
 
 
-def ramanujan_phi_coefficient(n: int, method: str = "series") -> int:
+def ramanujan_phi_coefficient(n: int) -> int:
     """Coefficient of ``t^n`` in
     ``prod (1-t^{2m})^5 / [prod (1-t^m)^2 prod (1-t^{4m})^2]``:
     2 when ``n`` is a positive square, 1 at ``n = 0``, else 0."""
-    return _count("phi-star", n, method)
+    return _count("phi-star", n)

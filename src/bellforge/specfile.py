@@ -13,9 +13,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .bellpoly import ratio_coefficients, work_estimate
+from .bellpoly import work_estimate
 from .cli import UsageError, check_work
-from .partfun import ratio_series
+from .partfun import route_prefix
 from .supports import ALL, FINITE, MULTIPLES, Factor, ProductSpec, SupportSet
 
 # the keys a JSON support object may carry, by kind
@@ -139,19 +139,18 @@ def cmd_eval(args) -> int:
     work = sum(work_estimate(route, numer, denom, n_max) for route in routes)
     check_work(f"--max {n_max} on this spec", work)
 
-    faa = ratio_coefficients(numer, denom, n_max) if "faa" in routes else None
-    series = ratio_series(numer, denom, n_max).coeffs[: n_max + 1] if "series" in routes else None
+    columns = [route_prefix(numer, denom, n_max, route) for route in routes]
     # the budget bounds every value's bits: print past the digit limit (main restores it)
     getattr(sys, "set_int_max_str_digits", int)(0)
-    if args["method"] != "both":
+    if len(columns) == 1:
         print("n,value")
-        for n, value in enumerate(faa or series):
+        for n, value in enumerate(columns[0]):
             print(f"{n},{value}")
         return 0
 
     mismatched = False
     print("n,faa,series,agree")
-    for n, (left, right) in enumerate(zip(faa, series)):
+    for n, (left, right) in enumerate(zip(*columns)):
         agree = left == right
         mismatched |= not agree
         print(f"{n},{left},{right},{str(agree).lower()}")

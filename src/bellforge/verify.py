@@ -22,7 +22,14 @@ from .bellpoly import (
     reciprocal_coefficients,
 )
 from .divisors import factorize, sigma, sigma_via_factorization
-from .partfun import chan_product_coefficient, kim_product_coefficient, sequence
+from .partfun import (
+    CHAN_DENOMINATOR,
+    CHAN_NUMERATOR,
+    KIM_DENOMINATOR,
+    KIM_NUMERATOR,
+    route_prefix,
+    sequence,
+)
 from .supports import Factor, ProductSpec, Record, SupportSet
 
 DEFAULT_SEED = 1103
@@ -172,25 +179,27 @@ def sigma_suite(max_n: int):
 
 def chan_suite(max_n: int):
     """a(3n+2) equals Chan's product value and is divisible by 3."""
-    cubic = sequence("cubic", 3 * max_n + 2, "series")
-    rows = []
-    for n in range(max_n + 1):
-        lhs = cubic[3 * n + 2]
-        rhs = chan_product_coefficient(n)
-        ok = lhs == rhs and lhs % 3 == 0
-        rows.append(IdentityReport("chan", n, ok, f"a({3 * n + 2})={lhs}", f"3*coeff={rhs}"))
-    return rows
+    return _progression_suite("chan", "cubic", "a", CHAN_NUMERATOR, CHAN_DENOMINATOR, 3, max_n)
 
 
 def kim_suite(max_n: int):
     """abar(3n+2) equals Kim's product value and is divisible by 6."""
-    overcubic = sequence("overcubic", 3 * max_n + 2, "series")
+    return _progression_suite("kim", "overcubic", "abar", KIM_NUMERATOR, KIM_DENOMINATOR, 6, max_n)
+
+
+def _progression_suite(check, name, label, numer, denom, multiple, max_n):
+    """``name(3n+2)`` equals ``multiple`` times the ``t^n`` coefficient of
+    numer/denom and is divisible by ``multiple``; both sides on the series
+    route, each from one prefix."""
+    counts = sequence(name, 3 * max_n + 2, "series")
+    quotient = route_prefix(numer, denom, max_n, "series")
     rows = []
     for n in range(max_n + 1):
-        lhs = overcubic[3 * n + 2]
-        rhs = kim_product_coefficient(n)
-        ok = lhs == rhs and lhs % 6 == 0
-        rows.append(IdentityReport("kim", n, ok, f"abar({3 * n + 2})={lhs}", f"6*coeff={rhs}"))
+        lhs, rhs = counts[3 * n + 2], multiple * quotient[n]
+        ok = lhs == rhs and lhs % multiple == 0
+        rows.append(
+            IdentityReport(check, n, ok, f"{label}({3 * n + 2})={lhs}", f"{multiple}*coeff={rhs}")
+        )
     return rows
 
 
@@ -240,13 +249,13 @@ def restricted_recursion_suite(max_n: int, list_count: int = 30, seed: int = DEF
 
 
 def theta_suite(max_n: int):
-    """The two theta quotients must reduce to the triangular-number
-    indicator and the doubled square indicator."""
+    """The two theta quotients, expanded on the series route, must reduce to
+    the triangular-number indicator and the doubled square indicator."""
     rows = []
-    for n, got in enumerate(sequence("psi-star", max_n)):
+    for n, got in enumerate(sequence("psi-star", max_n, "series")):
         want = 1 if _is_triangular(n) else 0
         rows.append(IdentityReport("theta-psi", n, got == want, str(got), str(want)))
-    for n, got in enumerate(sequence("phi-star", max_n)):
+    for n, got in enumerate(sequence("phi-star", max_n, "series")):
         if n == 0:
             want = 1
         else:

@@ -28,7 +28,7 @@ from bellforge import (
     sigma_via_factorization,
 )
 from bellforge.errata import build_report
-from bellforge.partfun import OVERCUBIC_DENOMINATOR, OVERCUBIC_NUMERATOR, ratio_series
+from bellforge.partfun import OVERCUBIC_DENOMINATOR, OVERCUBIC_NUMERATOR, ratio_series, sequence
 from bellforge.verify import (
     index_additivity_suite,
     random_product_spec,
@@ -74,11 +74,12 @@ def test_c02_reciprocal_identity():
 
 def test_c03_triple_agreement_partition_function():
     def body():
-        assert partition_function(10, method="faa") == 42
-        assert partition_function(20, method="faa") == 627
+        closed_sums = sequence("p", 60, "faa")
+        assert closed_sums[10] == 42
+        assert closed_sums[20] == 627
         pents = pentagonal_values(60)
         for n in range(61):
-            closed = partition_function(n, method="faa")
+            closed = closed_sums[n]
             pent = pents[n]
             iterated = sum(1 for _ in iter_partitions(n))
             assert closed == pent == iterated
@@ -91,8 +92,10 @@ def test_c04_restricted_counts_and_recursion():
         rng = random.Random(404)
         for _ in range(30):
             parts = rng.sample(range(1, 9), rng.randint(2, 5))
+            closed_sums = sequence("w", 40, "faa", parts)
             for n in range(41):
-                closed = restricted_partition_count(n, parts, method="faa")
+                closed = closed_sums[n]
+                assert closed == restricted_partition_count(n, parts)
                 assert closed == count_restricted_bruteforce(n, parts)
                 assert restricted_recursion_report(n, parts).ok
 
@@ -106,8 +109,9 @@ def test_c05_cubic_and_chan():
         for n in range(41):
             convolution = sum(p[m] * p[n - 2 * m] for m in range(n // 2 + 1))
             assert cubic_partition_count(n) == convolution
+        cubic = sequence("cubic", 62, "series")
         for n in range(21):
-            value = cubic_partition_count(3 * n + 2, method="series")
+            value = cubic[3 * n + 2]
             assert value == chan_product_coefficient(n)
             assert value % 3 == 0
 
@@ -116,9 +120,11 @@ def test_c05_cubic_and_chan():
 
 def test_c06_overcubic_and_kim():
     def body():
+        overcubic = sequence("overcubic", 62, "series")
         for n in range(21):
-            value = overcubic_partition_count(3 * n + 2, method="series")
+            value = overcubic[3 * n + 2]
             assert value == kim_product_coefficient(n)
+            assert value == overcubic_partition_count(3 * n + 2)
             assert value % 6 == 0
         # closed-sum route agrees with the series quotient at desk scale
         quotient = ratio_series(OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR, 18)
@@ -181,22 +187,22 @@ def test_c10_errata_report():
 def test_c11_closed_sum_partition_function_to_1000():
     def body():
         p = pentagonal_values(1000)
+        assert sequence("p", 1000, "faa") == p
         for n in range(1001):
-            assert partition_function(n, method="faa") == p[n]
+            assert partition_function(n) == p[n]
 
     run_criterion("criterion 11: closed sum p(n) == pentagonal recurrence, n<=1000", 1, body)
 
 
 def test_c12_series_route_to_1000():
     def body():
-        p = pentagonal_values(1000)
-        for n in range(1001):
-            assert partition_function(n, method="series") == p[n]
+        assert sequence("p", 1000, "series") == pentagonal_values(1000)
         triangulars = {k * (k + 1) // 2 for k in range(25)}
         squares = {k * k for k in range(1, 18)}
+        psi, phi = (sequence(name, 300, "series") for name in ("psi-star", "phi-star"))
         for n in range(301):
-            assert ramanujan_psi_coefficient(n) == (1 if n in triangulars else 0)
+            assert psi[n] == (1 if n in triangulars else 0)
             want = 1 if n == 0 else (2 if n in squares else 0)
-            assert ramanujan_phi_coefficient(n) == want
+            assert phi[n] == want
 
     run_criterion("criterion 12: series route p(n) to 1000, theta indicators to 300", 1, body)

@@ -1,12 +1,13 @@
+import json
 from fractions import Fraction
 
 from bellforge import cubic_partition_count, count_partitions
 from bellforge.errata import (
-    _PRINTED,
+    _FORMULAS,
+    FormulaStatus,
     _transcription_prefix,
     build_report,
-    printed_cubic,
-    printed_triangular_theta,
+    printed,
     render_json,
     render_markdown,
     transcription_sum,
@@ -58,7 +59,7 @@ def test_report_product_form_column_is_ground_truth():
 def test_cubic_transcription_differs_from_engine_at_two():
     # the report must be able to show a divergence for the cubic formula;
     # the exact transcription value is recorded, not asserted
-    assert printed_cubic(2) != cubic_partition_count(2)
+    assert printed("cubic", 2) != cubic_partition_count(2)
 
 
 def test_transcription_sum_weight_folding():
@@ -72,7 +73,7 @@ def test_transcription_sum_weight_folding():
 
 def test_transcription_double_sum_shape():
     # the two-block transcriptions reduce to plain sums at n = 0
-    assert printed_triangular_theta(0) == 1
+    assert printed("triangular-theta", 0) == 1
 
 
 def test_renderings():
@@ -83,6 +84,13 @@ def test_renderings():
     assert "product form" in md
     js = render_json(report)
     assert '"first_mismatch"' in js and '"agrees"' in js
+    # one object per status, its fields in order, tuples as arrays
+    objects = json.loads(js)
+    assert [list(obj) for obj in objects] == [list(FormulaStatus._fields)] * len(report)
+    cubic = objects[0]
+    assert cubic["name"] == "cubic" and cubic["checked_n"] == [0, 1, 2, 3, 4]
+    assert cubic["product_form"] == list(report[0].product_form)
+    assert cubic["first_mismatch"] == report[0].first_mismatch
 
 
 def test_transcription_column_is_the_literal_double_sums():
@@ -135,13 +143,13 @@ def test_transcription_column_is_the_literal_double_sums():
     assert [st.name for st in report] == list(literal)
     for st in report:
         assert st.transcription == tuple(str(literal[st.name](n)) for n in range(9)), st.name
-    assert printed_cubic(8) == literal["cubic"](8)
-    assert printed_triangular_theta(8) == literal["triangular-theta"](8)
+    for name, value in literal.items():
+        assert printed(name, 8) == value(8), name
 
 
 def test_each_printed_sum_is_the_literal_partition_sum():
     # the Bell recurrence in errata against the one-term-per-partition reference
-    sums = [s for _, right, _, left in _PRINTED.values() for s in (right, left) if s is not None]
+    sums = [s for *_, (_, right, _, left) in _FORMULAS.values() for s in (right, left) if s is not None]
     assert len(sums) == 11
     for coeff, weight in sums:
         want = [literal_sum(m, coeff, weight) for m in range(31)]

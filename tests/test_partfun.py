@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -24,7 +25,8 @@ from bellforge import (
 )
 from bellforge import bellpoly, partfun, series
 from bellforge.bellpoly import clear_cache, reciprocal_coefficients
-from bellforge.partfun import PARTITION_PRODUCT, _as_count, ratio_series
+from bellforge.cli import main
+from bellforge.partfun import PARTITION_PRODUCT, SEQUENCES, _as_count, ratio_series, sequence
 from bellforge.series import expand_ratio
 from bellforge.supports import SupportSet, spec_from_factors
 from reference import count_restricted_bruteforce
@@ -57,10 +59,8 @@ def test_partition_function_examples():
 
 def test_partition_function_routes_agree():
     p = pentagonal_values(30)
-    for n in range(31):
-        faa = partition_function(n, method="faa")
-        ser = partition_function(n, method="series")
-        assert faa == ser == p[n]
+    assert sequence("p", 30, "faa") == sequence("p", 30, "series") == p
+    assert [partition_function(n) for n in range(31)] == p
 
 
 def test_restricted_partition_examples():
@@ -72,19 +72,21 @@ def test_restricted_partition_examples():
 
 def test_restricted_partition_rejects_bool_and_float_parts():
     for parts in ([True, 2], [1.5, 2]):
+        with pytest.raises(TypeError):
+            restricted_partition_count(3, parts)
         for method in ("faa", "series"):
             with pytest.raises(TypeError):
-                restricted_partition_count(3, parts, method=method)
+                sequence("w", 3, method, parts)
 
 
 def test_restricted_partition_matches_bruteforce():
     rng = random.Random(31)
     for _ in range(12):
         parts = rng.sample(range(1, 9), rng.randint(1, 4))
+        faa, ser = (sequence("w", 24, method, parts) for method in ("faa", "series"))
         for n in range(0, 25, 3):
             want = count_restricted_bruteforce(n, parts)
-            assert restricted_partition_count(n, parts, method="faa") == want
-            assert restricted_partition_count(n, parts, method="series") == want
+            assert restricted_partition_count(n, parts) == faa[n] == ser[n] == want
 
 
 def test_cubic_examples():
@@ -95,10 +97,9 @@ def test_cubic_examples():
 
 
 def test_cubic_matches_convolution_oracle():
-    for n in range(26):
-        want = cubic_by_convolution(n)
-        assert cubic_partition_count(n, method="faa") == want
-        assert cubic_partition_count(n, method="series") == want
+    want = [cubic_by_convolution(n) for n in range(26)]
+    assert sequence("cubic", 25, "faa") == sequence("cubic", 25, "series") == want
+    assert [cubic_partition_count(n) for n in range(26)] == want
 
 
 def test_chan_identity_small():
@@ -118,10 +119,9 @@ def test_overcubic_small_values():
 
 
 def test_overcubic_matches_convolution_oracle():
-    for n in range(19):
-        want = overcubic_by_convolution(n)
-        assert overcubic_partition_count(n, method="faa") == want
-        assert overcubic_partition_count(n, method="series") == want
+    want = [overcubic_by_convolution(n) for n in range(19)]
+    assert sequence("overcubic", 18, "faa") == sequence("overcubic", 18, "series") == want
+    assert [overcubic_partition_count(n) for n in range(19)] == want
 
 
 def test_kim_identity_small():
@@ -159,19 +159,23 @@ def test_theta_phi_is_doubled_square_indicator():
 
 
 def test_theta_routes_agree():
-    for n in range(31):
-        assert ramanujan_psi_coefficient(n) == ramanujan_psi_coefficient(n, method="faa")
-        assert ramanujan_phi_coefficient(n) == ramanujan_phi_coefficient(n, method="faa")
+    for name, fn in (("psi-star", ramanujan_psi_coefficient), ("phi-star", ramanujan_phi_coefficient)):
+        closed = sequence(name, 30, "faa")
+        assert closed == sequence(name, 30, "series")
+        assert [fn(n) for n in range(31)] == closed
 
 
 def test_named_functions_integral_and_nonnegative():
     parts = [2, 3, 7]
+    for name in SEQUENCES:
+        for value in sequence(name, 40, "series", parts if name == "w" else None):
+            assert isinstance(value, int) and value >= 0
     for n in range(41):
         for value in (
-            partition_function(n, method="series"),
-            restricted_partition_count(n, parts, method="series"),
-            cubic_partition_count(n, method="series"),
-            overcubic_partition_count(n, method="series"),
+            partition_function(n),
+            restricted_partition_count(n, parts),
+            cubic_partition_count(n),
+            overcubic_partition_count(n),
             ramanujan_psi_coefficient(n),
             ramanujan_phi_coefficient(n),
         ):
@@ -184,9 +188,10 @@ def test_four_factor_psi_reproduction():
     assert four_factor_coefficient(0, spec) == 1
     assert four_factor_coefficient(1, spec) == 1
     folded = FourFactorSpec(r1=2, a1=2, s1=1, b1=1)
+    psi = sequence("psi-star", 20, "series")
     for n in range(21):
         value = four_factor_coefficient(n, spec)
-        assert value == ramanujan_psi_coefficient(n)
+        assert value == psi[n] == ramanujan_psi_coefficient(n)
         assert value == four_factor_coefficient(n, folded)
 
 
@@ -245,21 +250,26 @@ def convolve(u, v):
     return [sum(u[k] * v[m - k] for k in range(m + 1)) for m in range(len(u))]
 
 
-def test_auto_is_the_closed_sum_at_every_n(monkeypatch):
+def test_per_n_functions_take_the_closed_sum_at_every_n(monkeypatch, capsys):
     top = 200
     parts = [1, 2, 5, 10, 25]
     p = pentagonal_values(top)
     cubic = convolve(p, coin_counts(range(2, top + 1, 2), top))
     overcubic = convolve(cubic, coin_counts([m for m in range(1, top + 1) if m % 4], top))
+    triangulars = {k * (k + 1) // 2 for k in range(21)}
+    psi = [int(n in triangulars) for n in range(top + 1)]
+    phi = [1] + [2 * (isqrt(n) ** 2 == n) for n in range(1, top + 1)]
     cases = (
         (partition_function, p),
         (cubic_partition_count, cubic),
         (overcubic_partition_count, overcubic),
-        (lambda n, **kw: restricted_partition_count(n, parts, **kw), coin_counts(parts, top)),
+        (lambda n: restricted_partition_count(n, parts), coin_counts(parts, top)),
+        (ramanujan_psi_coefficient, psi),
+        (ramanujan_phi_coefficient, phi),
     )
 
     def no_series(*args):
-        raise AssertionError("auto took the series route")
+        raise AssertionError("a per-n function took the series route")
 
     assert not hasattr(bellforge, "faa_cap")
     # the removed size switch's environment variable changes nothing
@@ -268,10 +278,31 @@ def test_auto_is_the_closed_sum_at_every_n(monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(partfun, "ratio_series", no_series)
             for fn, want in cases:
-                assert fn(100, method="auto") == want[100]
                 assert [fn(n) for n in range(top + 1)] == want
-    with pytest.raises(ValueError):
-        partition_function(1, method="fast")
+            spec = FourFactorSpec(r1=2, a1=2, s1=1, b1=1)
+            assert [four_factor_coefficient(n, spec) for n in range(top + 1)] == psi
+            for name, want in (("psi-star", psi), ("phi-star", phi)):
+                assert main(["seq", name, "--max", str(top)]) == 0
+                rows = capsys.readouterr().out.splitlines()
+                assert rows == ["n,value"] + [f"{n},{v}" for n, v in enumerate(want)]
+
+
+def test_per_n_functions_take_no_route():
+    spec = FourFactorSpec(s1=1)
+    calls = (
+        lambda **kw: partition_function(3, **kw),
+        lambda **kw: restricted_partition_count(3, [1, 2], **kw),
+        lambda **kw: cubic_partition_count(3, **kw),
+        lambda **kw: overcubic_partition_count(3, **kw),
+        lambda **kw: ramanujan_psi_coefficient(3, **kw),
+        lambda **kw: ramanujan_phi_coefficient(3, **kw),
+        lambda **kw: four_factor_coefficient(3, spec, **kw),
+    )
+    for call in calls:
+        call()
+        for method in ("faa", "series", "auto"):
+            with pytest.raises(TypeError):
+                call(method=method)
 
 
 def test_count_guard_rejects_non_integral():
@@ -293,14 +324,16 @@ def test_sequence_is_the_per_n_functions_as_one_prefix():
         ("phi-star", {}, ramanujan_phi_coefficient),
     )
     for name, extra, fn in cases:
+        want = [fn(n) for n in range(41)]
+        assert sequence(name, 40, **extra) == want
         for method in ("faa", "series"):
-            want = [fn(n, method=method) for n in range(41)]
-            assert partfun.sequence(name, 40, method, **extra) == want
-        assert partfun.sequence(name, 40, **extra) == [fn(n) for n in range(41)]
-    with pytest.raises(ValueError):
-        partfun.sequence("p", 3, "fast")
+            assert sequence(name, 40, method, **extra) == want
+        # "auto" was a second spelling of the closed sum; it is gone
+        for method in ("auto", "fast", None):
+            with pytest.raises(ValueError):
+                sequence(name, 3, method, **extra)
     with pytest.raises(KeyError):
-        partfun.sequence("q", 3)
+        sequence("q", 3)
 
 
 def _signal_on_extend(monkeypatch, hook):

@@ -178,6 +178,12 @@ def test_constructor_validation():
         (ValueError, lambda: ProductSpec(())),
         (ValueError, lambda: FourFactorSpec(r1=0)),
         (ValueError, lambda: FourFactorSpec(s2=3, b2=0)),
+        (TypeError, lambda: FourFactorSpec(r1=True)),
+        (TypeError, lambda: FourFactorSpec(r1=2.0)),
+        (TypeError, lambda: FourFactorSpec(r1=2, a1=2.5)),
+        (TypeError, lambda: FourFactorSpec(r2=2, a2=False)),
+        (TypeError, lambda: FourFactorSpec(s1=1.0, b1=1)),
+        (TypeError, lambda: FourFactorSpec(s2=4, b2=True)),
     ]
     for error, build in cases:
         with pytest.raises(error):

@@ -294,7 +294,7 @@ def probe_pairs():
     specs = kernel_specs()
     pairs = list(zip(specs[::2], specs[1::2])) + [(None, s) for s in specs[:30:3]]
     pairs += [(s, None) for s in specs[1:30:3]]
-    pairs += [(numer, denom) for numer, denom, _ in partfun.SEQUENCES.values() if denom is not None]
+    pairs += [(numer, denom) for numer, denom in partfun.SEQUENCES.values() if denom is not None]
     pairs += [(partfun.CHAN_NUMERATOR, partfun.CHAN_DENOMINATOR)]
     pairs += [(partfun.KIM_NUMERATOR, partfun.KIM_DENOMINATOR)]
     rational_z = spec_from_factors(

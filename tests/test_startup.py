@@ -57,6 +57,14 @@ def test_seq_loads_neither_suites_nor_json():
     assert not loaded & (HEAVY | SERIES_ROUTE | ARGPARSE | OTHER_COMMANDS | {"bellforge.verify", "json"})
 
 
+@pytest.mark.parametrize("name", ["psi-star", "phi-star"])
+def test_theta_sequences_take_the_closed_sum(name):
+    # every named sequence runs the closed sum; only verify and errata ask for the oracle
+    loaded = loaded_by("seq", name, "--max", "1")
+    assert "bellforge.bellpoly" in loaded
+    assert not loaded & (SERIES_ROUTE | ARGPARSE | OTHER_COMMANDS)
+
+
 def test_seq_compiles_under_900_lines():
     # every request compiles its modules when no bytecode cache is written
     code = """
