@@ -29,7 +29,7 @@ _EXPORTS = {
             "partfun",
             "chan_product_coefficient cubic_partition_count kim_product_coefficient "
             "overcubic_partition_count partition_function ramanujan_phi_coefficient "
-            "ramanujan_psi_coefficient ratio_series restricted_partition_count",
+            "ramanujan_psi_coefficient restricted_partition_count",
         ),
         ("partitions", "count_partitions iter_partitions pentagonal_values"),
         ("series", "TruncatedSeries exp_log_expand expand_product expand_ratio"),

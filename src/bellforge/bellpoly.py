@@ -13,10 +13,10 @@ has weights ``f``'s minus ``g``'s.  Being a complete Bell polynomial in the
 ``w_j / j``, the sum obeys ``n c_n = sum_{k=1..n} w_k c_{n-k}`` (Comtet,
 1974, ch. 3), which :func:`ratio_coefficients` runs on whole prefixes; the
 literal sum, one term per partition, is kept only as the tests' reference.
-:func:`cached_prefix` is the one prefix cache of both routes and
-:func:`work_estimate` the price of a request, checked before it runs.
-Everything is exact and independently checkable against
-:mod:`bellforge.series`.
+It keeps the program's one prefix cache, which :func:`clear_cache` empties,
+and :func:`work_estimate` prices a request before it runs.  Everything is
+exact and independently checkable against :mod:`bellforge.series`, which
+shares no state with this module.
 """
 
 from __future__ import annotations
@@ -49,34 +49,12 @@ def bell_extend(coeffs: list[int], weights: list[int], n: int) -> None:
 
 
 _cache_lock = threading.Lock()
-# (route, numer, denom) -> (order, entry); an entry is never mutated once published
+# (numer, denom) -> (L, weights, A_m, c_m); an entry is never mutated once published
 _cache: dict[tuple, tuple] = {}
 
 
-def cached_prefix(route: str, numer, denom, n: int, grow):
-    """The cached entry of ``route`` for ``numer/denom``, covering order ``n``.
-
-    On a miss ``grow(numer, denom, entry, n)`` returns ``(order, new_entry)``
-    with ``order >= n``, built from the cached ``entry`` (``None`` if there is
-    none) without mutating it.  The lock is held only to read and to publish,
-    so a request never waits on another's computation; when two requests for
-    one key race, both compute and the longer entry is kept and returned.
-    """
-    key = (route, numer, denom)
-    with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None and hit[0] >= n:
-        return hit[1]
-    fresh = grow(numer, denom, None if hit is None else hit[1], n)
-    with _cache_lock:
-        hit = _cache.get(key)
-        if hit is None or hit[0] < fresh[0]:
-            hit = _cache[key] = fresh
-    return hit[1]
-
-
 def clear_cache() -> None:
-    """Drop every cached prefix of both routes; the next request starts cold."""
+    """Drop every cached closed-sum prefix; the next request starts cold."""
     with _cache_lock:
         _cache.clear()
 
@@ -144,8 +122,18 @@ def ratio_coefficients(
     Bell recurrence evaluates it; with ``L`` the lcm of all z denominators the
     weights ``w_k L^k`` and ``A_m = c_m L^m`` are integers."""
     require_natural(n)
-    values = cached_prefix("faa", numer, denom, n, _grow_bell)[3]
-    return values[: n + 1]
+    key = (numer, denom)
+    # the lock is held only to read and to publish, so a request never waits
+    # on another's computation; of two racing requests the longer prefix wins
+    with _cache_lock:
+        entry = _cache.get(key)
+    if entry is None or len(entry[3]) <= n:
+        fresh = _grow_bell(numer, denom, entry, n)
+        with _cache_lock:
+            entry = _cache.get(key)
+            if entry is None or len(entry[3]) < len(fresh[3]):
+                entry = _cache[key] = fresh
+    return entry[3][: n + 1]
 
 
 def _grow_bell(numer, denom, entry, n):
@@ -159,7 +147,7 @@ def _grow_bell(numer, denom, entry, n):
     coeffs = coeffs.copy()
     bell_extend(coeffs, weights, n)
     values = values + [Fraction(coeffs[m], scale**m) for m in range(len(values), n + 1)]
-    return n, (scale, weights, coeffs, values)
+    return scale, weights, coeffs, values
 
 
 def _scaled_weight(k: int, factors, scale: int) -> int:

@@ -17,8 +17,9 @@ class FourFactorSpec(Record):
     """Up to two multiples-of factors above and two below the line:
     ``prod (1-t^{r1 m})^{a1} (1-t^{r2 m})^{a2} /
     [prod (1-t^{s1 m})^{b1} (1-t^{s2 m})^{b2}]``.
-    A slot with modulus ``None`` is absent; a present slot needs an ``int``
-    modulus and exponent, each >= 1.
+    Every exponent is an ``int`` >= 1, and so is the modulus of a present
+    slot.  A slot with modulus ``None`` is absent and stores exponent 1, so
+    one quotient is one record.
     """
 
     _fields = ("r1", "a1", "r2", "a2", "s1", "b1", "s2", "b2")
@@ -34,19 +35,24 @@ class FourFactorSpec(Record):
         s2: int | None = None,
         b2: int = 1,
     ):
+        slots = []
         for r, e, name in (
             (r1, a1, "numerator 1"),
             (r2, a2, "numerator 2"),
             (s1, b1, "denominator 1"),
             (s2, b2, "denominator 2"),
         ):
-            if r is None:
-                continue
-            _require_int(r, f"{name} modulus")
             _require_int(e, f"{name} exponent")
-            if r < 1 or e < 1:
-                raise ValueError(f"{name}: modulus and exponent must be >= 1")
-        self._assign(r1, a1, r2, a2, s1, b1, s2, b2)
+            if e < 1:
+                raise ValueError(f"{name}: exponent must be >= 1")
+            if r is None:
+                e = 1
+            else:
+                _require_int(r, f"{name} modulus")
+                if r < 1:
+                    raise ValueError(f"{name}: modulus must be >= 1")
+            slots += (r, e)
+        self._assign(*slots)
 
     def numerator(self) -> ProductSpec | None:
         return _multiples_spec((self.r1, self.a1), (self.r2, self.a2))

@@ -8,12 +8,14 @@ Each function here is the coefficient sequence of a fixed quotient of
   the numerator's weights minus the denominator's,
 * ``"series"``: expansion of the product ratio (:mod:`bellforge.series`).
 
-:func:`route_prefix` is the one map from a route name to its evaluator; both
-routes keep their prefixes in the one cache of :func:`bellpoly.cached_prefix`.
-The recurrence costs O(n) integer operations per new ``n``, so the named
-counts take the closed sum and only :func:`sequence`, whose callers check the
-routes against each other, takes a route; the Chan and Kim product quotients
-stay on the series route.  All named counts must come out as nonnegative
+:func:`route_prefix` is the one map from a route name to its evaluator.
+Only the closed sum keeps state, the one prefix cache of
+:mod:`bellforge.bellpoly`; the series oracle is a pure function of the
+quotient and the order, so the two routes share nothing.  The recurrence
+costs O(n) integer operations per new ``n``, so the named counts take the
+closed sum and only :func:`sequence`, whose callers check the routes against
+each other, takes a route; the Chan and Kim product quotients stay on the
+series route, and a loop over their per-``n`` functions re-expands each time.  All named counts must come out as nonnegative
 integers; anything else raises :class:`InconsistencyError` since it can only
 mean an internal defect.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import require_natural
-from .bellpoly import InconsistencyError, cached_prefix, ratio_coefficients
+from .bellpoly import InconsistencyError, ratio_coefficients
 from .supports import ProductSpec, SupportSet, spec_from_factors
 
 _ALL = SupportSet.all_naturals()
@@ -61,31 +63,6 @@ def restricted_product(parts) -> ProductSpec:
     return spec_from_factors((SupportSet.finite(parts), 1, 1))
 
 
-def ratio_series(
-    numer: ProductSpec | None, denom: ProductSpec | None, order: int
-) -> TruncatedSeries:
-    """Cached :func:`series.expand_ratio` of numerator/denominator to at
-    least ``order``, as a :class:`series.TruncatedSeries`.
-
-    A miss expands to ``order``; a request past the cached order re-expands
-    to ``max(order, 2 * cached order)``, so a loop over ``n = 0..N`` costs
-    O(log N) expansions rather than one per ``n``.  The returned series may
-    therefore be longer than requested; coefficients up to the requested
-    order are unaffected by the truncation point.
-    """
-    require_natural(order, "order")
-    return cached_prefix("series", numer, denom, order, _grow_series)
-
-
-def _grow_series(numer, denom, cached, order):
-    # imported here so that closed-sum requests never load the series route
-    from .series import expand_ratio
-
-    if cached is not None:
-        order = max(order, 2 * cached.order)
-    return order, expand_ratio(numer, denom, order)
-
-
 def route_prefix(numer, denom, n: int, method: str) -> list[Fraction]:
     """Coefficients ``0..n`` of numer/denom on the route ``method``:
     ``"faa"`` (the closed sum) or ``"series"`` (the oracle)."""
@@ -93,7 +70,10 @@ def route_prefix(numer, denom, n: int, method: str) -> list[Fraction]:
     if method == "faa":
         return ratio_coefficients(numer, denom, n)
     if method == "series":
-        return list(ratio_series(numer, denom, n).coeffs[: n + 1])
+        # imported here so that closed-sum requests never load the series route
+        from .series import expand_ratio
+
+        return list(expand_ratio(numer, denom, n).coeffs)
     raise ValueError(f"method must be 'faa' or 'series', got {method!r}")
 
 
@@ -111,7 +91,7 @@ SEQUENCES = {
 
 def sequence(name: str, n: int, method: str = "faa", parts=None) -> list[int]:
     """Values ``0..n`` of a named sequence from one prefix request on the
-    route ``method``; ``"w"`` needs ``parts``."""
+    route ``method``; ``"w"`` needs ``parts`` and no other name takes them."""
     prefix = _named_prefix(name, n, method, parts)
     return [_as_count(v, f"{name}({m})") for m, v in enumerate(prefix)]
 
@@ -123,7 +103,11 @@ def _count(name: str, n: int, parts=None) -> int:
 def _named_prefix(name, n, method, parts) -> list[Fraction]:
     numer, denom = SEQUENCES[name]
     if name == "w":
+        if parts is None:
+            raise ValueError("sequence 'w' needs a parts list")
         denom = restricted_product(parts)
+    elif parts is not None:
+        raise ValueError(f"a parts list applies only to sequence 'w', not {name!r}")
     return route_prefix(numer, denom, n, method)
 
 

@@ -33,6 +33,10 @@ from .partfun import (
 from .supports import Factor, ProductSpec, Record, SupportSet
 
 DEFAULT_SEED = 1103
+# instances per randomized suite: random specs, additivity pairs, parts lists
+SPEC_COUNT = 30
+INSTANCES = 20
+LIST_COUNT = 30
 
 _ZERO = Fraction(0)
 _Z_CHOICES = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
@@ -130,12 +134,12 @@ def random_product_spec(rng: random.Random, max_factors: int = 3) -> ProductSpec
     )
 
 
-def reciprocal_suite(max_n: int, spec_count: int = 30, seed: int = DEFAULT_SEED):
+def reciprocal_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Convolving product and reciprocal coefficients must give the unit
     sequence: ``sum_k P_k W_{n-k} == [n == 0]``."""
     rng = random.Random(seed)
     rows = []
-    for i in range(spec_count):
+    for i in range(SPEC_COUNT):
         spec = random_product_spec(rng)
         prods = product_coefficients(spec, max_n)
         recips = reciprocal_coefficients(spec, max_n)
@@ -203,12 +207,12 @@ def _progression_suite(check, name, label, numer, denom, multiple, max_n):
     return rows
 
 
-def index_additivity_suite(max_n: int, instances: int = 20, seed: int = DEFAULT_SEED):
+def index_additivity_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Adding exponent vectors over a fixed factor family must convolve
     the coefficient sequences."""
     rng = random.Random(seed)
     rows = []
-    for _ in range(instances):
+    for _ in range(INSTANCES):
         size = rng.randint(1, 3)
         base = [(random_support(rng), rng.choice(_Z_CHOICES)) for _ in range(size)]
         a_index = [rng.choice(_A_CHOICES) for _ in range(size)]
@@ -217,11 +221,11 @@ def index_additivity_suite(max_n: int, instances: int = 20, seed: int = DEFAULT_
     return rows
 
 
-def set_additivity_suite(max_n: int, instances: int = 20, seed: int = DEFAULT_SEED):
+def set_additivity_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Merging two factor families must convolve the coefficient sequences."""
     rng = random.Random(seed)
     rows = []
-    for _ in range(instances):
+    for _ in range(INSTANCES):
         spec_a = random_product_spec(rng)
         spec_b = ProductSpec(
             tuple(
@@ -237,11 +241,11 @@ def set_additivity_suite(max_n: int, instances: int = 20, seed: int = DEFAULT_SE
     return rows
 
 
-def restricted_recursion_suite(max_n: int, list_count: int = 30, seed: int = DEFAULT_SEED):
+def restricted_recursion_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Dropping the last allowed part: W(n,d) - W(n-last,d) == W(n,d[:-1])."""
     rng = random.Random(seed)
     rows = []
-    for _ in range(list_count):
+    for _ in range(LIST_COUNT):
         parts = rng.sample(range(1, 9), rng.randint(2, 5))
         n = rng.randint(0, max_n)
         rows.append(restricted_recursion_report(n, parts))
@@ -270,28 +274,17 @@ def _is_triangular(n: int) -> bool:
     return root * root == 8 * n + 1
 
 
+# name -> (suite, default --max)
 SUITES = {
-    "reciprocal": reciprocal_suite,
-    "euler": euler_suite,
-    "sigma": sigma_suite,
-    "chan": chan_suite,
-    "kim": kim_suite,
-    "additivity-index": index_additivity_suite,
-    "additivity-set": set_additivity_suite,
-    "restricted-recursion": restricted_recursion_suite,
-    "theta": theta_suite,
-}
-
-DEFAULT_MAX = {
-    "reciprocal": 20,
-    "euler": 60,
-    "sigma": 10_000,
-    "chan": 20,
-    "kim": 20,
-    "additivity-index": 12,
-    "additivity-set": 12,
-    "restricted-recursion": 40,
-    "theta": 100,
+    "reciprocal": (reciprocal_suite, 20),
+    "euler": (euler_suite, 60),
+    "sigma": (sigma_suite, 10_000),
+    "chan": (chan_suite, 20),
+    "kim": (kim_suite, 20),
+    "additivity-index": (index_additivity_suite, 12),
+    "additivity-set": (set_additivity_suite, 12),
+    "restricted-recursion": (restricted_recursion_suite, 40),
+    "theta": (theta_suite, 100),
 }
 
 
@@ -299,7 +292,8 @@ def run_suite(name: str, max_n: int | None = None):
     """Run one named suite; ``max_n`` falls back to the suite default."""
     if name not in SUITES:
         raise ValueError(f"unknown identity {name!r}")
-    return SUITES[name](max_n=DEFAULT_MAX[name] if max_n is None else max_n)
+    suite, default = SUITES[name]
+    return suite(max_n=default if max_n is None else max_n)
 
 
 def cmd_verify(args) -> int:
@@ -307,6 +301,8 @@ def cmd_verify(args) -> int:
     from .cli import UsageError
 
     name, max_n = args["identity"], args["max"]
+    if max_n is None:
+        max_n = SUITES[name][1]
     rows = run_suite(name, max_n)
     if not rows:
         raise UsageError(f"--max {max_n} leaves the {name} suite with no checks")
@@ -315,6 +311,5 @@ def cmd_verify(args) -> int:
         status = "pass" if row.ok else "fail"
         print(f"{row.check} n={row.n} {status} lhs={row.lhs} rhs={row.rhs}")
         failures += not row.ok
-    limit = DEFAULT_MAX[name] if max_n is None else max_n
-    print(f"# {name}: {len(rows) - failures}/{len(rows)} checks passed (max {limit})")
+    print(f"# {name}: {len(rows) - failures}/{len(rows)} checks passed (max {max_n})")
     return 1 if failures else 0

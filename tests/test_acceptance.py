@@ -28,7 +28,7 @@ from bellforge import (
     sigma_via_factorization,
 )
 from bellforge.errata import build_report
-from bellforge.partfun import OVERCUBIC_DENOMINATOR, OVERCUBIC_NUMERATOR, ratio_series, sequence
+from bellforge.partfun import OVERCUBIC_DENOMINATOR, OVERCUBIC_NUMERATOR, route_prefix, sequence
 from bellforge.verify import (
     index_additivity_suite,
     random_product_spec,
@@ -65,7 +65,7 @@ def test_c01_closed_sum_matches_series_oracle():
 
 def test_c02_reciprocal_identity():
     def body():
-        rows = reciprocal_suite(max_n=20, spec_count=30, seed=202)
+        rows = reciprocal_suite(max_n=20, seed=202)
         assert len(rows) == 30 * 21
         assert all(row.ok for row in rows)
 
@@ -127,12 +127,9 @@ def test_c06_overcubic_and_kim():
             assert value == overcubic_partition_count(3 * n + 2)
             assert value % 6 == 0
         # closed-sum route agrees with the series quotient at desk scale
-        quotient = ratio_series(OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR, 18)
+        quotient = route_prefix(OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR, 18, "series")
         for n in range(19):
-            assert (
-                ratio_coefficient(n, OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR)
-                == quotient.coefficient(n)
-            )
+            assert ratio_coefficient(n, OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR) == quotient[n]
 
     run_criterion("criterion 06: Kim identity, mod-6 congruence, dual routes", 20, body)
 
@@ -159,8 +156,8 @@ def test_c08_sigma_formula_full_range():
 
 def test_c09_additivity_recursions():
     def body():
-        index_rows = index_additivity_suite(instances=20, max_n=12, seed=909)
-        set_rows = set_additivity_suite(instances=20, max_n=12, seed=910)
+        index_rows = index_additivity_suite(max_n=12, seed=909)
+        set_rows = set_additivity_suite(max_n=12, seed=910)
         assert len(index_rows) == len(set_rows) == 20
         assert all(row.ok for row in index_rows)
         assert all(row.ok for row in set_rows)

@@ -23,10 +23,10 @@ from bellforge import (
     restricted_partition_count,
     restricted_recursion_report,
 )
-from bellforge import bellpoly, partfun, series
+from bellforge import bellpoly, series
 from bellforge.bellpoly import clear_cache, reciprocal_coefficients
 from bellforge.cli import main
-from bellforge.partfun import PARTITION_PRODUCT, SEQUENCES, _as_count, ratio_series, sequence
+from bellforge.partfun import PARTITION_PRODUCT, SEQUENCES, _as_count, route_prefix, sequence
 from bellforge.series import expand_ratio
 from bellforge.supports import SupportSet, spec_from_factors
 from reference import count_restricted_bruteforce
@@ -276,7 +276,7 @@ def test_per_n_functions_take_the_closed_sum_at_every_n(monkeypatch, capsys):
     for cap in ("6", "not-a-number"):
         monkeypatch.setenv("BELLFORGE_FAA_CAP", cap)
         with monkeypatch.context() as patched:
-            patched.setattr(partfun, "ratio_series", no_series)
+            patched.setattr(series, "expand_ratio", no_series)
             for fn, want in cases:
                 assert [fn(n) for n in range(top + 1)] == want
             spec = FourFactorSpec(r1=2, a1=2, s1=1, b1=1)
@@ -334,6 +334,14 @@ def test_sequence_is_the_per_n_functions_as_one_prefix():
                 sequence(name, 3, method, **extra)
     with pytest.raises(KeyError):
         sequence("q", 3)
+    # a parts list belongs to "w" alone, and "w" has none without it
+    for name in SEQUENCES:
+        if name != "w":
+            with pytest.raises(ValueError, match="only to sequence 'w'"):
+                sequence(name, 3, parts=[1, 2])
+    for method in ("faa", "series", "nope"):
+        with pytest.raises(ValueError, match="needs a parts list"):
+            sequence("w", 3, method)
 
 
 def _signal_on_extend(monkeypatch, hook):
@@ -417,12 +425,14 @@ def test_racing_requests_for_one_key_keep_the_longer_prefix(monkeypatch):
 
 
 def test_clear_cache_empties_both_routes(monkeypatch):
+    # the closed sum owns the one cache; the series oracle has none to empty
     spec = spec_from_factors((SupportSet.finite([1, 4]), Fraction(2, 5), -2))
-    before = ratio_series(None, spec, 12)
-    reciprocal_coefficients(spec, 12)
+    want = list(expand_ratio(None, spec, 12).coeffs)
     clear_cache()
-    after = ratio_series(None, spec, 12)
-    assert after is not before and after == before
+    assert reciprocal_coefficients(spec, 12) == want
+    assert list(bellpoly._cache) == [(None, spec)]
+    clear_cache()
+    assert bellpoly._cache == {}
     extended = []
 
     def hook(n, run):
@@ -430,8 +440,20 @@ def test_clear_cache_empties_both_routes(monkeypatch):
         run()
 
     _signal_on_extend(monkeypatch, hook)
-    assert reciprocal_coefficients(spec, 12) == list(after.coeffs)
+    assert reciprocal_coefficients(spec, 12) == want
     assert extended == [12]
+
+
+def test_series_route_leaves_the_cache_alone():
+    # the oracle is a pure function of (numer, denom, n): it reads and writes no cache
+    clear_cache()
+    spec = spec_from_factors((SupportSet.multiples_of(3), Fraction(-1, 2), 2))
+    want = reciprocal_coefficients(spec, 9)
+    before = dict(bellpoly._cache)
+    assert route_prefix(None, spec, 9, "series") == want
+    for name in SEQUENCES:
+        sequence(name, 9, "series", [1, 3] if name == "w" else None)
+    assert bellpoly._cache == before
 
 
 def test_cache_under_thread_stress(monkeypatch):
@@ -449,7 +471,7 @@ def test_cache_under_thread_stress(monkeypatch):
             if route == "faa":
                 got = reciprocal_coefficients(spec, n)
             else:
-                got = list(ratio_series(None, spec, n).coeffs[: n + 1])
+                got = route_prefix(None, spec, n, "series")
             requests.append((route, spec, n))
             if got != want[spec][: n + 1]:
                 errors.append((route, spec, n))
@@ -469,16 +491,13 @@ def test_cache_under_thread_stress(monkeypatch):
 
     asked = {}
     for route, spec, n in requests:
-        asked[route, spec] = max(asked.get((route, spec), 0), n)
+        if route == "faa":
+            asked[spec] = max(asked.get(spec, 0), n)
 
     # a shorter entry published over a longer one would need recomputing here
     def no_work(*args):
         raise AssertionError("the cache lost a longer prefix")
 
     monkeypatch.setattr(bellpoly, "bell_extend", no_work)
-    monkeypatch.setattr(series, "expand_ratio", no_work)
-    for (route, spec), n in asked.items():
-        if route == "faa":
-            assert reciprocal_coefficients(spec, n) == want[spec][: n + 1]
-        else:
-            assert ratio_series(None, spec, n).coeffs[: n + 1] == tuple(want[spec][: n + 1])
+    for spec, n in asked.items():
+        assert reciprocal_coefficients(spec, n) == want[spec][: n + 1]

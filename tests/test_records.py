@@ -38,6 +38,8 @@ def samples():
         (ProductSpec((factor,)), ProductSpec(factors=[factor])),
         (IdentityReport("x", 3, True, "1", "1"), IdentityReport(check="x", n=3, ok=True, lhs="1", rhs="1")),
         (FourFactorSpec(2, 1, None, 1, 1), FourFactorSpec(r1=2, s1=1)),
+        (FourFactorSpec(a1=3), FourFactorSpec()),
+        (FourFactorSpec(r1=2, a2=4, b2=5), FourFactorSpec(r1=2)),
         (formula_status(), formula_status()),
     ]
 
@@ -57,6 +59,7 @@ def test_different_fields_give_unequal_records():
         (Factor(SupportSet.all_naturals(), 1, 1), Factor(SupportSet.all_naturals(), 1, 2)),
         (IdentityReport("x", 3, True, "1", "1"), IdentityReport("x", 3, False, "1", "1")),
         (FourFactorSpec(r1=2), FourFactorSpec(r2=2)),
+        (FourFactorSpec(r1=2, a1=3), FourFactorSpec(r1=2)),
         (formula_status(), formula_status(first_mismatch=None)),
     ]
     for left, right in unequal:
@@ -184,6 +187,10 @@ def test_constructor_validation():
         (TypeError, lambda: FourFactorSpec(r2=2, a2=False)),
         (TypeError, lambda: FourFactorSpec(s1=1.0, b1=1)),
         (TypeError, lambda: FourFactorSpec(s2=4, b2=True)),
+        (TypeError, lambda: FourFactorSpec(a1=2.5)),
+        (TypeError, lambda: FourFactorSpec(b1=True)),
+        (ValueError, lambda: FourFactorSpec(b2=0)),
+        (ValueError, lambda: FourFactorSpec(a2=-1)),
     ]
     for error, build in cases:
         with pytest.raises(error):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from bellforge import TruncatedSeries, exp_log_expand, expand_product, spec_from_factors
-from bellforge.partfun import ratio_series
 from bellforge import bellpoly, partfun
 from bellforge.bellpoly import kernel_size, work_estimate
 from bellforge.series import expand_ratio
@@ -231,24 +230,8 @@ def test_expand_ratio_matches_fraction_path():
 def test_ratio_series_matches_fraction_path():
     specs = kernel_specs()
     for numer, denom in ((specs[-1], specs[30]), (specs[-1], None), (None, specs[-1])):
-        series = ratio_series(numer, denom, KERNEL_ORDER)
-        assert series.truncate(KERNEL_ORDER) == fraction_ratio(numer, denom, KERNEL_ORDER)
-
-
-def test_ratio_series_regrows_geometrically():
-    # a spec no other test uses, so the cache starts empty for it
-    numer = spec_from_factors((SupportSet.finite([2, 3]), F(5, 7), 2))
-    denom = spec_from_factors((SupportSet.all_naturals(), F(-7, 3), 1))
-    first = ratio_series(numer, denom, 5)
-    assert first.order == 5
-    assert ratio_series(numer, denom, 3) is first
-    regrown = ratio_series(numer, denom, 7)
-    assert regrown.order == 10
-    assert regrown == expand_ratio(numer, denom, 10)
-    assert regrown.truncate(7) == expand_ratio(numer, denom, 7)
-    assert regrown.truncate(7) == fraction_ratio(numer, denom, 7)
-    assert ratio_series(numer, denom, 10) is regrown
-    assert ratio_series(numer, denom, 31).order == 31
+        series = expand_ratio(numer, denom, KERNEL_ORDER)
+        assert series == fraction_ratio(numer, denom, KERNEL_ORDER)
 
 
 def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
@@ -351,7 +334,7 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
             seen.clear()
             if size <= 1000:
                 expand_ratio(numer, denom, order)
-            _, (_, weights, coeffs, _) = bellpoly._grow_bell(numer, denom, None, order)
+            _, weights, coeffs, _ = bellpoly._grow_bell(numer, denom, None, order)
             record(weights + coeffs)
             assert max(seen) <= bits, (numer, denom, order)
 

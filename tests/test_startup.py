@@ -119,6 +119,25 @@ def test_closed_sum_requests_load_no_series_route(tmp_path):
     assert not loaded & (HEAVY | SERIES_ROUTE)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seq", "p"),
+        ("seq", "w", "--parts", "1,2"),
+        ("seq", "cubic"),
+        ("seq", "overcubic"),
+        ("seq", "psi-star"),
+        ("seq", "phi-star"),
+    ],
+    ids=lambda argv: argv[1],
+)
+def test_closed_sum_requests_load_no_series_route_for_seq(argv):
+    # a module-level series import in partfun would show here for every name
+    loaded = loaded_by(*argv, "--max", "5")
+    assert "bellforge.bellpoly" in loaded
+    assert not loaded & (HEAVY | SERIES_ROUTE | ARGPARSE | OTHER_COMMANDS | {"bellforge.verify"})
+
+
 def test_eval_series_loads_json_but_not_suites(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"denominator": [{"support": {"kind": "all"}, "z": "1/2", "a": 1}]}))
@@ -168,13 +187,13 @@ def test_test_only_oracles_are_not_exported():
 
     removed = (
         "partition_power_sum divisor_power_sum log_weight log_weight_table "
-        "count_exact_parts count_restricted_bruteforce restricted_divisor_sum indicator"
+        "count_exact_parts count_restricted_bruteforce restricted_divisor_sum indicator ratio_series"
     ).split()
     for name in removed:
         with pytest.raises(AttributeError):
             getattr(bellforge, name)
         assert name not in bellforge.__all__
-    assert len(bellforge.__all__) == 37
+    assert len(bellforge.__all__) == 36
     checks = "IdentityReport index_additivity_report set_additivity_report restricted_recursion_report"
     for name in checks.split():
         assert getattr(bellforge, name).__module__ == "bellforge.verify"
