@@ -19,20 +19,15 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("divisors", "factorize sigma sigma_via_factorization"),
-        (
-            "bellpoly",
-            "InconsistencyError product_coefficient product_coefficients ratio_coefficient "
-            "ratio_coefficients reciprocal_coefficient reciprocal_coefficients work_estimate",
-        ),
-        ("fourfactor", "FourFactorSpec four_factor_coefficient"),
+        ("bellpoly", "InconsistencyError ratio_coefficients work_estimate"),
         (
             "partfun",
             "chan_product_coefficient cubic_partition_count kim_product_coefficient "
             "overcubic_partition_count partition_function ramanujan_phi_coefficient "
             "ramanujan_psi_coefficient restricted_partition_count",
         ),
-        ("partitions", "count_partitions iter_partitions pentagonal_values"),
-        ("series", "TruncatedSeries exp_log_expand expand_product expand_ratio"),
+        ("partitions", "iter_partitions pentagonal_values"),
+        ("series", "TruncatedSeries exp_log_expand expand_ratio"),
         ("supports", "Factor ProductSpec SupportSet spec_from_factors"),
         (
             "verify",

@@ -27,7 +27,7 @@ from math import isqrt, lcm
 from operator import mul
 
 from .arith import require_natural
-from .supports import FINITE, ProductSpec, SupportSet
+from .supports import FINITE, ProductSpec, SupportSet, _require_sides
 
 _ONE = Fraction(1)
 
@@ -121,6 +121,7 @@ def ratio_coefficients(
     numerator's factors and the denominator's with negated exponents, so one
     Bell recurrence evaluates it; with ``L`` the lcm of all z denominators the
     weights ``w_k L^k`` and ``A_m = c_m L^m`` are integers."""
+    _require_sides(numer, denom)
     require_natural(n)
     key = (numer, denom)
     # the lock is held only to read and to publish, so a request never waits
@@ -159,29 +160,3 @@ def _scaled_weight(k: int, factors, scale: int) -> int:
         for d in f.support.divisors_in(k):
             total -= f.a * d * (z_scaled * scale ** (d - 1)) ** (k // d)
     return total
-
-
-def product_coefficients(spec: ProductSpec, n: int) -> list[Fraction]:
-    """Cached ``[coefficient(0), ..., coefficient(n)]`` of the product."""
-    return ratio_coefficients(spec, None, n)
-
-
-def reciprocal_coefficients(spec: ProductSpec, n: int) -> list[Fraction]:
-    """Cached reciprocal coefficients ``0..n``."""
-    return ratio_coefficients(None, spec, n)
-
-
-def product_coefficient(n: int, spec: ProductSpec) -> Fraction:
-    """Coefficient of ``t^n`` in the product, via the Bell recurrence."""
-    return ratio_coefficients(spec, None, n)[n]
-
-
-def reciprocal_coefficient(n: int, spec: ProductSpec) -> Fraction:
-    """Coefficient of ``t^n`` in the reciprocal of the product: the same
-    sum with the alternating sign ``(-1)^(k_1+...+k_n)``."""
-    return ratio_coefficients(None, spec, n)[n]
-
-
-def ratio_coefficient(n: int, numer: ProductSpec | None, denom: ProductSpec | None) -> Fraction:
-    """Coefficient of ``t^n`` in numerator-product / denominator-product."""
-    return ratio_coefficients(numer, denom, n)[n]

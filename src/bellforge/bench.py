@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 
-from .bellpoly import clear_cache, reciprocal_coefficients, work_estimate
+from .bellpoly import clear_cache, ratio_coefficients, work_estimate
 from .cli import UsageError, check_work
 from .partfun import PARTITION_PRODUCT
 from .partitions import pentagonal_values
@@ -28,12 +28,12 @@ def cmd_bench(args) -> int:
 
     def closed_sum(hi):
         clear_cache()  # time the recurrence, not a cached prefix
-        return reciprocal_coefficients(PARTITION_PRODUCT, hi)
+        return ratio_coefficients(None, PARTITION_PRODUCT, hi)
 
     methods = {
         "closed-sum": closed_sum,
         "pentagonal": pentagonal_values,
-        "series": lambda hi: list(expand_ratio(None, PARTITION_PRODUCT, hi).coeffs),
+        "series": lambda hi: expand_ratio(None, PARTITION_PRODUCT, hi),
     }
     buckets = [*range(10, n_max, 10), n_max]
 

@@ -21,7 +21,7 @@ from .arith import require_natural
 from .bellpoly import bell_extend
 from .divisors import sigma
 from .partfun import sequence
-from .supports import Record
+from .supports import Record, _require_rational
 
 
 def transcription_sum(n: int, coeff, weight=1) -> Fraction:
@@ -51,7 +51,10 @@ def _integer_prefixes(n: int, *sums) -> tuple[int, list[list[int]]]:
     one (a sum over permutations of cycle type ``k``), and started from
     ``n!`` the recurrence divides exactly.  It is :func:`bellpoly.bell_extend`."""
     require_natural(n)
-    tables = [[Fraction(w) * Fraction(coeff(j)) for j in range(1, n + 1)] for coeff, w in sums]
+    tables = []
+    for coeff, weight in sums:
+        weight = _require_rational(weight, "weight")
+        tables.append([weight * _require_rational(coeff(j), "coeff(j)") for j in range(1, n + 1)])
     scale = lcm(*(w.denominator for table in tables for w in table))
     prefixes = []
     for table in tables:
@@ -135,6 +138,8 @@ def _printed_prefix(name: str, n: int) -> list[Fraction]:
     """Values ``0..n`` of a transcription: each of its sums is evaluated
     once as an integer prefix, the double sum is their convolution, and each
     value is one ``Fraction``."""
+    if name not in _FORMULAS:
+        raise ValueError(f"unknown transcription {name!r}; known: {', '.join(_FORMULAS)}")
     c, right, d, left = _FORMULAS[name][2]
     if left is None:
         return [c * v for v in _transcription_prefix(n, *right)]

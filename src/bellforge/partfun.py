@@ -73,7 +73,7 @@ def route_prefix(numer, denom, n: int, method: str) -> list[Fraction]:
         # imported here so that closed-sum requests never load the series route
         from .series import expand_ratio
 
-        return list(expand_ratio(numer, denom, n).coeffs)
+        return expand_ratio(numer, denom, n)
     raise ValueError(f"method must be 'faa' or 'series', got {method!r}")
 
 
@@ -101,6 +101,8 @@ def _count(name: str, n: int, parts=None) -> int:
 
 
 def _named_prefix(name, n, method, parts) -> list[Fraction]:
+    if name not in SEQUENCES:
+        raise ValueError(f"unknown sequence {name!r}; known: {', '.join(SEQUENCES)}")
     numer, denom = SEQUENCES[name]
     if name == "w":
         if parts is None:

@@ -48,11 +48,6 @@ def iter_partitions(n: int) -> Iterator[PartitionVector]:
         j -= 1
 
 
-def count_partitions(n: int) -> int:
-    """Number of partitions of ``n``: entry ``n`` of :func:`pentagonal_values`."""
-    return pentagonal_values(n)[n]
-
-
 def pentagonal_values(n: int) -> list[int]:
     """``[p(0), ..., p(n)]`` from the pentagonal-number recurrence
 

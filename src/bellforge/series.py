@@ -6,13 +6,13 @@ A series carries an explicit truncation order ``N`` and exactly ``N + 1``
 ``Fraction`` coefficients; binary operations require equal orders instead of
 silently re-truncating.
 
-Products and ratios of products (:func:`expand_product`,
-:func:`expand_ratio`) are computed on integers: with ``L`` the lcm of the z
-denominators and ``t = L s`` every factor ``(1 - z t^m)^a`` becomes
-``(1 - (z L^m) s^m)^a`` with an integer multiplier, so the fold, the
-reciprocal and the Cauchy product stay integral and the ``t^n`` coefficient
-is the integer ``s^n`` coefficient over ``L^n``.  The ``Fraction`` methods of
-:class:`TruncatedSeries` remain the general API and the cross-check path.
+:func:`expand_ratio` computes a product or a ratio of products on integers:
+with ``L`` the lcm of the z denominators and ``t = L s`` every factor
+``(1 - z t^m)^a`` becomes ``(1 - (z L^m) s^m)^a`` with an integer
+multiplier, so the fold, the reciprocal and the Cauchy product stay integral
+and the ``t^n`` coefficient is the integer ``s^n`` coefficient over ``L^n``.
+The ``Fraction`` methods of :class:`TruncatedSeries` remain the general API
+and the cross-check path.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import lcm
 from operator import mul
 
 from .arith import require_natural
-from .supports import ProductSpec
+from .supports import ProductSpec, _require_rational, _require_sides
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -34,7 +34,7 @@ class TruncatedSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        cs = tuple(_require_rational(c, "a coefficient") for c in coeffs)
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", cs)
@@ -50,7 +50,7 @@ class TruncatedSeries:
     def constant(cls, value, order: int) -> "TruncatedSeries":
         require_natural(order, "order")
         cs = [_ZERO] * (order + 1)
-        cs[0] = Fraction(value)
+        cs[0] = value
         return cls(cs)
 
     @classmethod
@@ -62,7 +62,7 @@ class TruncatedSeries:
         for e, c in terms.items():
             require_natural(e, "exponent")
             if e <= order:
-                cs[e] = Fraction(c)
+                cs[e] = c
         return cls(cs)
 
     def coefficient(self, n: int) -> Fraction:
@@ -102,7 +102,7 @@ class TruncatedSeries:
     __add__ = add
 
     def scale(self, factor) -> "TruncatedSeries":
-        f = Fraction(factor)
+        f = _require_rational(factor, "a scale factor")
         return TruncatedSeries(f * c for c in self.coeffs)
 
     def reciprocal(self) -> "TruncatedSeries":
@@ -158,7 +158,7 @@ class TruncatedSeries:
     def int_pow(self, a: int) -> "TruncatedSeries":
         """Integer power by binary exponentiation; negative powers go through
         the reciprocal of the positive power."""
-        if not isinstance(a, int):
+        if isinstance(a, bool) or not isinstance(a, int):
             raise TypeError("exponent must be an integer")
         if a < 0:
             if self.coeffs[0] == 0:
@@ -193,29 +193,21 @@ class TruncatedSeries:
         return f"TruncatedSeries([{shown}{more}], order={self.order})"
 
 
-def expand_product(spec: ProductSpec, order: int) -> TruncatedSeries:
-    """Expand ``prod_factors prod_{m in support, m <= order} (1 - z t^m)^a``.
-
-    The fold runs on the integers ``c_n L^n`` with ``L = spec.z_scale()``
-    (see :func:`expand_ratio`).  Support elements above the truncation order
-    cannot influence any kept coefficient and are skipped; each binomial is
-    folded in by a sparse pass per unit of ``|a|``.
-    """
-    return expand_ratio(spec, None, order)
-
-
 def expand_ratio(
     numer: ProductSpec | None, denom: ProductSpec | None, order: int
-) -> TruncatedSeries:
-    """Series of ``numer / denom`` to exactly ``order``; ``None`` on either
+) -> list[Fraction]:
+    """Coefficients ``0..order`` of ``numer / denom``; ``None`` on either
     side is the constant 1.
 
     Both sides are scaled by one ``L``, the lcm of their z denominators, and
     folded in integers.  The scaled denominator has constant term 1, so its
     reciprocal by the triangular recurrence ``v_n = -sum_{k=1..n} u_k v_{n-k}``
     is integral, and so is its Cauchy product with the numerator.  The
-    coefficients become ``Fraction(c'_n, L^n)`` once, at the end.
+    coefficients become ``Fraction(c'_n, L^n)`` once, at the end.  Support
+    members above ``order`` cannot influence a kept coefficient and are
+    skipped; each binomial is folded in by a sparse pass per unit of ``|a|``.
     """
+    _require_sides(numer, denom)
     require_natural(order, "order")
     scale = lcm(*(spec.z_scale() for spec in (numer, denom) if spec is not None))
     cs = [1] + [0] * order
@@ -229,12 +221,13 @@ def expand_ratio(
     for c in cs:
         out.append(Fraction(c, power))
         power *= scale
-    return TruncatedSeries(out)
+    return out
 
 
 def exp_log_expand(spec: ProductSpec, order: int) -> TruncatedSeries:
-    """Same product as :func:`expand_product`, via exp of the summed factor
-    logarithms.  Kept as a genuinely different code path for cross-checks."""
+    """The product ``spec`` as a series, via exp of the summed factor
+    logarithms: a code path independent of :func:`expand_ratio`, kept for
+    cross-checks."""
     require_natural(order, "order")
     total = TruncatedSeries.constant(0, order)
     for factor in spec.factors:

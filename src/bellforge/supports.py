@@ -155,14 +155,12 @@ class Factor(Record):
     _fields = ("support", "z", "a")
 
     def __init__(self, support: SupportSet, z: Fraction, a: int):
+        if not isinstance(support, SupportSet):
+            raise TypeError(f"a factor's support must be a SupportSet, got {support!r}")
         _require_int(a, "factor exponent a")
         if a == 0:
             raise ValueError("factor exponent a must be a nonzero integer")
-        if not isinstance(z, Fraction):
-            if isinstance(z, bool) or not isinstance(z, int):
-                raise TypeError(f"factor z must be an int or a Fraction, got {z!r}")
-            z = Fraction(z)
-        self._assign(support, z, a)
+        self._assign(support, _require_rational(z, "factor z"), a)
 
     def negated(self) -> "Factor":
         return Factor(self.support, self.z, -self.a)
@@ -177,6 +175,9 @@ class ProductSpec(Record):
         factors = tuple(factors)
         if not factors:
             raise ValueError("a product spec needs at least one factor")
+        for f in factors:
+            if not isinstance(f, Factor):
+                raise TypeError(f"a product spec's factors must be Factors, got {f!r}")
         self._assign(factors)
 
     def negated(self) -> "ProductSpec":
@@ -200,3 +201,20 @@ def _require_int(value, name) -> None:
     rejected rather than coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _require_rational(value, name: str = "value") -> Fraction:
+    """``value`` as a ``Fraction``: it must be an ``int`` (not a ``bool``) or
+    a ``Fraction``; a float is rejected rather than coerced."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
+def _require_sides(numer, denom) -> None:
+    """Each side of a ratio is a :class:`ProductSpec`, or ``None`` for 1."""
+    for name, side in (("numer", numer), ("denom", denom)):
+        if side is not None and not isinstance(side, ProductSpec):
+            raise TypeError(f"{name} must be a ProductSpec or None, got {side!r}")

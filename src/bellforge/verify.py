@@ -15,12 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import require_natural
-from .bellpoly import (
-    product_coefficient,
-    product_coefficients,
-    ratio_coefficient,
-    reciprocal_coefficients,
-)
+from .bellpoly import ratio_coefficients
 from .divisors import factorize, sigma, sigma_via_factorization
 from .partfun import (
     CHAN_DENOMINATOR,
@@ -72,8 +67,8 @@ def index_additivity_report(n, base, a_index, b_index) -> IdentityReport:
         for (s, z), a, b in zip(base, a_index, b_index)
         if a + b != 0
     )
-    lhs = ratio_coefficient(n, ProductSpec(combined) if combined else None, None)
-    rhs = _convolve(product_coefficients(spec_a, n), product_coefficients(spec_b, n), n)
+    lhs = ratio_coefficients(ProductSpec(combined) if combined else None, None, n)[n]
+    rhs = _convolve(ratio_coefficients(spec_a, None, n), ratio_coefficients(spec_b, None, n), n)
     return IdentityReport("additivity-index", n, lhs == rhs, str(lhs), str(rhs))
 
 
@@ -81,8 +76,8 @@ def set_additivity_report(n, spec_a: ProductSpec, spec_b: ProductSpec) -> Identi
     """Check that coefficients of the merged factor list equal the
     convolution of the two sides' coefficients."""
     require_natural(n)
-    lhs = product_coefficient(n, ProductSpec(spec_a.factors + spec_b.factors))
-    rhs = _convolve(product_coefficients(spec_a, n), product_coefficients(spec_b, n), n)
+    lhs = ratio_coefficients(ProductSpec(spec_a.factors + spec_b.factors), None, n)[n]
+    rhs = _convolve(ratio_coefficients(spec_a, None, n), ratio_coefficients(spec_b, None, n), n)
     return IdentityReport("additivity-set", n, lhs == rhs, str(lhs), str(rhs))
 
 
@@ -141,8 +136,8 @@ def reciprocal_suite(max_n: int, seed: int = DEFAULT_SEED):
     rows = []
     for i in range(SPEC_COUNT):
         spec = random_product_spec(rng)
-        prods = product_coefficients(spec, max_n)
-        recips = reciprocal_coefficients(spec, max_n)
+        prods = ratio_coefficients(spec, None, max_n)
+        recips = ratio_coefficients(None, spec, max_n)
         for n in range(max_n + 1):
             conv = _convolve(prods, recips, n)
             expected = Fraction(1 if n == 0 else 0)
@@ -291,7 +286,7 @@ SUITES = {
 def run_suite(name: str, max_n: int | None = None):
     """Run one named suite; ``max_n`` falls back to the suite default."""
     if name not in SUITES:
-        raise ValueError(f"unknown identity {name!r}")
+        raise ValueError(f"unknown identity {name!r}; known: {', '.join(SUITES)}")
     suite, default = SUITES[name]
     return suite(max_n=default if max_n is None else max_n)
 

@@ -6,15 +6,11 @@ import pytest
 
 from bellforge import (
     InconsistencyError,
-    expand_product,
+    TruncatedSeries,
+    expand_ratio,
     index_additivity_report,
     iter_partitions,
-    product_coefficient,
-    product_coefficients,
-    ratio_coefficient,
     ratio_coefficients,
-    reciprocal_coefficient,
-    reciprocal_coefficients,
     set_additivity_report,
     sigma,
     spec_from_factors,
@@ -106,22 +102,22 @@ def test_log_weight_table_matches_pointwise():
 
 
 def test_product_coefficient_examples():
-    assert product_coefficient(0, EULER) == 1
-    assert product_coefficient(5, EULER) == 1
-    assert product_coefficient(3, INV_EULER) == 3
+    assert ratio_coefficients(EULER, None, 0)[0] == 1
+    assert ratio_coefficients(EULER, None, 5)[5] == 1
+    assert ratio_coefficients(INV_EULER, None, 3)[3] == 3
 
 
 def test_reciprocal_coefficient_examples():
-    assert reciprocal_coefficient(0, EULER) == 1
-    assert reciprocal_coefficient(4, EULER) == 5
+    assert ratio_coefficients(None, EULER, 0)[0] == 1
+    assert ratio_coefficients(None, EULER, 4)[4] == 5
     two_parts = spec_from_factors(
         (SupportSet.finite([1]), 1, 1), (SupportSet.finite([2]), 1, 1)
     )
-    assert reciprocal_coefficient(2, two_parts) == 2
+    assert ratio_coefficients(None, two_parts, 2)[2] == 2
 
 
 def test_reciprocal_recursion_examples():
-    recips = reciprocal_coefficients(EULER, 6)
+    recips = ratio_coefficients(None, EULER, 6)
     assert recips[0] == 1
     assert recips[1] == 1
     assert recips[6] == 11
@@ -131,27 +127,27 @@ def test_closed_sum_matches_series_oracle_random_family():
     rng = random.Random(20)
     for _ in range(12):
         spec = random_product_spec(rng)
-        expanded = expand_product(spec, 15)
-        prods = product_coefficients(spec, 15)
+        expanded = expand_ratio(spec, None, 15)
+        prods = ratio_coefficients(spec, None, 15)
         for n in range(16):
-            assert prods[n] == expanded.coefficient(n)
+            assert prods[n] == expanded[n]
 
 
 def test_reciprocal_matches_series_oracle_random_family():
     rng = random.Random(21)
     for _ in range(8):
         spec = random_product_spec(rng)
-        recip = expand_product(spec, 12).reciprocal()
+        recip = TruncatedSeries(expand_ratio(spec, None, 12)).reciprocal()
         for n in range(13):
-            assert reciprocal_coefficient(n, spec) == recip.coefficient(n)
+            assert ratio_coefficients(None, spec, n)[n] == recip.coefficient(n)
 
 
 def test_reciprocal_convolution_is_unit():
     rng = random.Random(22)
     for _ in range(8):
         spec = random_product_spec(rng)
-        prods = product_coefficients(spec, 18)
-        recips = reciprocal_coefficients(spec, 18)
+        prods = ratio_coefficients(spec, None, 18)
+        recips = ratio_coefficients(None, spec, 18)
         for n in range(19):
             conv = sum(prods[k] * recips[n - k] for k in range(n + 1))
             assert conv == (1 if n == 0 else 0)
@@ -162,8 +158,8 @@ def test_negation_involution():
     for _ in range(10):
         spec = random_product_spec(rng)
         for n in range(11):
-            assert reciprocal_coefficient(n, spec) == product_coefficient(n, spec.negated())
-            assert product_coefficient(n, spec) == reciprocal_coefficient(n, spec.negated())
+            assert ratio_coefficients(None, spec, n)[n] == ratio_coefficients(spec.negated(), None, n)[n]
+            assert ratio_coefficients(spec, None, n)[n] == ratio_coefficients(None, spec.negated(), n)[n]
 
 
 def test_explicit_and_recursive_reciprocal_agree():
@@ -173,13 +169,13 @@ def test_explicit_and_recursive_reciprocal_agree():
         weights = log_weight_table(spec, 12)
         for n in range(13):
             explicit = partition_power_sum(n, weights, alternate_sign=True)
-            assert reciprocal_coefficient(n, spec) == explicit
+            assert ratio_coefficients(None, spec, n)[n] == explicit
 
 
 def assert_recurrence_matches_dfs(spec, max_n):
     weights = log_weight_table(spec, max_n)
-    prods = product_coefficients(spec, max_n)
-    recips = reciprocal_coefficients(spec, max_n)
+    prods = ratio_coefficients(spec, None, max_n)
+    recips = ratio_coefficients(None, spec, max_n)
     for n in range(max_n + 1):
         assert prods[n] == partition_power_sum(n, weights)
         assert recips[n] == partition_power_sum(n, weights, alternate_sign=True)
@@ -208,10 +204,10 @@ def test_recurrence_matches_partition_dfs_named_specs(spec):
 
 def test_recurrence_prefix_extends_from_cached_order():
     spec = spec_from_factors((ALL, F(1, 3), 2), (SupportSet.finite([2, 5]), F(-3, 2), -1))
-    short = reciprocal_coefficients(spec, 7)
-    assert reciprocal_coefficients(spec, 19)[:8] == short
-    assert reciprocal_coefficients(spec, 19) == list(
-        expand_product(spec, 19).reciprocal().coeffs
+    short = ratio_coefficients(None, spec, 7)
+    assert ratio_coefficients(None, spec, 19)[:8] == short
+    assert ratio_coefficients(None, spec, 19) == list(
+        TruncatedSeries(expand_ratio(spec, None, 19)).reciprocal().coeffs
     )
 
 
@@ -223,18 +219,21 @@ def test_inexact_bell_division_raises():
     assert coeffs == [1, 1]
 
 
+def fraction_quotient(numer, denom, order):
+    """numer / denom by ``TruncatedSeries`` arithmetic on the two products."""
+    top, bottom = (TruncatedSeries(expand_ratio(s, None, order)) for s in (numer, denom))
+    return top.mul(bottom.reciprocal())
+
+
 def test_ratio_coefficient_same_spec_is_unit():
     spec = spec_from_factors((ALL, 1, 1), (SupportSet.multiples_of(3), F(1, 2), -2))
-    assert ratio_coefficient(0, spec, spec) == 1
-    for n in range(1, 12):
-        assert ratio_coefficient(n, spec, spec) == 0
+    assert ratio_coefficients(spec, spec, 11) == [1] + [0] * 11
 
 
 def test_ratio_coefficient_triangular_series():
     numer = spec_from_factors((SupportSet.multiples_of(2), 1, 2))
     denom = EULER
-    assert ratio_coefficient(1, numer, denom) == 1
-    assert ratio_coefficient(2, numer, denom) == 0
+    assert ratio_coefficients(numer, denom, 2)[1:] == [1, 0]
 
 
 def test_ratio_coefficient_matches_series_quotient():
@@ -242,16 +241,15 @@ def test_ratio_coefficient_matches_series_quotient():
     for _ in range(6):
         numer = random_product_spec(rng, max_factors=2)
         denom = random_product_spec(rng, max_factors=2)
-        quotient = expand_product(numer, 10).mul(expand_product(denom, 10).reciprocal())
+        quotient = fraction_quotient(numer, denom, 10)
         for n in range(11):
-            assert ratio_coefficient(n, numer, denom) == quotient.coefficient(n)
+            assert ratio_coefficients(numer, denom, n)[n] == quotient.coefficient(n)
 
 
 def test_ratio_coefficient_none_sides():
-    assert ratio_coefficient(0, None, None) == 1
-    assert ratio_coefficient(3, None, None) == 0
-    assert ratio_coefficient(4, EULER, None) == product_coefficient(4, EULER)
-    assert ratio_coefficient(4, None, EULER) == reciprocal_coefficient(4, EULER)
+    assert ratio_coefficients(None, None, 3) == [1, 0, 0, 0]
+    assert ratio_coefficients(EULER, None, 4) == [1, -1, -1, 0, 0]
+    assert ratio_coefficients(None, EULER, 4) == [1, 1, 2, 3, 5]
 
 
 def literal_ratio_weights(numer, denom, n):
@@ -309,11 +307,9 @@ def test_ratio_coefficients_are_one_recurrence(monkeypatch):
     numer = spec_from_factors((SupportSet.multiples_of(2), F(2, 3), 2))
     denom = spec_from_factors((ALL, F(-1, 4), 1), (SupportSet.finite([3]), 1, -2))
     values = ratio_coefficients(numer, denom, 15)
-    assert values == list(
-        expand_product(numer, 15).mul(expand_product(denom, 15).reciprocal()).coeffs
-    )
+    assert values == list(fraction_quotient(numer, denom, 15).coeffs)
     assert ratio_coefficients(None, None, 4) == [1, 0, 0, 0, 0]
-    assert [ratio_coefficient(n, numer, denom) for n in range(16)] == values
+    assert [ratio_coefficients(numer, denom, n)[n] for n in range(16)] == values
 
 
 def test_index_additivity_examples():

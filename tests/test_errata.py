@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction
 
-from bellforge import cubic_partition_count, count_partitions
+import pytest
+
+from bellforge import cubic_partition_count, pentagonal_values
 from bellforge.errata import (
     _FORMULAS,
     FormulaStatus,
@@ -68,7 +70,7 @@ def test_transcription_sum_weight_folding():
     from bellforge.divisors import sigma
 
     for n in range(12):
-        assert transcription_sum(n, sigma) == count_partitions(n)
+        assert transcription_sum(n, sigma) == pentagonal_values(n)[n]
 
 
 def test_transcription_double_sum_shape():
@@ -170,3 +172,26 @@ def test_rational_weights_scale_to_integers():
         want = [literal_sum(m, coeff, weight) for m in range(13)]
         assert _transcription_prefix(12, coeff, weight) == want
         assert transcription_sum(12, coeff, weight) == want[12]
+
+
+def test_floats_are_rejected_not_coerced():
+    # 0.5 is exact in binary, so a coerced float would pass silently as 1/2
+    from bellforge.divisors import sigma
+
+    for call in (
+        lambda: transcription_sum(3, lambda j: 0.5),
+        lambda: transcription_sum(3, sigma, weight=0.5),
+        lambda: transcription_sum(0, sigma, weight=0.5),
+        lambda: transcription_sum(3, lambda j: True),
+        lambda: _transcription_prefix(3, sigma, False),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert transcription_sum(3, lambda j: Fraction(1, 2)) == transcription_sum(3, lambda j: 1, Fraction(1, 2))
+
+
+def test_unknown_transcription_names_the_known_ones():
+    with pytest.raises(ValueError, match="unknown transcription 'nope'") as caught:
+        printed("nope", 3)
+    for name in EXPECTED_NAMES:
+        assert name in str(caught.value)

@@ -9,11 +9,9 @@ import pytest
 
 import bellforge
 from bellforge import (
-    FourFactorSpec,
     InconsistencyError,
     chan_product_coefficient,
     cubic_partition_count,
-    four_factor_coefficient,
     kim_product_coefficient,
     overcubic_partition_count,
     partition_function,
@@ -24,11 +22,12 @@ from bellforge import (
     restricted_recursion_report,
 )
 from bellforge import bellpoly, series
-from bellforge.bellpoly import clear_cache, reciprocal_coefficients
+from bellforge.bellpoly import clear_cache, ratio_coefficients
 from bellforge.cli import main
 from bellforge.partfun import PARTITION_PRODUCT, SEQUENCES, _as_count, route_prefix, sequence
 from bellforge.series import expand_ratio
 from bellforge.supports import SupportSet, spec_from_factors
+from bellforge.verify import random_product_spec
 from reference import count_restricted_bruteforce
 
 
@@ -182,40 +181,49 @@ def test_named_functions_integral_and_nonnegative():
             assert isinstance(value, int) and value >= 0
 
 
+def multiples(*slots):
+    """The product ``prod_m prod (1 - t^{r m})^e`` over ``(r, e)`` slots: one
+    side of a quotient of multiples-of products."""
+    return spec_from_factors(*((SupportSet.multiples_of(r), 1, e) for r, e in slots))
+
+
 def test_four_factor_psi_reproduction():
-    # two multiples-of-2 numerator slots fold to the squared factor
-    spec = FourFactorSpec(r1=2, a1=1, r2=2, a2=1, s1=1, b1=1)
-    assert four_factor_coefficient(0, spec) == 1
-    assert four_factor_coefficient(1, spec) == 1
-    folded = FourFactorSpec(r1=2, a1=2, s1=1, b1=1)
+    # two multiples-of-2 numerator factors fold to the squared factor
+    numer, denom = multiples((2, 1), (2, 1)), multiples((1, 1))
+    values = ratio_coefficients(numer, denom, 20)
+    assert values[:2] == [1, 1]
+    folded = ratio_coefficients(multiples((2, 2)), denom, 20)
     psi = sequence("psi-star", 20, "series")
     for n in range(21):
-        value = four_factor_coefficient(n, spec)
-        assert value == psi[n] == ramanujan_psi_coefficient(n)
-        assert value == four_factor_coefficient(n, folded)
+        assert values[n] == psi[n] == ramanujan_psi_coefficient(n)
+        assert values[n] == folded[n]
 
 
 def test_four_factor_cubic_reproduction():
-    spec = FourFactorSpec(s1=1, b1=1, s2=2, b2=1)
-    assert four_factor_coefficient(3, spec) == 4
-    assert four_factor_coefficient(0, spec) == 1
+    values = ratio_coefficients(None, multiples((1, 1), (2, 1)), 15)
+    assert values[3] == 4
+    assert values[0] == 1
     for n in range(16):
-        assert four_factor_coefficient(n, spec) == cubic_partition_count(n)
+        assert values[n] == cubic_partition_count(n)
 
 
 def test_four_factor_can_be_rational():
     # a pure numerator never has poles, so try an unbalanced quotient
-    spec = FourFactorSpec(r1=1, a1=1, s1=2, b1=3)
-    values = [four_factor_coefficient(n, spec) for n in range(10)]
+    values = ratio_coefficients(multiples((1, 1)), multiples((2, 3)), 9)
     assert all(isinstance(v, Fraction) for v in values)
     assert values[0] == 1
 
 
-def test_four_factor_validation():
-    with pytest.raises(ValueError):
-        FourFactorSpec(r1=0, a1=1)
-    with pytest.raises(ValueError):
-        FourFactorSpec(s1=2, b1=0)
+def test_routes_return_equal_lists():
+    rng = random.Random(16)
+    cases = [(random_product_spec(rng, 2), random_product_spec(rng, 2)) for _ in range(6)]
+    cases += [(None, None), (PARTITION_PRODUCT, None), (None, PARTITION_PRODUCT)]
+    cases += [(multiples((1, 1)), multiples((2, 3)))]
+    for numer, denom in cases:
+        faa, ser = (route_prefix(numer, denom, 12, method) for method in ("faa", "series"))
+        assert type(faa) is type(ser) is list
+        assert all(type(v) is Fraction for v in faa + ser)
+        assert faa == ser and len(faa) == 13
 
 
 def test_restricted_recursion_examples():
@@ -279,8 +287,8 @@ def test_per_n_functions_take_the_closed_sum_at_every_n(monkeypatch, capsys):
             patched.setattr(series, "expand_ratio", no_series)
             for fn, want in cases:
                 assert [fn(n) for n in range(top + 1)] == want
-            spec = FourFactorSpec(r1=2, a1=2, s1=1, b1=1)
-            assert [four_factor_coefficient(n, spec) for n in range(top + 1)] == psi
+            numer, denom = multiples((2, 2)), multiples((1, 1))
+            assert [ratio_coefficients(numer, denom, n)[n] for n in range(top + 1)] == psi
             for name, want in (("psi-star", psi), ("phi-star", phi)):
                 assert main(["seq", name, "--max", str(top)]) == 0
                 rows = capsys.readouterr().out.splitlines()
@@ -288,7 +296,6 @@ def test_per_n_functions_take_the_closed_sum_at_every_n(monkeypatch, capsys):
 
 
 def test_per_n_functions_take_no_route():
-    spec = FourFactorSpec(s1=1)
     calls = (
         lambda **kw: partition_function(3, **kw),
         lambda **kw: restricted_partition_count(3, [1, 2], **kw),
@@ -296,7 +303,6 @@ def test_per_n_functions_take_no_route():
         lambda **kw: overcubic_partition_count(3, **kw),
         lambda **kw: ramanujan_psi_coefficient(3, **kw),
         lambda **kw: ramanujan_phi_coefficient(3, **kw),
-        lambda **kw: four_factor_coefficient(3, spec, **kw),
     )
     for call in calls:
         call()
@@ -332,8 +338,10 @@ def test_sequence_is_the_per_n_functions_as_one_prefix():
         for method in ("auto", "fast", None):
             with pytest.raises(ValueError):
                 sequence(name, 3, method, **extra)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown sequence 'q'") as caught:
         sequence("q", 3)
+    for name in SEQUENCES:
+        assert name in str(caught.value)
     # a parts list belongs to "w" alone, and "w" has none without it
     for name in SEQUENCES:
         if name != "w":
@@ -358,7 +366,7 @@ def _signal_on_extend(monkeypatch, hook):
 def test_cached_lookup_does_not_wait_on_unrelated_work(monkeypatch):
     clear_cache()
     unrelated = spec_from_factors((SupportSet.multiples_of(2), Fraction(1, 3), 2))
-    want = reciprocal_coefficients(unrelated, 30)
+    want = ratio_coefficients(None, unrelated, 30)
     entered = threading.Event()
 
     def hook(n, run):
@@ -366,12 +374,12 @@ def test_cached_lookup_does_not_wait_on_unrelated_work(monkeypatch):
         run()
 
     _signal_on_extend(monkeypatch, hook)
-    worker = threading.Thread(target=reciprocal_coefficients, args=(PARTITION_PRODUCT, 4000))
+    worker = threading.Thread(target=ratio_coefficients, args=(None, PARTITION_PRODUCT, 4000))
     worker.start()
     try:
         assert entered.wait(10)
         start = time.perf_counter()
-        got = reciprocal_coefficients(unrelated, 30)
+        got = ratio_coefficients(None, unrelated, 30)
         waited = time.perf_counter() - start
         still_computing = worker.is_alive()
     finally:
@@ -400,7 +408,7 @@ def test_racing_requests_for_one_key_keep_the_longer_prefix(monkeypatch):
     results = {}
 
     def ask(n):
-        results[n] = reciprocal_coefficients(PARTITION_PRODUCT, n)
+        results[n] = ratio_coefficients(None, PARTITION_PRODUCT, n)
         if n == 3000:
             longer_done.set()
 
@@ -421,15 +429,15 @@ def test_racing_requests_for_one_key_keep_the_longer_prefix(monkeypatch):
         raise AssertionError(f"the cache recomputed up to {n}")
 
     _signal_on_extend(monkeypatch, no_extension)
-    assert reciprocal_coefficients(PARTITION_PRODUCT, 3000) == want
+    assert ratio_coefficients(None, PARTITION_PRODUCT, 3000) == want
 
 
 def test_clear_cache_empties_both_routes(monkeypatch):
     # the closed sum owns the one cache; the series oracle has none to empty
     spec = spec_from_factors((SupportSet.finite([1, 4]), Fraction(2, 5), -2))
-    want = list(expand_ratio(None, spec, 12).coeffs)
+    want = expand_ratio(None, spec, 12)
     clear_cache()
-    assert reciprocal_coefficients(spec, 12) == want
+    assert ratio_coefficients(None, spec, 12) == want
     assert list(bellpoly._cache) == [(None, spec)]
     clear_cache()
     assert bellpoly._cache == {}
@@ -440,7 +448,7 @@ def test_clear_cache_empties_both_routes(monkeypatch):
         run()
 
     _signal_on_extend(monkeypatch, hook)
-    assert reciprocal_coefficients(spec, 12) == want
+    assert ratio_coefficients(None, spec, 12) == want
     assert extended == [12]
 
 
@@ -448,7 +456,7 @@ def test_series_route_leaves_the_cache_alone():
     # the oracle is a pure function of (numer, denom, n): it reads and writes no cache
     clear_cache()
     spec = spec_from_factors((SupportSet.multiples_of(3), Fraction(-1, 2), 2))
-    want = reciprocal_coefficients(spec, 9)
+    want = ratio_coefficients(None, spec, 9)
     before = dict(bellpoly._cache)
     assert route_prefix(None, spec, 9, "series") == want
     for name in SEQUENCES:
@@ -460,7 +468,7 @@ def test_cache_under_thread_stress(monkeypatch):
     # more threads than cores, switching often, over both routes and three keys
     clear_cache()
     specs = [spec_from_factors((SupportSet.multiples_of(r), Fraction(1, r + 1), 1)) for r in (1, 2, 3)]
-    want = {spec: list(expand_ratio(None, spec, 120).coeffs) for spec in specs}
+    want = {spec: expand_ratio(None, spec, 120) for spec in specs}
     requests = []
     errors = []
 
@@ -469,7 +477,7 @@ def test_cache_under_thread_stress(monkeypatch):
         for _ in range(40):
             spec, n, route = rng.choice(specs), rng.randint(0, 120), rng.choice(("faa", "series"))
             if route == "faa":
-                got = reciprocal_coefficients(spec, n)
+                got = ratio_coefficients(None, spec, n)
             else:
                 got = route_prefix(None, spec, n, "series")
             requests.append((route, spec, n))
@@ -500,4 +508,4 @@ def test_cache_under_thread_stress(monkeypatch):
 
     monkeypatch.setattr(bellpoly, "bell_extend", no_work)
     for spec, n in asked.items():
-        assert reciprocal_coefficients(spec, n) == want[spec][: n + 1]
+        assert ratio_coefficients(None, spec, n) == want[spec][: n + 1]

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bellforge import Factor, FourFactorSpec, IdentityReport, ProductSpec, SupportSet
+from bellforge import Factor, IdentityReport, ProductSpec, SupportSet, expand_ratio, ratio_coefficients
 from bellforge.errata import FormulaStatus
 from bellforge.supports import Record
 
@@ -37,9 +37,6 @@ def samples():
         (factor, Factor(a=-2, z=Fraction(2, 3), support=SupportSet.finite([2, 5]))),
         (ProductSpec((factor,)), ProductSpec(factors=[factor])),
         (IdentityReport("x", 3, True, "1", "1"), IdentityReport(check="x", n=3, ok=True, lhs="1", rhs="1")),
-        (FourFactorSpec(2, 1, None, 1, 1), FourFactorSpec(r1=2, s1=1)),
-        (FourFactorSpec(a1=3), FourFactorSpec()),
-        (FourFactorSpec(r1=2, a2=4, b2=5), FourFactorSpec(r1=2)),
         (formula_status(), formula_status()),
     ]
 
@@ -58,8 +55,6 @@ def test_different_fields_give_unequal_records():
         (SupportSet.multiples_of(2), SupportSet.multiples_of(3)),
         (Factor(SupportSet.all_naturals(), 1, 1), Factor(SupportSet.all_naturals(), 1, 2)),
         (IdentityReport("x", 3, True, "1", "1"), IdentityReport("x", 3, False, "1", "1")),
-        (FourFactorSpec(r1=2), FourFactorSpec(r2=2)),
-        (FourFactorSpec(r1=2, a1=3), FourFactorSpec(r1=2)),
         (formula_status(), formula_status(first_mismatch=None)),
     ]
     for left, right in unequal:
@@ -74,7 +69,7 @@ def test_records_of_different_classes_are_never_equal():
     assert Narrower("all") != SupportSet("all")
     assert Narrower("all") == Narrower("all")
     assert SupportSet("all") != ("all", 1, ())
-    assert FourFactorSpec() != IdentityReport("x", 0, True, "", "")
+    assert SupportSet("all") != IdentityReport("x", 0, True, "", "")
     assert ProductSpec((Factor(SupportSet("all"), 1, 1),)) != (Factor(SupportSet("all"), 1, 1),)
 
 
@@ -91,9 +86,6 @@ def test_repr_text():
     assert repr(IdentityReport("x", 3, True, "1", "1")) == (
         "IdentityReport(check='x', n=3, ok=True, lhs='1', rhs='1')"
     )
-    assert repr(FourFactorSpec(r1=2, a1=3, s1=1)) == (
-        "FourFactorSpec(r1=2, a1=3, r2=None, a2=1, s1=1, b1=1, s2=None, b2=1)"
-    )
     assert repr(formula_status()) == (
         "FormulaStatus(name='cubic', description='a(n)', checked_n=(0, 1), "
         "product_form=('1', '1'), transcription=('1', '-1'), agrees=False, first_mismatch=1)"
@@ -108,10 +100,6 @@ def test_keyword_construction_and_defaults():
     assert ProductSpec(factors=[f]).factors == (f,)
     r = IdentityReport(check="c", n=1, ok=False, lhs="2", rhs="3")
     assert (r.check, r.n, r.ok, r.lhs, r.rhs) == ("c", 1, False, "2", "3")
-    spec = FourFactorSpec(s2=4)
-    assert (spec.r1, spec.a1, spec.r2, spec.a2, spec.s1, spec.b1, spec.s2, spec.b2) == (
-        None, 1, None, 1, None, 1, 4, 1,
-    )
     assert formula_status(agrees=True).agrees is True
     with pytest.raises(TypeError):
         SupportSet()
@@ -162,6 +150,8 @@ def test_a_record_is_hashed_once(monkeypatch):
 
 def test_constructor_validation():
     support = SupportSet.all_naturals()
+    factor = Factor(support, 1, 1)
+    spec = ProductSpec((factor,))
     cases = [
         (ValueError, lambda: SupportSet("weird")),
         (ValueError, lambda: SupportSet("multiples", r=0)),
@@ -179,19 +169,17 @@ def test_constructor_validation():
         (TypeError, lambda: Factor(support, 1, True)),
         (TypeError, lambda: Factor(support, 0.5, 1)),
         (ValueError, lambda: ProductSpec(())),
-        (ValueError, lambda: FourFactorSpec(r1=0)),
-        (ValueError, lambda: FourFactorSpec(s2=3, b2=0)),
-        (TypeError, lambda: FourFactorSpec(r1=True)),
-        (TypeError, lambda: FourFactorSpec(r1=2.0)),
-        (TypeError, lambda: FourFactorSpec(r1=2, a1=2.5)),
-        (TypeError, lambda: FourFactorSpec(r2=2, a2=False)),
-        (TypeError, lambda: FourFactorSpec(s1=1.0, b1=1)),
-        (TypeError, lambda: FourFactorSpec(s2=4, b2=True)),
-        (TypeError, lambda: FourFactorSpec(a1=2.5)),
-        (TypeError, lambda: FourFactorSpec(b1=True)),
-        (ValueError, lambda: FourFactorSpec(b2=0)),
-        (ValueError, lambda: FourFactorSpec(a2=-1)),
+        (TypeError, lambda: Factor("all", 1, 1)),
+        (TypeError, lambda: Factor(spec, 1, 1)),
+        (TypeError, lambda: ProductSpec(("x",))),
+        (TypeError, lambda: ProductSpec((factor, support))),
+        (TypeError, lambda: ProductSpec((spec,))),
     ]
+    # a side of a ratio is a ProductSpec or None, on both routes
+    for evaluate in (ratio_coefficients, expand_ratio):
+        for side in ("x", factor, (factor,), support, 1):
+            cases.append((TypeError, lambda e=evaluate, s=side: e(s, None, 3)))
+            cases.append((TypeError, lambda e=evaluate, s=side: e(spec, s, 3)))
     for error, build in cases:
         with pytest.raises(error):
             build()

@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from bellforge import TruncatedSeries, exp_log_expand, expand_product, spec_from_factors
+from bellforge import TruncatedSeries, exp_log_expand, expand_ratio, spec_from_factors
 from bellforge import bellpoly, partfun
 from bellforge.bellpoly import kernel_size, work_estimate
-from bellforge.series import expand_ratio
 from bellforge.supports import Factor, ProductSpec, SupportSet
 from bellforge.verify import random_product_spec
 
@@ -104,17 +103,18 @@ def test_reciprocal_inverts_random():
 
 def test_expand_product_examples():
     all_nat = SupportSet.all_naturals()
-    euler = expand_product(spec_from_factors((all_nat, 1, 1)), 7)
-    assert [int(c) for c in euler.coeffs] == [1, -1, -1, 0, 0, 1, 0, 1]
-    inv = expand_product(spec_from_factors((all_nat, 1, -1)), 5)
-    assert [int(c) for c in inv.coeffs] == [1, 1, 2, 3, 5, 7]
-    single = expand_product(spec_from_factors((SupportSet.finite([2]), 1, 1)), 4)
-    assert single == series(1, 0, -1, 0, 0)
+    euler = expand_ratio(spec_from_factors((all_nat, 1, 1)), None, 7)
+    assert euler == [1, -1, -1, 0, 0, 1, 0, 1]
+    inv = expand_ratio(spec_from_factors((all_nat, 1, -1)), None, 5)
+    assert inv == [1, 1, 2, 3, 5, 7]
+    single = expand_ratio(spec_from_factors((SupportSet.finite([2]), 1, 1)), None, 4)
+    assert single == [1, 0, -1, 0, 0]
+    assert all(isinstance(c, Fraction) for c in euler + inv + single)
 
 
 def test_expand_product_skips_large_support_members():
     spec = spec_from_factors((SupportSet.finite([3, 9]), 1, 1))
-    assert expand_product(spec, 4) == series(1, 0, 0, -1, 0)
+    assert expand_ratio(spec, None, 4) == [1, 0, 0, -1, 0]
 
 
 def test_coefficient_accessor():
@@ -144,7 +144,7 @@ def test_expand_matches_exp_log_route():
             factors.append(Factor(support, z, a))
         spec = ProductSpec(tuple(factors))
         order = rng.randint(0, 14)
-        assert expand_product(spec, order) == exp_log_expand(spec, order)
+        assert expand_ratio(spec, None, order) == list(exp_log_expand(spec, order).coeffs)
 
 
 def test_truncate():
@@ -179,9 +179,9 @@ def fraction_product(spec, order):
 def fraction_ratio(numer, denom, order):
     out = TruncatedSeries.constant(1, order)
     if denom is not None:
-        out = expand_product(denom, order).reciprocal()
+        out = fraction_product(denom, order).reciprocal()
     if numer is not None:
-        out = expand_product(numer, order).mul(out)
+        out = fraction_product(numer, order).mul(out)
     return out
 
 
@@ -204,7 +204,7 @@ def kernel_specs():
 
 def test_expand_product_matches_fraction_paths():
     for spec in kernel_specs():
-        got = expand_product(spec, KERNEL_ORDER)
+        got = TruncatedSeries(expand_ratio(spec, None, KERNEL_ORDER))
         assert got == fraction_product(spec, KERNEL_ORDER)
         assert got == exp_log_expand(spec, KERNEL_ORDER)
 
@@ -216,7 +216,7 @@ def test_expand_ratio_matches_fraction_path():
     for numer, denom in pairs:
         for order in (0, 1, 7, KERNEL_ORDER):
             want = fraction_ratio(numer, denom, order)
-            assert expand_ratio(numer, denom, order) == want
+            assert expand_ratio(numer, denom, order) == list(want.coeffs)
             if denom is not None:
                 inverse = exp_log_expand(denom.negated(), order)
                 top = TruncatedSeries.constant(1, order)
@@ -224,14 +224,14 @@ def test_expand_ratio_matches_fraction_path():
                     top = exp_log_expand(numer, order)
                 assert want == top.mul(inverse)
     for order in (0, 5):
-        assert expand_ratio(None, None, order) == TruncatedSeries.constant(1, order)
+        assert expand_ratio(None, None, order) == [1] + [0] * order
 
 
 def test_ratio_series_matches_fraction_path():
     specs = kernel_specs()
     for numer, denom in ((specs[-1], specs[30]), (specs[-1], None), (None, specs[-1])):
         series = expand_ratio(numer, denom, KERNEL_ORDER)
-        assert series == fraction_ratio(numer, denom, KERNEL_ORDER)
+        assert series == list(fraction_ratio(numer, denom, KERNEL_ORDER).coeffs)
 
 
 def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
@@ -354,3 +354,24 @@ def large_size_pairs():
     big = spec_from_factors((SupportSet.finite([1]), 1, 10**8))
     pairs.append((big, spec_from_factors((SupportSet.multiples_of(2), F(1, 2), 10**5)), 50))
     return pairs
+
+
+def test_floats_and_bools_are_rejected_not_coerced():
+    u = series(1, 2)
+    for call in (
+        lambda: TruncatedSeries([0.5]),
+        lambda: TruncatedSeries([1, 0.5]),
+        lambda: TruncatedSeries([True]),
+        lambda: TruncatedSeries.constant(0.5, 2),
+        lambda: TruncatedSeries.constant(False, 2),
+        lambda: TruncatedSeries.from_dict({1: 0.5}, 2),
+        lambda: u.scale(0.5),
+        lambda: u.scale(True),
+        lambda: u.int_pow(True),
+        lambda: u.int_pow(2.0),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert TruncatedSeries([1, F(1, 2)]) == series(1, F(1, 2))
+    assert u.scale(F(1, 2)) == series(F(1, 2), 1)
+    assert u.int_pow(1) == u

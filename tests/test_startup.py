@@ -4,6 +4,7 @@ Every request is a fresh ``python -m bellforge`` process, so an unused import
 is paid on every request.  The checks run the package's ``__main__`` in a
 child interpreter and list the modules that the run added."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -34,7 +35,7 @@ SERIES_ROUTE = {"bellforge.series", "bellforge.partitions"}
 # the argparse parser and what it imports, needed only for help and errors
 ARGPARSE = {"argparse", "gettext", "locale"}
 # loaded by other commands only, or by none
-OTHER_COMMANDS = {"bellforge.specfile", "bellforge.bench", "bellforge.fourfactor", "bellforge.divisors"}
+OTHER_COMMANDS = {"bellforge.specfile", "bellforge.bench", "bellforge.divisors"}
 
 
 def run_child(*args):
@@ -113,7 +114,7 @@ def test_closed_sum_requests_load_no_series_route(tmp_path):
     spec.write_text(json.dumps({"denominator": [{"support": {"kind": "all"}, "z": "1/2", "a": 1}]}))
     loaded = loaded_by("eval", "--spec", str(spec), "--max", "5", "--method", "faa")
     assert "bellforge.bellpoly" in loaded and "bellforge.specfile" in loaded
-    assert not loaded & (HEAVY | SERIES_ROUTE | {"bellforge.verify", "bellforge.bench", "bellforge.fourfactor"})
+    assert not loaded & (HEAVY | SERIES_ROUTE | {"bellforge.verify", "bellforge.bench"})
     loaded = loaded_by("verify", "additivity-set", "--max", "3")
     assert "bellforge.verify" in loaded
     assert not loaded & (HEAVY | SERIES_ROUTE)
@@ -187,13 +188,18 @@ def test_test_only_oracles_are_not_exported():
 
     removed = (
         "partition_power_sum divisor_power_sum log_weight log_weight_table "
-        "count_exact_parts count_restricted_bruteforce restricted_divisor_sum indicator ratio_series"
+        "count_exact_parts count_restricted_bruteforce restricted_divisor_sum indicator ratio_series "
+        # each re-spelled ratio_coefficients or expand_ratio with a side left None
+        "product_coefficient product_coefficients reciprocal_coefficient reciprocal_coefficients "
+        "ratio_coefficient expand_product count_partitions FourFactorSpec four_factor_coefficient"
     ).split()
     for name in removed:
         with pytest.raises(AttributeError):
             getattr(bellforge, name)
         assert name not in bellforge.__all__
-    assert len(bellforge.__all__) == 36
+    assert len(bellforge.__all__) == 27
+    assert importlib.util.find_spec("bellforge.fourfactor") is None
     checks = "IdentityReport index_additivity_report set_additivity_report restricted_recursion_report"
     for name in checks.split():
         assert getattr(bellforge, name).__module__ == "bellforge.verify"
+

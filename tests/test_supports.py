@@ -177,5 +177,5 @@ def test_multiples_of_one_is_all_naturals():
     # both spellings of prod (1 - t^m) share one prefix cache entry
     bellpoly.clear_cache()
     for support in (SupportSet.multiples_of(1), everything):
-        bellpoly.reciprocal_coefficients(spec_from_factors((support, 1, 1)), 20)
+        bellpoly.ratio_coefficients(None, spec_from_factors((support, 1, 1)), 20)
     assert len(bellpoly._cache) == 1
