@@ -5,7 +5,8 @@ Closed sums indexed by integer partitions give the coefficients of products
 products; a truncated-power-series engine over exact rationals provides an
 independent route to every value.  Classical sequences (the partition
 function, restricted counts, cubic and overcubic partitions, theta
-coefficients) are exposed on top, each with its identity checks.
+coefficients) are exposed on top as prefixes, by ``sequence``, each with its
+identity checks.
 
 The public names load on first use (PEP 562): ``import bellforge`` imports
 no submodule, and ``bellforge.name`` imports only the submodule defining it,
@@ -20,12 +21,7 @@ _EXPORTS = {
     for module, names in (
         ("divisors", "factorize sigma sigma_via_factorization"),
         ("bellpoly", "InconsistencyError ratio_coefficients work_estimate"),
-        (
-            "partfun",
-            "chan_product_coefficient cubic_partition_count kim_product_coefficient "
-            "overcubic_partition_count partition_function ramanujan_phi_coefficient "
-            "ramanujan_psi_coefficient restricted_partition_count",
-        ),
+        ("partfun", "sequence"),
         ("partitions", "iter_partitions pentagonal_values"),
         ("series", "TruncatedSeries exp_log_expand expand_ratio"),
         ("supports", "Factor ProductSpec SupportSet spec_from_factors"),

@@ -24,19 +24,14 @@ from .partfun import sequence
 from .supports import Record, _require_rational
 
 
-def transcription_sum(n: int, coeff, weight=1) -> Fraction:
-    """``sum over partitions of n of weight^(k_1+...+k_n) *
-    prod (1/k_j!) (coeff(j)/j)^{k_j}``.
+def transcription_sum(n: int, coeff, weight=1) -> list[Fraction]:
+    """Values ``0..n`` of ``sum over partitions of m of
+    weight^(k_1+...+k_m) * prod (1/k_j!) (coeff(j)/j)^{k_j}``, from
+    :func:`_integer_prefixes`.
 
     The per-term weight folds into the coefficients, since
     ``w^(sum k_j) * prod c_j^{k_j} == prod (w c_j)^{k_j}``.
     """
-    return _transcription_prefix(n, coeff, weight)[n]
-
-
-def _transcription_prefix(n: int, coeff, weight) -> list[Fraction]:
-    """``transcription_sum(m, coeff, weight)`` for ``m = 0..n``, from
-    :func:`_integer_prefixes`."""
     scale, (sums,) = _integer_prefixes(n, (coeff, weight))
     top = factorial(n)
     return [Fraction(s, top * scale**m) for m, s in enumerate(sums)]
@@ -129,20 +124,15 @@ _FORMULAS = {
 }
 
 
-def printed(name: str, n: int) -> Fraction:
-    """The transcription ``name`` of :data:`_FORMULAS` at ``n``, as printed."""
-    return _printed_prefix(name, n)[n]
-
-
-def _printed_prefix(name: str, n: int) -> list[Fraction]:
-    """Values ``0..n`` of a transcription: each of its sums is evaluated
-    once as an integer prefix, the double sum is their convolution, and each
-    value is one ``Fraction``."""
+def printed(name: str, n: int) -> list[Fraction]:
+    """Values ``0..n`` of the transcription ``name`` of :data:`_FORMULAS`,
+    as printed: each of its sums is evaluated once as an integer prefix, the
+    double sum is their convolution, and each value is one ``Fraction``."""
     if name not in _FORMULAS:
         raise ValueError(f"unknown transcription {name!r}; known: {', '.join(_FORMULAS)}")
     c, right, d, left = _FORMULAS[name][2]
     if left is None:
-        return [c * v for v in _transcription_prefix(n, *right)]
+        return [c * v for v in transcription_sum(n, *right)]
     scale, (rs, ls) = _integer_prefixes(n, right, left)
     top = factorial(n)
     doubles = [sum(map(mul, ls[1 : k + 1], rs[k - 1 :: -1])) for k in range(n + 1)]
@@ -184,7 +174,7 @@ def build_report(max_n: int = 8) -> list[FormulaStatus]:
     statuses = []
     for name, (description, reference, _) in _FORMULAS.items():
         ref = [Fraction(v) for v in reference(max_n)]
-        got = _printed_prefix(name, max_n)
+        got = printed(name, max_n)
         first = next((n for n in ns if ref[n] != got[n]), None)
         statuses.append(
             FormulaStatus(

@@ -168,6 +168,7 @@ def euler_suite(max_n: int):
 
 def sigma_suite(max_n: int):
     """Divisor enumeration against the prime-factorization formula."""
+    require_natural(max_n, "max_n")
     rows = []
     for n in range(1, max_n + 1):
         direct = sigma(n)
@@ -205,6 +206,7 @@ def _progression_suite(check, name, label, numer, denom, multiple, max_n):
 def index_additivity_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Adding exponent vectors over a fixed factor family must convolve
     the coefficient sequences."""
+    require_natural(max_n, "max_n")
     rng = random.Random(seed)
     rows = []
     for _ in range(INSTANCES):
@@ -218,6 +220,7 @@ def index_additivity_suite(max_n: int, seed: int = DEFAULT_SEED):
 
 def set_additivity_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Merging two factor families must convolve the coefficient sequences."""
+    require_natural(max_n, "max_n")
     rng = random.Random(seed)
     rows = []
     for _ in range(INSTANCES):
@@ -238,6 +241,7 @@ def set_additivity_suite(max_n: int, seed: int = DEFAULT_SEED):
 
 def restricted_recursion_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Dropping the last allowed part: W(n,d) - W(n-last,d) == W(n,d[:-1])."""
+    require_natural(max_n, "max_n")
     rng = random.Random(seed)
     rows = []
     for _ in range(LIST_COUNT):

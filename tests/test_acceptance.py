@@ -9,25 +9,26 @@ import time
 from fractions import Fraction
 
 from bellforge import (
-    chan_product_coefficient,
-    cubic_partition_count,
     expand_ratio,
     factorize,
     iter_partitions,
-    kim_product_coefficient,
-    overcubic_partition_count,
     pentagonal_values,
-    partition_function,
-    ramanujan_phi_coefficient,
-    ramanujan_psi_coefficient,
     ratio_coefficients,
-    restricted_partition_count,
     restricted_recursion_report,
+    sequence,
     sigma,
     sigma_via_factorization,
 )
 from bellforge.errata import build_report
-from bellforge.partfun import OVERCUBIC_DENOMINATOR, OVERCUBIC_NUMERATOR, route_prefix, sequence
+from bellforge.partfun import (
+    CHAN_DENOMINATOR,
+    CHAN_NUMERATOR,
+    KIM_DENOMINATOR,
+    KIM_NUMERATOR,
+    OVERCUBIC_DENOMINATOR,
+    OVERCUBIC_NUMERATOR,
+    route_prefix,
+)
 from bellforge.verify import (
     index_additivity_suite,
     random_product_spec,
@@ -92,9 +93,9 @@ def test_c04_restricted_counts_and_recursion():
         for _ in range(30):
             parts = rng.sample(range(1, 9), rng.randint(2, 5))
             closed_sums = sequence("w", 40, "faa", parts)
+            assert sequence("w", 40, parts=parts) == closed_sums
             for n in range(41):
                 closed = closed_sums[n]
-                assert closed == restricted_partition_count(n, parts)
                 assert closed == count_restricted_bruteforce(n, parts)
                 assert restricted_recursion_report(n, parts).ok
 
@@ -103,15 +104,17 @@ def test_c04_restricted_counts_and_recursion():
 
 def test_c05_cubic_and_chan():
     def body():
-        assert cubic_partition_count(3) == 4
+        closed = sequence("cubic", 40)
+        assert closed[3] == 4
         p = pentagonal_values(40)
         for n in range(41):
             convolution = sum(p[m] * p[n - 2 * m] for m in range(n // 2 + 1))
-            assert cubic_partition_count(n) == convolution
+            assert closed[n] == convolution
         cubic = sequence("cubic", 62, "series")
+        chan = route_prefix(CHAN_NUMERATOR, CHAN_DENOMINATOR, 20, "series")
         for n in range(21):
             value = cubic[3 * n + 2]
-            assert value == chan_product_coefficient(n)
+            assert value == 3 * chan[n]
             assert value % 3 == 0
 
     run_criterion("criterion 05: cubic counts, convolution oracle, Chan identity", 20, body)
@@ -120,10 +123,12 @@ def test_c05_cubic_and_chan():
 def test_c06_overcubic_and_kim():
     def body():
         overcubic = sequence("overcubic", 62, "series")
+        closed = sequence("overcubic", 62)
+        kim = route_prefix(KIM_NUMERATOR, KIM_DENOMINATOR, 20, "series")
         for n in range(21):
             value = overcubic[3 * n + 2]
-            assert value == kim_product_coefficient(n)
-            assert value == overcubic_partition_count(3 * n + 2)
+            assert value == 6 * kim[n]
+            assert value == closed[3 * n + 2]
             assert value % 6 == 0
         # closed-sum route agrees with the series quotient at desk scale
         quotient = route_prefix(OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR, 18, "series")
@@ -137,10 +142,11 @@ def test_c07_theta_indicators():
     def body():
         triangulars = {k * (k + 1) // 2 for k in range(16)}
         squares = {k * k for k in range(1, 11)}
+        psi, phi = sequence("psi-star", 100), sequence("phi-star", 100)
         for n in range(101):
-            assert ramanujan_psi_coefficient(n) == (1 if n in triangulars else 0)
+            assert psi[n] == (1 if n in triangulars else 0)
             expected = 1 if n == 0 else (2 if n in squares else 0)
-            assert ramanujan_phi_coefficient(n) == expected
+            assert phi[n] == expected
 
     run_criterion("criterion 07: theta coefficient indicators, n<=100", 10, body)
 
@@ -167,7 +173,7 @@ def test_c09_additivity_recursions():
 def test_c10_errata_report():
     def body():
         # ground truth by direct enumeration: 2 in two colors, or 1+1
-        assert cubic_partition_count(2) == 3
+        assert sequence("cubic", 2)[2] == 3
         report = build_report(max_n=6)
         names = [st.name for st in report]
         assert "cubic" in names and len(report) == 6
@@ -184,8 +190,7 @@ def test_c11_closed_sum_partition_function_to_1000():
     def body():
         p = pentagonal_values(1000)
         assert sequence("p", 1000, "faa") == p
-        for n in range(1001):
-            assert partition_function(n) == p[n]
+        assert sequence("p", 1000) == p
 
     run_criterion("criterion 11: closed sum p(n) == pentagonal recurrence, n<=1000", 1, body)
 

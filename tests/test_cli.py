@@ -64,6 +64,17 @@ def test_seq_rejects_malformed_parts(capsys):
         assert code == 2
 
 
+def test_seq_empty_parts_is_a_given_option(capsys):
+    # "" on w is a malformed list, and on any other name a misplaced option
+    code, out, err = run_cli(capsys, "seq", "w", "--parts", "", "--max", "2")
+    assert (code, out) == (2, "")
+    assert "bad parts list ''" in err
+    for name in ("p", "cubic"):
+        code, out, err = run_cli(capsys, "seq", name, "--parts", "", "--max", "2")
+        assert (code, out) == (2, "")
+        assert "--parts only applies to function w" in err
+
+
 def test_seq_unknown_function_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["seq", "nope", "--max", "3"])

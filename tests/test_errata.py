@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from bellforge import cubic_partition_count, pentagonal_values
+from bellforge import pentagonal_values, sequence
 from bellforge.errata import (
     _FORMULAS,
     FormulaStatus,
-    _transcription_prefix,
     build_report,
     printed,
     render_json,
@@ -33,7 +32,7 @@ EXPECTED_NAMES = [
 
 def test_engine_cubic_value_vs_colored_enumeration():
     # ground truth first: a(2) counts 2 (two colors) and 1+1
-    assert cubic_partition_count(2) == 3
+    assert sequence("cubic", 2)[2] == 3
 
 
 def test_report_is_produced_with_all_formulas():
@@ -53,15 +52,13 @@ def test_report_is_produced_with_all_formulas():
 def test_report_product_form_column_is_ground_truth():
     report = build_report(max_n=5)
     cubic = next(st for st in report if st.name == "cubic")
-    assert [int(v) for v in cubic.product_form] == [
-        cubic_partition_count(n) for n in range(6)
-    ]
+    assert [int(v) for v in cubic.product_form] == sequence("cubic", 5)
 
 
 def test_cubic_transcription_differs_from_engine_at_two():
     # the report must be able to show a divergence for the cubic formula;
     # the exact transcription value is recorded, not asserted
-    assert printed("cubic", 2) != cubic_partition_count(2)
+    assert printed("cubic", 2)[2] != sequence("cubic", 2)[2]
 
 
 def test_transcription_sum_weight_folding():
@@ -69,13 +66,12 @@ def test_transcription_sum_weight_folding():
     # and weight 1 the sum over partitions of sigma-weights gives p(n)
     from bellforge.divisors import sigma
 
-    for n in range(12):
-        assert transcription_sum(n, sigma) == pentagonal_values(n)[n]
+    assert transcription_sum(11, sigma) == pentagonal_values(11)
 
 
 def test_transcription_double_sum_shape():
     # the two-block transcriptions reduce to plain sums at n = 0
-    assert printed("triangular-theta", 0) == 1
+    assert printed("triangular-theta", 0) == [1]
 
 
 def test_renderings():
@@ -146,7 +142,7 @@ def test_transcription_column_is_the_literal_double_sums():
     for st in report:
         assert st.transcription == tuple(str(literal[st.name](n)) for n in range(9)), st.name
     for name, value in literal.items():
-        assert printed(name, 8) == value(8), name
+        assert printed(name, 8) == [value(n) for n in range(9)], name
 
 
 def test_each_printed_sum_is_the_literal_partition_sum():
@@ -155,8 +151,7 @@ def test_each_printed_sum_is_the_literal_partition_sum():
     assert len(sums) == 11
     for coeff, weight in sums:
         want = [literal_sum(m, coeff, weight) for m in range(31)]
-        assert _transcription_prefix(30, coeff, weight) == want
-        assert transcription_sum(30, coeff, weight) == want[30]
+        assert transcription_sum(30, coeff, weight) == want
 
 
 def test_rational_weights_scale_to_integers():
@@ -170,8 +165,7 @@ def test_rational_weights_scale_to_integers():
     )
     for coeff, weight in cases:
         want = [literal_sum(m, coeff, weight) for m in range(13)]
-        assert _transcription_prefix(12, coeff, weight) == want
-        assert transcription_sum(12, coeff, weight) == want[12]
+        assert transcription_sum(12, coeff, weight) == want
 
 
 def test_floats_are_rejected_not_coerced():
@@ -183,7 +177,7 @@ def test_floats_are_rejected_not_coerced():
         lambda: transcription_sum(3, sigma, weight=0.5),
         lambda: transcription_sum(0, sigma, weight=0.5),
         lambda: transcription_sum(3, lambda j: True),
-        lambda: _transcription_prefix(3, sigma, False),
+        lambda: transcription_sum(3, sigma, False),
     ):
         with pytest.raises(TypeError):
             call()

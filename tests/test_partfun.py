@@ -8,23 +8,21 @@ from math import isqrt
 import pytest
 
 import bellforge
-from bellforge import (
-    InconsistencyError,
-    chan_product_coefficient,
-    cubic_partition_count,
-    kim_product_coefficient,
-    overcubic_partition_count,
-    partition_function,
-    pentagonal_values,
-    ramanujan_phi_coefficient,
-    ramanujan_psi_coefficient,
-    restricted_partition_count,
-    restricted_recursion_report,
-)
+from bellforge import InconsistencyError, pentagonal_values, restricted_recursion_report
 from bellforge import bellpoly, series
 from bellforge.bellpoly import clear_cache, ratio_coefficients
 from bellforge.cli import main
-from bellforge.partfun import PARTITION_PRODUCT, SEQUENCES, _as_count, route_prefix, sequence
+from bellforge.partfun import (
+    CHAN_DENOMINATOR,
+    CHAN_NUMERATOR,
+    KIM_DENOMINATOR,
+    KIM_NUMERATOR,
+    PARTITION_PRODUCT,
+    SEQUENCES,
+    _as_count,
+    route_prefix,
+    sequence,
+)
 from bellforge.series import expand_ratio
 from bellforge.supports import SupportSet, spec_from_factors
 from bellforge.verify import random_product_spec
@@ -51,28 +49,26 @@ def overcubic_by_convolution(n):
 
 
 def test_partition_function_examples():
-    assert partition_function(0) == 1
-    assert partition_function(4) == 5
-    assert partition_function(10) == 42
+    p = sequence("p", 10)
+    assert (p[0], p[4], p[10]) == (1, 5, 42)
 
 
 def test_partition_function_routes_agree():
     p = pentagonal_values(30)
     assert sequence("p", 30, "faa") == sequence("p", 30, "series") == p
-    assert [partition_function(n) for n in range(31)] == p
+    assert sequence("p", 30) == p
 
 
 def test_restricted_partition_examples():
-    assert restricted_partition_count(5, [1, 2]) == 3
-    for n in range(10):
-        assert restricted_partition_count(n, [1]) == 1
-    assert restricted_partition_count(3, [2]) == 0
+    assert sequence("w", 5, parts=[1, 2])[5] == 3
+    assert sequence("w", 9, parts=[1]) == [1] * 10
+    assert sequence("w", 3, parts=[2])[3] == 0
 
 
 def test_restricted_partition_rejects_bool_and_float_parts():
     for parts in ([True, 2], [1.5, 2]):
         with pytest.raises(TypeError):
-            restricted_partition_count(3, parts)
+            sequence("w", 3, parts=parts)
         for method in ("faa", "series"):
             with pytest.raises(TypeError):
                 sequence("w", 3, method, parts)
@@ -83,102 +79,102 @@ def test_restricted_partition_matches_bruteforce():
     for _ in range(12):
         parts = rng.sample(range(1, 9), rng.randint(1, 4))
         faa, ser = (sequence("w", 24, method, parts) for method in ("faa", "series"))
+        assert sequence("w", 24, parts=parts) == faa
         for n in range(0, 25, 3):
             want = count_restricted_bruteforce(n, parts)
-            assert restricted_partition_count(n, parts) == faa[n] == ser[n] == want
+            assert faa[n] == ser[n] == want
 
 
 def test_cubic_examples():
-    assert cubic_partition_count(3) == 4
-    assert cubic_partition_count(0) == 1
+    cubic = sequence("cubic", 3)
+    assert cubic[3] == 4
+    assert cubic[0] == 1
     # enumeration: 2 in either of two colors, or 1+1
-    assert cubic_partition_count(2) == 3
+    assert cubic[2] == 3
 
 
 def test_cubic_matches_convolution_oracle():
     want = [cubic_by_convolution(n) for n in range(26)]
     assert sequence("cubic", 25, "faa") == sequence("cubic", 25, "series") == want
-    assert [cubic_partition_count(n) for n in range(26)] == want
+    assert sequence("cubic", 25) == want
 
 
 def test_chan_identity_small():
-    assert chan_product_coefficient(0) == cubic_partition_count(2) == 3
-    assert chan_product_coefficient(1) == cubic_partition_count(5)
+    cubic = sequence("cubic", 3 * 12 + 2)
+    chan = [3 * v for v in route_prefix(CHAN_NUMERATOR, CHAN_DENOMINATOR, 12, "series")]
+    assert chan[0] == cubic[2] == 3
+    assert chan[1] == cubic[5]
     for n in range(13):
-        value = chan_product_coefficient(n)
-        assert value == cubic_partition_count(3 * n + 2)
-        assert value % 3 == 0
+        assert chan[n] == cubic[3 * n + 2]
+        assert chan[n] % 3 == 0
 
 
 def test_overcubic_small_values():
     # forced by the generating quotient: 1/(1-t)^2 alone contributes 2t
-    assert overcubic_partition_count(0) == 1
-    assert overcubic_partition_count(1) == 2
-    assert overcubic_partition_count(2) == overcubic_by_convolution(2) == 6
+    overcubic = sequence("overcubic", 2)
+    assert overcubic[0] == 1
+    assert overcubic[1] == 2
+    assert overcubic[2] == overcubic_by_convolution(2) == 6
 
 
 def test_overcubic_matches_convolution_oracle():
     want = [overcubic_by_convolution(n) for n in range(19)]
     assert sequence("overcubic", 18, "faa") == sequence("overcubic", 18, "series") == want
-    assert [overcubic_partition_count(n) for n in range(19)] == want
+    assert sequence("overcubic", 18) == want
 
 
 def test_kim_identity_small():
-    assert kim_product_coefficient(0) == overcubic_partition_count(2) == 6
-    assert kim_product_coefficient(1) == overcubic_partition_count(5)
+    overcubic = sequence("overcubic", 3 * 10 + 2)
+    kim = [6 * v for v in route_prefix(KIM_NUMERATOR, KIM_DENOMINATOR, 10, "series")]
+    assert kim[0] == overcubic[2] == 6
+    assert kim[1] == overcubic[5]
     for n in range(11):
-        value = kim_product_coefficient(n)
-        assert value == overcubic_partition_count(3 * n + 2)
-        assert value % 6 == 0
+        assert kim[n] == overcubic[3 * n + 2]
+        assert kim[n] % 6 == 0
 
 
 def test_theta_psi_examples():
-    assert ramanujan_psi_coefficient(0) == 1
-    assert ramanujan_psi_coefficient(3) == 1
-    assert ramanujan_psi_coefficient(4) == 0
+    psi = sequence("psi-star", 4)
+    assert psi[0] == 1
+    assert psi[3] == 1
+    assert psi[4] == 0
 
 
 def test_theta_psi_is_triangular_indicator():
     triangulars = {k * (k + 1) // 2 for k in range(20)}
+    psi = sequence("psi-star", 60)
     for n in range(61):
-        assert ramanujan_psi_coefficient(n) == (1 if n in triangulars else 0)
+        assert psi[n] == (1 if n in triangulars else 0)
 
 
 def test_theta_phi_examples():
-    assert ramanujan_phi_coefficient(0) == 1
-    assert ramanujan_phi_coefficient(4) == 2
-    assert ramanujan_phi_coefficient(3) == 0
+    phi = sequence("phi-star", 4)
+    assert phi[0] == 1
+    assert phi[4] == 2
+    assert phi[3] == 0
 
 
 def test_theta_phi_is_doubled_square_indicator():
     squares = {k * k for k in range(1, 12)}
+    phi = sequence("phi-star", 60)
     for n in range(61):
         want = 1 if n == 0 else (2 if n in squares else 0)
-        assert ramanujan_phi_coefficient(n) == want
+        assert phi[n] == want
 
 
 def test_theta_routes_agree():
-    for name, fn in (("psi-star", ramanujan_psi_coefficient), ("phi-star", ramanujan_phi_coefficient)):
+    for name in ("psi-star", "phi-star"):
         closed = sequence(name, 30, "faa")
         assert closed == sequence(name, 30, "series")
-        assert [fn(n) for n in range(31)] == closed
+        assert sequence(name, 30) == closed
 
 
 def test_named_functions_integral_and_nonnegative():
     parts = [2, 3, 7]
     for name in SEQUENCES:
-        for value in sequence(name, 40, "series", parts if name == "w" else None):
-            assert isinstance(value, int) and value >= 0
-    for n in range(41):
-        for value in (
-            partition_function(n),
-            restricted_partition_count(n, parts),
-            cubic_partition_count(n),
-            overcubic_partition_count(n),
-            ramanujan_psi_coefficient(n),
-            ramanujan_phi_coefficient(n),
-        ):
-            assert isinstance(value, int) and value >= 0
+        for method in ("faa", "series"):
+            for value in sequence(name, 40, method, parts if name == "w" else None):
+                assert isinstance(value, int) and value >= 0
 
 
 def multiples(*slots):
@@ -194,8 +190,9 @@ def test_four_factor_psi_reproduction():
     assert values[:2] == [1, 1]
     folded = ratio_coefficients(multiples((2, 2)), denom, 20)
     psi = sequence("psi-star", 20, "series")
+    closed = sequence("psi-star", 20)
     for n in range(21):
-        assert values[n] == psi[n] == ramanujan_psi_coefficient(n)
+        assert values[n] == psi[n] == closed[n]
         assert values[n] == folded[n]
 
 
@@ -203,8 +200,7 @@ def test_four_factor_cubic_reproduction():
     values = ratio_coefficients(None, multiples((1, 1), (2, 1)), 15)
     assert values[3] == 4
     assert values[0] == 1
-    for n in range(16):
-        assert values[n] == cubic_partition_count(n)
+    assert values == sequence("cubic", 15)
 
 
 def test_four_factor_can_be_rational():
@@ -258,7 +254,7 @@ def convolve(u, v):
     return [sum(u[k] * v[m - k] for k in range(m + 1)) for m in range(len(u))]
 
 
-def test_per_n_functions_take_the_closed_sum_at_every_n(monkeypatch, capsys):
+def test_sequence_takes_the_closed_sum_at_every_n(monkeypatch, capsys):
     top = 200
     parts = [1, 2, 5, 10, 25]
     p = pentagonal_values(top)
@@ -268,16 +264,16 @@ def test_per_n_functions_take_the_closed_sum_at_every_n(monkeypatch, capsys):
     psi = [int(n in triangulars) for n in range(top + 1)]
     phi = [1] + [2 * (isqrt(n) ** 2 == n) for n in range(1, top + 1)]
     cases = (
-        (partition_function, p),
-        (cubic_partition_count, cubic),
-        (overcubic_partition_count, overcubic),
-        (lambda n: restricted_partition_count(n, parts), coin_counts(parts, top)),
-        (ramanujan_psi_coefficient, psi),
-        (ramanujan_phi_coefficient, phi),
+        ("p", None, p),
+        ("cubic", None, cubic),
+        ("overcubic", None, overcubic),
+        ("w", parts, coin_counts(parts, top)),
+        ("psi-star", None, psi),
+        ("phi-star", None, phi),
     )
 
     def no_series(*args):
-        raise AssertionError("a per-n function took the series route")
+        raise AssertionError("the default route took the series oracle")
 
     assert not hasattr(bellforge, "faa_cap")
     # the removed size switch's environment variable changes nothing
@@ -285,30 +281,15 @@ def test_per_n_functions_take_the_closed_sum_at_every_n(monkeypatch, capsys):
         monkeypatch.setenv("BELLFORGE_FAA_CAP", cap)
         with monkeypatch.context() as patched:
             patched.setattr(series, "expand_ratio", no_series)
-            for fn, want in cases:
-                assert [fn(n) for n in range(top + 1)] == want
+            for name, extra, want in cases:
+                assert sequence(name, top, parts=extra) == want
+                assert [sequence(name, n, parts=extra)[n] for n in range(top + 1)] == want
             numer, denom = multiples((2, 2)), multiples((1, 1))
             assert [ratio_coefficients(numer, denom, n)[n] for n in range(top + 1)] == psi
             for name, want in (("psi-star", psi), ("phi-star", phi)):
                 assert main(["seq", name, "--max", str(top)]) == 0
                 rows = capsys.readouterr().out.splitlines()
                 assert rows == ["n,value"] + [f"{n},{v}" for n, v in enumerate(want)]
-
-
-def test_per_n_functions_take_no_route():
-    calls = (
-        lambda **kw: partition_function(3, **kw),
-        lambda **kw: restricted_partition_count(3, [1, 2], **kw),
-        lambda **kw: cubic_partition_count(3, **kw),
-        lambda **kw: overcubic_partition_count(3, **kw),
-        lambda **kw: ramanujan_psi_coefficient(3, **kw),
-        lambda **kw: ramanujan_phi_coefficient(3, **kw),
-    )
-    for call in calls:
-        call()
-        for method in ("faa", "series", "auto"):
-            with pytest.raises(TypeError):
-                call(method=method)
 
 
 def test_count_guard_rejects_non_integral():
@@ -319,19 +300,11 @@ def test_count_guard_rejects_non_integral():
     assert _as_count(Fraction(7), "test") == 7
 
 
-def test_sequence_is_the_per_n_functions_as_one_prefix():
+def test_sequence_checks_its_route_and_parts():
     parts = [2, 3, 7]
-    cases = (
-        ("p", {}, partition_function),
-        ("w", {"parts": parts}, lambda n, **kw: restricted_partition_count(n, parts, **kw)),
-        ("cubic", {}, cubic_partition_count),
-        ("overcubic", {}, overcubic_partition_count),
-        ("psi-star", {}, ramanujan_psi_coefficient),
-        ("phi-star", {}, ramanujan_phi_coefficient),
-    )
-    for name, extra, fn in cases:
-        want = [fn(n) for n in range(41)]
-        assert sequence(name, 40, **extra) == want
+    for name in SEQUENCES:
+        extra = {"parts": parts} if name == "w" else {}
+        want = sequence(name, 40, **extra)
         for method in ("faa", "series"):
             assert sequence(name, 40, method, **extra) == want
         # "auto" was a second spelling of the closed sum; it is gone

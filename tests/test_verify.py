@@ -70,3 +70,12 @@ def test_suites_are_deterministic():
     first = run_suite("additivity-set", 8)
     second = run_suite("additivity-set", 8)
     assert first == second
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+@pytest.mark.parametrize(
+    "max_n, error", [(True, TypeError), (2.0, TypeError), (-1, ValueError)], ids=["bool", "float", "negative"]
+)
+def test_suites_reject_a_max_that_is_not_a_natural(name, max_n, error):
+    with pytest.raises(error, match="must be"):
+        run_suite(name, max_n)
