@@ -13,23 +13,20 @@ has weights ``f``'s minus ``g``'s.  Being a complete Bell polynomial in the
 ``w_j / j``, the sum obeys ``n c_n = sum_{k=1..n} w_k c_{n-k}`` (Comtet,
 1974, ch. 3), which :func:`ratio_coefficients` runs on whole prefixes; the
 literal sum, one term per partition, is kept only as the tests' reference.
-It keeps the program's one prefix cache, which :func:`clear_cache` empties,
-and :func:`work_estimate` prices a request before it runs.  Everything is
-exact and independently checkable against :mod:`bellforge.series`, which
-shares no state with this module.
+Nothing here keeps state: every request runs its own recurrence, which
+:func:`work_estimate` prices before it runs.  Everything is exact and
+independently checkable against :mod:`bellforge.series`, which imports
+nothing from this module.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
 from .arith import require_natural
 from .supports import FINITE, ProductSpec, SupportSet, _require_sides
-
-_ONE = Fraction(1)
 
 
 class InconsistencyError(ArithmeticError):
@@ -46,17 +43,6 @@ def bell_extend(coeffs: list[int], weights: list[int], n: int) -> None:
         if rem:
             raise InconsistencyError(f"Bell recurrence: inexact division by {m}")
         coeffs.append(a_m)
-
-
-_cache_lock = threading.Lock()
-# (numer, denom) -> (L, weights, A_m, c_m); an entry is never mutated once published
-_cache: dict[tuple, tuple] = {}
-
-
-def clear_cache() -> None:
-    """Drop every cached closed-sum prefix; the next request starts cold."""
-    with _cache_lock:
-        _cache.clear()
 
 
 def work_estimate(route: str, numer, denom, n: int) -> int:
@@ -116,39 +102,20 @@ def _fold_steps(support: SupportSet, n: int) -> int:
 def ratio_coefficients(
     numer: ProductSpec | None, denom: ProductSpec | None, n: int
 ) -> list[Fraction]:
-    """Cached coefficients ``0..n`` of numerator-product / denominator-product;
+    """Coefficients ``0..n`` of numerator-product / denominator-product;
     ``None`` on either side is the constant 1.  The ratio is the product of the
     numerator's factors and the denominator's with negated exponents, so one
     Bell recurrence evaluates it; with ``L`` the lcm of all z denominators the
     weights ``w_k L^k`` and ``A_m = c_m L^m`` are integers."""
     _require_sides(numer, denom)
     require_natural(n)
-    key = (numer, denom)
-    # the lock is held only to read and to publish, so a request never waits
-    # on another's computation; of two racing requests the longer prefix wins
-    with _cache_lock:
-        entry = _cache.get(key)
-    if entry is None or len(entry[3]) <= n:
-        fresh = _grow_bell(numer, denom, entry, n)
-        with _cache_lock:
-            entry = _cache.get(key)
-            if entry is None or len(entry[3]) < len(fresh[3]):
-                entry = _cache[key] = fresh
-    return entry[3][: n + 1]
-
-
-def _grow_bell(numer, denom, entry, n):
-    """A copy of the cached ``(L, weights, A_m, c_m)`` extended to exactly ``n``."""
     sides = [s for s in (numer, denom if denom is None else denom.negated()) if s is not None]
-    if entry is None:
-        entry = (lcm(*(s.z_scale() for s in sides)), [0], [1], [_ONE])
-    scale, weights, coeffs, values = entry
+    scale = lcm(*(s.z_scale() for s in sides))
     factors = tuple(f for s in sides for f in s.factors)
-    weights = weights + [_scaled_weight(k, factors, scale) for k in range(len(weights), n + 1)]
-    coeffs = coeffs.copy()
+    weights = [0] + [_scaled_weight(k, factors, scale) for k in range(1, n + 1)]
+    coeffs = [1]
     bell_extend(coeffs, weights, n)
-    values = values + [Fraction(coeffs[m], scale**m) for m in range(len(values), n + 1)]
-    return scale, weights, coeffs, values
+    return [Fraction(a, scale**m) for m, a in enumerate(coeffs)]
 
 
 def _scaled_weight(k: int, factors, scale: int) -> int:

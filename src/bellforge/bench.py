@@ -1,16 +1,17 @@
 """The ``bench`` command: time the three ``p(n)`` algorithms against each other.
 
-The closed sum (from an empty cache), the pentagonal recurrence and the
-series reciprocal each compute the prefix ``0..hi`` for ``hi`` in buckets of
-10 up to ``--max``; the best of ``--repeat`` runs is printed with whether
-the three agree, and any disagreement exits 1.
+The closed sum, the pentagonal recurrence and the series reciprocal each
+compute the prefix ``0..hi`` for ``hi`` in buckets of 10 up to ``--max``,
+every run from scratch since none of them keeps state; the best of
+``--repeat`` runs is printed with whether the three agree, and any
+disagreement exits 1.
 """
 
 from __future__ import annotations
 
 import time
 
-from .bellpoly import clear_cache, ratio_coefficients, work_estimate
+from .bellpoly import ratio_coefficients, work_estimate
 from .cli import UsageError, check_work
 from .partfun import PARTITION_PRODUCT
 from .partitions import pentagonal_values
@@ -26,12 +27,8 @@ def cmd_bench(args) -> int:
     runs = (len(range(10, n_max, 10)) + 1) * repeat
     check_work(f"bench --max {n_max} --repeat {repeat}", runs * (2 * faa + series))
 
-    def closed_sum(hi):
-        clear_cache()  # time the recurrence, not a cached prefix
-        return ratio_coefficients(None, PARTITION_PRODUCT, hi)
-
     methods = {
-        "closed-sum": closed_sum,
+        "closed-sum": lambda hi: ratio_coefficients(None, PARTITION_PRODUCT, hi),
         "pentagonal": pentagonal_values,
         "series": lambda hi: expand_ratio(None, PARTITION_PRODUCT, hi),
     }

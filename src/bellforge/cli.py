@@ -185,9 +185,13 @@ def check_work(request: str, work: int) -> None:
 
 
 def _parse_parts(text: str) -> list[int]:
+    # ASCII digits only, as for a spec's z: int() alone also reads "+1", " 1", "1_0" and "٢"
+    chunks = text.split(",")
     try:
-        parts = [int(chunk) for chunk in text.split(",")]
-    except ValueError as exc:
+        if not all(chunk.isascii() and chunk.isdigit() for chunk in chunks):
+            raise ValueError(text)
+        parts = [int(chunk) for chunk in chunks]
+    except ValueError as exc:  # also a chunk past the int() digit limit
         raise UsageError(f"bad parts list {text!r}") from exc
     if not parts or len(set(parts)) != len(parts) or min(parts) < 1:
         raise UsageError("parts must be distinct integers >= 1")

@@ -9,12 +9,11 @@ Each function here is the coefficient sequence of a fixed quotient of
 * ``"series"``: expansion of the product ratio (:mod:`bellforge.series`).
 
 :func:`route_prefix` is the one map from a route name to its evaluator.
-Only the closed sum keeps state, the one prefix cache of
-:mod:`bellforge.bellpoly`; the series oracle is a pure function of the
-quotient and the order, so the two routes share nothing.  :func:`sequence`
-answers every named count as its whole prefix ``0..n`` from one request, on
-the closed sum unless the caller asks for the series route.  All named
-counts must come out as nonnegative integers; anything else raises
+Neither route keeps state: each is a pure function of the quotient and the
+order, so the two routes share nothing.  :func:`sequence` answers every
+named count as its whole prefix ``0..n`` from one request, on the closed
+sum unless the caller asks for the series route.  All named counts must
+come out as nonnegative integers; anything else raises
 :class:`InconsistencyError` since it can only mean an internal defect.
 """
 

@@ -26,9 +26,8 @@ class Record:
     A subclass lists its attributes in ``_fields`` and sets them in
     ``__init__`` through :meth:`_assign`.  Equality holds only between
     instances of the same class with equal fields, ``hash`` is the hash of
-    the field tuple (computed once, since records key the prefix cache),
-    ``repr`` reads ``Name(field=value, ...)``, and setting or deleting an
-    attribute raises :class:`AttributeError`.
+    the field tuple, ``repr`` reads ``Name(field=value, ...)``, and setting
+    or deleting an attribute raises :class:`AttributeError`.
     """
 
     __slots__ = ()
@@ -47,20 +46,7 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash(self._values())
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    # the pickled state is the fields alone: a string's hash differs between
-    # processes, so a cached hash must not travel
-    def __getstate__(self):
-        return self._values()
-
-    def __setstate__(self, state):
-        self._assign(*state)
+        return hash(self._values())
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

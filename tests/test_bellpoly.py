@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -202,13 +204,28 @@ def test_recurrence_matches_partition_dfs_named_specs(spec):
     assert_recurrence_matches_dfs(spec, 30)
 
 
-def test_recurrence_prefix_extends_from_cached_order():
+def test_a_shorter_prefix_is_a_prefix_of_a_longer_one():
     spec = spec_from_factors((ALL, F(1, 3), 2), (SupportSet.finite([2, 5]), F(-3, 2), -1))
     short = ratio_coefficients(None, spec, 7)
     assert ratio_coefficients(None, spec, 19)[:8] == short
     assert ratio_coefficients(None, spec, 19) == list(
         TruncatedSeries(expand_ratio(spec, None, 19)).reciprocal().coeffs
     )
+
+
+def test_a_session_keeps_no_closed_sum_memory():
+    # the 40 prefixes would hold about 1 MB if the closed sum kept any of them
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for r in range(1, 41):
+            ratio_coefficients(None, spec_from_factors((SupportSet.multiples_of(r), F(1, 2), 1)), 300)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024, retained
 
 
 def test_inexact_bell_division_raises():

@@ -62,6 +62,11 @@ def test_seq_rejects_malformed_parts(capsys):
     for bad in ("1,x", "0,2", "2,2", ""):
         code, _, err = run_cli(capsys, "seq", "w", "--parts", bad, "--max", "3")
         assert code == 2
+    # int() reads each of these, but a parts list is ASCII digits and commas only
+    for bad in ("1_0,٢", "1,٢", "+1,2", " 1,2", "1, 2"):
+        code, out, err = run_cli(capsys, "seq", "w", "--parts", bad, "--max", "3")
+        assert (code, out) == (2, "")
+        assert "bad parts list" in err
 
 
 def test_seq_empty_parts_is_a_given_option(capsys):

@@ -10,7 +10,7 @@ import pytest
 import bellforge
 from bellforge import InconsistencyError, pentagonal_values, restricted_recursion_report
 from bellforge import bellpoly, series
-from bellforge.bellpoly import clear_cache, ratio_coefficients
+from bellforge.bellpoly import ratio_coefficients
 from bellforge.cli import main
 from bellforge.partfun import (
     CHAN_DENOMINATOR,
@@ -336,8 +336,7 @@ def _signal_on_extend(monkeypatch, hook):
     monkeypatch.setattr(bellpoly, "bell_extend", wrapped)
 
 
-def test_cached_lookup_does_not_wait_on_unrelated_work(monkeypatch):
-    clear_cache()
+def test_a_request_does_not_wait_on_unrelated_work(monkeypatch):
     unrelated = spec_from_factors((SupportSet.multiples_of(2), Fraction(1, 3), 2))
     want = ratio_coefficients(None, unrelated, 30)
     entered = threading.Event()
@@ -363,57 +362,10 @@ def test_cached_lookup_does_not_wait_on_unrelated_work(monkeypatch):
     assert still_computing
 
 
-def test_racing_requests_for_one_key_keep_the_longer_prefix(monkeypatch):
-    clear_cache()
-    shorter_entered = threading.Event()
-    longer_done = threading.Event()
-    longer_finished_first = []
-
-    def hook(n, run):
-        if n == 2000:
-            shorter_entered.set()
-        run()
-        if n == 2000:
-            # publish the shorter prefix only after the longer one is out
-            longer_finished_first.append(longer_done.wait(10))
-
-    _signal_on_extend(monkeypatch, hook)
-    results = {}
-
-    def ask(n):
-        results[n] = ratio_coefficients(None, PARTITION_PRODUCT, n)
-        if n == 3000:
-            longer_done.set()
-
-    shorter = threading.Thread(target=ask, args=(2000,))
-    shorter.start()
-    assert shorter_entered.wait(10)
-    longer = threading.Thread(target=ask, args=(3000,))
-    longer.start()
-    longer.join(60)
-    shorter.join(60)
-    assert not longer.is_alive() and not shorter.is_alive()
-    assert longer_finished_first == [True]
-    want = pentagonal_values(3000)
-    assert results[3000] == want
-    assert results[2000] == want[:2001]
-
-    def no_extension(n, run):
-        raise AssertionError(f"the cache recomputed up to {n}")
-
-    _signal_on_extend(monkeypatch, no_extension)
-    assert ratio_coefficients(None, PARTITION_PRODUCT, 3000) == want
-
-
-def test_clear_cache_empties_both_routes(monkeypatch):
-    # the closed sum owns the one cache; the series oracle has none to empty
+def test_each_request_runs_its_own_recurrence(monkeypatch):
+    # the closed sum keeps no prefix: an equal request computes it again
     spec = spec_from_factors((SupportSet.finite([1, 4]), Fraction(2, 5), -2))
     want = expand_ratio(None, spec, 12)
-    clear_cache()
-    assert ratio_coefficients(None, spec, 12) == want
-    assert list(bellpoly._cache) == [(None, spec)]
-    clear_cache()
-    assert bellpoly._cache == {}
     extended = []
 
     def hook(n, run):
@@ -421,28 +373,15 @@ def test_clear_cache_empties_both_routes(monkeypatch):
         run()
 
     _signal_on_extend(monkeypatch, hook)
-    assert ratio_coefficients(None, spec, 12) == want
-    assert extended == [12]
+    first = ratio_coefficients(None, spec, 12)
+    assert ratio_coefficients(None, spec, 12) == first == want
+    assert extended == [12, 12]
 
 
-def test_series_route_leaves_the_cache_alone():
-    # the oracle is a pure function of (numer, denom, n): it reads and writes no cache
-    clear_cache()
-    spec = spec_from_factors((SupportSet.multiples_of(3), Fraction(-1, 2), 2))
-    want = ratio_coefficients(None, spec, 9)
-    before = dict(bellpoly._cache)
-    assert route_prefix(None, spec, 9, "series") == want
-    for name in SEQUENCES:
-        sequence(name, 9, "series", [1, 3] if name == "w" else None)
-    assert bellpoly._cache == before
-
-
-def test_cache_under_thread_stress(monkeypatch):
-    # more threads than cores, switching often, over both routes and three keys
-    clear_cache()
+def test_cache_under_thread_stress():
+    # more threads than cores, switching often, over both routes and three ratios
     specs = [spec_from_factors((SupportSet.multiples_of(r), Fraction(1, r + 1), 1)) for r in (1, 2, 3)]
     want = {spec: expand_ratio(None, spec, 120) for spec in specs}
-    requests = []
     errors = []
 
     def work(seed):
@@ -453,7 +392,6 @@ def test_cache_under_thread_stress(monkeypatch):
                 got = ratio_coefficients(None, spec, n)
             else:
                 got = route_prefix(None, spec, n, "series")
-            requests.append((route, spec, n))
             if got != want[spec][: n + 1]:
                 errors.append((route, spec, n))
 
@@ -469,16 +407,3 @@ def test_cache_under_thread_stress(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-
-    asked = {}
-    for route, spec, n in requests:
-        if route == "faa":
-            asked[spec] = max(asked.get(spec, 0), n)
-
-    # a shorter entry published over a longer one would need recomputing here
-    def no_work(*args):
-        raise AssertionError("the cache lost a longer prefix")
-
-    monkeypatch.setattr(bellpoly, "bell_extend", no_work)
-    for spec, n in asked.items():
-        assert ratio_coefficients(None, spec, n) == want[spec][: n + 1]

@@ -303,7 +303,7 @@ def test_kernel_size_bounds_the_closed_sum_terms(monkeypatch):
     for numer, denom, top in probe_pairs():
         for order in (0, 1, 2, 7, top):
             terms.clear()
-            bellpoly._grow_bell(numer, denom, None, order)
+            bellpoly.ratio_coefficients(numer, denom, order)
             assert sum(terms) == order * (order + 1) // 2
             assert kernel_size("faa", numer, denom, order)[0] >= sum(terms)
 
@@ -313,6 +313,7 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
 
     seen = []
     fold, reciprocal, cauchy = series._fold_binomial, series._reciprocal, series._cauchy
+    extend = bellpoly.bell_extend
 
     def record(values):
         seen.append(max(abs(v) for v in values).bit_length())
@@ -325,6 +326,12 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
     monkeypatch.setattr(series, "_fold_binomial", recording_fold)
     monkeypatch.setattr(series, "_reciprocal", lambda u: record(reciprocal(u)))
     monkeypatch.setattr(series, "_cauchy", lambda u, v: record(cauchy(u, v)))
+
+    def recording_extend(coeffs, weights, n):
+        extend(coeffs, weights, n)
+        record(weights + coeffs)
+
+    monkeypatch.setattr(bellpoly, "bell_extend", recording_extend)
     for numer, denom, top in probe_pairs() + large_size_pairs():
         # the series route folds one pass per unit of |a|
         size = sum(abs(f.a) for side in (numer, denom) if side is not None for f in side.factors)
@@ -334,8 +341,7 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
             seen.clear()
             if size <= 1000:
                 expand_ratio(numer, denom, order)
-            _, weights, coeffs, _ = bellpoly._grow_bell(numer, denom, None, order)
-            record(weights + coeffs)
+            bellpoly.ratio_coefficients(numer, denom, order)
             assert max(seen) <= bits, (numer, denom, order)
 
 

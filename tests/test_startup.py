@@ -66,7 +66,14 @@ def test_theta_sequences_take_the_closed_sum(name):
     assert not loaded & (SERIES_ROUTE | ARGPARSE | OTHER_COMMANDS)
 
 
-def test_seq_compiles_under_825_lines():
+def test_seq_loads_no_threading():
+    # -S keeps the site's own imports, which may load threading, from hiding it
+    loaded = set(run_child("-S", "-c", CHILD, "seq", "p", "--max", "1").stderr.splitlines()[-1].split())
+    assert "bellforge.bellpoly" in loaded
+    assert "threading" not in loaded
+
+
+def test_seq_compiles_under_775_lines():
     # every request compiles its modules when no bytecode cache is written
     code = """
 import runpy, sys
@@ -81,7 +88,7 @@ for name in sorted(m for m in sys.modules if m.startswith("bellforge")):
 """
     sizes = dict(line.split() for line in run_child("-c", code).stderr.splitlines())
     assert set(sizes) == {f"bellforge{m}" for m in ("", ".cli", ".arith", ".supports", ".bellpoly", ".partfun")}
-    assert sum(map(int, sizes.values())) < 825, sizes
+    assert sum(map(int, sizes.values())) < 775, sizes
 
 
 @pytest.mark.parametrize(
