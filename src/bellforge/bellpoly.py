@@ -55,20 +55,18 @@ def work_estimate(route: str, numer, denom, n: int) -> int:
 
 def kernel_size(route: str, numer, denom, n: int) -> tuple[int, int]:
     """``(steps, B)`` of ``route`` to order ``n``, in O(factors) closed forms:
-    the Bell recurrence's terms and weight table, or the fold passes and an
-    ``n (n + 1) / 2`` triangle per reciprocal and per Cauchy product.  Every
-    integer either route produces is dominated by ``prod (1 - Z L^m s^m)^-S``
+    the Bell recurrence's terms and weight table, or the fold passes, one per
+    support member and unit of ``|a|`` on both sides.  Every integer either
+    route produces is dominated by ``prod (1 - Z L^m s^m)^-S``
     (``L`` the lcm of the z denominators, ``Z = max(1, |z|)``, ``S = sum |a|``),
     so as ``p_S(n) <= exp(pi sqrt(2Sn/3))`` and ``p_S(n) <= p(n) S^n`` it has
     at most ``B`` bits."""
     require_natural(n)
     factors = [f for side in (numer, denom) if side is not None for f in side.factors]
-    triangle = n * (n + 1) // 2
     if route == "faa":
-        steps = triangle + len(factors) * n * (isqrt(n) + n.bit_length())
+        steps = n * (n + 1) // 2 + len(factors) * n * (isqrt(n) + n.bit_length())
     elif route == "series":
         steps = sum(abs(f.a) * _fold_steps(f.support, n) for f in factors)
-        steps += triangle * ((denom is not None) + (numer is not None and denom is not None))
     else:
         raise ValueError(f"unknown route {route!r}")
     scale = lcm(*(f.z.denominator for f in factors))

@@ -1,7 +1,7 @@
 """The ``bench`` command: time the three ``p(n)`` algorithms against each other.
 
-The closed sum, the pentagonal recurrence and the series reciprocal each
-compute the prefix ``0..hi`` for ``hi`` in buckets of 10 up to ``--max``,
+The closed sum, the pentagonal recurrence and the series fold each compute
+the prefix ``0..hi`` for ``hi`` in buckets of 10 up to ``--max``,
 every run from scratch since none of them keeps state; the best of
 ``--repeat`` runs is printed with whether the three agree, and any
 disagreement exits 1.

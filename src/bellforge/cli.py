@@ -9,9 +9,10 @@ Subcommands:
 * ``errata`` — print the closed-formula transcription status report.
 
 Exit codes: 0 success, 1 verification/disagreement failure, 2 usage or
-parse error, or an ``eval`` or ``bench`` request whose
-:func:`~bellforge.bellpoly.work_estimate` exceeds :data:`WORK_BUDGET`.  Data
-output is byte-stable for identical inputs; only ``bench`` prints timings.
+parse error, or a request over :data:`WORK_BUDGET`: the
+:func:`~bellforge.bellpoly.work_estimate` of ``eval`` and ``bench``, or the
+enumeration of ``verify euler``.  Data output is byte-stable for identical
+inputs; only ``bench`` prints timings.
 
 Each request is a fresh process, so start-up is part of its cost.  One table,
 :data:`COMMANDS`, defines the arguments: :func:`match` parses a well-formed
@@ -37,7 +38,7 @@ SUITE_NAMES = tuple(
 
 # Largest summed bellpoly.work_estimate that eval and bench run: 100 times the largest eval
 # of the tests, CI and benchmark.  The estimate bounds integer size, not time: a unit
-# took 0.10-40 ns on the closed sum and 0.5-26 ns on the series route (2-vCPU Xeon).
+# took 0.10-40 ns on the closed sum and 0.6-37 ns on the series route (2-vCPU Xeon).
 WORK_BUDGET = 10**9
 
 # command -> (help, positional as (dest, choices) or None, {option: add_argument

@@ -7,10 +7,11 @@ A series carries an explicit truncation order ``N`` and exactly ``N + 1``
 silently re-truncating.
 
 :func:`expand_ratio` computes a product or a ratio of products on integers:
-with ``L`` the lcm of the z denominators and ``t = L s`` every factor
-``(1 - z t^m)^a`` becomes ``(1 - (z L^m) s^m)^a`` with an integer
-multiplier, so the fold, the reciprocal and the Cauchy product stay integral
-and the ``t^n`` coefficient is the integer ``s^n`` coefficient over ``L^n``.
+a ratio is the product of the numerator's factors and the denominator's
+with negated exponents.  With ``L`` the lcm of the z denominators and
+``t = L s`` every factor ``(1 - z t^m)^a`` becomes ``(1 - (z L^m) s^m)^a``
+with an integer multiplier, so every binomial fold stays integral and the
+``t^n`` coefficient is the integer ``s^n`` coefficient over ``L^n``.
 The ``Fraction`` methods of :class:`TruncatedSeries` remain the general API
 and the cross-check path.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from .arith import require_natural
 from .supports import ProductSpec, _require_rational, _require_sides
@@ -199,23 +199,23 @@ def expand_ratio(
     """Coefficients ``0..order`` of ``numer / denom``; ``None`` on either
     side is the constant 1.
 
-    Both sides are scaled by one ``L``, the lcm of their z denominators, and
-    folded in integers.  The scaled denominator has constant term 1, so its
-    reciprocal by the triangular recurrence ``v_n = -sum_{k=1..n} u_k v_{n-k}``
-    is integral, and so is its Cauchy product with the numerator.  The
-    coefficients become ``Fraction(c'_n, L^n)`` once, at the end.  Support
-    members above ``order`` cannot influence a kept coefficient and are
-    skipped; each binomial is folded in by a sparse pass per unit of ``|a|``.
+    The ratio is the product of the numerator's factors and the
+    denominator's with negated exponents, scaled by one ``L``, the lcm of
+    all z denominators, and folded in integers: each binomial by a pass per
+    unit of ``|a|``, which for ``a < 0`` divides exactly by ``1 - k s^m``.
+    The coefficients become ``Fraction(c'_n, L^n)`` once, at the end.
+    Support members above ``order`` cannot influence a kept coefficient and
+    are skipped.
     """
     _require_sides(numer, denom)
     require_natural(order, "order")
-    scale = lcm(*(spec.z_scale() for spec in (numer, denom) if spec is not None))
+    sides = [s for s in (numer, denom if denom is None else denom.negated()) if s is not None]
+    scale = lcm(*(s.z_scale() for s in sides))
     cs = [1] + [0] * order
-    if denom is not None:
-        cs = _reciprocal(_scaled_product(denom, order, scale))
-    if numer is not None:
-        top = _scaled_product(numer, order, scale)
-        cs = top if denom is None else _cauchy(top, cs)
+    for factor in (f for s in sides for f in s.factors):
+        z_scaled = factor.z.numerator * (scale // factor.z.denominator)
+        for m in factor.support.members_up_to(order):
+            _fold_binomial(cs, z_scaled * scale ** (m - 1), m, factor.a)
     power = 1
     out = []
     for c in cs:
@@ -237,17 +237,6 @@ def exp_log_expand(spec: ProductSpec, order: int) -> TruncatedSeries:
     return total.exp()
 
 
-def _scaled_product(spec: ProductSpec, order: int, scale: int) -> list[int]:
-    """Integer coefficients ``c_n scale^n``, ``n <= order``, of the product;
-    ``scale`` must be a multiple of ``spec.z_scale()``."""
-    cs = [1] + [0] * order
-    for factor in spec.factors:
-        z_scaled = factor.z.numerator * (scale // factor.z.denominator)
-        for m in factor.support.members_up_to(order):
-            _fold_binomial(cs, z_scaled * scale ** (m - 1), m, factor.a)
-    return cs
-
-
 def _fold_binomial(cs: list[int], k: int, m: int, a: int) -> None:
     """Multiply the coefficient list in place by (1 - k s^m)^a."""
     n = len(cs) - 1
@@ -263,16 +252,3 @@ def _fold_binomial(cs: list[int], k: int, m: int, a: int) -> None:
                 prev = cs[i - m]
                 if prev:
                     cs[i] += k * prev
-
-
-def _reciprocal(u: list[int]) -> list[int]:
-    """Reciprocal of an integer series with ``u[0] == 1``."""
-    v = [1]
-    for n in range(1, len(u)):
-        v.append(-sum(map(mul, u[1 : n + 1], v[n - 1 :: -1])))
-    return v
-
-
-def _cauchy(u: list[int], v: list[int]) -> list[int]:
-    """Cauchy product of two integer series of equal length, truncated."""
-    return [sum(map(mul, u[: n + 1], v[n::-1])) for n in range(len(u))]

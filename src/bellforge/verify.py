@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 
 from .arith import require_natural
@@ -149,14 +150,20 @@ def reciprocal_suite(max_n: int, seed: int = DEFAULT_SEED):
 
 def euler_suite(max_n: int):
     """Triple agreement for p(n): closed sum, pentagonal recurrence, and
-    the cardinality of the partition iterator."""
+    a count of the partition iterator's output.  The iterator runs once, on
+    ``N = max_n``: adding ``N - n`` ones maps the partitions of ``n`` onto
+    those of ``N`` with at least ``N - n`` ones, so ``p(n)`` is a running
+    sum of the histogram of ``k_1`` over the partitions of ``N``."""
     # the only suite that uses the partition iterator
     from .partitions import iter_partitions, pentagonal_values
 
     closed_sums = sequence("p", max_n, "faa")
+    ones = [0] * (max_n + 1)
+    for ks in iter_partitions(max_n):
+        ones[ks[0] if ks else 0] += 1
+    columns = zip(closed_sums, pentagonal_values(max_n), accumulate(reversed(ones)))
     rows = []
-    for n, (closed, pent) in enumerate(zip(closed_sums, pentagonal_values(max_n))):
-        iterated = sum(1 for _ in iter_partitions(n))
+    for n, (closed, pent, iterated) in enumerate(columns):
         ok = closed == pent == iterated
         rows.append(
             IdentityReport(
@@ -297,11 +304,20 @@ def run_suite(name: str, max_n: int | None = None):
 
 def cmd_verify(args) -> int:
     """The ``verify`` command: one line per check, then a summary line."""
-    from .cli import UsageError
+    from .cli import WORK_BUDGET, UsageError, check_work
 
     name, max_n = args["identity"], args["max"]
     if max_n is None:
         max_n = SUITES[name][1]
+    if name == "euler":
+        from .partitions import _pentagonal_step
+
+        # p(N) partition vectors of N + 1 units each; p increases, so the walk
+        # up the table stops at the first entry past the budget
+        table = [1]
+        while len(table) <= max_n and table[-1] * (max_n + 1) <= WORK_BUDGET:
+            table.append(_pentagonal_step(table))
+        check_work(f"verify euler --max {max_n}", table[-1] * (max_n + 1))
     rows = run_suite(name, max_n)
     if not rows:
         raise UsageError(f"--max {max_n} leaves the {name} suite with no checks")

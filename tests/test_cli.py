@@ -237,10 +237,10 @@ def test_eval_large_operands_exit_2_before_work(capsys, tmp_path, method):
 
 
 def test_eval_huge_order_exits_2_before_work(capsys, tmp_path):
-    # one fold pass, but the reciprocal alone is order^2 / 2 steps
+    # one factor, but its fold alone is order^2 / 2 steps
     path = spec_file(
         tmp_path,
-        {"denominator": [{"support": {"kind": "finite", "set": [1]}, "z": "1", "a": 1}]},
+        {"denominator": [{"support": {"kind": "all"}, "z": "1", "a": 1}]},
     )
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "100000")
@@ -248,6 +248,19 @@ def test_eval_huge_order_exits_2_before_work(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "needs more work than the budget" in err
+
+
+def test_eval_finite_denominator_runs_at_a_large_order(capsys, tmp_path):
+    # 1 / (1 - t): one forward fold pass, order steps, and no triangle behind it
+    path = spec_file(
+        tmp_path,
+        {"denominator": [{"support": {"kind": "finite", "set": [1]}, "z": "1", "a": 1}]},
+    )
+    code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "100000")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert len(rows) == 100002
+    assert rows[-1] == "100000,1"
 
 
 # the int-to-str digit limit as collected, before any command has run
@@ -425,6 +438,37 @@ def test_verify_euler_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "euler", "--max", "12")
     assert code == 0
     assert "closed=77" in out  # p(12)
+
+
+def test_verify_euler_enumerates_the_partitions_of_max_once(capsys, monkeypatch):
+    from bellforge import partitions
+
+    calls = []
+    iterate = partitions.iter_partitions
+
+    def counting_iter(n):
+        calls.append(n)
+        return iterate(n)
+
+    monkeypatch.setattr(partitions, "iter_partitions", counting_iter)
+    code, out, _ = run_cli(capsys, "verify", "euler")
+    assert code == 0
+    assert calls == [60]
+    assert out.splitlines()[-1] == "# euler: 61/61 checks passed (max 60)"
+    assert "closed=966467;iter=966467" in out  # p(60)
+
+
+@pytest.mark.parametrize("n_max", ["80", "1000000000000"])
+def test_verify_euler_beyond_the_budget_exits_2_before_work(capsys, n_max):
+    # p(N) (N + 1) units: N = 78 is 9.6e8, N = 79 is 1.1e9
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "euler", "--max", n_max)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"bellforge: error: verify euler --max {n_max} needs more work than the budget of 1e+09 units\n"
+    )
 
 
 def test_verify_output_is_byte_stable(capsys):

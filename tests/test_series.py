@@ -232,6 +232,14 @@ def test_ratio_series_matches_fraction_path():
     for numer, denom in ((specs[-1], specs[30]), (specs[-1], None), (None, specs[-1])):
         series = expand_ratio(numer, denom, KERNEL_ORDER)
         assert series == list(fraction_ratio(numer, denom, KERNEL_ORDER).coeffs)
+    # one merged fold against the reciprocal and Cauchy product of the two sides
+    rng = random.Random(1931)
+    for _ in range(200):
+        numer = random_product_spec(rng) if rng.randrange(4) else None
+        denom = random_product_spec(rng) if rng.randrange(4) else None
+        order = rng.randint(0, 30)
+        want = fraction_ratio(numer, denom, order)
+        assert expand_ratio(numer, denom, order) == list(want.coeffs), (numer, denom, order)
 
 
 def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
@@ -252,9 +260,7 @@ def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
         for order in (0, 1, 6, 13, 40):
             folded.clear()
             expand_ratio(numer, denom, order)
-            triangle = order * (order + 1) // 2
-            sides = (denom is not None) + (numer is not None and denom is not None)
-            assert kernel_size("series", numer, denom, order)[0] == sum(folded) + sides * triangle
+            assert kernel_size("series", numer, denom, order)[0] == sum(folded)
 
 
 def test_kernel_size_is_closed_form_for_infinite_supports():
@@ -312,7 +318,7 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
     from bellforge import series
 
     seen = []
-    fold, reciprocal, cauchy = series._fold_binomial, series._reciprocal, series._cauchy
+    fold = series._fold_binomial
     extend = bellpoly.bell_extend
 
     def record(values):
@@ -324,8 +330,6 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
         record(cs + [k])
 
     monkeypatch.setattr(series, "_fold_binomial", recording_fold)
-    monkeypatch.setattr(series, "_reciprocal", lambda u: record(reciprocal(u)))
-    monkeypatch.setattr(series, "_cauchy", lambda u, v: record(cauchy(u, v)))
 
     def recording_extend(coeffs, weights, n):
         extend(coeffs, weights, n)
