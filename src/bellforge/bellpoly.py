@@ -13,20 +13,21 @@ has weights ``f``'s minus ``g``'s.  Being a complete Bell polynomial in the
 ``w_j / j``, the sum obeys ``n c_n = sum_{k=1..n} w_k c_{n-k}`` (Comtet,
 1974, ch. 3), which :func:`ratio_coefficients` runs on whole prefixes; the
 literal sum, one term per partition, is kept only as the tests' reference.
-Nothing here keeps state: every request runs its own recurrence, which
-:func:`work_estimate` prices before it runs.  Everything is exact and
-independently checkable against :mod:`bellforge.series`, which imports
-nothing from this module.
+The weight table is one walk over each factor's support members, on the
+integers of :func:`~bellforge.supports.scaled_factors`.  Nothing here keeps
+state: every request runs its own recurrence, which :func:`work_estimate`
+prices before it runs.  Everything is exact and independently checkable
+against :mod:`bellforge.series`, which imports nothing from this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from operator import mul
 
 from .arith import require_natural
-from .supports import FINITE, ProductSpec, SupportSet, _require_sides
+from .supports import FINITE, ProductSpec, SupportSet, scaled_factors, unscale
 
 
 class InconsistencyError(ArithmeticError):
@@ -62,16 +63,15 @@ def kernel_size(route: str, numer, denom, n: int) -> tuple[int, int]:
     so as ``p_S(n) <= exp(pi sqrt(2Sn/3))`` and ``p_S(n) <= p(n) S^n`` it has
     at most ``B`` bits."""
     require_natural(n)
-    factors = [f for side in (numer, denom) if side is not None for f in side.factors]
+    scale, factors = scaled_factors(numer, denom)
     if route == "faa":
         steps = n * (n + 1) // 2 + len(factors) * n * (isqrt(n) + n.bit_length())
     elif route == "series":
-        steps = sum(abs(f.a) * _fold_steps(f.support, n) for f in factors)
+        steps = sum(abs(a) * _fold_steps(support, n) for support, _, a in factors)
     else:
         raise ValueError(f"unknown route {route!r}")
-    scale = lcm(*(f.z.denominator for f in factors))
-    lz = max([scale] + [abs(f.z.numerator) * (scale // f.z.denominator) for f in factors])
-    size = sum(abs(f.a) for f in factors)
+    lz = max([scale] + [abs(z) for _, z, _ in factors])
+    size = sum(abs(a) for _, _, a in factors)
     # B = n log2(L Z) + min(3.71 sqrt(S n), n log2 S + 3.71 sqrt n) + 1
     count = min(_sqrt_bits(size * n), _log2_times(size, n) + _sqrt_bits(n))
     return steps, _log2_times(lz, n) + count + 1
@@ -101,27 +101,19 @@ def ratio_coefficients(
     numer: ProductSpec | None, denom: ProductSpec | None, n: int
 ) -> list[Fraction]:
     """Coefficients ``0..n`` of numerator-product / denominator-product;
-    ``None`` on either side is the constant 1.  The ratio is the product of the
-    numerator's factors and the denominator's with negated exponents, so one
-    Bell recurrence evaluates it; with ``L`` the lcm of all z denominators the
-    weights ``w_k L^k`` and ``A_m = c_m L^m`` are integers."""
-    _require_sides(numer, denom)
+    ``None`` on either side is the constant 1.  One Bell recurrence on the
+    integers ``A_m = c_m L^m`` of :func:`scaled_factors` evaluates it: a support
+    member ``m`` adds ``-a m (z L^m)^j`` to the weight ``w_k L^k`` of ``k = j m``."""
+    scale, factors = scaled_factors(numer, denom)
     require_natural(n)
-    sides = [s for s in (numer, denom if denom is None else denom.negated()) if s is not None]
-    scale = lcm(*(s.z_scale() for s in sides))
-    factors = tuple(f for s in sides for f in s.factors)
-    weights = [0] + [_scaled_weight(k, factors, scale) for k in range(1, n + 1)]
+    weights = [0] * (n + 1)
+    for support, z, a in factors:
+        for m in support.members_up_to(n):
+            base = z * scale ** (m - 1)
+            term = -a * m * base
+            for k in range(m, n + 1, m):
+                weights[k] += term
+                term *= base
     coeffs = [1]
     bell_extend(coeffs, weights, n)
-    return [Fraction(a, scale**m) for m, a in enumerate(coeffs)]
-
-
-def _scaled_weight(k: int, factors, scale: int) -> int:
-    """The weight ``w_k`` of ``factors`` times ``scale^k``, in integers:
-    ``z^(k/d) scale^k`` is ``(z scale^d)^(k/d)``, and ``z scale`` is an integer."""
-    total = 0
-    for f in factors:
-        z_scaled = f.z.numerator * (scale // f.z.denominator)
-        for d in f.support.divisors_in(k):
-            total -= f.a * d * (z_scaled * scale ** (d - 1)) ** (k // d)
-    return total
+    return unscale(coeffs, scale)

@@ -10,9 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification/disagreement failure, 2 usage or
 parse error, or a request over :data:`WORK_BUDGET`: the
-:func:`~bellforge.bellpoly.work_estimate` of ``eval`` and ``bench``, or the
-enumeration of ``verify euler``.  Data output is byte-stable for identical
-inputs; only ``bench`` prints timings.
+:func:`~bellforge.bellpoly.work_estimate` of ``seq``, ``eval`` and ``bench``,
+or the enumeration of ``verify euler``.  Data output is byte-stable for
+identical inputs; only ``bench`` prints timings.
 
 Each request is a fresh process, so start-up is part of its cost.  One table,
 :data:`COMMANDS`, defines the arguments: :func:`match` parses a well-formed
@@ -28,7 +28,8 @@ import sys
 from importlib import import_module
 
 from . import __version__
-from .partfun import InconsistencyError, SEQUENCES, sequence
+from .bellpoly import work_estimate
+from .partfun import InconsistencyError, SEQUENCES, restricted_product, sequence
 
 # The keys of verify.SUITES, listed here so that parsing does not import the
 # suites; a test keeps the two equal.
@@ -36,7 +37,7 @@ SUITE_NAMES = tuple(
     "additivity-index additivity-set chan euler kim reciprocal restricted-recursion sigma theta".split()
 )
 
-# Largest summed bellpoly.work_estimate that eval and bench run: 100 times the largest eval
+# Largest summed bellpoly.work_estimate that seq, eval and bench run: 100 times the largest eval
 # of the tests, CI and benchmark.  The estimate bounds integer size, not time: a unit
 # took 0.10-40 ns on the closed sum and 0.6-37 ns on the series route (2-vCPU Xeon).
 WORK_BUDGET = 10**9
@@ -157,6 +158,8 @@ def cmd_seq(args) -> int:
         parts = _parse_parts(args["parts"])
     elif args["parts"] is not None:
         raise UsageError("--parts only applies to function w")
+    numer, denom = (None, restricted_product(parts)) if parts else SEQUENCES[args["function"]]
+    check_work(f"seq --max {args['max']}", work_estimate("faa", numer, denom, args["max"]))
 
     values = list(enumerate(sequence(args["function"], args["max"], parts=parts)))
     if args["format"] == "csv":

@@ -9,8 +9,11 @@ from __future__ import annotations
 from math import comb
 
 from .arith import require_positive
+from .supports import SupportSet
 
 Factorization = list[tuple[int, int]]
+
+_ALL = SupportSet.all_naturals()
 
 
 def factorize(n: int) -> Factorization:
@@ -37,17 +40,7 @@ def factorize(n: int) -> Factorization:
 
 def sigma(n: int) -> int:
     """Sum of all positive divisors of ``n``, by direct enumeration."""
-    require_positive(n)
-    total = 0
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            total += i
-            j = n // i
-            if j != i:
-                total += j
-        i += 1
-    return total
+    return sum(_ALL.divisors_in(require_positive(n)))
 
 
 def sigma_via_factorization(pairs: Factorization) -> int:

@@ -21,7 +21,7 @@ from .arith import require_natural
 from .bellpoly import bell_extend
 from .divisors import sigma
 from .partfun import sequence
-from .supports import Record, _require_rational
+from .supports import Record, _require_rational, unscale
 
 
 def transcription_sum(n: int, coeff, weight=1) -> list[Fraction]:
@@ -33,8 +33,7 @@ def transcription_sum(n: int, coeff, weight=1) -> list[Fraction]:
     ``w^(sum k_j) * prod c_j^{k_j} == prod (w c_j)^{k_j}``.
     """
     scale, (sums,) = _integer_prefixes(n, (coeff, weight))
-    top = factorial(n)
-    return [Fraction(s, top * scale**m) for m, s in enumerate(sums)]
+    return unscale(sums, scale, factorial(n))
 
 
 def _integer_prefixes(n: int, *sums) -> tuple[int, list[list[int]]]:
@@ -136,7 +135,7 @@ def printed(name: str, n: int) -> list[Fraction]:
     scale, (rs, ls) = _integer_prefixes(n, right, left)
     top = factorial(n)
     doubles = [sum(map(mul, ls[1 : k + 1], rs[k - 1 :: -1])) for k in range(n + 1)]
-    return [Fraction(c * top * rs[k] + d * doubles[k], top**2 * scale**k) for k in range(n + 1)]
+    return unscale([c * top * r + d * dk for r, dk in zip(rs, doubles)], scale, top**2)
 
 
 class FormulaStatus(Record):

@@ -8,10 +8,9 @@ silently re-truncating.
 
 :func:`expand_ratio` computes a product or a ratio of products on integers:
 a ratio is the product of the numerator's factors and the denominator's
-with negated exponents.  With ``L`` the lcm of the z denominators and
-``t = L s`` every factor ``(1 - z t^m)^a`` becomes ``(1 - (z L^m) s^m)^a``
-with an integer multiplier, so every binomial fold stays integral and the
-``t^n`` coefficient is the integer ``s^n`` coefficient over ``L^n``.
+with negated exponents, which :func:`~bellforge.supports.scaled_factors`
+lists with integer multipliers under ``t = L s``, so every binomial fold
+stays integral and :func:`~bellforge.supports.unscale` divides by ``L^n``.
 The ``Fraction`` methods of :class:`TruncatedSeries` remain the general API
 and the cross-check path.
 """
@@ -19,10 +18,9 @@ and the cross-check path.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .arith import require_natural
-from .supports import ProductSpec, _require_rational, _require_sides
+from .supports import ProductSpec, _require_rational, scaled_factors, unscale
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -199,29 +197,18 @@ def expand_ratio(
     """Coefficients ``0..order`` of ``numer / denom``; ``None`` on either
     side is the constant 1.
 
-    The ratio is the product of the numerator's factors and the
-    denominator's with negated exponents, scaled by one ``L``, the lcm of
-    all z denominators, and folded in integers: each binomial by a pass per
+    Every factor of :func:`scaled_factors` is folded in integers, a pass per
     unit of ``|a|``, which for ``a < 0`` divides exactly by ``1 - k s^m``.
-    The coefficients become ``Fraction(c'_n, L^n)`` once, at the end.
     Support members above ``order`` cannot influence a kept coefficient and
     are skipped.
     """
-    _require_sides(numer, denom)
+    scale, factors = scaled_factors(numer, denom)
     require_natural(order, "order")
-    sides = [s for s in (numer, denom if denom is None else denom.negated()) if s is not None]
-    scale = lcm(*(s.z_scale() for s in sides))
     cs = [1] + [0] * order
-    for factor in (f for s in sides for f in s.factors):
-        z_scaled = factor.z.numerator * (scale // factor.z.denominator)
-        for m in factor.support.members_up_to(order):
-            _fold_binomial(cs, z_scaled * scale ** (m - 1), m, factor.a)
-    power = 1
-    out = []
-    for c in cs:
-        out.append(Fraction(c, power))
-        power *= scale
-    return out
+    for support, z, a in factors:
+        for m in support.members_up_to(order):
+            _fold_binomial(cs, z * scale ** (m - 1), m, a)
+    return unscale(cs, scale)
 
 
 def exp_log_expand(spec: ProductSpec, order: int) -> TruncatedSeries:

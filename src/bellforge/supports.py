@@ -7,7 +7,8 @@ A :class:`ProductSpec` describes a (possibly infinite) product
 with exact rational ``z`` and nonzero integer exponent ``a``.  The rest of
 the library extracts power-series coefficients of such products, of their
 reciprocals, and of ratios of two of them; :mod:`bellforge.specfile` reads
-and writes them as JSON.
+and writes them as JSON.  Both routes run a ratio on the integers of
+:func:`scaled_factors` and take the values back with :func:`unscale`.
 """
 
 from __future__ import annotations
@@ -169,17 +170,36 @@ class ProductSpec(Record):
     def negated(self) -> "ProductSpec":
         return ProductSpec(tuple(f.negated() for f in self.factors))
 
-    def z_scale(self) -> int:
-        """The lcm ``L`` of the factors' z denominators.  Under ``t = L s``
-        each ``z t^m`` becomes ``(z L^m) s^m`` with ``z L^m`` an integer, so
-        the ``s^n`` coefficients of the product, its reciprocal or a ratio
-        of two products scaled by the same ``L`` are integers ``c_n L^n``."""
-        return lcm(*(f.z.denominator for f in self.factors))
-
 
 def spec_from_factors(*triples) -> ProductSpec:
     """Build a ProductSpec from (support, z, a) triples."""
     return ProductSpec(tuple(Factor(s, z, a) for s, z, a in triples))
+
+
+def scaled_factors(numer, denom) -> tuple[int, list[tuple[SupportSet, int, int]]]:
+    """``(L, [(support, z L, a), ...])`` for ``numer / denom``, each side a
+    :class:`ProductSpec` or ``None`` for 1: the numerator's factors, then the
+    denominator's with ``-a``.  ``L`` is the lcm of all z denominators, so
+    under ``t = L s`` a factor ``(1 - z t^m)^a`` is ``(1 - (z L) L^(m-1) s^m)^a``
+    and the ratio's ``s^n`` coefficients are integers ``c_n L^n``."""
+    factors = []
+    for name, side, sign in (("numer", numer, 1), ("denom", denom, -1)):
+        if isinstance(side, ProductSpec):
+            factors += [(f, sign * f.a) for f in side.factors]
+        elif side is not None:
+            raise TypeError(f"{name} must be a ProductSpec or None, got {side!r}")
+    scale = lcm(*(f.z.denominator for f, _ in factors))
+    return scale, [(f.support, f.z.numerator * (scale // f.z.denominator), a) for f, a in factors]
+
+
+def unscale(ints, scale: int, top: int = 1) -> list[Fraction]:
+    """``[Fraction(c_n, top L^n)]`` for the integers ``c_n`` and ``L = scale``."""
+    out = []
+    power = top
+    for c in ints:
+        out.append(Fraction(c, power))
+        power *= scale
+    return out
 
 
 def _require_int(value, name) -> None:
@@ -197,10 +217,3 @@ def _require_rational(value, name: str = "value") -> Fraction:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an int or a Fraction, got {value!r}")
     return Fraction(value)
-
-
-def _require_sides(numer, denom) -> None:
-    """Each side of a ratio is a :class:`ProductSpec`, or ``None`` for 1."""
-    for name, side in (("numer", numer), ("denom", denom)):
-        if side is not None and not isinstance(side, ProductSpec):
-            raise TypeError(f"{name} must be a ProductSpec or None, got {side!r}")

@@ -263,6 +263,16 @@ def test_ratio_coefficient_matches_series_quotient():
             assert ratio_coefficients(numer, denom, n)[n] == quotient.coefficient(n)
 
 
+def test_ratio_coefficients_match_the_series_route_at_larger_orders():
+    # the weight table walks support members; the literal-sum checks stop at n = 20
+    rng = random.Random(2021)
+    for _ in range(200):
+        numer = random_product_spec(rng) if rng.randrange(4) else None
+        denom = random_product_spec(rng) if rng.randrange(4) else None
+        order = rng.randint(40, 120)
+        assert ratio_coefficients(numer, denom, order) == expand_ratio(numer, denom, order)
+
+
 def test_ratio_coefficient_none_sides():
     assert ratio_coefficients(None, None, 3) == [1, 0, 0, 0]
     assert ratio_coefficients(EULER, None, 4) == [1, -1, -1, 0, 0]

@@ -471,6 +471,25 @@ def test_verify_euler_beyond_the_budget_exits_2_before_work(capsys, n_max):
     )
 
 
+@pytest.mark.parametrize(
+    "name, n_max", [("p", "1000000"), ("cubic", "10000"), ("overcubic", "10000")]
+)
+def test_seq_beyond_the_budget_exits_2_before_work(capsys, name, n_max):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "seq", name, "--max", n_max)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"bellforge: error: seq --max {n_max} needs more work than the budget of 1e+09 units\n"
+    )
+
+
+def test_seq_p_to_10000_stays_within_the_budget():
+    # the largest documented seq request; the budget refuses cubic at the same --max
+    assert work_estimate("faa", None, PARTITION_PRODUCT, 10000) <= WORK_BUDGET
+
+
 def test_verify_output_is_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "verify", "additivity-index", "--max", "8")
     _, second, _ = run_cli(capsys, "verify", "additivity-index", "--max", "8")

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from bellforge.specfile import ratio_from_json, spec_to_json, support_from_json, support_to_json
-from bellforge.supports import Factor, ProductSpec, SupportSet, spec_from_factors
+from bellforge.supports import (
+    Factor,
+    ProductSpec,
+    SupportSet,
+    scaled_factors,
+    spec_from_factors,
+    unscale,
+)
 
 
 def test_support_validation():
@@ -149,14 +156,29 @@ def test_spec_from_factors_leaves_z_to_factor():
     assert spec.factors[0].z == Fraction(2, 3)
 
 
-def test_z_scale_is_lcm_of_z_denominators():
-    spec = spec_from_factors(
+def test_scaled_factors_take_one_lcm_and_negate_the_denominator():
+    numer = spec_from_factors(
         (SupportSet.all_naturals(), Fraction(2, 3), 1),
         (SupportSet.multiples_of(2), Fraction(-2, 5), -1),
-        (SupportSet.finite([1]), 4, 2),
     )
-    assert spec.z_scale() == 15
-    assert spec_from_factors((SupportSet.all_naturals(), 1, 1)).z_scale() == 1
+    denom = spec_from_factors((SupportSet.finite([1]), 4, 2))
+    # L = lcm(3, 5, 1) = 15; each z becomes z L, the denominator's a becomes -a
+    assert scaled_factors(numer, denom) == (
+        15,
+        [
+            (SupportSet.all_naturals(), 10, 1),
+            (SupportSet.multiples_of(2), -6, -1),
+            (SupportSet.finite([1]), 60, -2),
+        ],
+    )
+    assert scaled_factors(None, denom) == (1, [(SupportSet.finite([1]), 4, -2)])
+    assert scaled_factors(None, None) == (1, [])
+    for bad in ((numer, 1), ("x", None), (None, [denom]), (denom.factors[0], denom)):
+        with pytest.raises(TypeError, match="must be a ProductSpec or None"):
+            scaled_factors(*bad)
+    # c_n = s^n coefficient / (top L^n)
+    assert unscale([3, 10, 450], 15, 2) == [Fraction(3, 2), Fraction(1, 3), Fraction(1)]
+    assert unscale([], 15) == []
 
 
 def test_multiples_of_one_is_all_naturals():
