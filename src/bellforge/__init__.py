@@ -22,7 +22,7 @@ _EXPORTS = {
         ("divisors", "factorize sigma sigma_via_factorization"),
         ("bellpoly", "InconsistencyError ratio_coefficients work_estimate"),
         ("partfun", "sequence"),
-        ("partitions", "iter_partitions pentagonal_values"),
+        ("partitions", "iter_partitions"),
         ("series", "TruncatedSeries exp_log_expand expand_ratio"),
         ("supports", "Factor ProductSpec SupportSet spec_from_factors"),
         (

@@ -57,17 +57,17 @@ def work_estimate(route: str, numer, denom, n: int) -> int:
 def kernel_size(route: str, numer, denom, n: int) -> tuple[int, int]:
     """``(steps, B)`` of ``route`` to order ``n``, in O(factors) closed forms:
     the Bell recurrence's terms and weight table, or the fold passes, one per
-    support member and unit of ``|a|`` on both sides.  Every integer either
-    route produces is dominated by ``prod (1 - Z L^m s^m)^-S``
+    unit of ``|a|`` on both sides and per member (or one Euler pass).  Every
+    integer either route produces is dominated by ``prod (1 - Z L^m s^m)^-S``
     (``L`` the lcm of the z denominators, ``Z = max(1, |z|)``, ``S = sum |a|``),
     so as ``p_S(n) <= exp(pi sqrt(2Sn/3))`` and ``p_S(n) <= p(n) S^n`` it has
     at most ``B`` bits."""
     require_natural(n)
     scale, factors = scaled_factors(numer, denom)
     if route == "faa":
-        steps = n * (n + 1) // 2 + len(factors) * n * (isqrt(n) + n.bit_length())
+        steps = n * (n + 1) // 2 + sum(_walk_steps(support, n) for support, _, _ in factors)
     elif route == "series":
-        steps = sum(abs(a) * _fold_steps(support, n) for support, _, a in factors)
+        steps = sum(abs(a) * _fold_steps(support, z == scale, n) for support, z, a in factors)
     else:
         raise ValueError(f"unknown route {route!r}")
     lz = max([scale] + [abs(z) for _, z, _ in factors])
@@ -89,12 +89,27 @@ def _sqrt_bits(x: int) -> int:
     return 371 * (isqrt(x) + 1) // 100
 
 
-def _fold_steps(support: SupportSet, n: int) -> int:
-    """``sum (n - m + 1)`` over the members ``m <= n`` of ``support``."""
+def _walk_steps(support: SupportSet, n: int) -> int:
+    """At least the weight table's additions, ``n // m`` per member ``m <= n``:
+    ``sum_{j <= k} k // j <= k.bit_length() k`` on the multiples of ``r``, ``k = n // r``."""
+    if support.kind == FINITE:
+        return sum(n // m for m in support.members)
+    k = n // support.r
+    return k * k.bit_length()
+
+
+def _fold_steps(support: SupportSet, euler: bool, n: int) -> int:
+    """Term products of one fold pass to order ``n``, ``sum (n - e + 1)`` over
+    its exponents ``e <= n``: the members of ``support``, or for the Euler pass
+    ``r k(3k - 1)/2`` for ``1 <= k <= k1`` and ``r k(3k + 1)/2`` for ``1 <= k <= k2``."""
     if support.kind == FINITE:
         return sum(n - m + 1 for m in support.members if m <= n)
-    k = n // support.r
-    return k * (n + 1) - support.r * k * (k + 1) // 2
+    k, r = n // support.r, support.r
+    if not euler:
+        return k * (n + 1) - r * k * (k + 1) // 2
+    s = isqrt(24 * k + 1)
+    k1, k2 = (s + 1) // 6, (s - 1) // 6
+    return (k1 + k2) * (n + 1) - r * (k1 * k1 * (k1 + 1) + k2 * (k2 + 1) ** 2) // 2
 
 
 def ratio_coefficients(

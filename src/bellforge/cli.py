@@ -5,7 +5,7 @@ Subcommands:
 * ``seq``    — print a named sequence as ``n,value`` rows (CSV or JSON).
 * ``eval``   — expand a user-supplied product-ratio spec file.
 * ``verify`` — run one of the exact identity suites.
-* ``bench``  — time the three partition-count algorithms against each other.
+* ``bench``  — time the two routes' partition counts against each other.
 * ``errata`` — print the closed-formula transcription status report.
 
 Exit codes: 0 success, 1 verification/disagreement failure, 2 usage or

@@ -1,4 +1,4 @@
-"""Partition enumeration and the pentagonal partition count.
+"""Partition enumeration.
 
 Partitions of ``n`` are represented as multiplicity vectors
 ``(k_1, ..., k_n)`` with ``sum j*k_j == n``; for ``n == 0`` the vector is
@@ -46,35 +46,3 @@ def iter_partitions(n: int) -> Iterator[PartitionVector]:
         ks[j] -= 1
         rem += j
         j -= 1
-
-
-def pentagonal_values(n: int) -> list[int]:
-    """``[p(0), ..., p(n)]`` from the pentagonal-number recurrence
-
-        p(n) = sum_{k>=1} (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)]
-
-    with p(0) = 1 and p(m) = 0 for m < 0.  Nothing is memoized: a loop over
-    ``n`` should read one table.
-    """
-    require_natural(n)
-    table = [1]
-    while len(table) <= n:
-        table.append(_pentagonal_step(table))
-    return table
-
-
-def _pentagonal_step(table: list[int]) -> int:
-    m = len(table)
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        if g1 > m:
-            break
-        sign = 1 if k % 2 else -1
-        total += sign * table[m - g1]
-        g2 = k * (3 * k + 1) // 2
-        if g2 <= m:
-            total += sign * table[m - g2]
-        k += 1
-    return total

@@ -9,18 +9,20 @@ silently re-truncating.
 :func:`expand_ratio` computes a product or a ratio of products on integers:
 a ratio is the product of the numerator's factors and the denominator's
 with negated exponents, which :func:`~bellforge.supports.scaled_factors`
-lists with integer multipliers under ``t = L s``, so every binomial fold
-stays integral and :func:`~bellforge.supports.unscale` divides by ``L^n``.
-The ``Fraction`` methods of :class:`TruncatedSeries` remain the general API
-and the cross-check path.
+lists with integer multipliers under ``t = L s``, so every fold stays
+integral and :func:`~bellforge.supports.unscale` divides by ``L^n``.  A z = 1
+family folds by Euler's pentagonal theorem, any other factor by one binomial
+per support member.  The ``Fraction`` methods of :class:`TruncatedSeries`
+remain the general API and the cross-check path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .arith import require_natural
-from .supports import ProductSpec, _require_rational, scaled_factors, unscale
+from .supports import FINITE, ProductSpec, _require_rational, scaled_factors, unscale
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -198,14 +200,18 @@ def expand_ratio(
     side is the constant 1.
 
     Every factor of :func:`scaled_factors` is folded in integers, a pass per
-    unit of ``|a|``, which for ``a < 0`` divides exactly by ``1 - k s^m``.
-    Support members above ``order`` cannot influence a kept coefficient and
-    are skipped.
+    unit of ``|a|`` that for ``a < 0`` divides exactly: a z = 1 family on the
+    multiples of ``r`` is ``E((L s)^r)^a`` for :func:`_fold_euler`, any other
+    factor takes :func:`_fold_binomial` per support member.  Terms above
+    ``order`` cannot influence a kept coefficient and are skipped.
     """
     scale, factors = scaled_factors(numer, denom)
     require_natural(order, "order")
     cs = [1] + [0] * order
     for support, z, a in factors:
+        if z == scale and support.kind != FINITE:
+            _fold_euler(cs, scale, support.r, a)
+            continue
         for m in support.members_up_to(order):
             _fold_binomial(cs, z * scale ** (m - 1), m, a)
     return unscale(cs, scale)
@@ -222,6 +228,20 @@ def exp_log_expand(spec: ProductSpec, order: int) -> TruncatedSeries:
             binom = TruncatedSeries.from_dict({0: 1, m: -factor.z}, order)
             total = total.add(binom.log().scale(factor.a))
     return total.exp()
+
+
+def _fold_euler(cs: list[int], scale: int, r: int, a: int) -> None:
+    """Multiply the coefficient list in place by ``E((scale s)^r)^a``, with
+    ``E(q) = prod (1 - q^m) = 1 + sum_{k>=1} (-1)^k (q^{k(3k-1)/2} + q^{k(3k+1)/2})``
+    by Euler's pentagonal theorem: a pass per unit of ``|a|`` over its terms,
+    backward to multiply and forward to divide (on ``1/E``, the recurrence for p)."""
+    n, sign = len(cs) - 1, 1 if a > 0 else -1
+    pentagonal = ((k, r * k * (3 * k + j) // 2) for k in range(1, isqrt(n) + 1) for j in (-1, 1))
+    terms = [(e, sign * (-1) ** k * scale**e) for k, e in pentagonal if e <= n]
+    walk = range(n, 0, -1) if a > 0 else range(1, n + 1)
+    for _ in range(abs(a)):
+        for i in walk:
+            cs[i] += sum([c * cs[i - e] for e, c in terms if e <= i])
 
 
 def _fold_binomial(cs: list[int], k: int, m: int, a: int) -> None:

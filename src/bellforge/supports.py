@@ -149,9 +149,6 @@ class Factor(Record):
             raise ValueError("factor exponent a must be a nonzero integer")
         self._assign(support, _require_rational(z, "factor z"), a)
 
-    def negated(self) -> "Factor":
-        return Factor(self.support, self.z, -self.a)
-
 
 class ProductSpec(Record):
     """A non-empty list of factors, multiplied together."""
@@ -166,9 +163,6 @@ class ProductSpec(Record):
             if not isinstance(f, Factor):
                 raise TypeError(f"a product spec's factors must be Factors, got {f!r}")
         self._assign(factors)
-
-    def negated(self) -> "ProductSpec":
-        return ProductSpec(tuple(f.negated() for f in self.factors))
 
 
 def spec_from_factors(*triples) -> ProductSpec:

@@ -149,19 +149,20 @@ def reciprocal_suite(max_n: int, seed: int = DEFAULT_SEED):
 
 
 def euler_suite(max_n: int):
-    """Triple agreement for p(n): closed sum, pentagonal recurrence, and
-    a count of the partition iterator's output.  The iterator runs once, on
-    ``N = max_n``: adding ``N - n`` ones maps the partitions of ``n`` onto
-    those of ``N`` with at least ``N - n`` ones, so ``p(n)`` is a running
-    sum of the histogram of ``k_1`` over the partitions of ``N``."""
+    """Triple agreement for p(n): closed sum, series route (on p, Euler's
+    pentagonal recurrence) and a count of the partition iterator's output.
+    The iterator runs once, on ``N = max_n``: adding ``N - n`` ones maps the
+    partitions of ``n`` onto those of ``N`` with at least ``N - n`` ones, so
+    ``p(n)`` is a running sum of the histogram of ``k_1`` over those of ``N``."""
     # the only suite that uses the partition iterator
-    from .partitions import iter_partitions, pentagonal_values
+    from .partitions import iter_partitions
 
-    closed_sums = sequence("p", max_n, "faa")
+    require_natural(max_n, "max_n")
     ones = [0] * (max_n + 1)
     for ks in iter_partitions(max_n):
         ones[ks[0] if ks else 0] += 1
-    columns = zip(closed_sums, pentagonal_values(max_n), accumulate(reversed(ones)))
+    closed_sums, pentagonal = (sequence("p", max_n, route) for route in ("faa", "series"))
+    columns = zip(closed_sums, pentagonal, accumulate(reversed(ones)))
     rows = []
     for n, (closed, pent, iterated) in enumerate(columns):
         ok = closed == pent == iterated
@@ -310,14 +311,13 @@ def cmd_verify(args) -> int:
     if max_n is None:
         max_n = SUITES[name][1]
     if name == "euler":
-        from .partitions import _pentagonal_step
-
-        # p(N) partition vectors of N + 1 units each; p increases, so the walk
-        # up the table stops at the first entry past the budget
-        table = [1]
-        while len(table) <= max_n and table[-1] * (max_n + 1) <= WORK_BUDGET:
-            table.append(_pentagonal_step(table))
-        check_work(f"verify euler --max {max_n}", table[-1] * (max_n + 1))
+        # p(N) partition vectors of N + 1 units each; p increases, so doubling
+        # the prefix stops at the first length whose work is past the budget
+        top, work = 0, max_n + 1
+        while work <= WORK_BUDGET and top < max_n:
+            top = min(2 * top + 1, max_n)
+            work = sequence("p", top, "series")[-1] * (max_n + 1)
+        check_work(f"verify euler --max {max_n}", work)
     rows = run_suite(name, max_n)
     if not rows:
         raise UsageError(f"--max {max_n} leaves the {name} suite with no checks")

@@ -13,10 +13,15 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from bellforge.arith import require_natural, require_positive
-from bellforge.supports import ProductSpec, SupportSet
+from bellforge.supports import Factor, ProductSpec, SupportSet
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def negated(spec: ProductSpec) -> ProductSpec:
+    """``spec`` with every exponent negated: the product's reciprocal."""
+    return ProductSpec(tuple(Factor(f.support, f.z, -f.a) for f in spec.factors))
 
 
 def divisor_power_sum(n: int, support: SupportSet, z: Fraction) -> Fraction:

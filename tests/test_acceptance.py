@@ -12,7 +12,6 @@ from bellforge import (
     expand_ratio,
     factorize,
     iter_partitions,
-    pentagonal_values,
     ratio_coefficients,
     restricted_recursion_report,
     sequence,
@@ -77,7 +76,7 @@ def test_c03_triple_agreement_partition_function():
         closed_sums = sequence("p", 60, "faa")
         assert closed_sums[10] == 42
         assert closed_sums[20] == 627
-        pents = pentagonal_values(60)
+        pents = sequence("p", 60, "series")
         for n in range(61):
             closed = closed_sums[n]
             pent = pents[n]
@@ -106,7 +105,7 @@ def test_c05_cubic_and_chan():
     def body():
         closed = sequence("cubic", 40)
         assert closed[3] == 4
-        p = pentagonal_values(40)
+        p = sequence("p", 40, "series")
         for n in range(41):
             convolution = sum(p[m] * p[n - 2 * m] for m in range(n // 2 + 1))
             assert closed[n] == convolution
@@ -188,7 +187,7 @@ def test_c10_errata_report():
 
 def test_c11_closed_sum_partition_function_to_1000():
     def body():
-        p = pentagonal_values(1000)
+        p = sequence("p", 1000, "series")
         assert sequence("p", 1000, "faa") == p
         assert sequence("p", 1000) == p
 
@@ -197,7 +196,8 @@ def test_c11_closed_sum_partition_function_to_1000():
 
 def test_c12_series_route_to_1000():
     def body():
-        assert sequence("p", 1000, "series") == pentagonal_values(1000)
+        p = sequence("p", 1000, "series")
+        assert p[100] == 190569292 and p[1000] == 24061467864032622473692149727991
         triangulars = {k * (k + 1) // 2 for k in range(25)}
         squares = {k * k for k in range(1, 18)}
         psi, phi = (sequence(name, 300, "series") for name in ("psi-star", "phi-star"))

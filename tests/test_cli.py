@@ -9,10 +9,16 @@ import pytest
 from bellforge import bellpoly, verify
 from bellforge.bellpoly import work_estimate
 from bellforge.cli import SUITE_NAMES, WORK_BUDGET, main
-from bellforge.partfun import PARTITION_PRODUCT
-from bellforge.partitions import pentagonal_values
+from bellforge.partfun import (
+    KIM_DENOMINATOR,
+    KIM_NUMERATOR,
+    PARTITION_PRODUCT,
+    route_prefix,
+    sequence,
+)
 from bellforge.series import exp_log_expand
-from bellforge.specfile import ratio_from_json
+from bellforge.specfile import ratio_from_json, spec_to_json
+from reference import negated
 
 
 def run_cli(capsys, *argv):
@@ -178,7 +184,7 @@ def test_eval_series_golden_rational_z(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "eval", "--spec", path, "--max", "60", "--method", "series")
     assert code == 0
     numer, denom = ratio_from_json(json.dumps(payload))
-    want = exp_log_expand(numer, 60).mul(exp_log_expand(denom.negated(), 60))
+    want = exp_log_expand(numer, 60).mul(exp_log_expand(negated(denom), 60))
     assert want.coefficient(60).denominator > 1
     assert out == "n,value\n" + "".join(f"{n},{c}\n" for n, c in enumerate(want.coeffs))
 
@@ -343,10 +349,20 @@ def test_eval_non_utf8_spec_exits_2(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_eval_series_takes_kims_quotient_to_2000(capsys, tmp_path):
+    # its z = 1 families fold by Euler's pentagonal theorem, inside the budget
+    payload = {"numerator": spec_to_json(KIM_NUMERATOR), "denominator": spec_to_json(KIM_DENOMINATOR)}
+    path = spec_file(tmp_path, payload)
+    code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "2000", "--method", "series")
+    assert (code, err) == (0, "")
+    want = route_prefix(KIM_NUMERATOR, KIM_DENOMINATOR, 2000, "faa")
+    assert out == "n,value\n" + "".join(f"{n},{c}\n" for n, c in enumerate(want))
+
+
 def test_eval_faa_bound_is_fixed(capsys, tmp_path, monkeypatch):
     # the closed sum takes any --max within the one work budget
     path = spec_file(tmp_path, EULER)
-    p = pentagonal_values(1000)
+    p = sequence("p", 1000, "series")
     # the removed BELLFORGE_FAA_CAP variable changes nothing
     for cap in (None, "8", "100", "not-a-number"):
         if cap is not None:
@@ -501,7 +517,7 @@ def test_bench_zero(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "n_max,method,seconds,agree"
-    assert len(lines) == 4
+    assert len(lines) == 3
     assert all(line.endswith("true") for line in lines[1:])
 
 
@@ -509,7 +525,7 @@ def test_bench_small(capsys):
     code, out, _ = run_cli(capsys, "bench", "--max", "15", "--repeat", "1")
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
-    assert {row[1] for row in rows} == {"closed-sum", "pentagonal", "series"}
+    assert {row[1] for row in rows} == {"closed-sum", "series"}
     assert all(row[3] == "true" for row in rows)
 
 
@@ -526,7 +542,7 @@ def test_bench_rejects_max_beyond_bound(capsys):
     code, out, _ = run_cli(capsys, "bench", "--max", "200", "--repeat", "1")
     assert code == 0
     rows = out.splitlines()[1:]
-    assert len(rows) == 3 * 20
+    assert len(rows) == 2 * 20
     assert all(row.endswith(",true") for row in rows)
 
 

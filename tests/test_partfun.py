@@ -8,7 +8,7 @@ from math import isqrt
 import pytest
 
 import bellforge
-from bellforge import InconsistencyError, pentagonal_values, restricted_recursion_report
+from bellforge import InconsistencyError, restricted_recursion_report
 from bellforge import bellpoly, series
 from bellforge.bellpoly import ratio_coefficients
 from bellforge.cli import main
@@ -32,7 +32,7 @@ from reference import count_restricted_bruteforce
 def cubic_by_convolution(n):
     """Independent oracle: partitions times even-part partitions, where the
     even-part count of 2m is the plain partition count of m."""
-    p = pentagonal_values(n)
+    p = sequence("p", n, "series")
     return sum(p[m] * p[n - 2 * m] for m in range(n // 2 + 1))
 
 
@@ -54,8 +54,8 @@ def test_partition_function_examples():
 
 
 def test_partition_function_routes_agree():
-    p = pentagonal_values(30)
-    assert sequence("p", 30, "faa") == sequence("p", 30, "series") == p
+    p = sequence("p", 30, "series")
+    assert sequence("p", 30, "faa") == p and p[30] == 5604
     assert sequence("p", 30) == p
 
 
@@ -257,7 +257,7 @@ def convolve(u, v):
 def test_sequence_takes_the_closed_sum_at_every_n(monkeypatch, capsys):
     top = 200
     parts = [1, 2, 5, 10, 25]
-    p = pentagonal_values(top)
+    p = sequence("p", top, "series")
     cubic = convolve(p, coin_counts(range(2, top + 1, 2), top))
     overcubic = convolve(cubic, coin_counts([m for m in range(1, top + 1) if m % 4], top))
     triangulars = {k * (k + 1) // 2 for k in range(21)}

@@ -1,6 +1,6 @@
 import pytest
 
-from bellforge import iter_partitions, pentagonal_values
+from bellforge import iter_partitions, sequence
 from reference import count_exact_parts, count_restricted_bruteforce
 
 
@@ -39,19 +39,19 @@ def test_iter_partitions_weight_invariant_and_uniqueness():
 
 def test_iter_partitions_cardinality_matches_pentagonal():
     for n in range(41):
-        assert sum(1 for _ in iter_partitions(n)) == pentagonal_values(n)[n]
+        assert sum(1 for _ in iter_partitions(n)) == sequence("p", n, "series")[n]
 
 
 def test_count_partitions_examples():
-    assert pentagonal_values(0) == [1]
+    assert sequence("p", 0, "series") == [1]
     # brute-force enumerations
-    assert pentagonal_values(5)[5] == len(list(iter_partitions(5))) == 7
-    assert pentagonal_values(10)[10] == len(list(iter_partitions(10))) == 42
+    assert sequence("p", 5, "series")[5] == len(list(iter_partitions(5))) == 7
+    assert sequence("p", 10, "series")[10] == len(list(iter_partitions(10))) == 42
 
 
-def test_pentagonal_values_fresh_table():
-    assert pentagonal_values(10) == [pentagonal_values(n)[n] for n in range(11)]
-    assert pentagonal_values(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+def test_series_route_p_is_a_fresh_table():
+    assert sequence("p", 10, "series") == [sequence("p", n, "series")[n] for n in range(11)]
+    assert sequence("p", 10, "series") == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
 
 def test_count_exact_parts_examples():
@@ -65,7 +65,7 @@ def test_count_exact_parts_examples():
 
 def test_count_exact_parts_sums_to_partition_count():
     for n in range(41):
-        assert sum(count_exact_parts(n, m) for m in range(n + 1)) == pentagonal_values(n)[n]
+        assert sum(count_exact_parts(n, m) for m in range(n + 1)) == sequence("p", n, "series")[n]
 
 
 def test_count_exact_parts_matches_enumeration():
@@ -96,4 +96,4 @@ def test_count_restricted_rejects_bad_parts():
 
 def test_count_restricted_full_range_equals_partition_count():
     for n in range(1, 26):
-        assert count_restricted_bruteforce(n, list(range(1, n + 1))) == pentagonal_values(n)[n]
+        assert count_restricted_bruteforce(n, list(range(1, n + 1))) == sequence("p", n, "series")[n]

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from bellforge import TruncatedSeries, exp_log_expand, expand_ratio, spec_from_factors
 from bellforge import bellpoly, partfun
 from bellforge.bellpoly import kernel_size, work_estimate
-from bellforge.supports import Factor, ProductSpec, SupportSet
-from bellforge.verify import random_product_spec
+from bellforge.supports import Factor, ProductSpec, SupportSet, scaled_factors, unscale
+from bellforge.verify import random_product_spec, random_support
+from reference import negated
 
 F = Fraction
 
@@ -218,7 +220,7 @@ def test_expand_ratio_matches_fraction_path():
             want = fraction_ratio(numer, denom, order)
             assert expand_ratio(numer, denom, order) == list(want.coeffs)
             if denom is not None:
-                inverse = exp_log_expand(denom.negated(), order)
+                inverse = exp_log_expand(negated(denom), order)
                 top = TruncatedSeries.constant(1, order)
                 if numer is not None:
                     top = exp_log_expand(numer, order)
@@ -242,33 +244,81 @@ def test_ratio_series_matches_fraction_path():
         assert expand_ratio(numer, denom, order) == list(want.coeffs), (numer, denom, order)
 
 
+def dense_ratio(numer, denom, order):
+    """``expand_ratio`` with every factor on ``_fold_binomial``, one fold per
+    support member: the reference for the Euler pass."""
+    from bellforge import series
+
+    scale, factors = scaled_factors(numer, denom)
+    cs = [1] + [0] * order
+    for support, z, a in factors:
+        for m in support.members_up_to(order):
+            series._fold_binomial(cs, z * scale ** (m - 1), m, a)
+    return unscale(cs, scale)
+
+
+def test_euler_pass_matches_the_binomial_folds():
+    # z = 1 families on the multiples of r (r > order too), both signs of a,
+    # beside a rational-z factor so that L != 1, up to order 300
+    rng = random.Random(2207)
+    for case in range(40):
+        order = 300 if case < 4 else rng.randint(0, 120)
+        sides = [[], []]
+        for _ in range(rng.randint(1, 3)):
+            r = rng.randint(order + 1, order + 3) if rng.randrange(5) == 0 else rng.randint(1, 6)
+            factor = Factor(SupportSet.multiples_of(r), 1, rng.choice((-4, -2, -1, 1, 2, 3)))
+            sides[rng.randrange(2)].append(factor)
+        z = rng.choice((F(2, 3), F(-1, 2), F(3, 5), F(-4, 7)))
+        sides[rng.randrange(2)].append(Factor(random_support(rng), z, rng.choice((-2, -1, 1, 2))))
+        numer, denom = (ProductSpec(tuple(side)) if side else None for side in sides)
+        assert scaled_factors(numer, denom)[0] > 1
+        assert expand_ratio(numer, denom, order) == dense_ratio(numer, denom, order), case
+
+
 def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
     from bellforge import series
 
     folded = []
-    fold = series._fold_binomial
+    fold, euler = series._fold_binomial, series._fold_euler
 
     def counting_fold(cs, k, m, a):
         folded.append(abs(a) * (len(cs) - m))
         fold(cs, k, m, a)
 
+    def counting_euler(cs, scale, r, a):
+        # a pass multiplies every s^e term of E((L s)^r) into each cs[i], e <= i
+        terms = [1] + [0] * (len(cs) - 1)
+        for m in range(r, len(cs), r):
+            fold(terms, 1, m, 1)
+        folded.append(abs(a) * sum(len(cs) - e for e in range(1, len(cs)) if terms[e]))
+        euler(cs, scale, r, a)
+
     monkeypatch.setattr(series, "_fold_binomial", counting_fold)
+    monkeypatch.setattr(series, "_fold_euler", counting_euler)
     specs = kernel_specs()
     pairs = [(specs[0], specs[1]), (specs[2], None), (None, specs[3]), (None, None)]
     pairs += [(specs[-1], specs[30]), (None, spec_from_factors((SupportSet.multiples_of(7), 1, 3)))]
+    pairs += [(partfun.KIM_NUMERATOR, partfun.KIM_DENOMINATOR), (None, partfun.PARTITION_PRODUCT)]
+    pairs += [(spec_from_factors((SupportSet.multiples_of(3), 1, -2)), specs[-1])]
     for numer, denom in pairs:
-        for order in (0, 1, 6, 13, 40):
+        for order in (0, 1, 6, 13, 40, 117):
             folded.clear()
             expand_ratio(numer, denom, order)
             assert kernel_size("series", numer, denom, order)[0] == sum(folded)
 
 
 def test_kernel_size_is_closed_form_for_infinite_supports():
-    spec = spec_from_factors((SupportSet.all_naturals(), 1, -3), (SupportSet.multiples_of(5), 2, 1))
+    spec = spec_from_factors((SupportSet.all_naturals(), -1, -3), (SupportSet.multiples_of(5), 2, 1))
     order = 10**12
     k = order // 5
     want = 3 * order * (order + 1) // 2 + (k * (order + 1) - 5 * k * (k + 1) // 2)
     assert kernel_size("series", spec, None, order)[0] == want
+    # the Euler pass: (n - e + 1) term products per pentagonal exponent e = r k(3k -+ 1)/2 <= n
+    for r, order in ((1, 10**10), (7, 10**11)):
+        family = spec_from_factors((SupportSet.multiples_of(r), 1, -3))
+        exponents = (r * k * (3 * k + j) // 2 for k in range(1, isqrt(order) + 2) for j in (-1, 1))
+        want = 3 * sum(order - e + 1 for e in exponents if e <= order)
+        assert kernel_size("series", family, None, order)[0] == want
     assert kernel_size("faa", spec, None, order)[0] >= order * (order + 1) // 2
     assert work_estimate("faa", spec, None, order) > work_estimate("faa", spec, None, order - 1)
     with pytest.raises(ValueError):
@@ -318,7 +368,7 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
     from bellforge import series
 
     seen = []
-    fold = series._fold_binomial
+    fold, euler = series._fold_binomial, series._fold_euler
     extend = bellpoly.bell_extend
 
     def record(values):
@@ -330,6 +380,14 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
         record(cs + [k])
 
     monkeypatch.setattr(series, "_fold_binomial", recording_fold)
+
+    def recording_euler(cs, scale, r, a):
+        # pass by pass, with L^n, which bounds every term L^e that a pass multiplies in
+        for _ in range(abs(a)):
+            euler(cs, scale, r, 1 if a > 0 else -1)
+            record(cs + [scale ** (len(cs) - 1)])
+
+    monkeypatch.setattr(series, "_fold_euler", recording_euler)
 
     def recording_extend(coeffs, weights, n):
         extend(coeffs, weights, n)

@@ -12,6 +12,7 @@ from bellforge.supports import (
     spec_from_factors,
     unscale,
 )
+from reference import negated
 
 
 def test_support_validation():
@@ -49,7 +50,7 @@ def test_factor_validation_and_normalization():
         Factor(SupportSet.all_naturals(), Fraction(1), 0)
     f = Factor(SupportSet.all_naturals(), 2, 1)
     assert f.z == Fraction(2)
-    assert f.negated().a == -1
+    assert negated(ProductSpec((f,))) == ProductSpec((Factor(f.support, 2, -1),))
 
 
 def test_product_spec_needs_factors():
