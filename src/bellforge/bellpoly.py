@@ -27,7 +27,7 @@ from math import isqrt
 from operator import mul
 
 from .arith import require_natural
-from .supports import FINITE, ProductSpec, SupportSet, scaled_factors, unscale
+from .supports import FINITE, ProductSpec, SupportSet, is_euler_family, scaled_factors, unscale
 
 
 class InconsistencyError(ArithmeticError):
@@ -67,7 +67,7 @@ def kernel_size(route: str, numer, denom, n: int) -> tuple[int, int]:
     if route == "faa":
         steps = n * (n + 1) // 2 + sum(_walk_steps(support, n) for support, _, _ in factors)
     elif route == "series":
-        steps = sum(abs(a) * _fold_steps(support, z == scale, n) for support, z, a in factors)
+        steps = sum(abs(a) * _fold_steps(s, is_euler_family(s, z, scale), n) for s, z, a in factors)
     else:
         raise ValueError(f"unknown route {route!r}")
     lz = max([scale] + [abs(z) for _, z, _ in factors])
@@ -101,7 +101,8 @@ def _walk_steps(support: SupportSet, n: int) -> int:
 def _fold_steps(support: SupportSet, euler: bool, n: int) -> int:
     """Term products of one fold pass to order ``n``, ``sum (n - e + 1)`` over
     its exponents ``e <= n``: the members of ``support``, or for the Euler pass
-    ``r k(3k - 1)/2`` for ``1 <= k <= k1`` and ``r k(3k + 1)/2`` for ``1 <= k <= k2``."""
+    ``r k(3k - 1)/2`` for ``1 <= k <= k1`` and ``r k(3k + 1)/2`` for ``1 <= k <= k2``.
+    A pass does a product on each ``i`` it visits, ``i >= min e``, so this bounds its loop."""
     if support.kind == FINITE:
         return sum(n - m + 1 for m in support.members if m <= n)
     k, r = n // support.r, support.r

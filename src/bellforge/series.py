@@ -18,11 +18,12 @@ remain the general API and the cross-check path.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
 
 from .arith import require_natural
-from .supports import FINITE, ProductSpec, _require_rational, scaled_factors, unscale
+from .supports import ProductSpec, _require_rational, is_euler_family, scaled_factors, unscale
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -209,7 +210,7 @@ def expand_ratio(
     require_natural(order, "order")
     cs = [1] + [0] * order
     for support, z, a in factors:
-        if z == scale and support.kind != FINITE:
+        if is_euler_family(support, z, scale):
             _fold_euler(cs, scale, support.r, a)
             continue
         for m in support.members_up_to(order):
@@ -234,14 +235,16 @@ def _fold_euler(cs: list[int], scale: int, r: int, a: int) -> None:
     """Multiply the coefficient list in place by ``E((scale s)^r)^a``, with
     ``E(q) = prod (1 - q^m) = 1 + sum_{k>=1} (-1)^k (q^{k(3k-1)/2} + q^{k(3k+1)/2})``
     by Euler's pentagonal theorem: a pass per unit of ``|a|`` over its terms,
-    backward to multiply and forward to divide (on ``1/E``, the recurrence for p)."""
+    backward to multiply and forward to divide (on ``1/E``, the recurrence for p).
+    ``cs[i]`` takes the terms ``e <= i``: one or more for ``i >= r``, none if ``r > n``."""
     n, sign = len(cs) - 1, 1 if a > 0 else -1
     pentagonal = ((k, r * k * (3 * k + j) // 2) for k in range(1, isqrt(n) + 1) for j in (-1, 1))
     terms = [(e, sign * (-1) ** k * scale**e) for k, e in pentagonal if e <= n]
-    walk = range(n, 0, -1) if a > 0 else range(1, n + 1)
-    for _ in range(abs(a)):
+    exponents = [e for e, _ in terms]
+    walk = range(n, r - 1, -1) if a > 0 else range(r, n + 1)
+    for _ in range(abs(a) if terms else 0):
         for i in walk:
-            cs[i] += sum([c * cs[i - e] for e, c in terms if e <= i])
+            cs[i] += sum([c * cs[i - e] for e, c in terms[: bisect_right(exponents, i)]])
 
 
 def _fold_binomial(cs: list[int], k: int, m: int, a: int) -> None:

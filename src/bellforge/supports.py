@@ -186,6 +186,11 @@ def scaled_factors(numer, denom) -> tuple[int, list[tuple[SupportSet, int, int]]
     return scale, [(f.support, f.z.numerator * (scale // f.z.denominator), a) for f, a in factors]
 
 
+def is_euler_family(support: SupportSet, z: int, scale: int) -> bool:
+    """Whether a :func:`scaled_factors` entry is a z = 1 family, Euler's ``E((L s)^r)``."""
+    return z == scale and support.kind != FINITE
+
+
 def unscale(ints, scale: int, top: int = 1) -> list[Fraction]:
     """``[Fraction(c_n, top L^n)]`` for the integers ``c_n`` and ``L = scale``."""
     out = []

@@ -95,11 +95,7 @@ def restricted_recursion_report(n: int, parts) -> IdentityReport:
     rhs = sequence("w", n, "series", parts[:-1])[n]
     lhs = full - shifted
     return IdentityReport(
-        "restricted-recursion",
-        n,
-        lhs == rhs,
-        f"{full}-{shifted}={lhs}",
-        str(rhs),
+        "restricted-recursion", n, lhs == rhs, f"{full}-{shifted}={lhs}", str(rhs)
     )
 
 
@@ -267,10 +263,7 @@ def theta_suite(max_n: int):
         want = 1 if _is_triangular(n) else 0
         rows.append(IdentityReport("theta-psi", n, got == want, str(got), str(want)))
     for n, got in enumerate(sequence("phi-star", max_n, "series")):
-        if n == 0:
-            want = 1
-        else:
-            want = 2 if isqrt(n) ** 2 == n else 0
+        want = 1 if n == 0 else 2 if isqrt(n) ** 2 == n else 0
         rows.append(IdentityReport("theta-phi", n, got == want, str(got), str(want)))
     return rows
 
@@ -307,9 +300,8 @@ def cmd_verify(args) -> int:
     """The ``verify`` command: one line per check, then a summary line."""
     from .cli import WORK_BUDGET, UsageError, check_work
 
-    name, max_n = args["identity"], args["max"]
-    if max_n is None:
-        max_n = SUITES[name][1]
+    name = args["identity"]
+    max_n = SUITES[name][1] if args["max"] is None else args["max"]
     if name == "euler":
         # p(N) partition vectors of N + 1 units each; p increases, so doubling
         # the prefix stops at the first length whose work is past the budget

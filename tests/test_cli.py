@@ -219,6 +219,19 @@ def test_eval_huge_exponent_exits_2_before_work(capsys, tmp_path, method):
     )
 
 
+def test_eval_series_euler_family_above_the_order_exits_0_at_once(capsys, tmp_path):
+    # no multiple of 2000 is <= 1000, so E(s^2000)^(10^8) has no term to fold in
+    spec = {"denominator": [{"support": {"kind": "multiples", "r": 2000}, "z": "1", "a": 10**8}]}
+    path = spec_file(tmp_path, spec)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "1000", "--method", "series")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert len(rows) == 1002
+    assert rows[1:3] == ["0,1", "1,0"] and rows[-1] == "1000,0"
+
+
 def test_eval_huge_exponent_runs_on_the_closed_sum(capsys, tmp_path):
     # the closed sum needs n(n+1)/2 steps on integers of about n log2(a) bits
     path = spec_file(tmp_path, HUGE_EXPONENT)

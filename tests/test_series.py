@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -275,6 +276,23 @@ def test_euler_pass_matches_the_binomial_folds():
         assert expand_ratio(numer, denom, order) == dense_ratio(numer, denom, order), case
 
 
+class CountingList(list):
+    """A coefficient list that counts the fold loop's visits (writes) and the
+    term products behind them (reads, less the one ``+=`` read per write)."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.reads = self.writes = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __setitem__(self, i, value):
+        self.writes += 1
+        super().__setitem__(i, value)
+
+
 def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
     from bellforge import series
 
@@ -282,16 +300,21 @@ def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
     fold, euler = series._fold_binomial, series._fold_euler
 
     def counting_fold(cs, k, m, a):
-        folded.append(abs(a) * (len(cs) - m))
-        fold(cs, k, m, a)
+        # a pass reads cs[i - m] once on each i >= m, and multiplies it in if nonzero
+        counted = CountingList(cs)
+        fold(counted, k, m, a)
+        cs[:] = counted
+        assert counted.reads - counted.writes == abs(a) * (len(cs) - m)
+        folded.append(counted.reads - counted.writes)
 
     def counting_euler(cs, scale, r, a):
-        # a pass multiplies every s^e term of E((L s)^r) into each cs[i], e <= i
-        terms = [1] + [0] * (len(cs) - 1)
-        for m in range(r, len(cs), r):
-            fold(terms, 1, m, 1)
-        folded.append(abs(a) * sum(len(cs) - e for e in range(1, len(cs)) if terms[e]))
-        euler(cs, scale, r, a)
+        counted = CountingList(cs)
+        euler(counted, scale, r, a)
+        cs[:] = counted
+        products = counted.reads - counted.writes
+        # each coefficient a pass visits takes at least one term product
+        assert counted.writes == abs(a) * max(0, len(cs) - r) <= products
+        folded.append(products)
 
     monkeypatch.setattr(series, "_fold_binomial", counting_fold)
     monkeypatch.setattr(series, "_fold_euler", counting_euler)
@@ -300,11 +323,20 @@ def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
     pairs += [(specs[-1], specs[30]), (None, spec_from_factors((SupportSet.multiples_of(7), 1, 3)))]
     pairs += [(partfun.KIM_NUMERATOR, partfun.KIM_DENOMINATOR), (None, partfun.PARTITION_PRODUCT)]
     pairs += [(spec_from_factors((SupportSet.multiples_of(3), 1, -2)), specs[-1])]
+    pairs += [(None, spec_from_factors((SupportSet.multiples_of(r), 1, a))) for r in (13, 40) for a in (-2, 5)]
     for numer, denom in pairs:
         for order in (0, 1, 6, 13, 40, 117):
             folded.clear()
             expand_ratio(numer, denom, order)
             assert kernel_size("series", numer, denom, order)[0] == sum(folded)
+
+
+def test_euler_pass_with_no_term_up_to_the_order_does_nothing():
+    family = spec_from_factors((SupportSet.multiples_of(2000), 1, 10**8))
+    start = time.perf_counter()
+    assert expand_ratio(None, family, 1000) == [1] + [0] * 1000
+    assert time.perf_counter() - start < 1.0
+    assert kernel_size("series", None, family, 1000)[0] == 0
 
 
 def test_kernel_size_is_closed_form_for_infinite_supports():
