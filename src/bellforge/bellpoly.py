@@ -46,11 +46,12 @@ def bell_extend(coeffs: list[int], weights: list[int], n: int) -> None:
         coeffs.append(a_m)
 
 
-def work_estimate(route: str, numer, denom, n: int) -> int:
-    """Work of ``route`` (``"faa"`` or ``"series"``) on ``numer/denom`` to order
-    ``n`` in one unit: ``steps (1 + B/64)^1.5``, plus ``(1 + B/64)^2`` per output
-    coefficient for its gcd and decimal form.  Callers check it; nothing here does."""
+def work_estimate(route: str, numer, denom, n: int, extra_bits: int = 0) -> int:
+    """Work of ``route`` (``"faa"`` or ``"series"``) on ``numer/denom`` to order ``n`` in
+    one unit: ``steps (1 + B/64)^1.5``, plus ``(1 + B/64)^2`` per output coefficient for its
+    gcd and decimal form, ``B`` widened by ``extra_bits``.  Callers check it; nothing here does."""
     steps, bits = kernel_size(route, numer, denom, n)
+    bits += extra_bits
     return (8 * steps * isqrt((64 + bits) ** 3) + (n + 1) * (64 + bits) ** 2) // 4096
 
 

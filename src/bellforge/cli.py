@@ -9,10 +9,10 @@ Subcommands:
 * ``errata`` — print the closed-formula transcription status report.
 
 Exit codes: 0 success, 1 verification/disagreement failure, 2 usage or
-parse error, or a request over :data:`WORK_BUDGET`: the
-:func:`~bellforge.bellpoly.work_estimate` of ``seq``, ``eval`` and ``bench``,
-or the enumeration of ``verify euler``.  Data output is byte-stable for
-identical inputs; only ``bench`` prints timings.
+parse error, or a request over :data:`WORK_BUDGET`: every command is priced
+in :func:`~bellforge.bellpoly.work_estimate` units before any work (``verify``
+per suite, ``errata`` by :func:`~bellforge.errata.report_work`).  Data output
+is byte-stable for identical inputs; only ``bench`` prints timings.
 
 Each request is a fresh process, so start-up is part of its cost.  One table,
 :data:`COMMANDS`, defines the arguments: :func:`match` parses a well-formed
@@ -37,8 +37,8 @@ SUITE_NAMES = tuple(
     "additivity-index additivity-set chan euler kim reciprocal restricted-recursion sigma theta".split()
 )
 
-# Largest summed bellpoly.work_estimate that seq, eval and bench run: 100 times the largest eval
-# of the tests, CI and benchmark.  The estimate bounds integer size, not time: a unit
+# Largest price in bellpoly.work_estimate units that any command runs: 100 times the largest
+# eval of the tests, CI and benchmark.  The estimate bounds integer size, not time: a unit
 # took 0.10-40 ns on the closed sum and 0.6-37 ns on the series route (2-vCPU Xeon).
 WORK_BUDGET = 10**9
 

@@ -6,9 +6,9 @@ whose sign/prefactor conventions are internally inconsistent.  This module
 evaluates those transcriptions as printed, next to the values forced by the
 generating products, and reports per formula where they first depart.  Each
 printed sum over partitions is evaluated exactly, on integers, by the Bell
-recurrence that it satisfies, and each double sum as a convolution.  The product-form column
-is the ground truth; nothing here asserts what the transcriptions "should"
-give.
+recurrence that it satisfies, and each double sum as a convolution, once
+:func:`report_work` has priced them.  The product-form column is the ground
+truth; nothing here asserts what the transcriptions "should" give.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from math import factorial, lcm
 from operator import mul
 
 from .arith import require_natural
-from .bellpoly import bell_extend
+from .bellpoly import bell_extend, work_estimate
 from .divisors import sigma
-from .partfun import sequence
-from .supports import Record, _require_rational, unscale
+from .partfun import SEQUENCES, sequence
+from .supports import SupportSet, _require_rational, spec_from_factors, unscale
 
 
 def transcription_sum(n: int, coeff, weight=1) -> list[Fraction]:
@@ -84,40 +84,36 @@ def _overcubic_prog_coeff(j):
     return 8 * sigma(j) + 3 * _sig_at(j, 2)
 
 
-# name -> (description, the product-form values 0..n, the transcription).
+# name -> (description, product form, step, transcription).  The product form
+# is a named sequence on the series route, read at step*n + step - 1: at n for
+# step 1, at 3n+2 for step 3.
 # Every transcription reads  c R(n) + d sum_{m=1..n} L(m) R(n-m),  where R and
 # L are transcription sums given by (coeff, weight); it is listed as
 # (c, R, d, L), with L None for a single sum.  The overcubic progression's
 # prefactor 6 sits on the first sum only, as displayed.
 _FORMULAS = {
     "cubic": (
-        "two-color partition count a(n)",
-        lambda n: sequence("cubic", n, "series"),
+        "two-color partition count a(n)", "cubic", 1,
         (1, (_cubic_coeff, -1), 1, None),
     ),
     "cubic-progression": (
-        "a(3n+2), indexed by n",
-        lambda n: sequence("cubic", 3 * n + 2, "series")[2::3],
+        "a(3n+2), indexed by n", "cubic", 3,
         (3, (_cubic_coeff, 4), 3, (_chan_inner_coeff, -3)),
     ),
     "overcubic": (
-        "overcubic partition count abar(n)",
-        lambda n: sequence("overcubic", n, "series"),
+        "overcubic partition count abar(n)", "overcubic", 1,
         (1, (_overcubic_coeff, 1), 1, (lambda j: _sig_at(j, 4), -1)),
     ),
     "overcubic-progression": (
-        "abar(3n+2), indexed by n",
-        lambda n: sequence("overcubic", 3 * n + 2, "series")[2::3],
+        "abar(3n+2), indexed by n", "overcubic", 3,
         (6, (_overcubic_prog_coeff, 1), 1, (lambda j: -6 * _sig_at(j, 3) - 3 * _sig_at(j, 4), 1)),
     ),
     "triangular-theta": (
-        "triangular-number indicator psi*(n)",
-        lambda n: sequence("psi-star", n, "series"),
+        "triangular-number indicator psi*(n)", "psi-star", 1,
         (1, (sigma, 1), 1, (lambda j: _sig_at(j, 2), -2)),
     ),
     "square-theta": (
-        "doubled square indicator phi*(n)",
-        lambda n: sequence("phi-star", n, "series"),
+        "doubled square indicator phi*(n)", "phi-star", 1,
         (1, (lambda j: sigma(j) + _sig_at(j, 4), 2), 1, (lambda j: _sig_at(j, 2), -5)),
     ),
 }
@@ -125,71 +121,58 @@ _FORMULAS = {
 
 def printed(name: str, n: int) -> list[Fraction]:
     """Values ``0..n`` of the transcription ``name`` of :data:`_FORMULAS`,
-    as printed: each of its sums is evaluated once as an integer prefix, the
-    double sum is their convolution, and each value is one ``Fraction``."""
+    as printed: each of its sums once as an integer prefix, the double sum (zero
+    for a single sum) as their convolution, and each value as one ``Fraction``."""
     if name not in _FORMULAS:
         raise ValueError(f"unknown transcription {name!r}; known: {', '.join(_FORMULAS)}")
-    c, right, d, left = _FORMULAS[name][2]
-    if left is None:
-        return [c * v for v in transcription_sum(n, *right)]
-    scale, (rs, ls) = _integer_prefixes(n, right, left)
-    top = factorial(n)
+    c, right, d, left = _FORMULAS[name][3]
+    scale, (rs, *ls) = _integer_prefixes(n, right, *([left] if left else []))
+    ls, top = (ls[0] if ls else []), factorial(n)
     doubles = [sum(map(mul, ls[1 : k + 1], rs[k - 1 :: -1])) for k in range(n + 1)]
     return unscale([c * top * r + d * dk for r, dk in zip(rs, doubles)], scale, top**2)
 
 
-class FormulaStatus(Record):
-    """Comparison of one transcription against the product-form values."""
-
-    _fields = (
-        "name",
-        "description",
-        "checked_n",
-        "product_form",
-        "transcription",
-        "agrees",
-        "first_mismatch",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        description: str,
-        checked_n: tuple[int, ...],
-        product_form: tuple[str, ...],
-        transcription: tuple[str, ...],
-        agrees: bool,
-        first_mismatch: int | None,
-    ):
-        self._assign(
-            name, description, checked_n, product_form, transcription, agrees, first_mismatch
-        )
+# E^11 and E^22 for E = prod (1 - t^k), the majorants of report_work
+_E11, _E22 = (spec_from_factors((SupportSet.all_naturals(), 1, a)) for a in (11, 22))
 
 
-def build_report(max_n: int = 8) -> list[FormulaStatus]:
-    """Evaluate all transcriptions for ``n = 0..max_n`` and compare."""
+def report_work(max_n: int) -> int:
+    """Work units of ``build_report(max_n)``, in O(1): its six product-form
+    prefixes on the series route, and its eleven printed sums and five
+    convolutions as closed sums on a majorant.  Every ``|weight * coeff(j)|``
+    of :data:`_FORMULAS` is at most ``11 sigma(j)``, the largest being
+    overcubic-progression's ``8 sigma(j) + 3 sigma(j/2)``, and ``11 sigma(j)``
+    is the weight of ``1/E^11``, so each ``A_m`` is at most the ``t^m``
+    coefficient of ``1/E^11`` and a convolution of two is at most that of
+    ``1/E^22``.  A recurrence also carries the scale ``N!`` and a double sum
+    ``N!^2``, which ``extra_bits`` pays for at ``N log2 N`` bits per ``N!``."""
+    n = require_natural(max_n, "max_n")
+    shapes = [(seq, step * n + step - 1) for _, seq, step, _ in _FORMULAS.values()]
+    work = sum(work_estimate("series", *SEQUENCES[seq], m) for seq, m in shapes)
+    bits = n * n.bit_length()
+    work += 11 * work_estimate("faa", None, _E11, n, extra_bits=bits)
+    return work + 5 * work_estimate("faa", None, _E22, n, extra_bits=2 * bits)
+
+
+def build_report(max_n: int = 8) -> list[dict]:
+    """Evaluate all transcriptions for ``n = 0..max_n`` and compare: one row
+    per formula, the rows that :func:`render_json` prints."""
     require_natural(max_n, "max_n")
-    ns = tuple(range(max_n + 1))
-    statuses = []
-    for name, (description, reference, _) in _FORMULAS.items():
-        ref = [Fraction(v) for v in reference(max_n)]
+    ns = list(range(max_n + 1))
+    report = []
+    for name, (description, seq, step, _) in _FORMULAS.items():
+        ref = sequence(seq, step * max_n + step - 1, "series")[step - 1 :: step]
         got = printed(name, max_n)
         first = next((n for n in ns if ref[n] != got[n]), None)
-        statuses.append(
-            FormulaStatus(
-                name,
-                description,
-                ns,
-                tuple(str(v) for v in ref),
-                tuple(str(v) for v in got),
-                first is None,
-                first,
-            )
-        )
-    return statuses
+        report.append(dict(
+            name=name, description=description, checked_n=ns,
+            product_form=[str(v) for v in ref], transcription=[str(v) for v in got],
+            agrees=first is None, first_mismatch=first,
+        ))
+    return report
 
 
-def render_markdown(statuses) -> str:
+def render_markdown(report) -> str:
     lines = [
         "# Closed-formula transcription status",
         "",
@@ -198,33 +181,29 @@ def render_markdown(statuses) -> str:
         "transcribed closed formula evaluated literally.",
         "",
     ]
-    for st in statuses:
-        verdict = (
-            "agrees on the checked range"
-            if st.agrees
-            else f"first differs at n = {st.first_mismatch}"
-        )
-        lines.append(f"## {st.name}: {st.description}")
-        lines.append("")
-        lines.append(f"Status: **{verdict}**")
-        lines.append("")
-        lines.append("| n | product form | transcription |")
-        lines.append("|---|---|---|")
-        for n in st.checked_n:
-            lines.append(f"| {n} | {st.product_form[n]} | {st.transcription[n]} |")
+    for st in report:
+        first = st["first_mismatch"]
+        verdict = "agrees on the checked range" if st["agrees"] else f"first differs at n = {first}"
+        lines += [f"## {st['name']}: {st['description']}", "", f"Status: **{verdict}**", ""]
+        lines += ["| n | product form | transcription |", "|---|---|---|"]
+        for n in st["checked_n"]:
+            lines.append(f"| {n} | {st['product_form'][n]} | {st['transcription'][n]} |")
         lines.append("")
     return "\n".join(lines)
 
 
-def render_json(statuses) -> str:
+def render_json(report) -> str:
     import json
 
-    payload = [dict(zip(FormulaStatus._fields, st._values())) for st in statuses]
-    return json.dumps(payload, indent=2)
+    return json.dumps(report, indent=2)
 
 
 def cmd_errata(args) -> int:
-    """The ``errata`` command: the report to ``--max``, as Markdown or JSON."""
+    """The ``errata`` command: the report to ``--max``, as Markdown or JSON;
+    exit 2 before any work when :func:`report_work` is over the budget."""
+    from .cli import check_work
+
+    check_work(f"errata --max {args['max']}", report_work(args["max"]))
     report = build_report(args["max"])
     print(render_markdown(report) if args["format"] == "md" else render_json(report))
     return 0

@@ -6,6 +6,8 @@ Randomized suites draw from a fixed documented family with a fixed default
 seed, keeping output byte-stable across runs.  The single-instance checks
 (additivity over exponents and over supports, the restricted-count
 recursion) live here as well, so a closed-sum request never compiles them.
+Each suite has a price of ``--max N`` in
+:func:`~bellforge.bellpoly.work_estimate` units, checked before it runs.
 """
 
 from __future__ import annotations
@@ -16,17 +18,19 @@ from itertools import accumulate
 from math import isqrt
 
 from .arith import require_natural
-from .bellpoly import ratio_coefficients
-from .divisors import factorize, sigma, sigma_via_factorization
+from .bellpoly import ratio_coefficients, work_estimate
 from .partfun import (
     CHAN_DENOMINATOR,
     CHAN_NUMERATOR,
     KIM_DENOMINATOR,
     KIM_NUMERATOR,
+    PARTITION_PRODUCT,
+    SEQUENCES,
+    restricted_product,
     route_prefix,
     sequence,
 )
-from .supports import Factor, ProductSpec, Record, SupportSet
+from .supports import Factor, ProductSpec, Record, SupportSet, spec_from_factors
 
 DEFAULT_SEED = 1103
 # instances per randomized suite: random specs, additivity pairs, parts lists
@@ -172,6 +176,9 @@ def euler_suite(max_n: int):
 
 def sigma_suite(max_n: int):
     """Divisor enumeration against the prime-factorization formula."""
+    # the only suite that uses the divisor sums
+    from .divisors import factorize, sigma, sigma_via_factorization
+
     require_natural(max_n, "max_n")
     rows = []
     for n in range(1, max_n + 1):
@@ -274,17 +281,78 @@ def _is_triangular(n: int) -> bool:
     return root * root == 8 * n + 1
 
 
-# name -> (suite, default --max)
+def _widest(a: int, *finite) -> ProductSpec:
+    """The costliest spec of the random family with exponents ``+-a``: three
+    factors on all naturals at z = 2, 1/2 and -1 (so ``L Z = 4``), then one on
+    ``{1, 2, 3}`` with exponent ``b`` per entry ``b`` of ``finite``.  A drawn
+    spec has no more factors of either kind, none with more support members up
+    to any ``n``, a larger ``L Z`` or a larger ``|a|``, so its closed-sum price
+    on either side is at most this one's."""
+    factors = [(SupportSet.all_naturals(), z, a) for z in (2, Fraction(1, 2), -1)]
+    return spec_from_factors(*factors, *((SupportSet.finite((1, 2, 3)), 2, b) for b in finite))
+
+
+def _euler_work(max_n: int) -> int:
+    """p(N) partition vectors of N + 1 units each, plus the two routes' prefixes
+    of p.  p increases, so doubling the series-route prefix stops at the first
+    length whose enumeration is past the budget."""
+    from .cli import WORK_BUDGET
+
+    top, work = 0, max_n + 1
+    while work <= WORK_BUDGET and top < max_n:
+        top = min(2 * top + 1, max_n)
+        work = sequence("p", top, "series")[-1] * (max_n + 1)
+    return work + sum(work_estimate(r, None, PARTITION_PRODUCT, max_n) for r in ("faa", "series"))
+
+
+def _repeated(count: int, route: str, numer, denom):
+    """The price of ``count`` prefixes of ``numer/denom`` on ``route`` to ``--max``."""
+    return lambda n: count * work_estimate(route, numer, denom, n)
+
+
+def _progression_work(name: str, numer, denom):
+    """The price of :func:`_progression_suite`'s two series-route prefixes."""
+    return lambda n: (
+        work_estimate("series", *SEQUENCES[name], 3 * n + 2)
+        + work_estimate("series", numer, denom, n)
+    )
+
+
+def _theta_work(n: int) -> int:
+    """The price of :func:`theta_suite`'s two series-route prefixes."""
+    return sum(work_estimate("series", *SEQUENCES[name], n) for name in ("psi-star", "phi-star"))
+
+
+# units of one divisor trial in sigma, priced at N isqrt(N) trials: 119-205 ns a
+# trial against a median 9.7 ns a unit on seven named prefixes (2-vCPU Xeon)
+SIGMA_TRIAL_UNITS = 16
+
+# name -> (suite, default --max, price of --max N).  The randomized suites are
+# priced on _widest: both prefixes of each reciprocal spec and a third for its
+# Fraction convolutions, three prefixes per additivity instance (an index
+# instance's a + b reaches 6), and two per parts list, each inside 1..8.
 SUITES = {
-    "reciprocal": (reciprocal_suite, 20),
-    "euler": (euler_suite, 60),
-    "sigma": (sigma_suite, 10_000),
-    "chan": (chan_suite, 20),
-    "kim": (kim_suite, 20),
-    "additivity-index": (index_additivity_suite, 12),
-    "additivity-set": (set_additivity_suite, 12),
-    "restricted-recursion": (restricted_recursion_suite, 40),
-    "theta": (theta_suite, 100),
+    "reciprocal": (reciprocal_suite, 20, _repeated(3 * SPEC_COUNT, "faa", _widest(3), None)),
+    "euler": (euler_suite, 60, _euler_work),
+    "sigma": (sigma_suite, 10_000, lambda n: SIGMA_TRIAL_UNITS * n * isqrt(n)),
+    "chan": (chan_suite, 20, _progression_work("cubic", CHAN_NUMERATOR, CHAN_DENOMINATOR)),
+    "kim": (kim_suite, 20, _progression_work("overcubic", KIM_NUMERATOR, KIM_DENOMINATOR)),
+    "additivity-index": (
+        index_additivity_suite,
+        12,
+        _repeated(3 * INSTANCES, "faa", _widest(6), None),
+    ),
+    "additivity-set": (
+        set_additivity_suite,
+        12,
+        _repeated(3 * INSTANCES, "faa", _widest(3, 3, 3), None),
+    ),
+    "restricted-recursion": (
+        restricted_recursion_suite,
+        40,
+        _repeated(2 * LIST_COUNT, "series", None, restricted_product(range(1, 9))),
+    ),
+    "theta": (theta_suite, 100, _theta_work),
 }
 
 
@@ -292,24 +360,19 @@ def run_suite(name: str, max_n: int | None = None):
     """Run one named suite; ``max_n`` falls back to the suite default."""
     if name not in SUITES:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(SUITES)}")
-    suite, default = SUITES[name]
+    suite, default, _ = SUITES[name]
     return suite(max_n=default if max_n is None else max_n)
 
 
 def cmd_verify(args) -> int:
-    """The ``verify`` command: one line per check, then a summary line."""
-    from .cli import WORK_BUDGET, UsageError, check_work
+    """The ``verify`` command: one line per check, then a summary line; exit 2
+    before any work when the suite's price is over the budget."""
+    from .cli import UsageError, check_work
 
     name = args["identity"]
-    max_n = SUITES[name][1] if args["max"] is None else args["max"]
-    if name == "euler":
-        # p(N) partition vectors of N + 1 units each; p increases, so doubling
-        # the prefix stops at the first length whose work is past the budget
-        top, work = 0, max_n + 1
-        while work <= WORK_BUDGET and top < max_n:
-            top = min(2 * top + 1, max_n)
-            work = sequence("p", top, "series")[-1] * (max_n + 1)
-        check_work(f"verify euler --max {max_n}", work)
+    _, default, price = SUITES[name]
+    max_n = default if args["max"] is None else args["max"]
+    check_work(f"verify {name} --max {max_n}", price(max_n))
     rows = run_suite(name, max_n)
     if not rows:
         raise UsageError(f"--max {max_n} leaves the {name} suite with no checks")

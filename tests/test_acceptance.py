@@ -174,13 +174,13 @@ def test_c10_errata_report():
         # ground truth by direct enumeration: 2 in two colors, or 1+1
         assert sequence("cubic", 2)[2] == 3
         report = build_report(max_n=6)
-        names = [st.name for st in report]
+        names = [st["name"] for st in report]
         assert "cubic" in names and len(report) == 6
-        cubic = next(st for st in report if st.name == "cubic")
-        assert cubic.product_form[2] == "3"
+        cubic = next(st for st in report if st["name"] == "cubic")
+        assert cubic["product_form"][2] == "3"
         # the report records the transcription column; its values are data,
         # not assertions
-        assert len(cubic.transcription) == 7
+        assert len(cubic["transcription"]) == 7
 
     run_criterion("criterion 10: transcription status report", 5, body)
 

@@ -514,6 +514,46 @@ def test_seq_beyond_the_budget_exits_2_before_work(capsys, name, n_max):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "sigma", "--max", "100000000"),
+        ("verify", "sigma", "--max", "1000000000000"),
+        *(
+            ("verify", name, "--max", "100000")
+            for name in "reciprocal additivity-index additivity-set restricted-recursion chan kim".split()
+        ),
+        ("verify", "theta", "--max", "1000000"),
+        ("errata", "--max", "20000"),
+        ("errata", "--max", "1000000000000"),
+    ],
+    ids=" ".join,
+)
+def test_verify_and_errata_beyond_the_budget_exit_2_before_work(capsys, argv):
+    # each of these ran unpriced, past any timeout, before the suites and errata had a price
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"bellforge: error: {' '.join(argv)} needs more work than the budget of 1e+09 units\n"
+    )
+
+
+def test_documented_verify_and_errata_sizes_stay_within_the_budget():
+    from bellforge.errata import report_work
+
+    # the defaults, CI's theta at 300 and the benchmark templates' largest sizes
+    documented = [(name, default) for name, (_, default, _) in verify.SUITES.items()]
+    documented += [("theta", 300), ("euler", 34), ("reciprocal", 7), ("chan", 20), ("kim", 16)]
+    documented += [("theta", 30), ("additivity-index", 20), ("additivity-set", 20)]
+    for name, n_max in documented:
+        assert verify.SUITES[name][2](n_max) <= WORK_BUDGET, (name, n_max)
+    # errata's default, CI's 60, the benchmark's 10 and README's 200
+    assert all(report_work(n_max) <= WORK_BUDGET for n_max in (8, 10, 60, 200))
+
+
 def test_seq_p_to_10000_stays_within_the_budget():
     # the largest documented seq request; the budget refuses cubic at the same --max
     assert work_estimate("faa", None, PARTITION_PRODUCT, 10000) <= WORK_BUDGET

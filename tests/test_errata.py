@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from bellforge import sequence
+from bellforge import errata, sequence
+from bellforge.bellpoly import kernel_size
 from bellforge.errata import (
+    _E11,
+    _E22,
     _FORMULAS,
-    FormulaStatus,
     build_report,
     printed,
     render_json,
@@ -19,6 +21,16 @@ def literal_sum(n, coeff, weight=1):
     """The transcription sum written out, one term per partition of ``n``."""
     return partition_power_sum(n, [0] + [Fraction(weight) * coeff(j) for j in range(1, n + 1)])
 
+
+FIELDS = [
+    "name",
+    "description",
+    "checked_n",
+    "product_form",
+    "transcription",
+    "agrees",
+    "first_mismatch",
+]
 
 EXPECTED_NAMES = [
     "cubic",
@@ -37,22 +49,22 @@ def test_engine_cubic_value_vs_colored_enumeration():
 
 def test_report_is_produced_with_all_formulas():
     report = build_report(max_n=6)
-    assert [st.name for st in report] == EXPECTED_NAMES
+    assert [st["name"] for st in report] == EXPECTED_NAMES
     for st in report:
-        assert len(st.product_form) == len(st.transcription) == 7
+        assert len(st["product_form"]) == len(st["transcription"]) == 7
         # self-consistency of the verdict columns
-        agrees = st.product_form == st.transcription
-        assert st.agrees == agrees
-        if st.first_mismatch is not None:
-            n = st.first_mismatch
-            assert st.product_form[n] != st.transcription[n]
-            assert st.product_form[:n] == st.transcription[:n]
+        agrees = st["product_form"] == st["transcription"]
+        assert st["agrees"] == agrees
+        if st["first_mismatch"] is not None:
+            n = st["first_mismatch"]
+            assert st["product_form"][n] != st["transcription"][n]
+            assert st["product_form"][:n] == st["transcription"][:n]
 
 
 def test_report_product_form_column_is_ground_truth():
     report = build_report(max_n=5)
-    cubic = next(st for st in report if st.name == "cubic")
-    assert [int(v) for v in cubic.product_form] == sequence("cubic", 5)
+    cubic = next(st for st in report if st["name"] == "cubic")
+    assert [int(v) for v in cubic["product_form"]] == sequence("cubic", 5)
 
 
 def test_cubic_transcription_differs_from_engine_at_two():
@@ -82,13 +94,14 @@ def test_renderings():
     assert "product form" in md
     js = render_json(report)
     assert '"first_mismatch"' in js and '"agrees"' in js
-    # one object per status, its fields in order, tuples as arrays
+    # one object per formula, its fields in order, sequences as arrays
     objects = json.loads(js)
-    assert [list(obj) for obj in objects] == [list(FormulaStatus._fields)] * len(report)
+    assert [list(obj) for obj in objects] == [FIELDS] * len(report)
+    assert objects == report
     cubic = objects[0]
     assert cubic["name"] == "cubic" and cubic["checked_n"] == [0, 1, 2, 3, 4]
-    assert cubic["product_form"] == list(report[0].product_form)
-    assert cubic["first_mismatch"] == report[0].first_mismatch
+    assert cubic["product_form"] == report[0]["product_form"]
+    assert cubic["first_mismatch"] == report[0]["first_mismatch"]
 
 
 def test_transcription_column_is_the_literal_double_sums():
@@ -138,9 +151,9 @@ def test_transcription_column_is_the_literal_double_sums():
         ),
     }
     report = build_report(max_n=8)
-    assert [st.name for st in report] == list(literal)
+    assert [st["name"] for st in report] == list(literal)
     for st in report:
-        assert st.transcription == tuple(str(literal[st.name](n)) for n in range(9)), st.name
+        assert st["transcription"] == [str(literal[st["name"]](n)) for n in range(9)], st["name"]
     for name, value in literal.items():
         assert printed(name, 8) == [value(n) for n in range(9)], name
 
@@ -189,3 +202,31 @@ def test_unknown_transcription_names_the_known_ones():
         printed("nope", 3)
     for name in EXPECTED_NAMES:
         assert name in str(caught.value)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 23, 60])
+def test_printed_integers_fit_the_majorants_that_price_them(n, monkeypatch):
+    # report_work prices each printed sum on 1/E^11 with n log2 n more bits for
+    # the scale n!, and each double sum on 1/E^22 with twice that for n!^2
+    prefixes, values = [], []
+    real_prefixes, real_unscale = errata._integer_prefixes, errata.unscale
+
+    def integer_prefixes(n, *sums):
+        scale, found = real_prefixes(n, *sums)
+        prefixes.extend(found)
+        return scale, found
+
+    def unscale(ints, scale, top=1):
+        values.extend(ints)
+        return real_unscale(ints, scale, top)
+
+    monkeypatch.setattr(errata, "_integer_prefixes", integer_prefixes)
+    monkeypatch.setattr(errata, "unscale", unscale)
+    for name in _FORMULAS:
+        printed(name, n)
+    assert len(prefixes) == 11 and len(values) == 6 * (n + 1)
+    scale_bits = n * n.bit_length()
+    single = kernel_size("faa", None, _E11, n)[1] + scale_bits
+    double = kernel_size("faa", None, _E22, n)[1] + 2 * scale_bits
+    assert max(abs(v).bit_length() for prefix in prefixes for v in prefix) <= single
+    assert max(abs(v).bit_length() for v in values) <= double

@@ -8,21 +8,6 @@ from fractions import Fraction
 import pytest
 
 from bellforge import Factor, IdentityReport, ProductSpec, SupportSet, expand_ratio, ratio_coefficients
-from bellforge.errata import FormulaStatus
-
-
-def formula_status(**changes):
-    fields = dict(
-        name="cubic",
-        description="a(n)",
-        checked_n=(0, 1),
-        product_form=("1", "1"),
-        transcription=("1", "-1"),
-        agrees=False,
-        first_mismatch=1,
-    )
-    fields.update(changes)
-    return FormulaStatus(**fields)
 
 
 def samples():
@@ -36,7 +21,6 @@ def samples():
         (factor, Factor(a=-2, z=Fraction(2, 3), support=SupportSet.finite([2, 5]))),
         (ProductSpec((factor,)), ProductSpec(factors=[factor])),
         (IdentityReport("x", 3, True, "1", "1"), IdentityReport(check="x", n=3, ok=True, lhs="1", rhs="1")),
-        (formula_status(), formula_status()),
     ]
 
 
@@ -54,7 +38,6 @@ def test_different_fields_give_unequal_records():
         (SupportSet.multiples_of(2), SupportSet.multiples_of(3)),
         (Factor(SupportSet.all_naturals(), 1, 1), Factor(SupportSet.all_naturals(), 1, 2)),
         (IdentityReport("x", 3, True, "1", "1"), IdentityReport("x", 3, False, "1", "1")),
-        (formula_status(), formula_status(first_mismatch=None)),
     ]
     for left, right in unequal:
         assert left != right and not (left == right)
@@ -85,10 +68,6 @@ def test_repr_text():
     assert repr(IdentityReport("x", 3, True, "1", "1")) == (
         "IdentityReport(check='x', n=3, ok=True, lhs='1', rhs='1')"
     )
-    assert repr(formula_status()) == (
-        "FormulaStatus(name='cubic', description='a(n)', checked_n=(0, 1), "
-        "product_form=('1', '1'), transcription=('1', '-1'), agrees=False, first_mismatch=1)"
-    )
 
 
 def test_keyword_construction_and_defaults():
@@ -99,7 +78,6 @@ def test_keyword_construction_and_defaults():
     assert ProductSpec(factors=[f]).factors == (f,)
     r = IdentityReport(check="c", n=1, ok=False, lhs="2", rhs="3")
     assert (r.check, r.n, r.ok, r.lhs, r.rhs) == ("c", 1, False, "2", "3")
-    assert formula_status(agrees=True).agrees is True
     with pytest.raises(TypeError):
         SupportSet()
     with pytest.raises(TypeError):

@@ -158,7 +158,8 @@ def test_eval_series_loads_json_but_not_suites(tmp_path):
 def test_verify_loads_its_suites_only(argv):
     loaded = loaded_by(*argv)
     assert "bellforge.verify" in loaded
-    assert not loaded & (HEAVY | {"json"})
+    # only the sigma suite reads the divisor sums
+    assert not loaded & (HEAVY | {"json", "bellforge.divisors"})
 
 
 def test_import_loads_no_submodule():
