@@ -22,7 +22,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
 
-from .arith import require_natural
+from .arith import require_int, require_natural
 from .supports import ProductSpec, _require_rational, is_euler_family, scaled_factors, unscale
 
 _ZERO = Fraction(0)
@@ -159,9 +159,7 @@ class TruncatedSeries:
     def int_pow(self, a: int) -> "TruncatedSeries":
         """Integer power by binary exponentiation; negative powers go through
         the reciprocal of the positive power."""
-        if isinstance(a, bool) or not isinstance(a, int):
-            raise TypeError("exponent must be an integer")
-        if a < 0:
+        if require_int(a, "exponent") < 0:
             if self.coeffs[0] == 0:
                 raise ValueError("negative power of a series with zero constant term")
             return self.int_pow(-a).reciprocal()
@@ -248,17 +246,13 @@ def _fold_euler(cs: list[int], scale: int, r: int, a: int) -> None:
 
 
 def _fold_binomial(cs: list[int], k: int, m: int, a: int) -> None:
-    """Multiply the coefficient list in place by (1 - k s^m)^a."""
+    """Multiply the coefficient list in place by (1 - k s^m)^a: a pass per unit
+    of ``|a|``, backward to multiply and forward to divide."""
     n = len(cs) - 1
-    if a > 0:
-        for _ in range(a):
-            for i in range(n, m - 1, -1):
-                prev = cs[i - m]
-                if prev:
-                    cs[i] -= k * prev
-    else:
-        for _ in range(-a):
-            for i in range(m, n + 1):
-                prev = cs[i - m]
-                if prev:
-                    cs[i] += k * prev
+    walk = range(n, m - 1, -1) if a > 0 else range(m, n + 1)
+    k = -k if a > 0 else k
+    for _ in range(abs(a)):
+        for i in walk:
+            prev = cs[i - m]
+            if prev:
+                cs[i] += k * prev

@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .arith import require_int
+
 ALL = "all"
 MULTIPLES = "multiples"
 FINITE = "finite"
@@ -77,16 +79,12 @@ class SupportSet(Record):
         r = 1 if r is None else r
         members = () if members is None else members
         if kind == MULTIPLES:
-            _require_int(r, "multiples-of support r")
-            if r < 1:
+            if require_int(r, "multiples-of support r") < 1:
                 raise ValueError("multiples-of support needs an integer r >= 1")
             if r == 1:
                 kind = ALL  # the multiples of 1 are all naturals: one key per set
         if kind == FINITE:
-            members = tuple(members)
-            for m in members:
-                _require_int(m, "finite support member")
-            members = tuple(sorted(members))
+            members = tuple(sorted([require_int(m, "finite support member") for m in members]))
             if not members:
                 raise ValueError("finite support must be non-empty")
             if len(set(members)) != len(members):
@@ -144,8 +142,7 @@ class Factor(Record):
     def __init__(self, support: SupportSet, z: Fraction, a: int):
         if not isinstance(support, SupportSet):
             raise TypeError(f"a factor's support must be a SupportSet, got {support!r}")
-        _require_int(a, "factor exponent a")
-        if a == 0:
+        if require_int(a, "factor exponent a") == 0:
             raise ValueError("factor exponent a must be a nonzero integer")
         self._assign(support, _require_rational(z, "factor z"), a)
 
@@ -201,18 +198,9 @@ def unscale(ints, scale: int, top: int = 1) -> list[Fraction]:
     return out
 
 
-def _require_int(value, name) -> None:
-    """Library-side type check: a real ``int``; ``bool`` and ``float`` are
-    rejected rather than coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {value!r}")
-
-
 def _require_rational(value, name: str = "value") -> Fraction:
     """``value`` as a ``Fraction``: it must be an ``int`` (not a ``bool``) or
     a ``Fraction``; a float is rejected rather than coerced."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int or a Fraction, got {value!r}")
-    return Fraction(value)
+    return Fraction(require_int(value, f"{name}, if not a Fraction,"))

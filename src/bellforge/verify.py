@@ -7,7 +7,9 @@ seed, keeping output byte-stable across runs.  The single-instance checks
 (additivity over exponents and over supports, the restricted-count
 recursion) live here as well, so a closed-sum request never compiles them.
 Each suite has a price of ``--max N`` in
-:func:`~bellforge.bellpoly.work_estimate` units, checked before it runs.
+:func:`~bellforge.bellpoly.work_estimate` units, checked before it runs; a
+randomized suite's suite and price read one function's draws.  Convolutions
+run on the integers ``c_m L^m`` of the routes' scaled outputs.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import random
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
+from operator import mul
 
 from .arith import require_natural
-from .bellpoly import ratio_coefficients, work_estimate
+from .bellpoly import InconsistencyError, ratio_coefficients, work_estimate
 from .partfun import (
     CHAN_DENOMINATOR,
     CHAN_NUMERATOR,
@@ -30,7 +33,7 @@ from .partfun import (
     route_prefix,
     sequence,
 )
-from .supports import Factor, ProductSpec, Record, SupportSet, spec_from_factors
+from .supports import Factor, ProductSpec, Record, SupportSet, scaled_factors
 
 DEFAULT_SEED = 1103
 # instances per randomized suite: random specs, additivity pairs, parts lists
@@ -38,7 +41,6 @@ SPEC_COUNT = 30
 INSTANCES = 20
 LIST_COUNT = 30
 
-_ZERO = Fraction(0)
 _Z_CHOICES = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
 _A_CHOICES = (-3, -2, -1, 1, 2, 3)
 
@@ -61,29 +63,36 @@ def index_additivity_report(n, base, a_index, b_index) -> IdentityReport:
     are equal-length vectors of nonzero integers.  Combined exponents that
     cancel to zero simply drop their factor.
     """
-    require_natural(n)
-    base = list(base)
-    if not (len(base) == len(a_index) == len(b_index)):
-        raise ValueError("index vectors must match the factor family")
-    spec_a = ProductSpec(tuple(Factor(s, z, a) for (s, z), a in zip(base, a_index)))
-    spec_b = ProductSpec(tuple(Factor(s, z, b) for (s, z), b in zip(base, b_index)))
-    combined = tuple(
-        Factor(s, z, a + b)
-        for (s, z), a, b in zip(base, a_index, b_index)
-        if a + b != 0
-    )
-    lhs = ratio_coefficients(ProductSpec(combined) if combined else None, None, n)[n]
-    rhs = _convolve(ratio_coefficients(spec_a, None, n), ratio_coefficients(spec_b, None, n), n)
-    return IdentityReport("additivity-index", n, lhs == rhs, str(lhs), str(rhs))
+    return _additivity_report("additivity-index", n, *_index_specs(base, a_index, b_index))
 
 
 def set_additivity_report(n, spec_a: ProductSpec, spec_b: ProductSpec) -> IdentityReport:
     """Check that coefficients of the merged factor list equal the
     convolution of the two sides' coefficients."""
+    merged = ProductSpec(spec_a.factors + spec_b.factors)
+    return _additivity_report("additivity-set", n, merged, spec_a, spec_b)
+
+
+def _index_specs(base, a_index, b_index):
+    """The specs of ``a + b`` (``None`` if every exponent cancels), ``a`` and ``b``."""
+    base = list(base)
+    if not (len(base) == len(a_index) == len(b_index)):
+        raise ValueError("index vectors must match the factor family")
+    spec_a = ProductSpec(tuple(Factor(s, z, a) for (s, z), a in zip(base, a_index)))
+    spec_b = ProductSpec(tuple(Factor(s, z, b) for (s, z), b in zip(base, b_index)))
+    combined = tuple(Factor(s, z, a + b) for (s, z), a, b in zip(base, a_index, b_index) if a + b)
+    return ProductSpec(combined) if combined else None, spec_a, spec_b
+
+
+def _additivity_report(check, n, combined, spec_a, spec_b) -> IdentityReport:
+    """Coefficient ``n`` of ``combined`` against the convolution of those of
+    ``spec_a`` and ``spec_b``, on the integers ``c_m L^m`` of both sides."""
     require_natural(n)
-    lhs = ratio_coefficients(ProductSpec(spec_a.factors + spec_b.factors), None, n)[n]
-    rhs = _convolve(ratio_coefficients(spec_a, None, n), ratio_coefficients(spec_b, None, n), n)
-    return IdentityReport("additivity-set", n, lhs == rhs, str(lhs), str(rhs))
+    lhs = ratio_coefficients(combined, None, n)[n]
+    scale = scaled_factors(spec_a, spec_b)[0]
+    u, v = (_scaled(ratio_coefficients(spec, None, n), scale) for spec in (spec_a, spec_b))
+    rhs = Fraction(_convolve(u, v, n), scale**n)
+    return IdentityReport(check, n, lhs == rhs, str(lhs), str(rhs))
 
 
 def restricted_recursion_report(n: int, parts) -> IdentityReport:
@@ -103,9 +112,17 @@ def restricted_recursion_report(n: int, parts) -> IdentityReport:
     )
 
 
-def _convolve(u, v, n) -> Fraction:
-    """Coefficient ``n`` of the Cauchy product of two prefixes."""
-    return sum((u[j] * v[n - j] for j in range(n + 1) if u[j]), _ZERO)
+def _convolve(u: list[int], v: list[int], n: int) -> int:
+    """Coefficient ``n`` of the Cauchy product of two integer prefixes."""
+    return sum(map(mul, u[: n + 1], v[n::-1]))
+
+
+def _scaled(prefix, scale: int) -> list[int]:
+    """The integers ``c_m L^m`` of a route's coefficients ``c_m``, ``L = scale``."""
+    scaled = [c * scale**m for m, c in enumerate(prefix)]
+    if any(c.denominator != 1 for c in scaled):
+        raise InconsistencyError(f"a coefficient is not an integer over {scale}^m")
+    return [c.numerator for c in scaled]
 
 
 def random_support(rng: random.Random) -> SupportSet:
@@ -122,30 +139,35 @@ def random_product_spec(rng: random.Random, max_factors: int = 3) -> ProductSpec
     factors, supports in {all, multiples r<=4, finite in [1,6]},
     z in {1, -1, 1/2, 2}, exponent in +-[1,3]."""
     count = rng.randint(1, max_factors)
-    return ProductSpec(
-        tuple(
-            Factor(random_support(rng), rng.choice(_Z_CHOICES), rng.choice(_A_CHOICES))
-            for _ in range(count)
-        )
-    )
+    return ProductSpec(tuple(_random_factor(rng, random_support(rng)) for _ in range(count)))
+
+
+def _random_factor(rng: random.Random, support: SupportSet) -> Factor:
+    return Factor(support, rng.choice(_Z_CHOICES), rng.choice(_A_CHOICES))
 
 
 def reciprocal_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Convolving product and reciprocal coefficients must give the unit
     sequence: ``sum_k P_k W_{n-k} == [n == 0]``."""
-    rng = random.Random(seed)
     rows = []
-    for i in range(SPEC_COUNT):
-        spec = random_product_spec(rng)
-        prods = ratio_coefficients(spec, None, max_n)
-        recips = ratio_coefficients(None, spec, max_n)
-        for n in range(max_n + 1):
-            conv = _convolve(prods, recips, n)
+    for i, (top, (spec,)) in enumerate(_reciprocal_draws(max_n, seed)):
+        scale = scaled_factors(spec, None)[0]
+        prods = _scaled(ratio_coefficients(spec, None, top), scale)
+        recips = _scaled(ratio_coefficients(None, spec, top), scale)
+        for n in range(top + 1):
+            conv = Fraction(_convolve(prods, recips, n), scale**n)
             expected = Fraction(1 if n == 0 else 0)
             rows.append(
                 IdentityReport(f"reciprocal#{i:02d}", n, conv == expected, str(conv), str(expected))
             )
     return rows
+
+
+def _reciprocal_draws(max_n: int, seed: int = DEFAULT_SEED):
+    """``(max_n, (spec,))`` for each of the suite's ``SPEC_COUNT`` random specs."""
+    require_natural(max_n, "max_n")
+    rng = random.Random(seed)
+    return [(max_n, (random_product_spec(rng),)) for _ in range(SPEC_COUNT)]
 
 
 def euler_suite(max_n: int):
@@ -217,49 +239,55 @@ def _progression_suite(check, name, label, numer, denom, multiple, max_n):
 def index_additivity_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Adding exponent vectors over a fixed factor family must convolve
     the coefficient sequences."""
+    draws = _index_draws(max_n, seed)
+    return [_additivity_report("additivity-index", n, *specs) for n, specs in draws]
+
+
+def _index_draws(max_n: int, seed: int = DEFAULT_SEED):
+    """``(n, (a + b, a, b))`` for each of ``INSTANCES`` random exponent-vector pairs."""
     require_natural(max_n, "max_n")
     rng = random.Random(seed)
-    rows = []
     for _ in range(INSTANCES):
         size = rng.randint(1, 3)
         base = [(random_support(rng), rng.choice(_Z_CHOICES)) for _ in range(size)]
         a_index = [rng.choice(_A_CHOICES) for _ in range(size)]
         b_index = [rng.choice(_A_CHOICES) for _ in range(size)]
-        rows.append(index_additivity_report(rng.randint(0, max_n), base, a_index, b_index))
-    return rows
+        yield rng.randint(0, max_n), _index_specs(base, a_index, b_index)
 
 
 def set_additivity_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Merging two factor families must convolve the coefficient sequences."""
+    draws = _set_draws(max_n, seed)
+    return [_additivity_report("additivity-set", n, *specs) for n, specs in draws]
+
+
+def _set_draws(max_n: int, seed: int = DEFAULT_SEED):
+    """``(n, (a and b merged, a, b))`` for each of ``INSTANCES`` random spec
+    pairs, ``b`` on finite supports in 1..9."""
     require_natural(max_n, "max_n")
     rng = random.Random(seed)
-    rows = []
     for _ in range(INSTANCES):
         spec_a = random_product_spec(rng)
-        spec_b = ProductSpec(
-            tuple(
-                Factor(
-                    SupportSet.finite(rng.sample(range(1, 10), rng.randint(1, 3))),
-                    rng.choice(_Z_CHOICES),
-                    rng.choice(_A_CHOICES),
-                )
-                for _ in range(rng.randint(1, 2))
-            )
-        )
-        rows.append(set_additivity_report(rng.randint(0, max_n), spec_a, spec_b))
-    return rows
+        count = rng.randint(1, 2)
+        # a generator, so that each support is drawn just before its z and a
+        finite = (rng.sample(range(1, 10), rng.randint(1, 3)) for _ in range(count))
+        spec_b = ProductSpec(tuple(_random_factor(rng, SupportSet.finite(m)) for m in finite))
+        merged = ProductSpec(spec_a.factors + spec_b.factors)
+        yield rng.randint(0, max_n), (merged, spec_a, spec_b)
 
 
 def restricted_recursion_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Dropping the last allowed part: W(n,d) - W(n-last,d) == W(n,d[:-1])."""
+    return [restricted_recursion_report(n, parts) for n, parts in _restricted_draws(max_n, seed)]
+
+
+def _restricted_draws(max_n: int, seed: int = DEFAULT_SEED):
+    """``(n, parts)`` for each of ``LIST_COUNT`` random parts lists inside 1..8."""
     require_natural(max_n, "max_n")
     rng = random.Random(seed)
-    rows = []
     for _ in range(LIST_COUNT):
         parts = rng.sample(range(1, 9), rng.randint(2, 5))
-        n = rng.randint(0, max_n)
-        rows.append(restricted_recursion_report(n, parts))
-    return rows
+        yield rng.randint(0, max_n), parts
 
 
 def theta_suite(max_n: int):
@@ -281,17 +309,6 @@ def _is_triangular(n: int) -> bool:
     return root * root == 8 * n + 1
 
 
-def _widest(a: int, *finite) -> ProductSpec:
-    """The costliest spec of the random family with exponents ``+-a``: three
-    factors on all naturals at z = 2, 1/2 and -1 (so ``L Z = 4``), then one on
-    ``{1, 2, 3}`` with exponent ``b`` per entry ``b`` of ``finite``.  A drawn
-    spec has no more factors of either kind, none with more support members up
-    to any ``n``, a larger ``L Z`` or a larger ``|a|``, so its closed-sum price
-    on either side is at most this one's."""
-    factors = [(SupportSet.all_naturals(), z, a) for z in (2, Fraction(1, 2), -1)]
-    return spec_from_factors(*factors, *((SupportSet.finite((1, 2, 3)), 2, b) for b in finite))
-
-
 def _euler_work(max_n: int) -> int:
     """p(N) partition vectors of N + 1 units each, plus the two routes' prefixes
     of p.  p increases, so doubling the series-route prefix stops at the first
@@ -305,9 +322,17 @@ def _euler_work(max_n: int) -> int:
     return work + sum(work_estimate(r, None, PARTITION_PRODUCT, max_n) for r in ("faa", "series"))
 
 
-def _repeated(count: int, route: str, numer, denom):
-    """The price of ``count`` prefixes of ``numer/denom`` on ``route`` to ``--max``."""
-    return lambda n: count * work_estimate(route, numer, denom, n)
+def _closed_sum_work(draws, copies: int = 1):
+    """The price of ``copies`` closed-sum prefixes of each spec of ``draws(--max)``."""
+    return lambda max_n: copies * sum(
+        work_estimate("faa", spec, None, n) for n, specs in draws(max_n) for spec in specs
+    )
+
+
+def _restricted_work(max_n: int) -> int:
+    """Two series-route prefixes per drawn parts list: with and without its last part."""
+    drawn = ((n, p) for n, parts in _restricted_draws(max_n) for p in (parts, parts[:-1]))
+    return sum(work_estimate("series", None, restricted_product(p), n) for n, p in drawn)
 
 
 def _progression_work(name: str, numer, denom):
@@ -327,31 +352,18 @@ def _theta_work(n: int) -> int:
 # trial against a median 9.7 ns a unit on seven named prefixes (2-vCPU Xeon)
 SIGMA_TRIAL_UNITS = 16
 
-# name -> (suite, default --max, price of --max N).  The randomized suites are
-# priced on _widest: both prefixes of each reciprocal spec and a third for its
-# Fraction convolutions, three prefixes per additivity instance (an index
-# instance's a + b reaches 6), and two per parts list, each inside 1..8.
+# name -> (suite, default --max, price of --max N).  A randomized suite is priced
+# on its own draws: the prefixes each drawn n expands, and for reciprocal a third
+# prefix per spec for the n (n + 1) / 2 products of its convolutions.
 SUITES = {
-    "reciprocal": (reciprocal_suite, 20, _repeated(3 * SPEC_COUNT, "faa", _widest(3), None)),
+    "reciprocal": (reciprocal_suite, 20, _closed_sum_work(_reciprocal_draws, 3)),
     "euler": (euler_suite, 60, _euler_work),
     "sigma": (sigma_suite, 10_000, lambda n: SIGMA_TRIAL_UNITS * n * isqrt(n)),
     "chan": (chan_suite, 20, _progression_work("cubic", CHAN_NUMERATOR, CHAN_DENOMINATOR)),
     "kim": (kim_suite, 20, _progression_work("overcubic", KIM_NUMERATOR, KIM_DENOMINATOR)),
-    "additivity-index": (
-        index_additivity_suite,
-        12,
-        _repeated(3 * INSTANCES, "faa", _widest(6), None),
-    ),
-    "additivity-set": (
-        set_additivity_suite,
-        12,
-        _repeated(3 * INSTANCES, "faa", _widest(3, 3, 3), None),
-    ),
-    "restricted-recursion": (
-        restricted_recursion_suite,
-        40,
-        _repeated(2 * LIST_COUNT, "series", None, restricted_product(range(1, 9))),
-    ),
+    "additivity-index": (index_additivity_suite, 12, _closed_sum_work(_index_draws)),
+    "additivity-set": (set_additivity_suite, 12, _closed_sum_work(_set_draws)),
+    "restricted-recursion": (restricted_recursion_suite, 40, _restricted_work),
     "theta": (theta_suite, 100, _theta_work),
 }
 

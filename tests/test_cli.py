@@ -559,6 +559,16 @@ def test_seq_p_to_10000_stays_within_the_budget():
     assert work_estimate("faa", None, PARTITION_PRODUCT, 10000) <= WORK_BUDGET
 
 
+@pytest.mark.parametrize("name", ["additivity-index", "reciprocal"])
+def test_verify_at_519_runs_every_check(capsys, name):
+    # both were refused at 519 while they were priced on the family's costliest spec
+    code, out, err = run_cli(capsys, "verify", name, "--max", "519")
+    assert (code, err) == (0, "")
+    *rows, summary = out.splitlines()
+    assert all(" pass " in row for row in rows)
+    assert summary == f"# {name}: {len(rows)}/{len(rows)} checks passed (max 519)"
+
+
 def test_verify_output_is_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "verify", "additivity-index", "--max", "8")
     _, second, _ = run_cli(capsys, "verify", "additivity-index", "--max", "8")

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from bellforge import errata, verify
-from bellforge.bellpoly import work_estimate
+from bellforge.bellpoly import InconsistencyError, ratio_coefficients, work_estimate
 from bellforge.partfun import SEQUENCES, restricted_product
-from bellforge.supports import FINITE, MULTIPLES, Factor, ProductSpec, SupportSet
+from bellforge.series import TruncatedSeries
+from bellforge.supports import FINITE, MULTIPLES, ProductSpec, scaled_factors
 from bellforge.verify import (
     SUITES,
-    _widest,
+    _convolve,
+    _scaled,
     random_product_spec,
     run_suite,
     theta_suite,
@@ -121,26 +123,30 @@ def test_prices_cover_every_prefix_that_runs(name, monkeypatch):
         else:
             run_suite(name, n_max)
         assert requested or name == "sigma"
-        assert sum(work_estimate(*prefix) for prefix in requested) <= work, (name, n_max)
+        ran = sum(work_estimate(*prefix) for prefix in requested)
+        if name == "reciprocal":
+            # and one more prefix of each spec for its convolutions
+            ran += sum(work_estimate(*prefix) for prefix in requested if prefix[2] is None)
+        if name in ("reciprocal", "additivity-index", "additivity-set", "restricted-recursion"):
+            # priced on the draws that run, so exactly
+            assert ran == work, (name, n_max)
+        assert ran <= work, (name, n_max)
 
 
-def test_widest_spec_prices_every_drawn_spec():
-    # the randomized suites' prices rest on this: no drawn spec costs more than _widest
-    Z = (1, -1, Fraction(1, 2), 2)
-    rng = random.Random(5)
-    widest = {name: _widest(*a) for name, a in [("3", (3,)), ("6", (6,)), ("set", (3, 3, 3))]}
-    for _ in range(300):
-        spec = random_product_spec(rng)
-        combined = ProductSpec(tuple(Factor(f.support, f.z, 2 * f.a) for f in spec.factors))
-        # set_additivity_suite's second side: one or two factors on finite supports in 1..9
-        finite = tuple(
-            Factor(SupportSet.finite(rng.sample(range(1, 10), rng.randint(1, 3))), rng.choice(Z), 3)
-            for _ in range(rng.randint(1, 2))
-        )
-        merged = ProductSpec(spec.factors + finite)
-        for n in (0, 1, 2, 3, 7, 40, 500):
-            top = {name: work_estimate("faa", w, None, n) for name, w in widest.items()}
-            assert work_estimate("faa", spec, None, n) <= top["3"]
-            assert work_estimate("faa", None, spec, n) <= top["3"]
-            assert work_estimate("faa", combined, None, n) <= top["6"]
-            assert work_estimate("faa", merged, None, n) <= top["set"]
+def test_integer_convolution_matches_the_fraction_cauchy_product():
+    # the identities convolve c_m L^m under the lcm L of both sides' z denominators
+    rng = random.Random(24)
+    mixed = 0
+    for _ in range(50):
+        spec_a, spec_b = random_product_spec(rng), random_product_spec(rng)
+        n = rng.randint(0, 30)
+        u, v = ratio_coefficients(spec_a, None, n), ratio_coefficients(spec_b, None, n)
+        scale = scaled_factors(spec_a, spec_b)[0]
+        mixed += scaled_factors(spec_a, None)[0] != scaled_factors(spec_b, None)[0]
+        want = TruncatedSeries(u).mul(TruncatedSeries(v)).coeffs
+        got = [_convolve(_scaled(u, scale), _scaled(v, scale), k) for k in range(n + 1)]
+        assert [Fraction(c, scale**k) for k, c in enumerate(got)] == list(want)
+    assert mixed >= 10
+    # a coefficient whose denominator does not divide L^m is an error, not a floor
+    with pytest.raises(InconsistencyError):
+        _scaled([Fraction(1), Fraction(1, 3)], 2)
