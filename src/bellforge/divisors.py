@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .arith import require_positive
+from .arith import require_int, require_positive
 from .supports import SupportSet
 
 Factorization = list[tuple[int, int]]
@@ -49,10 +49,15 @@ def sigma_via_factorization(pairs: Factorization) -> int:
 
         sigma(p^b) = sum_{k=0}^{floor(b/2)} (-1)^k C(b-k, k) p^k (1+p)^(b-2k)
 
-    The empty factorization gives 1.
+    The empty factorization gives 1.  Each prime must be an ``int >= 2`` and
+    each exponent an ``int >= 1``, the primes strictly increasing; primality
+    is not checked.  A ``float`` or ``bool`` raises :class:`TypeError`.
     """
-    total = 1
+    total = previous = 1
     for p, b in pairs:
+        if require_int(p, "prime") <= previous or require_int(b, "exponent") < 1:
+            raise ValueError(f"need primes >= 2, increasing, and exponents >= 1, got {(p, b)}")
+        previous = p
         term = 0
         for k in range(b // 2 + 1):
             summand = comb(b - k, k) * p**k * (1 + p) ** (b - 2 * k)

@@ -5,9 +5,11 @@ divisor weights drop the factor ``r`` in multiples-of-``r`` divisor sums and
 whose sign/prefactor conventions are internally inconsistent.  This module
 evaluates those transcriptions as printed, next to the values forced by the
 generating products, and reports per formula where they first depart.  Each
-printed sum over partitions is evaluated exactly, on integers, by the Bell
-recurrence that it satisfies, and each double sum as a convolution, once
-:func:`report_work` has priced them.  The product-form column is the ground
+printed sum's coefficient is held as a table ``{i: c_i}``, meaning
+``sum c_i sigma(j / i)`` over the ``i`` that divide ``j``; the sum over
+partitions is evaluated exactly, on integers, by the Bell recurrence that it
+satisfies, and each double sum as a convolution, once :func:`report_work` has
+priced them from the same tables.  The product-form column is the ground
 truth; nothing here asserts what the transcriptions "should" give.
 """
 
@@ -62,59 +64,37 @@ def _integer_prefixes(n: int, *sums) -> tuple[int, list[list[int]]]:
     return scale, prefixes
 
 
-def _sig_at(j: int, i: int) -> int:
-    """``I_i(j) * sigma(j/i)``: the transcriptions' divisor term, without
-    the factor ``i`` that the product forms force."""
-    return sigma(j // i) if j % i == 0 else 0
-
-
-def _cubic_coeff(j):
-    return sigma(j) + _sig_at(j, 2)
-
-
-def _chan_inner_coeff(j):
-    return _sig_at(j, 3) + _sig_at(j, 6)
-
-
-def _overcubic_coeff(j):
-    return 2 * sigma(j) + _sig_at(j, 2)
-
-
-def _overcubic_prog_coeff(j):
-    return 8 * sigma(j) + 3 * _sig_at(j, 2)
+def _divisor_sum(table: dict):
+    """``j -> sum c_i sigma(j / i)`` over the ``i`` of ``table = {i: c_i}`` that divide ``j``."""
+    return lambda j: sum(c * sigma(j // i) for i, c in table.items() if j % i == 0)
 
 
 # name -> (description, product form, step, transcription).  The product form
 # is a named sequence on the series route, read at step*n + step - 1: at n for
 # step 1, at 3n+2 for step 3.
-# Every transcription reads  c R(n) + d sum_{m=1..n} L(m) R(n-m),  where R and
-# L are transcription sums given by (coeff, weight); it is listed as
-# (c, R, d, L), with L None for a single sum.  The overcubic progression's
-# prefactor 6 sits on the first sum only, as displayed.
+# Every transcription reads  c R(n) + d sum_{m=1..n} L(m) R(n-m),  listed as
+# (c, R, d, L) with L None for a single sum.  R and L are transcription sums
+# (table, weight): table {i: c_i} is the coefficient sum c_i sigma(j / i) over
+# the i that divide j, without the factor i that the product forms force.  The
+# overcubic progression's prefactor 6 sits on the first sum only, as displayed.
 _FORMULAS = {
     "cubic": (
-        "two-color partition count a(n)", "cubic", 1,
-        (1, (_cubic_coeff, -1), 1, None),
+        "two-color partition count a(n)", "cubic", 1, (1, ({1: 1, 2: 1}, -1), 1, None)
     ),
     "cubic-progression": (
-        "a(3n+2), indexed by n", "cubic", 3,
-        (3, (_cubic_coeff, 4), 3, (_chan_inner_coeff, -3)),
+        "a(3n+2), indexed by n", "cubic", 3, (3, ({1: 1, 2: 1}, 4), 3, ({3: 1, 6: 1}, -3))
     ),
     "overcubic": (
-        "overcubic partition count abar(n)", "overcubic", 1,
-        (1, (_overcubic_coeff, 1), 1, (lambda j: _sig_at(j, 4), -1)),
+        "overcubic partition count abar(n)", "overcubic", 1, (1, ({1: 2, 2: 1}, 1), 1, ({4: 1}, -1))
     ),
     "overcubic-progression": (
-        "abar(3n+2), indexed by n", "overcubic", 3,
-        (6, (_overcubic_prog_coeff, 1), 1, (lambda j: -6 * _sig_at(j, 3) - 3 * _sig_at(j, 4), 1)),
+        "abar(3n+2), indexed by n", "overcubic", 3, (6, ({1: 8, 2: 3}, 1), 1, ({3: -6, 4: -3}, 1))
     ),
     "triangular-theta": (
-        "triangular-number indicator psi*(n)", "psi-star", 1,
-        (1, (sigma, 1), 1, (lambda j: _sig_at(j, 2), -2)),
+        "triangular-number indicator psi*(n)", "psi-star", 1, (1, ({1: 1}, 1), 1, ({2: 1}, -2))
     ),
     "square-theta": (
-        "doubled square indicator phi*(n)", "phi-star", 1,
-        (1, (lambda j: sigma(j) + _sig_at(j, 4), 2), 1, (lambda j: _sig_at(j, 2), -5)),
+        "doubled square indicator phi*(n)", "phi-star", 1, (1, ({1: 1, 4: 1}, 2), 1, ({2: 1}, -5))
     ),
 }
 
@@ -126,32 +106,34 @@ def printed(name: str, n: int) -> list[Fraction]:
     if name not in _FORMULAS:
         raise ValueError(f"unknown transcription {name!r}; known: {', '.join(_FORMULAS)}")
     c, right, d, left = _FORMULAS[name][3]
-    scale, (rs, *ls) = _integer_prefixes(n, right, *([left] if left else []))
+    sums = [(_divisor_sum(table), weight) for table, weight in filter(None, (right, left))]
+    scale, (rs, *ls) = _integer_prefixes(n, *sums)
     ls, top = (ls[0] if ls else []), factorial(n)
     doubles = [sum(map(mul, ls[1 : k + 1], rs[k - 1 :: -1])) for k in range(n + 1)]
     return unscale([c * top * r + d * dk for r, dk in zip(rs, doubles)], scale, top**2)
 
 
-# E^11 and E^22 for E = prod (1 - t^k), the majorants of report_work
-_E11, _E22 = (spec_from_factors((SupportSet.all_naturals(), 1, a)) for a in (11, 22))
-
-
 def report_work(max_n: int) -> int:
-    """Work units of ``build_report(max_n)``, in O(1): its six product-form
-    prefixes on the series route, and its eleven printed sums and five
-    convolutions as closed sums on a majorant.  Every ``|weight * coeff(j)|``
-    of :data:`_FORMULAS` is at most ``11 sigma(j)``, the largest being
-    overcubic-progression's ``8 sigma(j) + 3 sigma(j/2)``, and ``11 sigma(j)``
-    is the weight of ``1/E^11``, so each ``A_m`` is at most the ``t^m``
-    coefficient of ``1/E^11`` and a convolution of two is at most that of
-    ``1/E^22``.  A recurrence also carries the scale ``N!`` and a double sum
+    """Work units of ``build_report(max_n)``, in O(1): its product-form
+    prefixes on the series route, and its printed sums and convolutions as
+    closed sums on a majorant read off the tables of :data:`_FORMULAS`.  As
+    ``sigma(j / i) <= sigma(j)``, each ``|weight * coeff(j)|`` is at most
+    ``a sigma(j)``, the weight of ``1/E^a`` for ``E = prod (1 - t^k)``, with
+    ``a`` the largest ``|weight| * sum |c_i|``; so each ``A_m`` is at most the
+    ``t^m`` coefficient of ``1/E^a`` and a convolution of two is at most that of
+    ``1/E^(2a)``.  A recurrence also carries the scale ``N!`` and a double sum
     ``N!^2``, which ``extra_bits`` pays for at ``N log2 N`` bits per ``N!``."""
     n = require_natural(max_n, "max_n")
     shapes = [(seq, step * n + step - 1) for _, seq, step, _ in _FORMULAS.values()]
     work = sum(work_estimate("series", *SEQUENCES[seq], m) for seq, m in shapes)
-    bits = n * n.bit_length()
-    work += 11 * work_estimate("faa", None, _E11, n, extra_bits=bits)
-    return work + 5 * work_estimate("faa", None, _E22, n, extra_bits=2 * bits)
+    rows = [row for *_, row in _FORMULAS.values()]
+    sums = [s for _, right, _, left in rows for s in (right, left) if s]
+    a = max(abs(weight) * sum(map(abs, table.values())) for table, weight in sums)
+    doubles = sum(left is not None for *_, left in rows)
+    for count, k in ((len(sums), 1), (doubles, 2)):
+        majorant = spec_from_factors((SupportSet.all_naturals(), 1, k * a))
+        work += count * work_estimate("faa", None, majorant, n, extra_bits=k * n * n.bit_length())
+    return work
 
 
 def build_report(max_n: int = 8) -> list[dict]:

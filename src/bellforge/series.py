@@ -23,25 +23,24 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import require_int, require_natural
-from .supports import ProductSpec, _require_rational, is_euler_family, scaled_factors, unscale
+from .supports import (
+    ProductSpec, Record, _require_rational, is_euler_family, scaled_factors, unscale,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Coefficients ``(c_0, ..., c_N)`` of a power series, exact and immutable."""
 
-    __slots__ = ("coeffs",)
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs):
         cs = tuple(_require_rational(c, "a coefficient") for c in coeffs)
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
+        self._assign(cs)
 
     @property
     def order(self) -> int:
@@ -179,12 +178,6 @@ class TruncatedSeries:
             raise TypeError("expected a TruncatedSeries")
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} != {other.order}")
-
-    def __eq__(self, other):
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:8])

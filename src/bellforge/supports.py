@@ -14,9 +14,9 @@ and writes them as JSON.  Both routes run a ratio on the integers of
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
-from .arith import require_int
+from .arith import require_int, require_natural, require_positive
 
 ALL = "all"
 MULTIPLES = "multiples"
@@ -106,32 +106,25 @@ class SupportSet(Record):
         return cls(FINITE, members=tuple(members))
 
     def contains(self, d: int) -> bool:
+        return self._holds(require_int(d, "d"))
+
+    def _holds(self, d: int) -> bool:
         if self.kind == FINITE:
             return d in self.members
         return d >= 1 and d % self.r == 0  # all naturals are the multiples of r = 1
 
     def members_up_to(self, n: int):
         """Elements of the set that are <= n, in increasing order."""
+        require_natural(n)
         if self.kind == FINITE:
             return [m for m in self.members if m <= n]
         return range(self.r, n + 1, self.r)
 
     def divisors_in(self, n: int) -> list[int]:
         """Divisors of ``n`` that lie in the set, in increasing order."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        found = []
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                if self.contains(i):
-                    found.append(i)
-                j = n // i
-                if j != i and self.contains(j):
-                    found.append(j)
-            i += 1
-        found.sort()
-        return found
+        low = [i for i in range(1, isqrt(require_positive(n)) + 1) if n % i == 0]
+        high = [n // i for i in reversed(low) if i * i != n]
+        return [d for d in low + high if self._holds(d)]
 
 
 class Factor(Record):

@@ -65,6 +65,32 @@ def test_sigma_via_factorization_examples():
     assert sigma_via_factorization([(5, 1)]) == 6
 
 
+@pytest.mark.parametrize(
+    "pairs, error",
+    [
+        ([(2.0, 1)], TypeError),
+        ([(2, 1.0)], TypeError),
+        ([(2, True)], TypeError),
+        ([(True, 1)], TypeError),
+        ([(2, -1)], ValueError),
+        ([(2, 0)], ValueError),
+        ([(1, 1)], ValueError),
+        ([(-3, 1)], ValueError),
+        ([(3, 1), (2, 1)], ValueError),
+        ([(3, 1), (3, 1)], ValueError),
+    ],
+)
+def test_sigma_via_factorization_rejects_what_it_cannot_compute(pairs, error):
+    # a float, a bool, an exponent below 1, a prime below 2 or primes out of order
+    with pytest.raises(error):
+        sigma_via_factorization(pairs)
+
+
+def test_sigma_via_factorization_leaves_primality_unchecked():
+    # 4 is not prime, and the binomial sum is computed for it all the same
+    assert sigma_via_factorization([(4, 1)]) == 5
+
+
 def test_sigma_formula_agrees_small_range():
     for n in range(1, 2000):
         assert sigma_via_factorization(factorize(n)) == sigma(n)

@@ -3,23 +3,45 @@ from fractions import Fraction
 
 import pytest
 
-from bellforge import errata, sequence
-from bellforge.bellpoly import kernel_size
+from bellforge import SupportSet, errata, sequence, spec_from_factors
+from bellforge.bellpoly import kernel_size, work_estimate
+from bellforge.divisors import sigma
 from bellforge.errata import (
-    _E11,
-    _E22,
     _FORMULAS,
     build_report,
     printed,
     render_json,
     render_markdown,
+    report_work,
     transcription_sum,
 )
+from bellforge.partfun import SEQUENCES
 from reference import partition_power_sum
 
 def literal_sum(n, coeff, weight=1):
     """The transcription sum written out, one term per partition of ``n``."""
     return partition_power_sum(n, [0] + [Fraction(weight) * coeff(j) for j in range(1, n + 1)])
+
+
+def printed_sums():
+    """Every printed sum of the table, as its ``({i: c_i}, weight)``."""
+    rows = [row for *_, row in _FORMULAS.values()]
+    return [s for _, right, _, left in rows for s in (right, left) if s is not None]
+
+
+def coefficient(table):
+    """``j -> sum c_i sigma(j / i)`` over the ``i`` of ``table = {i: c_i}`` dividing ``j``."""
+    return lambda j: sum(c * sigma(j // i) for i, c in table.items() if j % i == 0)
+
+
+def majorant_exponent():
+    """The largest ``|weight| * sum |c_i|`` over the printed sums of the table."""
+    return max(abs(w) * sum(abs(c) for c in table.values()) for table, w in printed_sums())
+
+
+def euler_power(a):
+    """``E^a`` for ``E = prod (1 - t^k)``; the weight of ``1/E^a`` is ``a sigma(j)``."""
+    return spec_from_factors((SupportSet.all_naturals(), 1, a))
 
 
 FIELDS = [
@@ -76,8 +98,6 @@ def test_cubic_transcription_differs_from_engine_at_two():
 def test_transcription_sum_weight_folding():
     # weight^(sum k_j) folds into the coefficients: with all-one coefficients
     # and weight 1 the sum over partitions of sigma-weights gives p(n)
-    from bellforge.divisors import sigma
-
     assert transcription_sum(11, sigma) == sequence("p", 11, "series")
 
 
@@ -106,8 +126,6 @@ def test_renderings():
 
 def test_transcription_column_is_the_literal_double_sums():
     # each formula written out with one literal partition sum per term, as printed
-    from bellforge.divisors import sigma
-
     T = literal_sum
 
     def sig_at(j, i):
@@ -160,17 +178,16 @@ def test_transcription_column_is_the_literal_double_sums():
 
 def test_each_printed_sum_is_the_literal_partition_sum():
     # the Bell recurrence in errata against the one-term-per-partition reference
-    sums = [s for *_, (_, right, _, left) in _FORMULAS.values() for s in (right, left) if s is not None]
+    sums = printed_sums()
     assert len(sums) == 11
-    for coeff, weight in sums:
+    for table, weight in sums:
+        coeff = coefficient(table)
         want = [literal_sum(m, coeff, weight) for m in range(31)]
         assert transcription_sum(30, coeff, weight) == want
 
 
 def test_rational_weights_scale_to_integers():
     # the denominators of weight * coeff(j) are cleared by their lcm before the recurrence
-    from bellforge.divisors import sigma
-
     cases = (
         (sigma, Fraction(-3, 2)),
         (lambda j: Fraction(j, 3), 1),
@@ -183,8 +200,6 @@ def test_rational_weights_scale_to_integers():
 
 def test_floats_are_rejected_not_coerced():
     # 0.5 is exact in binary, so a coerced float would pass silently as 1/2
-    from bellforge.divisors import sigma
-
     for call in (
         lambda: transcription_sum(3, lambda j: 0.5),
         lambda: transcription_sum(3, sigma, weight=0.5),
@@ -206,8 +221,9 @@ def test_unknown_transcription_names_the_known_ones():
 
 @pytest.mark.parametrize("n", [0, 1, 7, 23, 60])
 def test_printed_integers_fit_the_majorants_that_price_them(n, monkeypatch):
-    # report_work prices each printed sum on 1/E^11 with n log2 n more bits for
-    # the scale n!, and each double sum on 1/E^22 with twice that for n!^2
+    # report_work prices each printed sum on 1/E^a, a the table's largest
+    # |weight| * sum |c_i|, with n log2 n more bits for the scale n!, and each
+    # double sum on 1/E^(2a) with twice that for n!^2
     prefixes, values = [], []
     real_prefixes, real_unscale = errata._integer_prefixes, errata.unscale
 
@@ -226,7 +242,38 @@ def test_printed_integers_fit_the_majorants_that_price_them(n, monkeypatch):
         printed(name, n)
     assert len(prefixes) == 11 and len(values) == 6 * (n + 1)
     scale_bits = n * n.bit_length()
-    single = kernel_size("faa", None, _E11, n)[1] + scale_bits
-    double = kernel_size("faa", None, _E22, n)[1] + 2 * scale_bits
+    a = majorant_exponent()
+    single = kernel_size("faa", None, euler_power(a), n)[1] + scale_bits
+    double = kernel_size("faa", None, euler_power(2 * a), n)[1] + 2 * scale_bits
     assert max(abs(v).bit_length() for prefix in prefixes for v in prefix) <= single
     assert max(abs(v).bit_length() for v in values) <= double
+
+
+@pytest.mark.parametrize("n", [0, 1, 60, 396, 397, 10**12])
+def test_the_shipped_table_prices_on_1_over_e_to_the_11(n):
+    # overcubic-progression's first sum, 8 sigma(j) + 3 sigma(j/2), sets the majorant:
+    # six product forms, then eleven printed sums on 1/E^11 and five convolutions on 1/E^22
+    assert majorant_exponent() == 11
+    forms = [(seq, step * n + step - 1) for _, seq, step, _ in _FORMULAS.values()]
+    bits = n * n.bit_length()
+    assert report_work(n) == (
+        sum(work_estimate("series", *SEQUENCES[seq], m) for seq, m in forms)
+        + 11 * work_estimate("faa", None, euler_power(11), n, extra_bits=bits)
+        + 5 * work_estimate("faa", None, euler_power(22), n, extra_bits=2 * bits)
+    )
+
+
+@pytest.mark.parametrize("n", [8, 60, 396])
+def test_the_price_follows_the_table(n, monkeypatch):
+    # an added row costs its product form and its sums; a larger sum |c_i| raises the
+    # majorant and with it the price of every printed sum, and a double sum costs more
+    base = report_work(n)
+    prices = []
+    for transcription in (
+        (1, ({1: 1}, 1), 1, None),
+        (1, ({1: 6, 2: 6}, 1), 1, None),
+        (1, ({1: 6, 2: 6}, 1), 1, ({3: 1}, -1)),
+    ):
+        monkeypatch.setitem(_FORMULAS, "extra", ("extra", "cubic", 1, transcription))
+        prices.append(report_work(n))
+    assert base < prices[0] < prices[1] < prices[2]

@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from bellforge import Factor, IdentityReport, ProductSpec, SupportSet, expand_ratio, ratio_coefficients
+from bellforge import (
+    Factor,
+    IdentityReport,
+    ProductSpec,
+    SupportSet,
+    TruncatedSeries,
+    expand_ratio,
+    ratio_coefficients,
+)
 
 
 def samples():
@@ -21,6 +29,10 @@ def samples():
         (factor, Factor(a=-2, z=Fraction(2, 3), support=SupportSet.finite([2, 5]))),
         (ProductSpec((factor,)), ProductSpec(factors=[factor])),
         (IdentityReport("x", 3, True, "1", "1"), IdentityReport(check="x", n=3, ok=True, lhs="1", rhs="1")),
+        (
+            TruncatedSeries([1, Fraction(1, 2)]),
+            TruncatedSeries.from_dict({1: Fraction(1, 2), 0: 1}, 1),
+        ),
     ]
 
 

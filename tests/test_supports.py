@@ -45,6 +45,27 @@ def test_divisors_in():
     assert SupportSet.finite([3, 5]).divisors_in(12) == [3]
 
 
+def test_membership_queries_reject_floats_bools_and_out_of_range_bounds():
+    naturals, finite = SupportSet.all_naturals(), SupportSet.finite([1, 2])
+    for support in (naturals, SupportSet.multiples_of(2), finite):
+        for call in (
+            lambda: support.contains(True),
+            lambda: support.contains(2.0),
+            lambda: support.divisors_in(4.0),
+            lambda: support.divisors_in(True),
+            lambda: support.members_up_to(2.5),
+            lambda: support.members_up_to(False),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        for call in (lambda: support.divisors_in(0), lambda: support.members_up_to(-1)):
+            with pytest.raises(ValueError):
+                call()
+        assert not support.contains(0) and not support.contains(-2)
+        assert list(support.members_up_to(0)) == []
+    assert naturals.divisors_in(4) == [1, 2, 4] and finite.members_up_to(2) == [1, 2]
+
+
 def test_factor_validation_and_normalization():
     with pytest.raises(ValueError):
         Factor(SupportSet.all_naturals(), Fraction(1), 0)
