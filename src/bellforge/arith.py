@@ -24,6 +24,6 @@ def require_natural(n: int, name: str = "n") -> int:
 
 
 def require_positive(n: int, name: str = "n") -> int:
-    if require_natural(n, name) == 0:
+    if require_int(n, name) < 1:
         raise ValueError(f"{name} must be >= 1")
     return n

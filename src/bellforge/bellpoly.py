@@ -14,7 +14,8 @@ has weights ``f``'s minus ``g``'s.  Being a complete Bell polynomial in the
 1974, ch. 3), which :func:`ratio_coefficients` runs on whole prefixes; the
 literal sum, one term per partition, is kept only as the tests' reference.
 The weight table is one walk over each factor's support members, on the
-integers of :func:`~bellforge.supports.scaled_factors`.  Nothing here keeps
+integers of :func:`~bellforge.supports.scaled_factors`, started from ``N!``
+when the exponents' denominators have an lcm ``q > 1``.  Nothing here keeps
 state: every request runs its own recurrence, which :func:`work_estimate`
 prices before it runs.  Everything is exact and independently checkable
 against :mod:`bellforge.series`, which imports nothing from this module.
@@ -23,7 +24,7 @@ against :mod:`bellforge.series`, which imports nothing from this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
 from operator import mul
 
 from .arith import require_natural
@@ -46,33 +47,38 @@ def bell_extend(coeffs: list[int], weights: list[int], n: int) -> None:
         coeffs.append(a_m)
 
 
-def work_estimate(route: str, numer, denom, n: int, extra_bits: int = 0) -> int:
+def work_estimate(route: str, numer, denom, n: int) -> int:
     """Work of ``route`` (``"faa"`` or ``"series"``) on ``numer/denom`` to order ``n`` in
     one unit: ``steps (1 + B/64)^1.5``, plus ``(1 + B/64)^2`` per output coefficient for its
-    gcd and decimal form, ``B`` widened by ``extra_bits``.  Callers check it; nothing here does."""
+    gcd and decimal form.  Callers check it; nothing here does."""
     steps, bits = kernel_size(route, numer, denom, n)
-    bits += extra_bits
     return (8 * steps * isqrt((64 + bits) ** 3) + (n + 1) * (64 + bits) ** 2) // 4096
 
 
 def kernel_size(route: str, numer, denom, n: int) -> tuple[int, int]:
     """``(steps, B)`` of ``route`` to order ``n``, in O(factors) closed forms:
     the Bell recurrence's terms and weight table, or the fold passes, one per
-    unit of ``|a|`` on both sides and per member (or one Euler pass).  Every
-    integer either route produces is dominated by ``prod (1 - Z L^m s^m)^-S``
-    (``L`` the lcm of the z denominators, ``Z = max(1, |z|)``, ``S = sum |a|``),
-    so as ``p_S(n) <= exp(pi sqrt(2Sn/3))`` and ``p_S(n) <= p(n) S^n`` it has
-    at most ``B`` bits."""
+    unit of ``|q a|`` on both sides and per member (or one Euler pass), and for
+    ``q > 1`` the root's ``n(n + 1)/2`` products.  Every integer either route
+    produces is dominated by ``prod (1 - Z L^m s^m)^-S`` (``L`` the lcm of the z
+    denominators, ``Z = max(1, |z|)``, ``S = sum |q a|``), so as
+    ``p_S(n) <= exp(pi sqrt(2Sn/3))`` and ``p_S(n) <= p(n) S^n`` it has at most
+    ``B`` bits.  For ``q > 1``, with ``N! n <= n^n``, each weight, value and
+    partial sum is at most ``(n q L Z)^n`` times that ``p_S(n)``, ``S`` grown by
+    ``ceil(S / q)`` for the root's terms, a ``G_k`` times an ``F_(n-k)``."""
     require_natural(n)
-    scale, factors = scaled_factors(numer, denom)
+    scale, q, factors = scaled_factors(numer, denom)
     if route == "faa":
         steps = n * (n + 1) // 2 + sum(_walk_steps(support, n) for support, _, _ in factors)
     elif route == "series":
         steps = sum(abs(a) * _fold_steps(s, is_euler_family(s, z, scale), n) for s, z, a in factors)
+        steps += n * (n + 1) // 2 if q > 1 else 0
     else:
         raise ValueError(f"unknown route {route!r}")
     lz = max([scale] + [abs(z) for _, z, _ in factors])
     size = sum(abs(a) for _, _, a in factors)
+    if q > 1:
+        lz, size = lz * q * n, size - (-size // q)
     # B = n log2(L Z) + min(3.71 sqrt(S n), n log2 S + 3.71 sqrt n) + 1
     count = min(_sqrt_bits(size * n), _log2_times(size, n) + _sqrt_bits(n))
     return steps, _log2_times(lz, n) + count + 1
@@ -119,18 +125,19 @@ def ratio_coefficients(
 ) -> list[Fraction]:
     """Coefficients ``0..n`` of numerator-product / denominator-product;
     ``None`` on either side is the constant 1.  One Bell recurrence on the
-    integers ``A_m = c_m L^m`` of :func:`scaled_factors` evaluates it: a support
-    member ``m`` adds ``-a m (z L^m)^j`` to the weight ``w_k L^k`` of ``k = j m``."""
-    scale, factors = scaled_factors(numer, denom)
+    integers ``A_m = n! c_m (L q)^m`` of :func:`scaled_factors` (``n!`` for
+    ``q > 1`` only) evaluates it: a support member ``m`` adds ``-a m (z (L q)^m)^j``
+    to the weight ``w_k (L q)^k`` of ``k = j m``."""
+    scale, q, factors = scaled_factors(numer, denom)
     require_natural(n)
     weights = [0] * (n + 1)
     for support, z, a in factors:
         for m in support.members_up_to(n):
-            base = z * scale ** (m - 1)
-            term = -a * m * base
+            base = z * scale ** (m - 1) * q**m
+            term = -a * m * base // q
             for k in range(m, n + 1, m):
                 weights[k] += term
                 term *= base
-    coeffs = [1]
+    coeffs = [1 if q == 1 else factorial(n)]
     bell_extend(coeffs, weights, n)
-    return unscale(coeffs, scale)
+    return unscale(coeffs, scale * q, coeffs[0])

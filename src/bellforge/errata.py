@@ -5,68 +5,37 @@ divisor weights drop the factor ``r`` in multiples-of-``r`` divisor sums and
 whose sign/prefactor conventions are internally inconsistent.  This module
 evaluates those transcriptions as printed, next to the values forced by the
 generating products, and reports per formula where they first depart.  Each
-printed sum's coefficient is held as a table ``{i: c_i}``, meaning
-``sum c_i sigma(j / i)`` over the ``i`` that divide ``j``; the sum over
-partitions is evaluated exactly, on integers, by the Bell recurrence that it
-satisfies, and each double sum as a convolution, once :func:`report_work` has
-priced them from the same tables.  The product-form column is the ground
+printed sum is a weight ``w`` and a table ``{i: c_i}``: the sum over
+partitions with weights ``w sum c_i sigma(j / i)`` over the ``i`` dividing
+``j``.  As ``-log E(t^i) = sum_{i | j} i sigma(j / i) t^j / j`` for
+``E(t) = prod (1 - t^k)``, it is the product ``prod_i E(t^i)^(-w c_i / i)``
+(:func:`transcription_spec`), with rational exponents, which the closed sum
+reads and :func:`report_work` prices.  The product-form column is the ground
 truth; nothing here asserts what the transcriptions "should" give.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
-from operator import mul
 
 from .arith import require_natural
-from .bellpoly import bell_extend, work_estimate
-from .divisors import sigma
+from .bellpoly import ratio_coefficients, work_estimate
 from .partfun import SEQUENCES, sequence
-from .supports import SupportSet, _require_rational, spec_from_factors, unscale
+from .supports import ProductSpec, SupportSet, _require_rational, spec_from_factors
 
 
-def transcription_sum(n: int, coeff, weight=1) -> list[Fraction]:
-    """Values ``0..n`` of ``sum over partitions of m of
-    weight^(k_1+...+k_m) * prod (1/k_j!) (coeff(j)/j)^{k_j}``, from
-    :func:`_integer_prefixes`.
-
-    The per-term weight folds into the coefficients, since
-    ``w^(sum k_j) * prod c_j^{k_j} == prod (w c_j)^{k_j}``.
-    """
-    scale, (sums,) = _integer_prefixes(n, (coeff, weight))
-    return unscale(sums, scale, factorial(n))
-
-
-def _integer_prefixes(n: int, *sums) -> tuple[int, list[list[int]]]:
-    """``(L, [[n! L^m A_m for m = 0..n] per sum])`` for transcription sums
-    given as ``(coeff, weight)``, all integers.  With ``w_j = weight * coeff(j)``
-    each ``A_m`` is a complete Bell polynomial in the ``w_j / j``, so
-    ``m A_m = sum_{k=1..m} w_k A_{m-k}``.  ``L`` is the lcm of the ``w_j``
-    denominators: the weights ``w_j L^j`` are integers, so ``m! L^m A_m`` is
-    one (a sum over permutations of cycle type ``k``), and started from
-    ``n!`` the recurrence divides exactly.  It is :func:`bellpoly.bell_extend`."""
-    require_natural(n)
-    tables = []
-    for coeff, weight in sums:
-        weight = _require_rational(weight, "weight")
-        tables.append([weight * _require_rational(coeff(j), "coeff(j)") for j in range(1, n + 1)])
-    scale = lcm(*(w.denominator for table in tables for w in table))
-    prefixes = []
-    for table in tables:
-        weights = [0] + [
-            w.numerator * (scale // w.denominator) * scale ** (j - 1)
-            for j, w in enumerate(table, 1)
-        ]
-        prefix = [factorial(n)]
-        bell_extend(prefix, weights, n)
-        prefixes.append(prefix)
-    return scale, prefixes
-
-
-def _divisor_sum(table: dict):
-    """``j -> sum c_i sigma(j / i)`` over the ``i`` of ``table = {i: c_i}`` that divide ``j``."""
-    return lambda j: sum(c * sigma(j // i) for i, c in table.items() if j % i == 0)
+def transcription_spec(*sums) -> ProductSpec:
+    """The product of the printed sums ``(table, weight)``: each is
+    ``prod_i E(t^i)^(-weight c_i / i)`` over its ``table = {i: c_i}``."""
+    return spec_from_factors(*(
+        (
+            SupportSet.multiples_of(i),
+            1,
+            -_require_rational(w, "weight") * _require_rational(c, "c") / i,
+        )
+        for table, w in sums
+        for i, c in table.items()
+    ))
 
 
 # name -> (description, product form, step, transcription).  The product form
@@ -99,41 +68,32 @@ _FORMULAS = {
 }
 
 
-def printed(name: str, n: int) -> list[Fraction]:
-    """Values ``0..n`` of the transcription ``name`` of :data:`_FORMULAS`,
-    as printed: each of its sums once as an integer prefix, the double sum (zero
-    for a single sum) as their convolution, and each value as one ``Fraction``."""
+def _terms(name: str) -> list[tuple[int, ProductSpec]]:
+    """``[(k, spec)]`` whose sum of ``k`` times the spec's coefficients is the
+    transcription ``name``: ``c R``, or ``(c - d) R + d (L R)`` for a double
+    sum, as ``L(0) = 1``.  A term with ``k = 0`` is left out."""
     if name not in _FORMULAS:
         raise ValueError(f"unknown transcription {name!r}; known: {', '.join(_FORMULAS)}")
     c, right, d, left = _FORMULAS[name][3]
-    sums = [(_divisor_sum(table), weight) for table, weight in filter(None, (right, left))]
-    scale, (rs, *ls) = _integer_prefixes(n, *sums)
-    ls, top = (ls[0] if ls else []), factorial(n)
-    doubles = [sum(map(mul, ls[1 : k + 1], rs[k - 1 :: -1])) for k in range(n + 1)]
-    return unscale([c * top * r + d * dk for r, dk in zip(rs, doubles)], scale, top**2)
+    terms = [(c - d, (right,)), (d, (right, left))] if left else [(c, (right,))]
+    return [(k, transcription_spec(*sums)) for k, sums in terms if k]
+
+
+def printed(name: str, n: int) -> list[Fraction]:
+    """Values ``0..n`` of the transcription ``name`` of :data:`_FORMULAS`, as
+    printed, from the closed sums of its :func:`_terms`."""
+    columns = [(k, ratio_coefficients(spec, None, n)) for k, spec in _terms(name)]
+    return [sum(k * column[m] for k, column in columns) for m in range(n + 1)]
 
 
 def report_work(max_n: int) -> int:
     """Work units of ``build_report(max_n)``, in O(1): its product-form
-    prefixes on the series route, and its printed sums and convolutions as
-    closed sums on a majorant read off the tables of :data:`_FORMULAS`.  As
-    ``sigma(j / i) <= sigma(j)``, each ``|weight * coeff(j)|`` is at most
-    ``a sigma(j)``, the weight of ``1/E^a`` for ``E = prod (1 - t^k)``, with
-    ``a`` the largest ``|weight| * sum |c_i|``; so each ``A_m`` is at most the
-    ``t^m`` coefficient of ``1/E^a`` and a convolution of two is at most that of
-    ``1/E^(2a)``.  A recurrence also carries the scale ``N!`` and a double sum
-    ``N!^2``, which ``extra_bits`` pays for at ``N log2 N`` bits per ``N!``."""
+    prefixes on the series route and the specs of its transcriptions' terms
+    on the closed sum."""
     n = require_natural(max_n, "max_n")
     shapes = [(seq, step * n + step - 1) for _, seq, step, _ in _FORMULAS.values()]
     work = sum(work_estimate("series", *SEQUENCES[seq], m) for seq, m in shapes)
-    rows = [row for *_, row in _FORMULAS.values()]
-    sums = [s for _, right, _, left in rows for s in (right, left) if s]
-    a = max(abs(weight) * sum(map(abs, table.values())) for table, weight in sums)
-    doubles = sum(left is not None for *_, left in rows)
-    for count, k in ((len(sums), 1), (doubles, 2)):
-        majorant = spec_from_factors((SupportSet.all_naturals(), 1, k * a))
-        work += count * work_estimate("faa", None, majorant, n, extra_bits=k * n * n.bit_length())
-    return work
+    return work + sum(work_estimate("faa", s, None, n) for key in _FORMULAS for _, s in _terms(key))
 
 
 def build_report(max_n: int = 8) -> list[dict]:

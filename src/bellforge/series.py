@@ -12,7 +12,9 @@ with negated exponents, which :func:`~bellforge.supports.scaled_factors`
 lists with integer multipliers under ``t = L s``, so every fold stays
 integral and :func:`~bellforge.supports.unscale` divides by ``L^n``.  A z = 1
 family folds by Euler's pentagonal theorem, any other factor by one binomial
-per support member.  The ``Fraction`` methods of :class:`TruncatedSeries`
+per support member.  Rational exponents fold as their integer multiples
+``q a`` and take the ``q``-th root by J. C. P. Miller's power recurrence, which
+forms no logarithm.  The ``Fraction`` methods of :class:`TruncatedSeries`
 remain the general API and the cross-check path.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
 
 from .arith import require_int, require_natural
 from .supports import (
@@ -195,9 +197,10 @@ def expand_ratio(
     unit of ``|a|`` that for ``a < 0`` divides exactly: a z = 1 family on the
     multiples of ``r`` is ``E((L s)^r)^a`` for :func:`_fold_euler`, any other
     factor takes :func:`_fold_binomial` per support member.  Terms above
-    ``order`` cannot influence a kept coefficient and are skipped.
+    ``order`` cannot influence a kept coefficient and are skipped.  The
+    exponents are ``q a``, and for ``q > 1`` :func:`_root` takes the ``q``-th root.
     """
-    scale, factors = scaled_factors(numer, denom)
+    scale, q, factors = scaled_factors(numer, denom)
     require_natural(order, "order")
     cs = [1] + [0] * order
     for support, z, a in factors:
@@ -206,7 +209,10 @@ def expand_ratio(
             continue
         for m in support.members_up_to(order):
             _fold_binomial(cs, z * scale ** (m - 1), m, a)
-    return unscale(cs, scale)
+    if q == 1:
+        return unscale(cs, scale)
+    top = factorial(order)
+    return unscale(_root(cs, q, top), scale * q, top)
 
 
 def exp_log_expand(spec: ProductSpec, order: int) -> TruncatedSeries:
@@ -220,6 +226,23 @@ def exp_log_expand(spec: ProductSpec, order: int) -> TruncatedSeries:
             binom = TruncatedSeries.from_dict({0: 1, m: -factor.z}, order)
             total = total.add(binom.log().scale(factor.a))
     return total.exp()
+
+
+def _root(g: list[int], q: int, top: int) -> list[int]:
+    """``[top q^n f_n]`` for ``f = g^(1/q)``, ``g_0 = 1``, by J. C. P. Miller's
+    recurrence ``n F_n = sum_{k=1..n} ((q+1)k - q n) q^(k-1) g_k F_(n-k)``,
+    ``F_0 = top`` (Knuth, TAOCP Vol. 2, 4.7).  ``q^n n! f_n`` is an integer, so
+    for ``top = N!`` every division is exact; a remainder raises
+    :class:`ArithmeticError`."""
+    h = [0] + [q ** (k - 1) * g[k] for k in range(1, len(g))]
+    f = [top]
+    for n in range(1, len(g)):
+        total = sum(((q + 1) * k - q * n) * h[k] * f[n - k] for k in range(1, n + 1))
+        f_n, rem = divmod(total, n)
+        if rem:
+            raise ArithmeticError(f"q-th root: inexact division by {n}")
+        f.append(f_n)
+    return f
 
 
 def _fold_euler(cs: list[int], scale: int, r: int, a: int) -> None:

@@ -31,6 +31,8 @@ def support_to_json(support: SupportSet) -> dict:
 
 
 def factor_to_json(factor: Factor) -> dict:
+    if not isinstance(factor.a, int):
+        raise ValueError(f"a spec file takes integer exponents, not {factor.a}")
     return {"support": support_to_json(factor.support), "z": str(factor.z), "a": factor.a}
 
 

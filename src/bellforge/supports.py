@@ -4,11 +4,11 @@ A :class:`ProductSpec` describes a (possibly infinite) product
 
     prod over factors  prod_{m in support} (1 - z * t^m)^a
 
-with exact rational ``z`` and nonzero integer exponent ``a``.  The rest of
-the library extracts power-series coefficients of such products, of their
-reciprocals, and of ratios of two of them; :mod:`bellforge.specfile` reads
-and writes them as JSON.  Both routes run a ratio on the integers of
-:func:`scaled_factors` and take the values back with :func:`unscale`.
+with exact rational ``z`` and a nonzero ``int`` or ``Fraction`` exponent ``a``.
+The rest of the library extracts power-series coefficients of such products,
+of their reciprocals, and of ratios of two of them; :mod:`bellforge.specfile`
+reads and writes them as JSON, with integer ``a``.  Both routes run a ratio on
+the integers of :func:`scaled_factors` and take the values back with :func:`unscale`.
 """
 
 from __future__ import annotations
@@ -132,12 +132,13 @@ class Factor(Record):
 
     _fields = ("support", "z", "a")
 
-    def __init__(self, support: SupportSet, z: Fraction, a: int):
+    def __init__(self, support: SupportSet, z: Fraction, a: int | Fraction):
         if not isinstance(support, SupportSet):
             raise TypeError(f"a factor's support must be a SupportSet, got {support!r}")
-        if require_int(a, "factor exponent a") == 0:
-            raise ValueError("factor exponent a must be a nonzero integer")
-        self._assign(support, _require_rational(z, "factor z"), a)
+        a = _require_rational(a, "factor exponent a")
+        if a == 0:
+            raise ValueError("factor exponent a must be nonzero")
+        self._assign(support, _require_rational(z, "factor z"), int(a) if a.denominator == 1 else a)
 
 
 class ProductSpec(Record):
@@ -160,12 +161,14 @@ def spec_from_factors(*triples) -> ProductSpec:
     return ProductSpec(tuple(Factor(s, z, a) for s, z, a in triples))
 
 
-def scaled_factors(numer, denom) -> tuple[int, list[tuple[SupportSet, int, int]]]:
-    """``(L, [(support, z L, a), ...])`` for ``numer / denom``, each side a
+def scaled_factors(numer, denom) -> tuple[int, int, list[tuple[SupportSet, int, int]]]:
+    """``(L, q, [(support, z L, q a), ...])`` for ``numer / denom``, each side a
     :class:`ProductSpec` or ``None`` for 1: the numerator's factors, then the
     denominator's with ``-a``.  ``L`` is the lcm of all z denominators, so
-    under ``t = L s`` a factor ``(1 - z t^m)^a`` is ``(1 - (z L) L^(m-1) s^m)^a``
-    and the ratio's ``s^n`` coefficients are integers ``c_n L^n``."""
+    under ``t = L s`` a factor ``(1 - z t^m)^a`` is ``(1 - (z L) L^(m-1) s^m)^a``,
+    and ``q`` that of the exponents'.  The ratio's ``s^n`` coefficients are the
+    integers ``c_n L^n`` if ``q = 1``; else, as ``k (L q)^k`` times the ``t^k``
+    coefficient of its log is one, ``n! (L q)^n c_n`` is (by cycle type)."""
     factors = []
     for name, side, sign in (("numer", numer, 1), ("denom", denom, -1)):
         if isinstance(side, ProductSpec):
@@ -173,7 +176,11 @@ def scaled_factors(numer, denom) -> tuple[int, list[tuple[SupportSet, int, int]]
         elif side is not None:
             raise TypeError(f"{name} must be a ProductSpec or None, got {side!r}")
     scale = lcm(*(f.z.denominator for f, _ in factors))
-    return scale, [(f.support, f.z.numerator * (scale // f.z.denominator), a) for f, a in factors]
+    q = lcm(*(a.denominator for _, a in factors))
+    return scale, q, [
+        (f.support, f.z.numerator * (scale // f.z.denominator), a.numerator * (q // a.denominator))
+        for f, a in factors
+    ]
 
 
 def is_euler_family(support: SupportSet, z: int, scale: int) -> bool:

@@ -31,6 +31,14 @@ def test_factorize_rejects_zero():
         factorize(0)
 
 
+@pytest.mark.parametrize("n", [0, -1, -3, -(10**20)])
+def test_positive_arguments_name_their_bound(n):
+    # 0 and the negatives are refused alike, with the bound that refuses them
+    for call in (factorize, sigma, SupportSet.all_naturals().divisors_in):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            call(n)
+
+
 @pytest.mark.parametrize("n", range(1, 500))
 def test_factorize_invariants(n):
     pairs = factorize(n)

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from bellforge import SupportSet, errata, sequence, spec_from_factors
-from bellforge.bellpoly import kernel_size, work_estimate
+from bellforge import SupportSet, bellpoly, errata, expand_ratio, sequence, spec_from_factors
+from bellforge.bellpoly import kernel_size, ratio_coefficients, work_estimate
 from bellforge.divisors import sigma
 from bellforge.errata import (
     _FORMULAS,
@@ -13,7 +13,7 @@ from bellforge.errata import (
     render_json,
     render_markdown,
     report_work,
-    transcription_sum,
+    transcription_spec,
 )
 from bellforge.partfun import SEQUENCES
 from reference import partition_power_sum
@@ -29,19 +29,28 @@ def printed_sums():
     return [s for _, right, _, left in rows for s in (right, left) if s is not None]
 
 
+def errata_specs():
+    """The table's eleven product specs: each row's ``R``, and ``L R`` for a double sum."""
+    rows = [row for *_, row in _FORMULAS.values()]
+    singles = [transcription_spec(right) for _, right, _, _ in rows]
+    return singles + [transcription_spec(right, left) for _, right, _, left in rows if left]
+
+
+def term_specs():
+    """The specs that run: ``R`` for ``c R`` and for ``(c - d) R`` unless ``c = d``,
+    and ``L R`` for ``d (L R)``."""
+    specs = []
+    for c, right, d, left in (row for *_, row in _FORMULAS.values()):
+        if left is None or c != d:
+            specs.append(transcription_spec(right))
+        if left is not None:
+            specs.append(transcription_spec(right, left))
+    return specs
+
+
 def coefficient(table):
     """``j -> sum c_i sigma(j / i)`` over the ``i`` of ``table = {i: c_i}`` dividing ``j``."""
     return lambda j: sum(c * sigma(j // i) for i, c in table.items() if j % i == 0)
-
-
-def majorant_exponent():
-    """The largest ``|weight| * sum |c_i|`` over the printed sums of the table."""
-    return max(abs(w) * sum(abs(c) for c in table.values()) for table, w in printed_sums())
-
-
-def euler_power(a):
-    """``E^a`` for ``E = prod (1 - t^k)``; the weight of ``1/E^a`` is ``a sigma(j)``."""
-    return spec_from_factors((SupportSet.all_naturals(), 1, a))
 
 
 FIELDS = [
@@ -96,9 +105,12 @@ def test_cubic_transcription_differs_from_engine_at_two():
 
 
 def test_transcription_sum_weight_folding():
-    # weight^(sum k_j) folds into the coefficients: with all-one coefficients
-    # and weight 1 the sum over partitions of sigma-weights gives p(n)
-    assert transcription_sum(11, sigma) == sequence("p", 11, "series")
+    # weight^(sum k_j) folds into the exponents: the sum over partitions of the
+    # sigma-weights, table {1: 1}, is 1/E for weight 1 and E^-w for weight w
+    all_naturals = SupportSet.all_naturals()
+    for w in (1, 2, -3):
+        assert transcription_spec(({1: 1}, w)) == spec_from_factors((all_naturals, 1, -w))
+    assert ratio_coefficients(transcription_spec(({1: 1}, 1)), None, 11) == sequence("p", 11, "series")
 
 
 def test_transcription_double_sum_shape():
@@ -177,39 +189,51 @@ def test_transcription_column_is_the_literal_double_sums():
 
 
 def test_each_printed_sum_is_the_literal_partition_sum():
-    # the Bell recurrence in errata against the one-term-per-partition reference
+    # each printed sum's product spec, on both routes, against the one-term-per-partition reference
     sums = printed_sums()
     assert len(sums) == 11
     for table, weight in sums:
-        coeff = coefficient(table)
-        want = [literal_sum(m, coeff, weight) for m in range(31)]
-        assert transcription_sum(30, coeff, weight) == want
+        want = [literal_sum(m, coefficient(table), weight) for m in range(31)]
+        spec = transcription_spec((table, weight))
+        assert ratio_coefficients(spec, None, 30) == want == expand_ratio(spec, None, 30)
 
 
 def test_rational_weights_scale_to_integers():
-    # the denominators of weight * coeff(j) are cleared by their lcm before the recurrence
+    # rational weights and table entries become rational exponents, whose lcm
+    # denominator both routes fold into their integers
     cases = (
-        (sigma, Fraction(-3, 2)),
-        (lambda j: Fraction(j, 3), 1),
-        (lambda j: Fraction(1, j), Fraction(2, 5)),
+        ({1: 1}, Fraction(-3, 2)),
+        ({1: Fraction(1, 3), 3: 2}, 1),
+        ({2: Fraction(-2, 5), 5: 1}, Fraction(2, 7)),
     )
-    for coeff, weight in cases:
-        want = [literal_sum(m, coeff, weight) for m in range(13)]
-        assert transcription_sum(12, coeff, weight) == want
+    for table, weight in cases:
+        want = [literal_sum(m, coefficient(table), weight) for m in range(13)]
+        spec = transcription_spec((table, weight))
+        assert ratio_coefficients(spec, None, 12) == want == expand_ratio(spec, None, 12)
 
 
 def test_floats_are_rejected_not_coerced():
     # 0.5 is exact in binary, so a coerced float would pass silently as 1/2
-    for call in (
-        lambda: transcription_sum(3, lambda j: 0.5),
-        lambda: transcription_sum(3, sigma, weight=0.5),
-        lambda: transcription_sum(0, sigma, weight=0.5),
-        lambda: transcription_sum(3, lambda j: True),
-        lambda: transcription_sum(3, sigma, False),
-    ):
+    for sums in (({1: 0.5}, 1), ({1: 1}, 0.5), ({1: True}, 1), ({1: 1}, False), ({2.0: 1}, 1), ({True: 1}, 1)):
         with pytest.raises(TypeError):
-            call()
-    assert transcription_sum(3, lambda j: Fraction(1, 2)) == transcription_sum(3, lambda j: 1, Fraction(1, 2))
+            transcription_spec(sums)
+    assert transcription_spec(({1: Fraction(1, 2)}, 1)) == transcription_spec(({1: 1}, Fraction(1, 2)))
+
+
+def test_the_table_reads_the_same_on_both_routes():
+    # the eleven specs of the table: each row's R and each double sum's L R
+    specs = errata_specs()
+    assert len(specs) == 11
+    for spec in specs:
+        assert ratio_coefficients(spec, None, 60) == expand_ratio(spec, None, 60)
+    # overcubic-progression's L R: exponents -w c_i / i of both sums
+    all_naturals, multiples = SupportSet.all_naturals(), SupportSet.multiples_of
+    assert specs[-3] == spec_from_factors(
+        (all_naturals, 1, -8),
+        (multiples(2), 1, Fraction(-3, 2)),
+        (multiples(3), 1, 2),
+        (multiples(4), 1, Fraction(3, 4)),
+    )
 
 
 def test_unknown_transcription_names_the_known_ones():
@@ -221,46 +245,40 @@ def test_unknown_transcription_names_the_known_ones():
 
 @pytest.mark.parametrize("n", [0, 1, 7, 23, 60])
 def test_printed_integers_fit_the_majorants_that_price_them(n, monkeypatch):
-    # report_work prices each printed sum on 1/E^a, a the table's largest
-    # |weight| * sum |c_i|, with n log2 n more bits for the scale n!, and each
-    # double sum on 1/E^(2a) with twice that for n!^2
-    prefixes, values = [], []
-    real_prefixes, real_unscale = errata._integer_prefixes, errata.unscale
+    # report_work prices each spec that printed reads on its closed sum, whose B bounds
+    # the bits of every weight and value of the Bell recurrence, N! (L q)^n included
+    seen, runs = [], []
+    extend, read = bellpoly.bell_extend, errata.ratio_coefficients
 
-    def integer_prefixes(n, *sums):
-        scale, found = real_prefixes(n, *sums)
-        prefixes.extend(found)
-        return scale, found
+    def recording_extend(coeffs, weights, n):
+        extend(coeffs, weights, n)
+        seen.append(max(abs(v) for v in weights + coeffs).bit_length())
 
-    def unscale(ints, scale, top=1):
-        values.extend(ints)
-        return real_unscale(ints, scale, top)
+    def reading(numer, denom, n):
+        seen.clear()
+        values = read(numer, denom, n)
+        runs.append((numer, max(seen), kernel_size("faa", numer, denom, n)[1]))
+        return values
 
-    monkeypatch.setattr(errata, "_integer_prefixes", integer_prefixes)
-    monkeypatch.setattr(errata, "unscale", unscale)
+    monkeypatch.setattr(bellpoly, "bell_extend", recording_extend)
+    monkeypatch.setattr(errata, "ratio_coefficients", reading)
     for name in _FORMULAS:
         printed(name, n)
-    assert len(prefixes) == 11 and len(values) == 6 * (n + 1)
-    scale_bits = n * n.bit_length()
-    a = majorant_exponent()
-    single = kernel_size("faa", None, euler_power(a), n)[1] + scale_bits
-    double = kernel_size("faa", None, euler_power(2 * a), n)[1] + 2 * scale_bits
-    assert max(abs(v).bit_length() for prefix in prefixes for v in prefix) <= single
-    assert max(abs(v).bit_length() for v in values) <= double
+    assert [spec for spec, _, _ in runs] == term_specs()
+    assert all(bits <= bound for _, bits, bound in runs)
 
 
-@pytest.mark.parametrize("n", [0, 1, 60, 396, 397, 10**12])
-def test_the_shipped_table_prices_on_1_over_e_to_the_11(n):
-    # overcubic-progression's first sum, 8 sigma(j) + 3 sigma(j/2), sets the majorant:
-    # six product forms, then eleven printed sums on 1/E^11 and five convolutions on 1/E^22
-    assert majorant_exponent() == 11
+@pytest.mark.parametrize("n", [0, 1, 60, 396, 397, 556, 557, 10**12])
+def test_the_shipped_table_prices_on_its_product_specs(n):
+    # six product forms on the series route, then one closed sum per spec that runs:
+    # L R for the five double sums, and R for cubic and overcubic-progression (c != d)
+    assert len(term_specs()) == 7
     forms = [(seq, step * n + step - 1) for _, seq, step, _ in _FORMULAS.values()]
-    bits = n * n.bit_length()
     assert report_work(n) == (
         sum(work_estimate("series", *SEQUENCES[seq], m) for seq, m in forms)
-        + 11 * work_estimate("faa", None, euler_power(11), n, extra_bits=bits)
-        + 5 * work_estimate("faa", None, euler_power(22), n, extra_bits=2 * bits)
+        + sum(work_estimate("faa", spec, None, n) for spec in term_specs())
     )
+    assert (report_work(n) <= 10**9) == (n <= 556)
 
 
 @pytest.mark.parametrize("n", [8, 60, 396])

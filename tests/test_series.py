@@ -10,7 +10,8 @@ from bellforge import bellpoly, partfun
 from bellforge.bellpoly import kernel_size, work_estimate
 from bellforge.supports import Factor, ProductSpec, SupportSet, scaled_factors, unscale
 from bellforge.verify import random_product_spec, random_support
-from reference import negated
+from reference import log_weight_table, negated, partition_power_sum
+from test_errata import errata_specs
 
 F = Fraction
 
@@ -250,7 +251,7 @@ def dense_ratio(numer, denom, order):
     support member: the reference for the Euler pass."""
     from bellforge import series
 
-    scale, factors = scaled_factors(numer, denom)
+    scale, _, factors = scaled_factors(numer, denom)
     cs = [1] + [0] * order
     for support, z, a in factors:
         for m in support.members_up_to(order):
@@ -316,14 +317,24 @@ def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
         assert counted.writes == abs(a) * max(0, len(cs) - r) <= products
         folded.append(products)
 
+    def counting_root(g, q, top):
+        # one product per term of n F_n = sum_{k=1..n} ..., for n = 1..order
+        folded.append(len(g) * (len(g) - 1) // 2)
+        return root(g, q, top)
+
+    root = series._root
     monkeypatch.setattr(series, "_fold_binomial", counting_fold)
     monkeypatch.setattr(series, "_fold_euler", counting_euler)
+    monkeypatch.setattr(series, "_root", counting_root)
     specs = kernel_specs()
     pairs = [(specs[0], specs[1]), (specs[2], None), (None, specs[3]), (None, None)]
     pairs += [(specs[-1], specs[30]), (None, spec_from_factors((SupportSet.multiples_of(7), 1, 3)))]
     pairs += [(partfun.KIM_NUMERATOR, partfun.KIM_DENOMINATOR), (None, partfun.PARTITION_PRODUCT)]
     pairs += [(spec_from_factors((SupportSet.multiples_of(3), 1, -2)), specs[-1])]
     pairs += [(None, spec_from_factors((SupportSet.multiples_of(r), 1, a))) for r in (13, 40) for a in (-2, 5)]
+    # rational exponents: |q a| passes per factor and the root's products
+    pairs += [(rational_spec(random.Random(seed)), rational_spec(random.Random(seed + 1))) for seed in (5, 9)]
+    pairs += [(errata_spec, None) for errata_spec in errata_specs()[6:8]]
     for numer, denom in pairs:
         for order in (0, 1, 6, 13, 40, 117):
             folded.clear()
@@ -426,7 +437,21 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
         record(weights + coeffs)
 
     monkeypatch.setattr(bellpoly, "bell_extend", recording_extend)
-    for numer, denom, top in probe_pairs() + large_size_pairs():
+
+    def recording_root(g, q, top):
+        # every partial sum of n F_n = sum_{k=1..n} ((q+1)k - q n) q^(k-1) g_k F_(n-k)
+        f = root(g, q, top)
+        h = [0] + [q ** (k - 1) * g[k] for k in range(1, len(g))]
+        for n in range(1, len(g)):
+            partial = 0
+            for k in range(1, n + 1):
+                partial += ((q + 1) * k - q * n) * h[k] * f[n - k]
+                record([partial, h[k]])
+        return record(f)
+
+    root = series._root
+    monkeypatch.setattr(series, "_root", recording_root)
+    for numer, denom, top in probe_pairs() + large_size_pairs() + rational_pairs():
         # the series route folds one pass per unit of |a|
         size = sum(abs(f.a) for side in (numer, denom) if side is not None for f in side.factors)
         for order in (0, 1, 2, 7, top):
@@ -437,6 +462,18 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
                 expand_ratio(numer, denom, order)
             bellpoly.ratio_coefficients(numer, denom, order)
             assert max(seen) <= bits, (numer, denom, order)
+
+
+def rational_pairs():
+    """Ratios with rational exponents: seeded draws, large ``z``, a large ``S``,
+    and the errata table's eleven specs, with the largest order to check."""
+    rng = random.Random(4133)
+    pairs = [(rational_spec(rng), rational_spec(rng) if rng.randrange(2) else None, 30) for _ in range(12)]
+    for z in (F(1, 10**30 - 1), F(10**6), F(-5, 3)):
+        pairs.append((None, spec_from_factors((SupportSet.all_naturals(), z, F(1, 7))), 30))
+        pairs.append((spec_from_factors((SupportSet.finite([1, 2]), z, F(-5, 2))), None, 30))
+    pairs.append((spec_from_factors((SupportSet.finite([1]), 1, F(2 * 10**5 + 1, 2))), None, 50))
+    return pairs + [(spec, None, 60) for spec in errata_specs()]
 
 
 def large_size_pairs():
@@ -454,6 +491,39 @@ def large_size_pairs():
     big = spec_from_factors((SupportSet.finite([1]), 1, 10**8))
     pairs.append((big, spec_from_factors((SupportSet.multiples_of(2), F(1, 2), 10**5)), 50))
     return pairs
+
+
+RATIONAL_EXPONENTS = (F(1, 2), F(-1, 2), F(-3, 4), F(2, 3), F(-5, 2), F(1, 7), 1, -1, 2, -3)
+
+
+def rational_spec(rng):
+    """Up to three factors on all, multiples and finite supports, with z in
+    {1, -1, 1/2, 2, -5/3} and exponents from :data:`RATIONAL_EXPONENTS`."""
+    return ProductSpec(tuple(
+        Factor(random_support(rng), rng.choice((1, -1, F(1, 2), 2, F(-5, 3))), rng.choice(RATIONAL_EXPONENTS))
+        for _ in range(rng.randint(1, 3))
+    ))
+
+
+def test_rational_exponents_agree_on_both_routes_and_the_literal_sum():
+    # expand_ratio's q-th root, the closed sum from N! and exp_log_expand's Fraction
+    # logarithms agree; up to n = 12 all three are the literal partition sum
+    rng = random.Random(2611)
+    for case in range(80):
+        numer = rational_spec(rng) if rng.randrange(4) else None
+        denom = rational_spec(rng) if rng.randrange(4) else None
+        order = rng.randint(0, 12) if case < 40 else rng.randint(13, 30)
+        got = expand_ratio(numer, denom, order)
+        assert bellpoly.ratio_coefficients(numer, denom, order) == got, (numer, denom, order)
+        factors = (numer.factors if numer else ()) + (negated(denom).factors if denom else ())
+        if factors:
+            assert list(exp_log_expand(ProductSpec(factors), order).coeffs) == got
+        if order <= 12 and factors:
+            weights = log_weight_table(ProductSpec(factors), order)
+            assert got == [partition_power_sum(n, weights) for n in range(order + 1)]
+    half = spec_from_factors((SupportSet.finite([1]), 1, F(1, 2)))
+    sqrt_1_minus_t = [1, F(-1, 2), F(-1, 8), F(-1, 16), F(-5, 128), F(-7, 256), F(-21, 1024)]
+    assert expand_ratio(half, None, 6) == bellpoly.ratio_coefficients(half, None, 6) == sqrt_1_minus_t
 
 
 def test_floats_and_bools_are_rejected_not_coerced():

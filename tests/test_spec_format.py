@@ -36,6 +36,15 @@ def test_valid_specs_survive_a_round_trip(numer, denom):
     assert ratio_from_json(json.dumps(document(numer, denom))) == (numer, denom)
 
 
+def test_rational_exponents_are_not_written():
+    # the format keeps integer exponents: a Fraction would reach json.dumps and fail there
+    half = ProductSpec((Factor(SupportSet.all_naturals(), 1, Fraction(1, 2)),))
+    with pytest.raises(ValueError, match="integer exponents"):
+        spec_to_json(half)
+    whole = ProductSpec((Factor(SupportSet.all_naturals(), 1, Fraction(-2)),))
+    assert spec_to_json(whole) == [{"support": {"kind": "all"}, "z": "1", "a": -2}]
+
+
 NOT_AN_OBJECT = (None, True, False, 0, 1.5, "x", [], [1])
 # (where, replacement): the field of the first factor to spoil, and with what
 SPOILERS = (

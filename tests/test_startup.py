@@ -162,6 +162,13 @@ def test_verify_loads_its_suites_only(argv):
     assert not loaded & (HEAVY | {"json", "bellforge.divisors"})
 
 
+def test_errata_loads_no_divisor_sums():
+    # its printed sums are product specs read by the closed sum, not sigma tables
+    loaded = loaded_by("errata", "--max", "2", "--format", "json")
+    assert "bellforge.errata" in loaded
+    assert not loaded & {"bellforge.divisors", "bellforge.verify", "bellforge.partitions"}
+
+
 def test_import_loads_no_submodule():
     code = "import sys, bellforge; print(sorted(m for m in sys.modules if m.startswith('bellforge.')))"
     assert run_child("-c", code).stdout.strip() == "[]"

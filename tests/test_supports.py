@@ -67,8 +67,9 @@ def test_membership_queries_reject_floats_bools_and_out_of_range_bounds():
 
 
 def test_factor_validation_and_normalization():
-    with pytest.raises(ValueError):
-        Factor(SupportSet.all_naturals(), Fraction(1), 0)
+    for a in (0, Fraction(0)):
+        with pytest.raises(ValueError):
+            Factor(SupportSet.all_naturals(), Fraction(1), a)
     f = Factor(SupportSet.all_naturals(), 2, 1)
     assert f.z == Fraction(2)
     assert negated(ProductSpec((f,))) == ProductSpec((Factor(f.support, 2, -1),))
@@ -161,14 +162,22 @@ def test_support_rejects_bool_and_float():
 
 def test_factor_rejects_bool_and_float():
     support = SupportSet.all_naturals()
-    with pytest.raises(TypeError):
-        Factor(support, Fraction(1), True)
-    with pytest.raises(TypeError):
-        Factor(support, Fraction(1), 1.0)
+    for a in (True, 1.0, 0.5):
+        with pytest.raises(TypeError):
+            Factor(support, Fraction(1), a)
     for z in (0.1, 1.0, True, "1/2"):
         with pytest.raises(TypeError):
             Factor(support, z, 1)
     assert Factor(support, -3, 1).z == Fraction(-3)
+
+
+def test_factor_takes_a_fraction_exponent():
+    support = SupportSet.multiples_of(2)
+    assert Factor(support, 1, Fraction(-3, 4)).a == Fraction(-3, 4)
+    # an integral Fraction is stored as its int: one representation per factor
+    whole = Factor(support, 1, Fraction(2))
+    assert type(whole.a) is int and whole == Factor(support, 1, 2)
+    assert hash(whole) == hash(Factor(support, 1, 2))
 
 
 def test_spec_from_factors_leaves_z_to_factor():
@@ -187,14 +196,29 @@ def test_scaled_factors_take_one_lcm_and_negate_the_denominator():
     # L = lcm(3, 5, 1) = 15; each z becomes z L, the denominator's a becomes -a
     assert scaled_factors(numer, denom) == (
         15,
+        1,
         [
             (SupportSet.all_naturals(), 10, 1),
             (SupportSet.multiples_of(2), -6, -1),
             (SupportSet.finite([1]), 60, -2),
         ],
     )
-    assert scaled_factors(None, denom) == (1, [(SupportSet.finite([1]), 4, -2)])
-    assert scaled_factors(None, None) == (1, [])
+    assert scaled_factors(None, denom) == (1, 1, [(SupportSet.finite([1]), 4, -2)])
+    assert scaled_factors(None, None) == (1, 1, [])
+    # q = lcm(2, 3) = 6 of the exponent denominators; each a becomes the integer q a
+    rational = spec_from_factors(
+        (SupportSet.all_naturals(), 1, Fraction(1, 2)), (SupportSet.finite([1]), 4, Fraction(-2, 3))
+    )
+    assert scaled_factors(rational, denom) == (
+        1,
+        6,
+        [
+            (SupportSet.all_naturals(), 1, 3),
+            (SupportSet.finite([1]), 4, -4),
+            (SupportSet.finite([1]), 4, -12),
+        ],
+    )
+    assert all(type(a) is int for _, _, a in scaled_factors(rational, denom)[2])
     for bad in ((numer, 1), ("x", None), (None, [denom]), (denom.factors[0], denom)):
         with pytest.raises(TypeError, match="must be a ProductSpec or None"):
             scaled_factors(*bad)

@@ -116,6 +116,7 @@ def test_prices_cover_every_prefix_that_runs(name, monkeypatch):
         monkeypatch.setattr(module, "sequence", recording_sequence(module.sequence))
     monkeypatch.setattr(verify, "route_prefix", route_prefix)
     monkeypatch.setattr(verify, "ratio_coefficients", ratio_coefficients)
+    monkeypatch.setattr(errata, "ratio_coefficients", ratio_coefficients)
     for n_max, work in prices.items():
         requested.clear()
         if name == "errata":
@@ -127,8 +128,8 @@ def test_prices_cover_every_prefix_that_runs(name, monkeypatch):
         if name == "reciprocal":
             # and one more prefix of each spec for its convolutions
             ran += sum(work_estimate(*prefix) for prefix in requested if prefix[2] is None)
-        if name in ("reciprocal", "additivity-index", "additivity-set", "restricted-recursion"):
-            # priced on the draws that run, so exactly
+        if name in ("reciprocal", "additivity-index", "additivity-set", "restricted-recursion", "errata"):
+            # priced on the draws or the specs that run, so exactly
             assert ran == work, (name, n_max)
         assert ran <= work, (name, n_max)
 
