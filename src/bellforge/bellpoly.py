@@ -28,7 +28,7 @@ from math import factorial, isqrt
 from operator import mul
 
 from .arith import require_natural
-from .supports import FINITE, ProductSpec, SupportSet, is_euler_family, scaled_factors, unscale
+from .supports import FINITE, ProductSpec, SupportSet, scaled_factors, unscale
 
 
 class InconsistencyError(ArithmeticError):
@@ -57,21 +57,22 @@ def work_estimate(route: str, numer, denom, n: int) -> int:
 
 def kernel_size(route: str, numer, denom, n: int) -> tuple[int, int]:
     """``(steps, B)`` of ``route`` to order ``n``, in O(factors) closed forms:
-    the Bell recurrence's terms and weight table, or the fold passes, one per
-    unit of ``|q a|`` on both sides and per member (or one Euler pass), and for
-    ``q > 1`` the root's ``n(n + 1)/2`` products.  Every integer either route
-    produces is dominated by ``prod (1 - Z L^m s^m)^-S`` (``L`` the lcm of the z
-    denominators, ``Z = max(1, |z|)``, ``S = sum |q a|``), so as
-    ``p_S(n) <= exp(pi sqrt(2Sn/3))`` and ``p_S(n) <= p(n) S^n`` it has at most
-    ``B`` bits.  For ``q > 1``, with ``N! n <= n^n``, each weight, value and
-    partial sum is at most ``(n q L Z)^n`` times that ``p_S(n)``, ``S`` grown by
-    ``ceil(S / q)`` for the root's terms, a ``G_k`` times an ``F_(n-k)``."""
+    the Bell recurrence's terms and weight table, or the fold passes' products,
+    a pass per unit of ``|q a|`` on both sides and per finite member or infinite
+    family (none if ``z = 0``), and for ``q > 1`` the root's ``n(n + 1)/2`` products.
+    Every integer either route produces (a q-series term and sum too) is dominated
+    by ``prod (1 - Z L^m s^m)^-S`` (``L`` the lcm of the z denominators,
+    ``Z = max(1, |z|)``, ``S = sum |q a|``), so as ``p_S(n) <= exp(pi sqrt(2Sn/3))``
+    and ``p_S(n) <= p(n) S^n`` it has at most ``B`` bits.  For ``q > 1``, with
+    ``N! n <= n^n``, each weight, value and partial sum is at most ``(n q L Z)^n``
+    times that ``p_S(n)``, ``S`` grown by ``ceil(S / q)`` for the root's terms, a
+    ``G_k`` times an ``F_(n-k)``."""
     require_natural(n)
     scale, q, factors = scaled_factors(numer, denom)
     if route == "faa":
         steps = n * (n + 1) // 2 + sum(_walk_steps(support, n) for support, _, _ in factors)
     elif route == "series":
-        steps = sum(abs(a) * _fold_steps(s, is_euler_family(s, z, scale), n) for s, z, a in factors)
+        steps = sum(abs(a) * _fold_steps(s, a, n) for s, z, a in factors if z)
         steps += n * (n + 1) // 2 if q > 1 else 0
     else:
         raise ValueError(f"unknown route {route!r}")
@@ -105,19 +106,18 @@ def _walk_steps(support: SupportSet, n: int) -> int:
     return k * k.bit_length()
 
 
-def _fold_steps(support: SupportSet, euler: bool, n: int) -> int:
-    """Term products of one fold pass to order ``n``, ``sum (n - e + 1)`` over
-    its exponents ``e <= n``: the members of ``support``, or for the Euler pass
-    ``r k(3k - 1)/2`` for ``1 <= k <= k1`` and ``r k(3k + 1)/2`` for ``1 <= k <= k2``.
-    A pass does a product on each ``i`` it visits, ``i >= min e``, so this bounds its loop."""
+def _fold_steps(support: SupportSet, a: int, n: int) -> int:
+    """Products of one fold pass to order ``n``: ``n - m + 1`` per finite member ``m <= n``;
+    on the multiples of ``r``, per q-series term ``T_k`` at ``s^e``, ``e = r k(k+1)/2 <= n``
+    (``r k^2`` if ``a < 0``), ``n - e + 1`` for its monomial and ``max(0, n - e + 1 - r k)``
+    for each of its one (``a > 0``) or two divisions, 0 only for the last ``k``."""
     if support.kind == FINITE:
         return sum(n - m + 1 for m in support.members if m <= n)
-    k, r = n // support.r, support.r
-    if not euler:
-        return k * (n + 1) - r * k * (k + 1) // 2
-    s = isqrt(24 * k + 1)
-    k1, k2 = (s + 1) // 6, (s - 1) // 6
-    return (k1 + k2) * (n + 1) - r * (k1 * k1 * (k1 + 1) + k2 * (k2 + 1) ** 2) // 2
+    r, j = support.r, 1 if a > 0 else 2
+    k = (isqrt(8 * (n // r) + 1) - 1) // 2 if a > 0 else isqrt(n // r)
+    last = r * k * (k + 1) // 2 if a > 0 else r * k * k
+    terms = k * (n + 1) - r * k * (k + 1) * (k + 2 if a > 0 else 2 * k + 1) // 6
+    return (1 + j) * terms - j * (r * k * (k - 1) // 2 + min(n + 1 - last, r * k))
 
 
 def ratio_coefficients(

@@ -1,7 +1,7 @@
 """The ``bench`` command: time the two routes' ``p(n)`` against each other.
 
-The closed sum and the series route (on ``p``, Euler's pentagonal
-recurrence) each compute the prefix ``0..hi`` for ``hi`` in buckets of 10 up
+The closed sum and the series route (on ``p``, Cauchy's Durfee-square
+sum) each compute the prefix ``0..hi`` for ``hi`` in buckets of 10 up
 to ``--max``, every run from scratch since neither keeps state; the best of
 ``--repeat`` runs is printed with whether the two agree, and any
 disagreement exits 1.

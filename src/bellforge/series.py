@@ -10,23 +10,23 @@ silently re-truncating.
 a ratio is the product of the numerator's factors and the denominator's
 with negated exponents, which :func:`~bellforge.supports.scaled_factors`
 lists with integer multipliers under ``t = L s``, so every fold stays
-integral and :func:`~bellforge.supports.unscale` divides by ``L^n``.  A z = 1
-family folds by Euler's pentagonal theorem, any other factor by one binomial
-per support member.  Rational exponents fold as their integer multiples
-``q a`` and take the ``q``-th root by J. C. P. Miller's power recurrence, which
-forms no logarithm.  The ``Fraction`` methods of :class:`TruncatedSeries`
-remain the general API and the cross-check path.
+integral and :func:`~bellforge.supports.unscale` divides by ``L^n``.  A family on
+the multiples of ``r`` folds by Euler's or Cauchy's q-series identity over its
+``O(sqrt(n / r))`` terms, a finite support by one binomial per member.  Rational
+exponents fold as their integer multiples ``q a`` and take the ``q``-th root by
+J. C. P. Miller's power recurrence, which forms no logarithm.  The ``Fraction``
+methods of :class:`TruncatedSeries` remain the general API and the cross-check path.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial
+from operator import add
 
 from .arith import require_int, require_natural
 from .supports import (
-    ProductSpec, Record, _require_rational, is_euler_family, scaled_factors, unscale,
+    FINITE, ProductSpec, Record, _require_rational, scaled_factors, unscale,
 )
 
 _ZERO = Fraction(0)
@@ -194,21 +194,20 @@ def expand_ratio(
     side is the constant 1.
 
     Every factor of :func:`scaled_factors` is folded in integers, a pass per
-    unit of ``|a|`` that for ``a < 0`` divides exactly: a z = 1 family on the
-    multiples of ``r`` is ``E((L s)^r)^a`` for :func:`_fold_euler`, any other
-    factor takes :func:`_fold_binomial` per support member.  Terms above
-    ``order`` cannot influence a kept coefficient and are skipped.  The
-    exponents are ``q a``, and for ``q > 1`` :func:`_root` takes the ``q``-th root.
+    unit of ``|a|`` that for ``a < 0`` divides exactly: by its support's kind, a
+    family takes :func:`_fold_family`, a finite support :func:`_fold_binomial` per
+    member (a ``z = 0`` factor is 1), skipping terms above ``order``.  The exponents
+    are ``q a``, and for ``q > 1`` :func:`_root` takes the ``q``-th root.
     """
     scale, q, factors = scaled_factors(numer, denom)
     require_natural(order, "order")
     cs = [1] + [0] * order
     for support, z, a in factors:
-        if is_euler_family(support, z, scale):
-            _fold_euler(cs, scale, support.r, a)
-            continue
-        for m in support.members_up_to(order):
-            _fold_binomial(cs, z * scale ** (m - 1), m, a)
+        if support.kind != FINITE:
+            _fold_family(cs, scale, support.r, z, a)
+        elif z:
+            for m in support.members_up_to(order):
+                _fold_binomial(cs, z * scale ** (m - 1), m, a)
     if q == 1:
         return unscale(cs, scale)
     top = factorial(order)
@@ -245,30 +244,40 @@ def _root(g: list[int], q: int, top: int) -> list[int]:
     return f
 
 
-def _fold_euler(cs: list[int], scale: int, r: int, a: int) -> None:
-    """Multiply the coefficient list in place by ``E((scale s)^r)^a``, with
-    ``E(q) = prod (1 - q^m) = 1 + sum_{k>=1} (-1)^k (q^{k(3k-1)/2} + q^{k(3k+1)/2})``
-    by Euler's pentagonal theorem: a pass per unit of ``|a|`` over its terms,
-    backward to multiply and forward to divide (on ``1/E``, the recurrence for p).
-    ``cs[i]`` takes the terms ``e <= i``: one or more for ``i >= r``, none if ``r > n``."""
-    n, sign = len(cs) - 1, 1 if a > 0 else -1
-    pentagonal = ((k, r * k * (3 * k + j) // 2) for k in range(1, isqrt(n) + 1) for j in (-1, 1))
-    terms = [(e, sign * (-1) ** k * scale**e) for k, e in pentagonal if e <= n]
-    exponents = [e for e, _ in terms]
-    walk = range(n, r - 1, -1) if a > 0 else range(r, n + 1)
-    for _ in range(abs(a) if terms else 0):
-        for i in walk:
-            cs[i] += sum([c * cs[i - e] for e, c in terms[: bisect_right(exponents, i)]])
+def _fold_family(cs: list[int], scale: int, r: int, z: int, a: int) -> None:
+    """Multiply the coefficient list in place by ``prod_j (1 - z L^(rj-1) s^(rj))^a``,
+    that is ``(x q; q)_inf^a`` with ``q = (L s)^r``, ``x = z / L`` and ``L = scale``: a pass
+    per unit of ``|a|`` adds up the terms ``T_k`` of Euler's identity
+    ``(x q; q)_inf = sum_k (-x)^k q^(k(k+1)/2) / (q; q)_k``, or for ``a < 0`` of Cauchy's
+    ``1/(x q; q)_inf = sum_k x^k q^(k^2) / ((q; q)_k (x q; q)_k)`` (Andrews, *The Theory of
+    Partitions*, ch. 2).  ``T_0 = cs``; ``T_k`` is ``T_(k-1)`` times a monomial, divided
+    exactly by ``1 - q^k`` (and ``1 - x q^k``), one forward pass each, and starts at
+    ``s^(r k(k+1)/2)`` or ``s^(r k^2)``.  No pass runs if ``r > n`` or ``z = 0``."""
+    n = len(cs) - 1
+    for _ in range(abs(a) if z and r <= n else 0):
+        term, low, k = cs, 0, 1
+        while (top := r * k * (k + 1) // 2 if a > 0 else r * k * k) <= n:
+            c = (-z if a > 0 else z) * scale ** (top - low - 1)
+            term = [c * v for v in term[: n + 1 - top]]
+            _divide(term, scale ** (r * k), r * k)
+            if a < 0:
+                _divide(term, z * scale ** (r * k - 1), r * k)
+            cs[top:] = map(add, cs[top:], term)
+            low, k = top, k + 1
+
+
+def _divide(cs: list[int], b: int, d: int) -> None:
+    """Divide the coefficient list in place by ``1 - b s^d``: one forward pass."""
+    for i in range(d, len(cs)):
+        cs[i] += b * cs[i - d]
 
 
 def _fold_binomial(cs: list[int], k: int, m: int, a: int) -> None:
     """Multiply the coefficient list in place by (1 - k s^m)^a: a pass per unit
-    of ``|a|``, backward to multiply and forward to divide."""
-    n = len(cs) - 1
-    walk = range(n, m - 1, -1) if a > 0 else range(m, n + 1)
-    k = -k if a > 0 else k
+    of ``|a|``, backward to multiply and forward, by :func:`_divide`, to divide."""
     for _ in range(abs(a)):
-        for i in walk:
-            prev = cs[i - m]
-            if prev:
-                cs[i] += k * prev
+        if a < 0:
+            _divide(cs, k, m)
+        else:
+            for i in range(len(cs) - 1, m - 1, -1):
+                cs[i] -= k * cs[i - m]

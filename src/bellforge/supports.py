@@ -183,11 +183,6 @@ def scaled_factors(numer, denom) -> tuple[int, int, list[tuple[SupportSet, int, 
     ]
 
 
-def is_euler_family(support: SupportSet, z: int, scale: int) -> bool:
-    """Whether a :func:`scaled_factors` entry is a z = 1 family, Euler's ``E((L s)^r)``."""
-    return z == scale and support.kind != FINITE
-
-
 def unscale(ints, scale: int, top: int = 1) -> list[Fraction]:
     """``[Fraction(c_n, top L^n)]`` for the integers ``c_n`` and ``L = scale``."""
     out = []

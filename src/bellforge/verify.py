@@ -171,8 +171,9 @@ def _reciprocal_draws(max_n: int, seed: int = DEFAULT_SEED):
 
 
 def euler_suite(max_n: int):
-    """Triple agreement for p(n): closed sum, series route (on p, Euler's
-    pentagonal recurrence) and a count of the partition iterator's output.
+    """Triple agreement for p(n): closed sum, series route (on p, Cauchy's
+    Durfee-square sum; its column keeps the label ``pentagonal=`` so that the
+    output stays byte-stable) and a count of the partition iterator's output.
     The iterator runs once, on ``N = max_n``: adding ``N - n`` ones maps the
     partitions of ``n`` onto those of ``N`` with at least ``N - n`` ones, so
     ``p(n)`` is a running sum of the histogram of ``k_1`` over those of ``N``."""
@@ -183,17 +184,11 @@ def euler_suite(max_n: int):
     ones = [0] * (max_n + 1)
     for ks in iter_partitions(max_n):
         ones[ks[0] if ks else 0] += 1
-    closed_sums, pentagonal = (sequence("p", max_n, route) for route in ("faa", "series"))
-    columns = zip(closed_sums, pentagonal, accumulate(reversed(ones)))
-    rows = []
-    for n, (closed, pent, iterated) in enumerate(columns):
-        ok = closed == pent == iterated
-        rows.append(
-            IdentityReport(
-                "euler", n, ok, f"closed={closed};iter={iterated}", f"pentagonal={pent}"
-            )
-        )
-    return rows
+    closed_sums, series = (sequence("p", max_n, route) for route in ("faa", "series"))
+    return [
+        IdentityReport("euler", n, c == s == i, f"closed={c};iter={i}", f"pentagonal={s}")
+        for n, (c, s, i) in enumerate(zip(closed_sums, series, accumulate(reversed(ones))))
+    ]
 
 
 def sigma_suite(max_n: int):

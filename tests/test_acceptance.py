@@ -191,7 +191,7 @@ def test_c11_closed_sum_partition_function_to_1000():
         assert sequence("p", 1000, "faa") == p
         assert sequence("p", 1000) == p
 
-    run_criterion("criterion 11: closed sum p(n) == pentagonal recurrence, n<=1000", 1, body)
+    run_criterion("criterion 11: closed sum p(n) == series route, n<=1000", 1, body)
 
 
 def test_c12_series_route_to_1000():

@@ -363,7 +363,7 @@ def test_eval_non_utf8_spec_exits_2(capsys, tmp_path):
 
 
 def test_eval_series_takes_kims_quotient_to_2000(capsys, tmp_path):
-    # its z = 1 families fold by Euler's pentagonal theorem, inside the budget
+    # each of its z = 1 families folds by one q-series pass per unit of |a|, inside the budget
     payload = {"numerator": spec_to_json(KIM_NUMERATOR), "denominator": spec_to_json(KIM_DENOMINATOR)}
     path = spec_file(tmp_path, payload)
     code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "2000", "--method", "series")

@@ -1,7 +1,6 @@
 import random
 import time
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
@@ -248,7 +247,7 @@ def test_ratio_series_matches_fraction_path():
 
 def dense_ratio(numer, denom, order):
     """``expand_ratio`` with every factor on ``_fold_binomial``, one fold per
-    support member: the reference for the Euler pass."""
+    support member: the reference for the q-series pass."""
     from bellforge import series
 
     scale, _, factors = scaled_factors(numer, denom)
@@ -259,22 +258,36 @@ def dense_ratio(numer, denom, order):
     return unscale(cs, scale)
 
 
-def test_euler_pass_matches_the_binomial_folds():
-    # z = 1 families on the multiples of r (r > order too), both signs of a,
-    # beside a rational-z factor so that L != 1, up to order 300
-    rng = random.Random(2207)
-    for case in range(40):
-        order = 300 if case < 4 else rng.randint(0, 120)
-        sides = [[], []]
-        for _ in range(rng.randint(1, 3)):
-            r = rng.randint(order + 1, order + 3) if rng.randrange(5) == 0 else rng.randint(1, 6)
-            factor = Factor(SupportSet.multiples_of(r), 1, rng.choice((-4, -2, -1, 1, 2, 3)))
-            sides[rng.randrange(2)].append(factor)
+FAMILY_Z = (1, -1, 2, -3, F(1, 2), F(-5, 3), F(7, 2))
+
+
+def family_ratio(rng, order):
+    """One to three families on the multiples of ``r`` (``r > order`` one time in
+    five), ``z`` from :data:`FAMILY_Z` and both signs of ``a``, spread over the two
+    sides, beside a random factor one time in two."""
+    sides = [[], []]
+    for _ in range(rng.randint(1, 3)):
+        r = rng.randint(order + 1, order + 3) if rng.randrange(5) == 0 else rng.randint(1, 6)
+        factor = Factor(SupportSet.multiples_of(r), rng.choice(FAMILY_Z), rng.choice((-4, -2, -1, 1, 2, 3)))
+        sides[rng.randrange(2)].append(factor)
+    if rng.randrange(2):
         z = rng.choice((F(2, 3), F(-1, 2), F(3, 5), F(-4, 7)))
         sides[rng.randrange(2)].append(Factor(random_support(rng), z, rng.choice((-2, -1, 1, 2))))
-        numer, denom = (ProductSpec(tuple(side)) if side else None for side in sides)
-        assert scaled_factors(numer, denom)[0] > 1
+    return tuple(ProductSpec(tuple(side)) if side else None for side in sides)
+
+
+def test_q_series_pass_matches_the_binomial_folds():
+    # Euler's (a > 0) and Cauchy's (a < 0) sums against one binomial fold per member:
+    # every z of FAMILY_Z, r > order too, up to order 300
+    rng = random.Random(2207)
+    for case in range(60):
+        order = 300 if case < 4 else rng.randint(0, 120)
+        numer, denom = family_ratio(rng, order)
         assert expand_ratio(numer, denom, order) == dense_ratio(numer, denom, order), case
+    for z in FAMILY_Z:
+        for a in (1, -1):
+            family = spec_from_factors((SupportSet.all_naturals(), z, a))
+            assert expand_ratio(family, None, 200) == dense_ratio(family, None, 200), (z, a)
 
 
 class CountingList(list):
@@ -294,28 +307,60 @@ class CountingList(list):
         super().__setitem__(i, value)
 
 
+class CountingInt(int):
+    """An integer that counts the products it takes part in, and whose sums
+    and products are again counting integers."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingInt.products += 1
+        return CountingInt(int(self) * other)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return CountingInt(int(self) + other)
+
+    __radd__ = __add__
+
+
+def q_series_products(r, a, n):
+    """Products of one q-series pass to order ``n``, term by term: ``T_k`` starts
+    at ``s^e`` and has ``n - e + 1`` coefficients, each taking one product for
+    its monomial and one for each of the one (``a > 0``) or two divisions by
+    ``1 - c s^(rk)`` that reaches it."""
+    total, e = 0, 0
+    for k in range(1, n // r + 1):
+        e += r * k if a > 0 else r * (2 * k - 1)
+        if e > n:
+            break
+        total += (n - e + 1) + (1 if a > 0 else 2) * max(0, n - e + 1 - r * k)
+    return total
+
+
 def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
     from bellforge import series
 
     folded = []
-    fold, euler = series._fold_binomial, series._fold_euler
+    fold, family = series._fold_binomial, series._fold_family
 
     def counting_fold(cs, k, m, a):
-        # a pass reads cs[i - m] once on each i >= m, and multiplies it in if nonzero
+        # a pass reads cs[i - m] once on each i >= m and multiplies it in
         counted = CountingList(cs)
         fold(counted, k, m, a)
         cs[:] = counted
         assert counted.reads - counted.writes == abs(a) * (len(cs) - m)
         folded.append(counted.reads - counted.writes)
 
-    def counting_euler(cs, scale, r, a):
-        counted = CountingList(cs)
-        euler(counted, scale, r, a)
-        cs[:] = counted
-        products = counted.reads - counted.writes
-        # each coefficient a pass visits takes at least one term product
-        assert counted.writes == abs(a) * max(0, len(cs) - r) <= products
-        folded.append(products)
+    def counting_family(cs, scale, r, z, a):
+        # every product of a coefficient, in the monomials and in the divisions
+        counted = [CountingInt(c) for c in cs]
+        CountingInt.products = 0
+        family(counted, scale, r, z, a)
+        cs[:] = map(int, counted)
+        assert CountingInt.products == (abs(a) * q_series_products(r, a, len(cs) - 1) if z else 0)
+        folded.append(CountingInt.products)
 
     def counting_root(g, q, top):
         # one product per term of n F_n = sum_{k=1..n} ..., for n = 1..order
@@ -324,7 +369,7 @@ def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
 
     root = series._root
     monkeypatch.setattr(series, "_fold_binomial", counting_fold)
-    monkeypatch.setattr(series, "_fold_euler", counting_euler)
+    monkeypatch.setattr(series, "_fold_family", counting_family)
     monkeypatch.setattr(series, "_root", counting_root)
     specs = kernel_specs()
     pairs = [(specs[0], specs[1]), (specs[2], None), (None, specs[3]), (None, None)]
@@ -332,6 +377,9 @@ def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
     pairs += [(partfun.KIM_NUMERATOR, partfun.KIM_DENOMINATOR), (None, partfun.PARTITION_PRODUCT)]
     pairs += [(spec_from_factors((SupportSet.multiples_of(3), 1, -2)), specs[-1])]
     pairs += [(None, spec_from_factors((SupportSet.multiples_of(r), 1, a))) for r in (13, 40) for a in (-2, 5)]
+    pairs += [family_ratio(random.Random(seed), 40) for seed in range(8)]
+    # a z = 0 factor is 1: it runs nothing and costs nothing
+    pairs += [(spec_from_factors((SupportSet.all_naturals(), 0, 3), (SupportSet.finite([1, 2]), 0, -2)), None)]
     # rational exponents: |q a| passes per factor and the root's products
     pairs += [(rational_spec(random.Random(seed)), rational_spec(random.Random(seed + 1))) for seed in (5, 9)]
     pairs += [(errata_spec, None) for errata_spec in errata_specs()[6:8]]
@@ -342,26 +390,30 @@ def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
             assert kernel_size("series", numer, denom, order)[0] == sum(folded)
 
 
-def test_euler_pass_with_no_term_up_to_the_order_does_nothing():
-    family = spec_from_factors((SupportSet.multiples_of(2000), 1, 10**8))
-    start = time.perf_counter()
-    assert expand_ratio(None, family, 1000) == [1] + [0] * 1000
-    assert time.perf_counter() - start < 1.0
-    assert kernel_size("series", None, family, 1000)[0] == 0
+def test_a_family_with_no_term_up_to_the_order_does_nothing():
+    # r > n or z = 0: no pass runs, however large |a|, and none is priced
+    families = [
+        spec_from_factors((SupportSet.multiples_of(2000), 1, 10**8)),
+        spec_from_factors((SupportSet.all_naturals(), 0, 10**8)),
+        spec_from_factors((SupportSet.multiples_of(1001), F(-5, 3), 10**8)),
+    ]
+    for family in families:
+        for numer, denom in ((None, family), (family, None)):
+            start = time.perf_counter()
+            assert expand_ratio(numer, denom, 1000) == [1] + [0] * 1000
+            assert time.perf_counter() - start < 1.0
+            assert kernel_size("series", numer, denom, 1000)[0] == 0
 
 
 def test_kernel_size_is_closed_form_for_infinite_supports():
+    # the q-series pass, term by term, whatever z is: O(sqrt(n / r)) terms
+    for r, order in ((1, 10**10), (7, 10**11), (5, 10**9 + 3)):
+        for z, a in ((1, -3), (-1, -3), (F(2, 3), 2), (-5, 1)):
+            family = spec_from_factors((SupportSet.multiples_of(r), z, a))
+            want = abs(a) * q_series_products(r, a, order)
+            assert kernel_size("series", family, None, order)[0] == want
     spec = spec_from_factors((SupportSet.all_naturals(), -1, -3), (SupportSet.multiples_of(5), 2, 1))
     order = 10**12
-    k = order // 5
-    want = 3 * order * (order + 1) // 2 + (k * (order + 1) - 5 * k * (k + 1) // 2)
-    assert kernel_size("series", spec, None, order)[0] == want
-    # the Euler pass: (n - e + 1) term products per pentagonal exponent e = r k(3k -+ 1)/2 <= n
-    for r, order in ((1, 10**10), (7, 10**11)):
-        family = spec_from_factors((SupportSet.multiples_of(r), 1, -3))
-        exponents = (r * k * (3 * k + j) // 2 for k in range(1, isqrt(order) + 2) for j in (-1, 1))
-        want = 3 * sum(order - e + 1 for e in exponents if e <= order)
-        assert kernel_size("series", family, None, order)[0] == want
     assert kernel_size("faa", spec, None, order)[0] >= order * (order + 1) // 2
     assert work_estimate("faa", spec, None, order) > work_estimate("faa", spec, None, order - 1)
     with pytest.raises(ValueError):
@@ -411,7 +463,7 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
     from bellforge import series
 
     seen = []
-    fold, euler = series._fold_binomial, series._fold_euler
+    fold, divide = series._fold_binomial, series._divide
     extend = bellpoly.bell_extend
 
     def record(values):
@@ -424,13 +476,26 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
 
     monkeypatch.setattr(series, "_fold_binomial", recording_fold)
 
-    def recording_euler(cs, scale, r, a):
-        # pass by pass, with L^n, which bounds every term L^e that a pass multiplies in
-        for _ in range(abs(a)):
-            euler(cs, scale, r, 1 if a > 0 else -1)
-            record(cs + [scale ** (len(cs) - 1)])
+    def recording_divide(cs, b, d):
+        # each T_k of the q-series pass as its monomial leaves it, and divided
+        record(cs + [b])
+        divide(cs, b, d)
+        record(cs)
 
-    monkeypatch.setattr(series, "_fold_euler", recording_euler)
+    monkeypatch.setattr(series, "_divide", recording_divide)
+
+    class RunningSums(list):
+        # the pass adds each T_k into the coefficient list by one slice assignment
+        def __setitem__(self, i, values):
+            super().__setitem__(i, record(list(values)))
+
+    def recording_family(cs, scale, r, z, a):
+        sums = RunningSums(cs)
+        family(sums, scale, r, z, a)
+        cs[:] = sums
+
+    family = series._fold_family
+    monkeypatch.setattr(series, "_fold_family", recording_family)
 
     def recording_extend(coeffs, weights, n):
         extend(coeffs, weights, n)
@@ -451,7 +516,7 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
 
     root = series._root
     monkeypatch.setattr(series, "_root", recording_root)
-    for numer, denom, top in probe_pairs() + large_size_pairs() + rational_pairs():
+    for numer, denom, top in probe_pairs() + large_size_pairs() + rational_pairs() + family_pairs():
         # the series route folds one pass per unit of |a|
         size = sum(abs(f.a) for side in (numer, denom) if side is not None for f in side.factors)
         for order in (0, 1, 2, 7, top):
@@ -462,6 +527,12 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
                 expand_ratio(numer, denom, order)
             bellpoly.ratio_coefficients(numer, denom, order)
             assert max(seen) <= bits, (numer, denom, order)
+
+
+def family_pairs():
+    """Seeded ratios of families with every z of :data:`FAMILY_Z`, to order 60."""
+    rng = random.Random(2719)
+    return [(*family_ratio(rng, 60), 60) for _ in range(40)]
 
 
 def rational_pairs():

@@ -211,7 +211,7 @@ def test_test_only_oracles_are_not_exported():
         "partition_function restricted_partition_count cubic_partition_count "
         "overcubic_partition_count ramanujan_psi_coefficient ramanujan_phi_coefficient "
         "chan_product_coefficient kim_product_coefficient "
-        # the series route on p runs Euler's pentagonal recurrence
+        # the series route computes p (by Cauchy's Durfee-square sum)
         "pentagonal_values"
     ).split()
     for name in removed:
