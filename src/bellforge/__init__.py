@@ -20,8 +20,8 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("divisors", "factorize sigma sigma_via_factorization"),
-        ("bellpoly", "InconsistencyError ratio_coefficients work_estimate"),
-        ("partfun", "sequence"),
+        ("bellpoly", "InconsistencyError ratio_coefficients"),
+        ("partfun", "sequence work_estimate"),
         ("partitions", "iter_partitions"),
         ("series", "TruncatedSeries exp_log_expand expand_ratio"),
         ("supports", "Factor ProductSpec SupportSet spec_from_factors"),

@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification/disagreement failure, 2 usage or
 parse error, or a request over :data:`WORK_BUDGET`: every command is priced
-in :func:`~bellforge.bellpoly.work_estimate` units before any work (``verify``
+in :func:`~bellforge.partfun.work_estimate` units before any work (``verify``
 per suite, ``errata`` by :func:`~bellforge.errata.report_work`).  Data output
 is byte-stable for identical inputs; only ``bench`` prints timings.
 
@@ -28,8 +28,7 @@ import sys
 from importlib import import_module
 
 from . import __version__
-from .bellpoly import work_estimate
-from .partfun import InconsistencyError, SEQUENCES, restricted_product, sequence
+from .partfun import InconsistencyError, SEQUENCES, restricted_product, sequence, work_estimate
 
 # The keys of verify.SUITES, listed here so that parsing does not import the
 # suites; a test keeps the two equal.
@@ -37,8 +36,9 @@ SUITE_NAMES = tuple(
     "additivity-index additivity-set chan euler kim reciprocal restricted-recursion sigma theta".split()
 )
 
-# Largest price in bellpoly.work_estimate units that any command runs: 100 times the largest
-# eval of the tests, CI and benchmark.  The estimate bounds integer size, not time: a unit
+# Largest price in partfun.work_estimate units that any command runs: 100 times the largest
+# eval shape of the tests and benchmark templates.  CI runs requests up to the budget itself
+# (errata at 555 takes 99.8 % of it).  The estimate bounds integer size, not time: a unit
 # took 0.10-40 ns on the closed sum and 0.6-37 ns on the series route (2-vCPU Xeon).
 WORK_BUDGET = 10**9
 

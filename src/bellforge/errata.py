@@ -19,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import require_natural
-from .bellpoly import ratio_coefficients, work_estimate
-from .partfun import SEQUENCES, sequence
+from .bellpoly import ratio_coefficients
+from .partfun import SEQUENCES, sequence, work_estimate
 from .supports import ProductSpec, SupportSet, _require_rational, spec_from_factors
 
 

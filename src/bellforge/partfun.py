@@ -1,29 +1,27 @@
-"""Named partition functions built on the closed-sum engine.
+"""Named partition functions, and the two routes that evaluate them.
 
 Each function here is the coefficient sequence of a fixed quotient of
 ``(1 - t^m)``-style products.  Two evaluation routes exist and must agree:
-
-* ``"faa"``: the partition-indexed closed sum (:mod:`bellforge.bellpoly`),
-  evaluated for the whole prefix ``0..n`` by one integer Bell recurrence on
-  the numerator's weights minus the denominator's,
-* ``"series"``: expansion of the product ratio (:mod:`bellforge.series`).
-
-:func:`route_prefix` is the one map from a route name to its evaluator.
-Neither route keeps state: each is a pure function of the quotient and the
-order, so the two routes share nothing.  :func:`sequence` answers every
-named count as its whole prefix ``0..n`` from one request, on the closed
-sum unless the caller asks for the series route.  All named counts must
-come out as nonnegative integers; anything else raises
+``"faa"``, the partition-indexed closed sum (:mod:`bellforge.bellpoly`) on the
+whole prefix ``0..n`` by one integer Bell recurrence, and ``"series"``, the
+product ratio's expansion (:mod:`bellforge.series`).  This is the only module
+that names both: :func:`route_prefix` runs a route and :func:`work_estimate`
+prices it, each through one map from a route name to its evaluator and its
+``kernel_steps``.  Neither route keeps state, so the two share nothing.
+:func:`sequence` answers every named count as its whole prefix ``0..n`` from
+one request, on the closed sum unless the caller asks for the series route.
+All named counts must come out as nonnegative integers; anything else raises
 :class:`InconsistencyError` since it can only mean an internal defect.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from .arith import require_natural
-from .bellpoly import InconsistencyError, ratio_coefficients
-from .supports import ProductSpec, SupportSet, spec_from_factors
+from .bellpoly import InconsistencyError, kernel_steps, ratio_coefficients
+from .supports import ProductSpec, SupportSet, scaled_factors, spec_from_factors
 
 _ALL = SupportSet.all_naturals()
 
@@ -62,18 +60,63 @@ def restricted_product(parts) -> ProductSpec:
     return spec_from_factors((SupportSet.finite(parts), 1, 1))
 
 
-def route_prefix(numer, denom, n: int, method: str) -> list[Fraction]:
-    """Coefficients ``0..n`` of numer/denom on the route ``method``:
-    ``"faa"`` (the closed sum) or ``"series"`` (the oracle)."""
-    require_natural(n)
+def _route(method: str):
+    """``(evaluator, kernel_steps)`` of ``method``: ``"faa"`` (closed sum) or ``"series"``."""
     if method == "faa":
-        return ratio_coefficients(numer, denom, n)
+        return ratio_coefficients, kernel_steps
     if method == "series":
         # imported here so that closed-sum requests never load the series route
-        from .series import expand_ratio
+        from . import series
 
-        return expand_ratio(numer, denom, n)
+        return series.expand_ratio, series.kernel_steps
     raise ValueError(f"method must be 'faa' or 'series', got {method!r}")
+
+
+def route_prefix(numer, denom, n: int, method: str) -> list[Fraction]:
+    """Coefficients ``0..n`` of numer/denom on the route ``method``."""
+    require_natural(n)
+    return _route(method)[0](numer, denom, n)
+
+
+def work_estimate(route: str, numer, denom, n: int) -> int:
+    """Work of ``route`` on ``numer/denom`` to order ``n`` in one unit for both routes:
+    ``steps (1 + B/64)^1.5``, plus ``(1 + B/64)^2`` per output coefficient for its gcd
+    and decimal form.  Callers check it; nothing here does."""
+    steps, bits = kernel_size(route, numer, denom, n)
+    return (8 * steps * isqrt((64 + bits) ** 3) + (n + 1) * (64 + bits) ** 2) // 4096
+
+
+def kernel_size(route: str, numer, denom, n: int) -> tuple[int, int]:
+    """``(steps, B)`` of ``route`` to order ``n``, in O(factors) closed forms: the
+    route counts its steps by its own ``kernel_steps``.  Every integer either route
+    produces (a q-series term and sum too) is dominated by ``prod (1 - Z L^m s^m)^-S``
+    (``L`` the lcm of the z denominators, ``Z = max(1, |z|)``, ``S = sum |q a|``), so as
+    ``p_S(n) <= exp(pi sqrt(2Sn/3))`` and ``p_S(n) <= p(n) S^n`` it has at most ``B``
+    bits.  For ``q > 1``, with ``N! n <= n^n``, each weight, value and partial sum is at
+    most ``(n q L Z)^n`` times that ``p_S(n)``, ``S`` grown by ``ceil(S / q)`` for the
+    root's terms, a ``G_k`` times an ``F_(n-k)``."""
+    require_natural(n)
+    scale, q, factors = scaled_factors(numer, denom)
+    steps = _route(route)[1](factors, q, n)
+    lz = max([scale] + [abs(z) for _, z, _ in factors])
+    size = sum(abs(a) for _, _, a in factors)
+    if q > 1:
+        lz, size = lz * q * n, size - (-size // q)
+    # B = n log2(L Z) + min(3.71 sqrt(S n), n log2 S + 3.71 sqrt n) + 1
+    count = min(_sqrt_bits(size * n), _log2_times(size, n) + _sqrt_bits(n))
+    return steps, _log2_times(lz, n) + count + 1
+
+
+def _log2_times(x: int, n: int) -> int:
+    """At least ``n log2 x`` and within ``n / 16 + 1`` of it, as
+    ``(x^16 - 1).bit_length()`` is ``ceil(16 log2 x)``."""
+    return -(-n * (x**16 - 1).bit_length() // 16)
+
+
+def _sqrt_bits(x: int) -> int:
+    """``3.71 (isqrt(x) + 1)`` rounded down; with one bit added it bounds the
+    bits of ``p(x) <= exp(pi sqrt(2x/3))``."""
+    return 371 * (isqrt(x) + 1) // 100
 
 
 # name -> (numerator, denominator) of the named count sequences

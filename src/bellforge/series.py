@@ -14,19 +14,20 @@ integral and :func:`~bellforge.supports.unscale` divides by ``L^n``.  A family o
 the multiples of ``r`` folds by Euler's or Cauchy's q-series identity over its
 ``O(sqrt(n / r))`` terms, a finite support by one binomial per member.  Rational
 exponents fold as their integer multiples ``q a`` and take the ``q``-th root by
-J. C. P. Miller's power recurrence, which forms no logarithm.  The ``Fraction``
-methods of :class:`TruncatedSeries` remain the general API and the cross-check path.
+J. C. P. Miller's power recurrence, which forms no logarithm; :func:`kernel_steps`
+counts the products of it all for the price.  The ``Fraction`` methods of
+:class:`TruncatedSeries` remain the general API and the cross-check path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 from operator import add
 
 from .arith import require_int, require_natural
 from .supports import (
-    FINITE, ProductSpec, Record, _require_rational, scaled_factors, unscale,
+    FINITE, ProductSpec, Record, SupportSet, _require_rational, scaled_factors, unscale,
 )
 
 _ZERO = Fraction(0)
@@ -212,6 +213,28 @@ def expand_ratio(
         return unscale(cs, scale)
     top = factorial(order)
     return unscale(_root(cs, q, top), scale * q, top)
+
+
+def kernel_steps(factors, q: int, n: int) -> int:
+    """Products of :func:`expand_ratio` to order ``n`` on the factors of
+    :func:`scaled_factors`: :func:`_fold_steps` per unit of ``|a|`` of each factor
+    with ``z != 0``, and for ``q > 1`` the root's ``n(n + 1)/2``."""
+    steps = sum(abs(a) * _fold_steps(s, a, n) for s, z, a in factors if z)
+    return steps + (n * (n + 1) // 2 if q > 1 else 0)
+
+
+def _fold_steps(support: SupportSet, a: int, n: int) -> int:
+    """Products of one fold pass to order ``n``: ``n - m + 1`` per finite member ``m <= n``;
+    on the multiples of ``r``, per q-series term ``T_k`` at ``s^e``, ``e = r k(k+1)/2 <= n``
+    (``r k^2`` if ``a < 0``), ``n - e + 1`` for its monomial and ``max(0, n - e + 1 - r k)``
+    for each of its one (``a > 0``) or two divisions, 0 only for the last ``k``."""
+    if support.kind == FINITE:
+        return sum(n - m + 1 for m in support.members if m <= n)
+    r, j = support.r, 1 if a > 0 else 2
+    k = (isqrt(8 * (n // r) + 1) - 1) // 2 if a > 0 else isqrt(n // r)
+    last = r * k * (k + 1) // 2 if a > 0 else r * k * k
+    terms = k * (n + 1) - r * k * (k + 1) * (k + 2 if a > 0 else 2 * k + 1) // 6
+    return (1 + j) * terms - j * (r * k * (k - 1) // 2 + min(n + 1 - last, r * k))
 
 
 def exp_log_expand(spec: ProductSpec, order: int) -> TruncatedSeries:

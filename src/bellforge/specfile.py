@@ -13,9 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .bellpoly import work_estimate
 from .cli import UsageError, check_work
-from .partfun import route_prefix
+from .partfun import route_prefix, work_estimate
 from .supports import ALL, FINITE, MULTIPLES, Factor, ProductSpec, SupportSet
 
 # the keys a JSON support object may carry, by kind

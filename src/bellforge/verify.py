@@ -7,7 +7,7 @@ seed, keeping output byte-stable across runs.  The single-instance checks
 (additivity over exponents and over supports, the restricted-count
 recursion) live here as well, so a closed-sum request never compiles them.
 Each suite has a price of ``--max N`` in
-:func:`~bellforge.bellpoly.work_estimate` units, checked before it runs; a
+:func:`~bellforge.partfun.work_estimate` units, checked before it runs; a
 randomized suite's suite and price read one function's draws.  Convolutions
 run on the integers ``c_m L^m`` of the routes' scaled outputs.
 """
@@ -21,7 +21,7 @@ from math import isqrt
 from operator import mul
 
 from .arith import require_natural
-from .bellpoly import InconsistencyError, ratio_coefficients, work_estimate
+from .bellpoly import InconsistencyError, ratio_coefficients
 from .partfun import (
     CHAN_DENOMINATOR,
     CHAN_NUMERATOR,
@@ -32,6 +32,7 @@ from .partfun import (
     restricted_product,
     route_prefix,
     sequence,
+    work_estimate,
 )
 from .supports import Factor, ProductSpec, Record, SupportSet, scaled_factors
 

@@ -7,14 +7,15 @@ from math import comb, isqrt
 import pytest
 
 from bellforge import bellpoly, verify
-from bellforge.bellpoly import work_estimate
 from bellforge.cli import SUITE_NAMES, WORK_BUDGET, main
 from bellforge.partfun import (
     KIM_DENOMINATOR,
     KIM_NUMERATOR,
     PARTITION_PRODUCT,
+    SEQUENCES,
     route_prefix,
     sequence,
+    work_estimate,
 )
 from bellforge.series import exp_log_expand
 from bellforge.specfile import ratio_from_json, spec_to_json
@@ -333,11 +334,34 @@ def largest_documented_evals():
 
 
 def test_series_budget_leaves_room_for_the_largest_documented_eval():
-    # both routes: the budget is 100 times the largest eval that is meant to run
+    # both routes: the budget is 100 times the largest eval shape of the tests and benchmark
     for method, numer, denom, n in largest_documented_evals():
         routes = ("faa", "series") if method == "both" else (method,)
         work = sum(work_estimate(route, numer, denom, n) for route in routes)
         assert 100 * work <= WORK_BUDGET, (method, numer, denom, n)
+
+
+def test_every_request_ci_runs_is_within_the_budget():
+    # CI runs requests up to the budget, without the headroom above: errata at 555 takes
+    # 99.8 % of it, p to 10000 on both routes 93.7 % and the ratio spec's series route at
+    # 1500 58.9 %; a price drift that would refuse one of them fails here
+    from bellforge.errata import report_work
+
+    euler, ratio = (ratio_from_json(json.dumps(spec)) for spec in (EULER, CI_RATIO))
+    kim, faa, series, both = (KIM_NUMERATOR, KIM_DENOMINATOR), ("faa",), ("series",), ("faa", "series")
+    evals = [(euler, both, 10000), (euler, faa, 1000), (euler, faa, 3), (kim, series, 2000)]
+    evals += [(ratio, series, 1500), (ratio, both, 700), (ratio, both, 60)]
+    prices = {
+        ("eval", routes, n): sum(work_estimate(route, *sides, n) for route in routes)
+        for sides, routes, n in evals
+    }
+    seqs = [("p", 1000), ("overcubic", 2000)]
+    prices |= {("seq", name, n): work_estimate("faa", *SEQUENCES[name], n) for name, n in seqs}
+    suites = [(name, default) for name, (_, default, _) in verify.SUITES.items()]
+    suites += [("reciprocal", 474), ("theta", 300)]
+    prices |= {("verify", name, n): verify.SUITES[name][2](n) for name, n in suites}
+    prices |= {("errata", n): report_work(n) for n in (60, 555)}
+    assert {request: price for request, price in prices.items() if price > WORK_BUDGET} == {}
 
 
 def test_eval_missing_file(capsys, tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bellforge import SupportSet, bellpoly, errata, expand_ratio, sequence, spec_from_factors
-from bellforge.bellpoly import kernel_size, ratio_coefficients, work_estimate
+from bellforge.bellpoly import ratio_coefficients
 from bellforge.divisors import sigma
 from bellforge.errata import (
     _FORMULAS,
@@ -15,7 +15,7 @@ from bellforge.errata import (
     report_work,
     transcription_spec,
 )
-from bellforge.partfun import SEQUENCES
+from bellforge.partfun import SEQUENCES, kernel_size, work_estimate
 from reference import partition_power_sum
 
 def literal_sum(n, coeff, weight=1):

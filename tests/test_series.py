@@ -6,7 +6,7 @@ import pytest
 
 from bellforge import TruncatedSeries, exp_log_expand, expand_ratio, spec_from_factors
 from bellforge import bellpoly, partfun
-from bellforge.bellpoly import kernel_size, work_estimate
+from bellforge.partfun import kernel_size, work_estimate
 from bellforge.supports import Factor, ProductSpec, SupportSet, scaled_factors, unscale
 from bellforge.verify import random_product_spec, random_support
 from reference import log_weight_table, negated, partition_power_sum
@@ -418,6 +418,44 @@ def test_kernel_size_is_closed_form_for_infinite_supports():
     assert work_estimate("faa", spec, None, order) > work_estimate("faa", spec, None, order - 1)
     with pytest.raises(ValueError):
         kernel_size("dfs", spec, None, 3)
+
+
+def test_prices_are_pinned_to_exact_units():
+    # each route's closed forms, to the unit, on both routes: q = 1 and q > 1 (an errata
+    # spec, a 1/7 root), orders 0, 1, 60 and 10^12, a z = 0 family and one with r > n at
+    # a = 10^8, a finite support and a 98-digit z denominator
+    every, P = SupportSet.all_naturals(), partfun.PARTITION_PRODUCT
+    KIM, ERRATA = (partfun.KIM_NUMERATOR, partfun.KIM_DENOMINATOR), errata_specs()[6]
+    ROOT = spec_from_factors((every, F(-5, 3), F(1, 7)))
+    ZERO = spec_from_factors((every, 0, 10**8))
+    FAR = spec_from_factors((SupportSet.multiples_of(2000), 1, 10**8))
+    FIN = spec_from_factors((SupportSet.finite([1, 3, 7]), F(-2, 3), -5))
+    WIDE = spec_from_factors((every, F(1, 10**98 - 1), 1))
+    assert scaled_factors(ERRATA, None)[1] == 2
+    pins = [
+        ("faa", None, P, 0, 1),
+        ("series", None, P, 0, 1),
+        ("faa", None, P, 1, 4),
+        ("series", None, P, 60, 1563),
+        ("faa", None, P, 10**12, 6978672984394521672706485499161),
+        ("series", None, P, 10**12, 27918017527720236855947750),
+        ("faa", *KIM, 60, 13753),
+        ("series", *KIM, 2000, 114782448),
+        ("faa", ERRATA, None, 60, 80897),
+        ("series", ERRATA, None, 60, 347843),
+        ("faa", None, ROOT, 1, 5),
+        ("series", None, ROOT, 10**12, 294795843245301973605115026112575334844591),
+        ("faa", ZERO, None, 10**12, 6978481474402062891833711997325585938),
+        ("series", ZERO, None, 10**12, 336037598888421976227794335938),
+        ("series", None, FAR, 1000, 175631721),
+        ("faa", None, FAR, 1000, 4466356636),
+        ("faa", FIN, None, 60, 13761),
+        ("series", None, FIN, 60, 6601),
+        ("faa", None, WIDE, 60, 17499681),
+        ("series", None, WIDE, 1, 92),
+    ]
+    for route, numer, denom, n, units in pins:
+        assert work_estimate(route, numer, denom, n) == units, (route, numer, denom, n)
 
 
 def probe_pairs():

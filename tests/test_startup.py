@@ -4,6 +4,7 @@ Every request is a fresh ``python -m bellforge`` process, so an unused import
 is paid on every request.  The checks run the package's ``__main__`` in a
 child interpreter and list the modules that the run added."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -117,14 +118,31 @@ def test_help_still_comes_from_argparse(argv):
 
 
 def test_closed_sum_requests_load_no_series_route(tmp_path):
+    # partfun loads the series route only when a request runs or prices it
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"denominator": [{"support": {"kind": "all"}, "z": "1/2", "a": 1}]}))
     loaded = loaded_by("eval", "--spec", str(spec), "--max", "5", "--method", "faa")
     assert "bellforge.bellpoly" in loaded and "bellforge.specfile" in loaded
     assert not loaded & (HEAVY | SERIES_ROUTE | {"bellforge.verify", "bellforge.bench"})
-    loaded = loaded_by("verify", "additivity-set", "--max", "3")
-    assert "bellforge.verify" in loaded
-    assert not loaded & (HEAVY | SERIES_ROUTE)
+    for suite in ("reciprocal", "additivity-index", "additivity-set"):
+        loaded = loaded_by("verify", suite)
+        assert "bellforge.verify" in loaded
+        assert not loaded & (HEAVY | SERIES_ROUTE)
+
+
+def test_only_partfun_names_both_routes():
+    # neither route module imports the other, and bench runs both through partfun's lookup
+    def imported(module):
+        tree = ast.parse((SRC / "bellforge" / f"{module}.py").read_text(encoding="utf-8"))
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found |= {node.module} if node.module else {alias.name for alias in node.names}
+        return found
+
+    assert "series" not in imported("bellpoly") and "bellpoly" not in imported("series")
+    assert not imported("bench") & {"bellpoly", "series"}
+    assert {"bellpoly", "series"} <= imported("partfun")
 
 
 @pytest.mark.parametrize(

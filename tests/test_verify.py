@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from bellforge import errata, verify
-from bellforge.bellpoly import InconsistencyError, ratio_coefficients, work_estimate
-from bellforge.partfun import SEQUENCES, restricted_product
+from bellforge.bellpoly import InconsistencyError, ratio_coefficients
+from bellforge.partfun import SEQUENCES, restricted_product, work_estimate
 from bellforge.series import TruncatedSeries
 from bellforge.supports import FINITE, MULTIPLES, ProductSpec, scaled_factors
 from bellforge.verify import (
