@@ -14,17 +14,16 @@ has weights ``f``'s minus ``g``'s.  Being a complete Bell polynomial in the
 1974, ch. 3), which :func:`ratio_coefficients` runs on whole prefixes; the
 literal sum, one term per partition, is kept only as the tests' reference.
 The weight table is one walk over each factor's support members, on the
-integers of :func:`~bellforge.supports.scaled_factors`, started from ``N!``
-when the exponents' denominators have an lcm ``q > 1``.  Nothing here keeps
-state: every request runs its own recurrence, whose steps :func:`kernel_steps`
-counts before it runs.  Everything is exact and independently checkable
-against :mod:`bellforge.series`, which shares nothing with this module.
+integers of :func:`~bellforge.supports.scaled_factors`, and the recurrence runs
+from 1 on the integers ``(L q^2)^n c_n``, ``q`` the lcm of the exponents'
+denominators.  Nothing here keeps state: every request runs its own recurrence,
+whose steps :func:`kernel_steps` counts before it runs.  Everything is exact and
+independently checked against :mod:`bellforge.series`, which shares nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from operator import mul
 
 from .arith import require_natural
@@ -66,19 +65,19 @@ def ratio_coefficients(
 ) -> list[Fraction]:
     """Coefficients ``0..n`` of numerator-product / denominator-product;
     ``None`` on either side is the constant 1.  One Bell recurrence on the
-    integers ``A_m = n! c_m (L q)^m`` of :func:`scaled_factors` (``n!`` for
-    ``q > 1`` only) evaluates it: a support member ``m`` adds ``-a m (z (L q)^m)^j``
-    to the weight ``w_k (L q)^k`` of ``k = j m``."""
+    integers ``A_m = (L q^2)^m c_m`` of :func:`scaled_factors`, from ``A_0 = 1``,
+    evaluates it: a support member ``m`` adds ``-a m (z (L q^2)^m)^j`` to the
+    weight ``w_k (L q^2)^k`` of ``k = j m``."""
     scale, q, factors = scaled_factors(numer, denom)
     require_natural(n)
     weights = [0] * (n + 1)
     for support, z, a in factors:
         for m in support.members_up_to(n):
-            base = z * scale ** (m - 1) * q**m
+            base = z * scale ** (m - 1) * q ** (2 * m)
             term = -a * m * base // q
             for k in range(m, n + 1, m):
                 weights[k] += term
                 term *= base
-    coeffs = [1 if q == 1 else factorial(n)]
+    coeffs = [1]
     bell_extend(coeffs, weights, n)
-    return unscale(coeffs, scale * q, coeffs[0])
+    return unscale(coeffs, scale * q * q)

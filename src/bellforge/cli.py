@@ -38,7 +38,7 @@ SUITE_NAMES = tuple(
 
 # Largest price in partfun.work_estimate units that any command runs: 100 times the largest
 # eval shape of the tests and benchmark templates.  CI runs requests up to the budget itself
-# (errata at 555 takes 99.8 % of it).  The estimate bounds integer size, not time: a unit
+# (errata at 934 takes 99.7 % of it).  The estimate bounds integer size, not time: a unit
 # took 0.10-40 ns on the closed sum and 0.6-37 ns on the series route (2-vCPU Xeon).
 WORK_BUDGET = 10**9
 

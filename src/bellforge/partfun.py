@@ -92,19 +92,19 @@ def kernel_size(route: str, numer, denom, n: int) -> tuple[int, int]:
     produces (a q-series term and sum too) is dominated by ``prod (1 - Z L^m s^m)^-S``
     (``L`` the lcm of the z denominators, ``Z = max(1, |z|)``, ``S = sum |q a|``), so as
     ``p_S(n) <= exp(pi sqrt(2Sn/3))`` and ``p_S(n) <= p(n) S^n`` it has at most ``B``
-    bits.  For ``q > 1``, with ``N! n <= n^n``, each weight, value and partial sum is at
-    most ``(n q L Z)^n`` times that ``p_S(n)``, ``S`` grown by ``ceil(S / q)`` for the
-    root's terms, a ``G_k`` times an ``F_(n-k)``."""
+    bits.  For ``q > 1`` a value is at most ``(q^2 L Z)^n p_T(n)``, ``T = S + ceil(S / q)``
+    for the root's terms ``g_k F_(n-k)``; as ``|(q+1)k - q n| <= k + q (n - k)`` and ``n p_T(n)
+    = T [x^n] P_T(x) sum_m m x^m / (1 - x^m)``, a root's partial sum is under ``2 n`` times that."""
     require_natural(n)
     scale, q, factors = scaled_factors(numer, denom)
     steps = _route(route)[1](factors, q, n)
     lz = max([scale] + [abs(z) for _, z, _ in factors])
     size = sum(abs(a) for _, _, a in factors)
     if q > 1:
-        lz, size = lz * q * n, size - (-size // q)
-    # B = n log2(L Z) + min(3.71 sqrt(S n), n log2 S + 3.71 sqrt n) + 1
+        lz, size = lz * q * q, size - (-size // q)
+    # B = n log2(L Z) + min(3.71 sqrt(S n), n log2 S + 3.71 sqrt n) + 1 (+ n's bits for a root)
     count = min(_sqrt_bits(size * n), _log2_times(size, n) + _sqrt_bits(n))
-    return steps, _log2_times(lz, n) + count + 1
+    return steps, _log2_times(lz, n) + count + 1 + (n.bit_length() if q > 1 else 0)
 
 
 def _log2_times(x: int, n: int) -> int:

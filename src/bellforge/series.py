@@ -6,23 +6,24 @@ A series carries an explicit truncation order ``N`` and exactly ``N + 1``
 ``Fraction`` coefficients; binary operations require equal orders instead of
 silently re-truncating.
 
-:func:`expand_ratio` computes a product or a ratio of products on integers:
-a ratio is the product of the numerator's factors and the denominator's
-with negated exponents, which :func:`~bellforge.supports.scaled_factors`
-lists with integer multipliers under ``t = L s``, so every fold stays
-integral and :func:`~bellforge.supports.unscale` divides by ``L^n``.  A family on
-the multiples of ``r`` folds by Euler's or Cauchy's q-series identity over its
+:func:`expand_ratio` computes a product or a ratio of products on integers: a
+ratio is the product of the numerator's factors and the denominator's with negated
+exponents, which :func:`~bellforge.supports.scaled_factors` lists with integer
+multipliers under ``t = L s``, so every fold stays integral.  A family on the
+multiples of ``r`` folds by Euler's or Cauchy's q-series identity over its
 ``O(sqrt(n / r))`` terms, a finite support by one binomial per member.  Rational
 exponents fold as their integer multiples ``q a`` and take the ``q``-th root by
-J. C. P. Miller's power recurrence, which forms no logarithm; :func:`kernel_steps`
-counts the products of it all for the price.  The ``Fraction`` methods of
+J. C. P. Miller's power recurrence, which forms no logarithm.  The results are the
+integers ``(L q^2)^n c_n`` (``q = 1`` for integer exponents), which
+:func:`~bellforge.supports.unscale` divides back; :func:`kernel_steps` counts the
+products of it all for the price.  The ``Fraction`` methods of
 :class:`TruncatedSeries` remain the general API and the cross-check path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, isqrt
+from math import isqrt
 from operator import add
 
 from .arith import require_int, require_natural
@@ -209,10 +210,7 @@ def expand_ratio(
         elif z:
             for m in support.members_up_to(order):
                 _fold_binomial(cs, z * scale ** (m - 1), m, a)
-    if q == 1:
-        return unscale(cs, scale)
-    top = factorial(order)
-    return unscale(_root(cs, q, top), scale * q, top)
+    return unscale(_root(cs, q) if q > 1 else cs, scale * q * q)
 
 
 def kernel_steps(factors, q: int, n: int) -> int:
@@ -250,19 +248,19 @@ def exp_log_expand(spec: ProductSpec, order: int) -> TruncatedSeries:
     return total.exp()
 
 
-def _root(g: list[int], q: int, top: int) -> list[int]:
-    """``[top q^n f_n]`` for ``f = g^(1/q)``, ``g_0 = 1``, by J. C. P. Miller's
-    recurrence ``n F_n = sum_{k=1..n} ((q+1)k - q n) q^(k-1) g_k F_(n-k)``,
-    ``F_0 = top`` (Knuth, TAOCP Vol. 2, 4.7).  ``q^n n! f_n`` is an integer, so
-    for ``top = N!`` every division is exact; a remainder raises
+def _root(g: list[int], q: int) -> list[int]:
+    """``[q^(2n) f_n]`` for ``f = g^(1/q)``, ``g_0 = 1``, by J. C. P. Miller's
+    recurrence ``q n F_n = sum_{k=1..n} ((q+1)k - q n) q^(2k) g_k F_(n-k)``,
+    ``F_0 = 1`` (Knuth, TAOCP Vol. 2, 4.7).  Each ``F_n`` is an integer (see
+    :func:`scaled_factors`), so every division is exact; a remainder raises
     :class:`ArithmeticError`."""
-    h = [0] + [q ** (k - 1) * g[k] for k in range(1, len(g))]
-    f = [top]
+    h = [0] + [q ** (2 * k) * g[k] for k in range(1, len(g))]
+    f = [1]
     for n in range(1, len(g)):
         total = sum(((q + 1) * k - q * n) * h[k] * f[n - k] for k in range(1, n + 1))
-        f_n, rem = divmod(total, n)
+        f_n, rem = divmod(total, q * n)
         if rem:
-            raise ArithmeticError(f"q-th root: inexact division by {n}")
+            raise ArithmeticError(f"q-th root: inexact division by {q * n}")
         f.append(f_n)
     return f
 

@@ -166,9 +166,9 @@ def scaled_factors(numer, denom) -> tuple[int, int, list[tuple[SupportSet, int, 
     :class:`ProductSpec` or ``None`` for 1: the numerator's factors, then the
     denominator's with ``-a``.  ``L`` is the lcm of all z denominators, so
     under ``t = L s`` a factor ``(1 - z t^m)^a`` is ``(1 - (z L) L^(m-1) s^m)^a``,
-    and ``q`` that of the exponents'.  The ratio's ``s^n`` coefficients are the
-    integers ``c_n L^n`` if ``q = 1``; else, as ``k (L q)^k`` times the ``t^k``
-    coefficient of its log is one, ``n! (L q)^n c_n`` is (by cycle type)."""
+    and ``q`` that of the exponents'.  The ratio's ``t^n`` coefficients ``c_n`` give
+    integers ``(L q^2)^n c_n``: ``binom(1/q, j) q^(2j)`` is ``p``-integral for ``p`` prime
+    to ``q`` (Mahler, 1958) and, by ``v_p(j!) < j``, for ``p | q``."""
     factors = []
     for name, side, sign in (("numer", numer, 1), ("denom", denom, -1)):
         if isinstance(side, ProductSpec):
@@ -183,10 +183,10 @@ def scaled_factors(numer, denom) -> tuple[int, int, list[tuple[SupportSet, int, 
     ]
 
 
-def unscale(ints, scale: int, top: int = 1) -> list[Fraction]:
-    """``[Fraction(c_n, top L^n)]`` for the integers ``c_n`` and ``L = scale``."""
+def unscale(ints, scale: int) -> list[Fraction]:
+    """``[Fraction(c_n, L^n)]`` for the integers ``c_n`` and ``L = scale``."""
     out = []
-    power = top
+    power = 1
     for c in ints:
         out.append(Fraction(c, power))
         power *= scale

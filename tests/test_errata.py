@@ -268,7 +268,7 @@ def test_printed_integers_fit_the_majorants_that_price_them(n, monkeypatch):
     assert all(bits <= bound for _, bits, bound in runs)
 
 
-@pytest.mark.parametrize("n", [0, 1, 60, 396, 397, 555, 556, 557, 10**12])
+@pytest.mark.parametrize("n", [0, 1, 60, 396, 397, 555, 556, 557, 934, 935, 936, 10**12])
 def test_the_shipped_table_prices_on_its_product_specs(n):
     # six product forms on the series route, then one closed sum per spec that runs:
     # L R for the five double sums, and R for cubic and overcubic-progression (c != d)
@@ -278,7 +278,7 @@ def test_the_shipped_table_prices_on_its_product_specs(n):
         sum(work_estimate("series", *SEQUENCES[seq], m) for seq, m in forms)
         + sum(work_estimate("faa", spec, None, n) for spec in term_specs())
     )
-    assert (report_work(n) <= 10**9) == (n <= 555)
+    assert (report_work(n) <= 10**9) == (n <= 934)
 
 
 @pytest.mark.parametrize("n", [8, 60, 396])

@@ -362,10 +362,10 @@ def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
         assert CountingInt.products == (abs(a) * q_series_products(r, a, len(cs) - 1) if z else 0)
         folded.append(CountingInt.products)
 
-    def counting_root(g, q, top):
-        # one product per term of n F_n = sum_{k=1..n} ..., for n = 1..order
+    def counting_root(g, q):
+        # one product per term of q n F_n = sum_{k=1..n} ..., for n = 1..order
         folded.append(len(g) * (len(g) - 1) // 2)
-        return root(g, q, top)
+        return root(g, q)
 
     root = series._root
     monkeypatch.setattr(series, "_fold_binomial", counting_fold)
@@ -441,10 +441,10 @@ def test_prices_are_pinned_to_exact_units():
         ("series", None, P, 10**12, 27918017527720236855947750),
         ("faa", *KIM, 60, 13753),
         ("series", *KIM, 2000, 114782448),
-        ("faa", ERRATA, None, 60, 80897),
-        ("series", ERRATA, None, 60, 347843),
-        ("faa", None, ROOT, 1, 5),
-        ("series", None, ROOT, 10**12, 294795843245301973605115026112575334844591),
+        ("faa", ERRATA, None, 60, 30800),
+        ("series", ERRATA, None, 60, 134433),
+        ("faa", None, ROOT, 1, 6),
+        ("series", None, ROOT, 10**12, 21838767487536572365666927091906480653780),
         ("faa", ZERO, None, 10**12, 6978481474402062891833711997325585938),
         ("series", ZERO, None, 10**12, 336037598888421976227794335938),
         ("series", None, FAR, 1000, 175631721),
@@ -541,10 +541,10 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
 
     monkeypatch.setattr(bellpoly, "bell_extend", recording_extend)
 
-    def recording_root(g, q, top):
-        # every partial sum of n F_n = sum_{k=1..n} ((q+1)k - q n) q^(k-1) g_k F_(n-k)
-        f = root(g, q, top)
-        h = [0] + [q ** (k - 1) * g[k] for k in range(1, len(g))]
+    def recording_root(g, q):
+        # every partial sum of q n F_n = sum_{k=1..n} ((q+1)k - q n) q^(2k) g_k F_(n-k)
+        f = root(g, q)
+        h = [0] + [q ** (2 * k) * g[k] for k in range(1, len(g))]
         for n in range(1, len(g)):
             partial = 0
             for k in range(1, n + 1):
@@ -582,6 +582,10 @@ def rational_pairs():
         pairs.append((None, spec_from_factors((SupportSet.all_naturals(), z, F(1, 7))), 30))
         pairs.append((spec_from_factors((SupportSet.finite([1, 2]), z, F(-5, 2))), None, 30))
     pairs.append((spec_from_factors((SupportSet.finite([1]), 1, F(2 * 10**5 + 1, 2))), None, 50))
+    for a in (F(1, 8), F(-1, 9), F(5, 12)):
+        pairs.append((spec_from_factors((SupportSet.all_naturals(), F(-7, 12), a)), None, 60))
+        two = spec_from_factors((SupportSet.finite([1, 3]), F(3, 8), -a), (SupportSet.multiples_of(2), 2, a))
+        pairs.append((None, two, 60))
     return pairs + [(spec, None, 60) for spec in errata_specs()]
 
 
@@ -602,26 +606,31 @@ def large_size_pairs():
     return pairs
 
 
-RATIONAL_EXPONENTS = (F(1, 2), F(-1, 2), F(-3, 4), F(2, 3), F(-5, 2), F(1, 7), 1, -1, 2, -3)
+# 1/8, -1/9 and 5/12 put prime powers p^e, e >= 2, into q; 1/2 leaves the scale the
+# least room, as binom(1/2, j) 4^j has only as many factors 2 as j has binary ones
+RATIONAL_EXPONENTS = (
+    F(1, 2), F(-1, 2), F(-3, 4), F(2, 3), F(-5, 2), F(1, 7), F(1, 8), F(-1, 9), F(5, 12), 1, -1, 2, -3
+)
+RATIONAL_Z = (1, -1, F(1, 2), 2, F(-5, 3), F(3, 8), F(-2, 9), F(7, 12))
 
 
 def rational_spec(rng):
-    """Up to three factors on all, multiples and finite supports, with z in
-    {1, -1, 1/2, 2, -5/3} and exponents from :data:`RATIONAL_EXPONENTS`."""
+    """Up to three factors on all, multiples and finite supports, with z from
+    :data:`RATIONAL_Z` and exponents from :data:`RATIONAL_EXPONENTS`."""
     return ProductSpec(tuple(
-        Factor(random_support(rng), rng.choice((1, -1, F(1, 2), 2, F(-5, 3))), rng.choice(RATIONAL_EXPONENTS))
+        Factor(random_support(rng), rng.choice(RATIONAL_Z), rng.choice(RATIONAL_EXPONENTS))
         for _ in range(rng.randint(1, 3))
     ))
 
 
 def test_rational_exponents_agree_on_both_routes_and_the_literal_sum():
-    # expand_ratio's q-th root, the closed sum from N! and exp_log_expand's Fraction
+    # expand_ratio's q-th root, the closed sum on (L q^2)^n and exp_log_expand's Fraction
     # logarithms agree; up to n = 12 all three are the literal partition sum
     rng = random.Random(2611)
-    for case in range(80):
+    for case in range(100):
         numer = rational_spec(rng) if rng.randrange(4) else None
         denom = rational_spec(rng) if rng.randrange(4) else None
-        order = rng.randint(0, 12) if case < 40 else rng.randint(13, 30)
+        order = rng.randint(*((0, 12) if case < 40 else (13, 30) if case < 80 else (31, 120)))
         got = expand_ratio(numer, denom, order)
         assert bellpoly.ratio_coefficients(numer, denom, order) == got, (numer, denom, order)
         factors = (numer.factors if numer else ()) + (negated(denom).factors if denom else ())

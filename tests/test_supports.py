@@ -222,8 +222,8 @@ def test_scaled_factors_take_one_lcm_and_negate_the_denominator():
     for bad in ((numer, 1), ("x", None), (None, [denom]), (denom.factors[0], denom)):
         with pytest.raises(TypeError, match="must be a ProductSpec or None"):
             scaled_factors(*bad)
-    # c_n = s^n coefficient / (top L^n)
-    assert unscale([3, 10, 450], 15, 2) == [Fraction(3, 2), Fraction(1, 3), Fraction(1)]
+    # c_n = s^n coefficient / L^n
+    assert unscale([3, 10, 450], 15) == [Fraction(3), Fraction(2, 3), Fraction(2)]
     assert unscale([], 15) == []
 
 
