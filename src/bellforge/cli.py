@@ -9,10 +9,9 @@ Subcommands:
 * ``errata`` — print the closed-formula transcription status report.
 
 Exit codes: 0 success, 1 verification/disagreement failure, 2 usage or
-parse error, or a request over :data:`WORK_BUDGET`: every command is priced
-in :func:`~bellforge.partfun.work_estimate` units before any work (``verify``
-per suite, ``errata`` by :func:`~bellforge.errata.report_work`).  Data output
-is byte-stable for identical inputs; only ``bench`` prints timings.
+parse error, or a request over :data:`WORK_BUDGET`: :func:`main` alone prices
+each command's plan (its module's ``plan_<command>``) before any work.  Data
+output is byte-stable for identical inputs; only ``bench`` prints timings.
 
 Each request is a fresh process, so start-up is part of its cost.  One table,
 :data:`COMMANDS`, defines the arguments: :func:`match` parses a well-formed
@@ -43,7 +42,7 @@ SUITE_NAMES = tuple(
 WORK_BUDGET = 10**9
 
 # command -> (help, positional as (dest, choices) or None, {option: add_argument
-# keywords}, the module whose cmd_<command> runs it)
+# keywords}, the module whose plan_<command> plans it)
 COMMANDS = {
     "seq": (
         "print a named sequence for n = 0..N",
@@ -150,7 +149,7 @@ def build_parser():
     return parser
 
 
-def cmd_seq(args) -> int:
+def plan_seq(args):
     parts = None
     if args["function"] == "w":
         if args["parts"] is None:
@@ -159,33 +158,27 @@ def cmd_seq(args) -> int:
     elif args["parts"] is not None:
         raise UsageError("--parts only applies to function w")
     numer, denom = (None, restricted_product(parts)) if parts else SEQUENCES[args["function"]]
-    check_work(f"seq --max {args['max']}", work_estimate("faa", numer, denom, args["max"]))
+    def run(requests) -> int:  # sequence runs the one request and checks each value is a count
+        values = list(enumerate(sequence(args["function"], args["max"], parts=parts)))
+        if args["format"] == "csv":
+            print("n,value")
+            for n, v in values:
+                print(f"{n},{v}")
+        else:
+            params = {"max": args["max"]}
+            if parts is not None:
+                params["parts"] = parts
+            report = {
+                "name": args["function"],
+                "params": params,
+                "values": [[n, str(v)] for n, v in values],
+                "verdicts": [],
+            }
+            import json
 
-    values = list(enumerate(sequence(args["function"], args["max"], parts=parts)))
-    if args["format"] == "csv":
-        print("n,value")
-        for n, v in values:
-            print(f"{n},{v}")
-    else:
-        params = {"max": args["max"]}
-        if parts is not None:
-            params["parts"] = parts
-        report = {
-            "name": args["function"],
-            "params": params,
-            "values": [[n, str(v)] for n, v in values],
-            "verdicts": [],
-        }
-        import json
-
-        print(json.dumps(report, indent=2))
-    return 0
-
-
-def check_work(request: str, work: int) -> None:
-    """Refuse, with exit 2, a request whose work exceeds :data:`WORK_BUDGET`."""
-    if work > WORK_BUDGET:
-        raise UsageError(f"{request} needs more work than the budget of {WORK_BUDGET:.0e} units")
+            print(json.dumps(report, indent=2))
+        return 0
+    return f"seq --max {args['max']}", [("faa", numer, denom, args["max"])], [1], 0, run
 
 
 def _parse_parts(text: str) -> list[int]:
@@ -212,7 +205,11 @@ def main(argv=None) -> int:
         if args["max"] is not None and args["max"] < 0:
             raise UsageError("--max must be >= 0")
         module = import_module(f"{__package__}.{COMMANDS[args['command']][3]}")
-        return getattr(module, f"cmd_{args['command']}")(args)
+        label, requests, copies, extra, run = getattr(module, f"plan_{args['command']}")(args)
+        work = sum(c * work_estimate(*request) for c, request in zip(copies, requests, strict=True))
+        if work + extra > WORK_BUDGET:
+            raise UsageError(f"{label} needs more work than the budget of {WORK_BUDGET:.0e} units")
+        return run(requests)
     except UsageError as exc:
         print(f"bellforge: error: {exc}", file=sys.stderr)
         return 2

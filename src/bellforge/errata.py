@@ -10,8 +10,8 @@ partitions with weights ``w sum c_i sigma(j / i)`` over the ``i`` dividing
 ``j``.  As ``-log E(t^i) = sum_{i | j} i sigma(j / i) t^j / j`` for
 ``E(t) = prod (1 - t^k)``, it is the product ``prod_i E(t^i)^(-w c_i / i)``
 (:func:`transcription_spec`), with rational exponents, which the closed sum
-reads and :func:`report_work` prices.  The product-form column is the ground
-truth; nothing here asserts what the transcriptions "should" give.
+reads.  The report's plan lists every prefix it reads.  The product-form column
+is the ground truth; nothing here asserts what the transcriptions "should" give.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .arith import require_natural
 from .bellpoly import ratio_coefficients
-from .partfun import SEQUENCES, sequence, work_estimate
+from .partfun import SEQUENCES, route_prefix
 from .supports import ProductSpec, SupportSet, _require_rational, spec_from_factors
 
 
@@ -82,36 +82,39 @@ def _terms(name: str) -> list[tuple[int, ProductSpec]]:
 def printed(name: str, n: int) -> list[Fraction]:
     """Values ``0..n`` of the transcription ``name`` of :data:`_FORMULAS`, as
     printed, from the closed sums of its :func:`_terms`."""
-    columns = [(k, ratio_coefficients(spec, None, n)) for k, spec in _terms(name)]
+    return _combine([(k, ratio_coefficients(spec, None, n)) for k, spec in _terms(name)], n)
+
+
+def _combine(columns, n: int) -> list[Fraction]:
     return [sum(k * column[m] for k, column in columns) for m in range(n + 1)]
 
 
-def report_work(max_n: int) -> int:
-    """Work units of ``build_report(max_n)``, in O(1): its product-form
-    prefixes on the series route and the specs of its transcriptions' terms
-    on the closed sum."""
+def _requests(max_n: int) -> list[tuple]:
+    """Each formula's product form on the series route, then each term's spec on the closed sum."""
     n = require_natural(max_n, "max_n")
-    shapes = [(seq, step * n + step - 1) for _, seq, step, _ in _FORMULAS.values()]
-    work = sum(work_estimate("series", *SEQUENCES[seq], m) for seq, m in shapes)
-    return work + sum(work_estimate("faa", s, None, n) for key in _FORMULAS for _, s in _terms(key))
+    forms = [("series", *SEQUENCES[seq], s * n + s - 1) for _, seq, s, _ in _FORMULAS.values()]
+    return forms + [("faa", spec, None, n) for name in _FORMULAS for _, spec in _terms(name)]
 
 
 def build_report(max_n: int = 8) -> list[dict]:
     """Evaluate all transcriptions for ``n = 0..max_n`` and compare: one row
     per formula, the rows that :func:`render_json` prints."""
-    require_natural(max_n, "max_n")
-    ns = list(range(max_n + 1))
-    report = []
-    for name, (description, seq, step, _) in _FORMULAS.items():
-        ref = sequence(seq, step * max_n + step - 1, "series")[step - 1 :: step]
-        got = printed(name, max_n)
-        first = next((n for n in ns if ref[n] != got[n]), None)
-        report.append(dict(
-            name=name, description=description, checked_n=ns,
+    return _report(max_n, _requests(max_n))
+
+
+def _report(n: int, requests) -> list[dict]:
+    prefixes = [route_prefix(numer, denom, m, route) for route, numer, denom, m in requests]
+    rows, columns = [], iter(prefixes[len(_FORMULAS) :])
+    for (name, (description, _, step, _)), form in zip(_FORMULAS.items(), prefixes):
+        ref = form[step - 1 :: step]
+        got = _combine([(k, next(columns)) for k, _ in _terms(name)], n)
+        first = next((m for m in range(n + 1) if ref[m] != got[m]), None)
+        rows.append(dict(
+            name=name, description=description, checked_n=list(range(n + 1)),
             product_form=[str(v) for v in ref], transcription=[str(v) for v in got],
             agrees=first is None, first_mismatch=first,
         ))
-    return report
+    return rows
 
 
 def render_markdown(report) -> str:
@@ -140,12 +143,11 @@ def render_json(report) -> str:
     return json.dumps(report, indent=2)
 
 
-def cmd_errata(args) -> int:
-    """The ``errata`` command: the report to ``--max``, as Markdown or JSON;
-    exit 2 before any work when :func:`report_work` is over the budget."""
-    from .cli import check_work
-
-    check_work(f"errata --max {args['max']}", report_work(args["max"]))
-    report = build_report(args["max"])
-    print(render_markdown(report) if args["format"] == "md" else render_json(report))
-    return 0
+def plan_errata(args):
+    """The ``errata`` command: the report to ``--max``, as Markdown or JSON."""
+    requests = _requests(args["max"])
+    def run(requests) -> int:
+        rows = _report(args["max"], requests)
+        print(render_markdown(rows) if args["format"] == "md" else render_json(rows))
+        return 0
+    return f"errata --max {args['max']}", requests, [1] * len(requests), 0, run

@@ -1,4 +1,4 @@
-"""The ``eval`` command and the JSON ratio-spec file it reads.
+"""The ``eval`` command's plan, one prefix request per route, and the JSON spec file it reads.
 
 A spec file is ``{"numerator": [...], "denominator": [...]}``, each side a
 list of factors ``{"support": ..., "z": "p/q", "a": 1}`` with a support
@@ -13,8 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .cli import UsageError, check_work
-from .partfun import route_prefix, work_estimate
+from .cli import UsageError
+from .partfun import route_prefix
 from .supports import ALL, FINITE, MULTIPLES, Factor, ProductSpec, SupportSet
 
 # the keys a JSON support object may carry, by kind
@@ -124,8 +124,7 @@ def _as_int(value, name) -> int:
     return value
 
 
-def cmd_eval(args) -> int:
-    n_max = args["max"]
+def plan_eval(args):
     try:
         with open(args["spec"], "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -135,12 +134,13 @@ def cmd_eval(args) -> int:
         numer, denom = ratio_from_json(text)
     except ValueError as exc:
         raise UsageError(f"bad spec file: {exc}") from exc
-
     routes = ("faa", "series") if args["method"] == "both" else (args["method"],)
-    work = sum(work_estimate(route, numer, denom, n_max) for route in routes)
-    check_work(f"--max {n_max} on this spec", work)
+    requests = [(route, numer, denom, args["max"]) for route in routes]
+    return f"--max {args['max']} on this spec", requests, [1] * len(requests), 0, _print_columns
 
-    columns = [route_prefix(numer, denom, n_max, route) for route in routes]
+
+def _print_columns(requests) -> int:
+    columns = [route_prefix(numer, denom, n, route) for route, numer, denom, n in requests]
     # the budget bounds every value's bits: print past the digit limit (main restores it)
     getattr(sys, "set_int_max_str_digits", int)(0)
     if len(columns) == 1:

@@ -1,0 +1,75 @@
+"""A CLI request's plan, its price as ``bellforge.cli.main`` checks it, and the
+prefixes that run after it is made.
+
+Each command's module plans a request by ``plan_<command>(args)``:
+``(label, requests, copies, extra, run)``.  The tests price a plan here with
+their own sum, so that a test can hold the price that ``main`` checks against
+it, and read prices (the errata report's, a suite's) without running anything.
+"""
+
+from importlib import import_module
+
+from bellforge import cli, partfun
+from bellforge.partfun import work_estimate
+
+# CI's rational-z ratio spec (L = 105)
+CI_RATIO = {
+    "numerator": [
+        {"support": {"kind": "multiples", "r": 2}, "z": "2/3", "a": 2},
+        {"support": {"kind": "finite", "set": [1, 3]}, "z": "-1/5", "a": -1},
+    ],
+    "denominator": [{"support": {"kind": "all"}, "z": "3/7", "a": 1}],
+}
+
+
+def plan(*argv):
+    """The plan of the well-formed request ``argv`` (numbers may be ints)."""
+    args = cli.match([str(arg) for arg in argv])
+    assert args is not None, argv
+    module = import_module(f"bellforge.{cli.COMMANDS[args['command']][3]}")
+    return getattr(module, f"plan_{args['command']}")(args)
+
+
+def plan_price(requests, copies, extra) -> int:
+    """Each request's ``work_estimate`` times its copies, plus ``extra``."""
+    assert len(copies) == len(requests)
+    return sum(c * work_estimate(*request) for c, request in zip(copies, requests)) + extra
+
+
+def price(*argv) -> int:
+    """The price of the request ``argv``."""
+    _, requests, copies, extra, _ = plan(*argv)
+    return plan_price(requests, copies, extra)
+
+
+def report_work(max_n: int) -> int:
+    """The price of ``errata --max max_n``: its product forms and its transcriptions' specs."""
+    return price("errata", "--max", max_n)
+
+
+def record_runs(monkeypatch, command: str):
+    """``(plans, ran)``: each plan that ``command`` makes, and every prefix, as
+    ``(route, numer, denom, n)``, that either route evaluates once a plan is made.
+    The prefixes are recorded where :mod:`bellforge.partfun` looks a route up, so
+    every caller's are, and pricing (which reads only a route's step count) is not."""
+    plans, ran = [], []
+    module = import_module(f"bellforge.{cli.COMMANDS[command][3]}")
+    make, route = getattr(module, f"plan_{command}"), partfun._route
+
+    def planned(args):
+        plans.append(make(args))
+        return plans[-1]
+
+    def recording_route(method):
+        evaluate, steps = route(method)
+
+        def recorded(numer, denom, n):
+            if plans:
+                ran.append((method, numer, denom, n))
+            return evaluate(numer, denom, n)
+
+        return recorded, steps
+
+    monkeypatch.setattr(module, f"plan_{command}", planned)
+    monkeypatch.setattr(partfun, "_route", recording_route)
+    return plans, ran

@@ -19,6 +19,7 @@ from bellforge.partfun import (
 )
 from bellforge.series import exp_log_expand
 from bellforge.specfile import ratio_from_json, spec_to_json
+from plans import CI_RATIO, price, record_runs, report_work
 from reference import negated
 
 
@@ -166,13 +167,6 @@ GOLDEN_RATIONAL_Z = {
     "denominator": [{"support": {"kind": "all"}, "z": "3/2", "a": 1}],
 }
 # the ratio spec of the CI step that runs eval --method both --max 60
-CI_RATIO = {
-    "numerator": [
-        {"support": {"kind": "multiples", "r": 2}, "z": "2/3", "a": 2},
-        {"support": {"kind": "finite", "set": [1, 3]}, "z": "-1/5", "a": -1},
-    ],
-    "denominator": [{"support": {"kind": "all"}, "z": "3/7", "a": 1}],
-}
 EULER = {"denominator": [{"support": {"kind": "all"}, "z": "1", "a": 1}]}
 HUGE_Z = {
     "denominator": [{"support": {"kind": "finite", "set": [1]}, "z": "1" + "0" * 4000, "a": 1}]
@@ -345,8 +339,6 @@ def test_every_request_ci_runs_is_within_the_budget():
     # CI runs requests up to the budget, without the headroom above: errata at 934 takes
     # 99.7 % of it, p to 10000 on both routes 93.7 % and the ratio spec's series route at
     # 1500 58.9 %; a price drift that would refuse one of them fails here
-    from bellforge.errata import report_work
-
     euler, ratio = (ratio_from_json(json.dumps(spec)) for spec in (EULER, CI_RATIO))
     kim, faa, series, both = (KIM_NUMERATOR, KIM_DENOMINATOR), ("faa",), ("series",), ("faa", "series")
     evals = [(euler, both, 10000), (euler, faa, 1000), (euler, faa, 3), (kim, series, 2000)]
@@ -357,9 +349,9 @@ def test_every_request_ci_runs_is_within_the_budget():
     }
     seqs = [("p", 1000), ("overcubic", 2000)]
     prices |= {("seq", name, n): work_estimate("faa", *SEQUENCES[name], n) for name, n in seqs}
-    suites = [(name, default) for name, (_, default, _) in verify.SUITES.items()]
+    suites = [(name, default) for name, (_, default) in verify.SUITES.items()]
     suites += [("reciprocal", 474), ("theta", 300)]
-    prices |= {("verify", name, n): verify.SUITES[name][2](n) for name, n in suites}
+    prices |= {("verify", name, n): price("verify", name, "--max", n) for name, n in suites}
     prices |= {("errata", n): report_work(n) for n in (60, 934)}
     assert {request: price for request, price in prices.items() if price > WORK_BUDGET} == {}
 
@@ -565,15 +557,45 @@ def test_verify_and_errata_beyond_the_budget_exit_2_before_work(capsys, argv):
     )
 
 
-def test_documented_verify_and_errata_sizes_stay_within_the_budget():
-    from bellforge.errata import report_work
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seq", "p", "--max", "1000000"),
+        ("eval", "--spec", "SPEC", "--method", "faa", "--max", "1500"),
+        ("verify", "euler", "--max", "80"),
+        ("verify", "sigma", "--max", "100000000"),
+        *(
+            ("verify", name, "--max", "100000")
+            for name in "reciprocal additivity-index additivity-set restricted-recursion chan kim".split()
+        ),
+        ("verify", "theta", "--max", "1000000"),
+        ("errata", "--max", "935"),
+        ("bench", "--max", "100000"),
+        ("bench", "--max", "0", "--repeat", "1000000000"),
+    ],
+    ids=lambda argv: " ".join(arg for arg in argv if arg != "SPEC"),
+)
+def test_every_command_is_refused_before_any_prefix_runs(capsys, monkeypatch, tmp_path, argv):
+    # one plan per request, priced and refused by cli.main alone: after the plan is made,
+    # no prefix runs, and the refusal is one stderr line
+    spec = tmp_path / "ratio.json"
+    spec.write_text(json.dumps(CI_RATIO))
+    argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+    made, ran = record_runs(monkeypatch, argv[0])
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, len(made), ran) == (2, "", 1, [])
+    assert err == f"bellforge: error: {made[0][0]} needs more work than the budget of 1e+09 units\n"
 
+
+def test_documented_verify_and_errata_sizes_stay_within_the_budget():
     # the defaults, CI's theta at 300 and the benchmark templates' largest sizes
-    documented = [(name, default) for name, (_, default, _) in verify.SUITES.items()]
+    documented = [(name, default) for name, (_, default) in verify.SUITES.items()]
     documented += [("theta", 300), ("euler", 34), ("reciprocal", 7), ("chan", 20), ("kim", 16)]
     documented += [("theta", 30), ("additivity-index", 20), ("additivity-set", 20)]
     for name, n_max in documented:
-        assert verify.SUITES[name][2](n_max) <= WORK_BUDGET, (name, n_max)
+        assert price("verify", name, "--max", n_max) <= WORK_BUDGET, (name, n_max)
     # errata's default, CI's 60, the benchmark's 10 and README's 200
     assert all(report_work(n_max) <= WORK_BUDGET for n_max in (8, 10, 60, 200))
 

@@ -12,10 +12,10 @@ from bellforge.errata import (
     printed,
     render_json,
     render_markdown,
-    report_work,
     transcription_spec,
 )
 from bellforge.partfun import SEQUENCES, kernel_size, work_estimate
+from plans import report_work
 from reference import partition_power_sum
 
 def literal_sum(n, coeff, weight=1):

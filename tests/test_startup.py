@@ -92,6 +92,40 @@ for name in sorted(m for m in sys.modules if m.startswith("bellforge")):
     assert sum(map(int, sizes.values())) < 775, sizes
 
 
+# source lines that each shape of the benchmark's requests compiles, bounded just above
+# its count (seq's bound is the test above): without a bytecode cache, compiling is most
+# of bellforge's share of a request
+SHAPES = {
+    "verify-chan": (("verify", "chan", "--max", "14"), 1446),
+    "verify-euler": (("verify", "euler", "--max", "30"), 1494),
+    "verify-reciprocal": (("verify", "reciprocal", "--max", "5"), 1142),
+    "errata-json": (("errata", "--max", "8", "--format", "json"), 1206),
+    "eval-series": (("eval", "--spec", "SPEC", "--max", "100", "--method", "series"), 1211),
+}
+
+
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_request_shapes_compile_under_their_bounds(shape, tmp_path):
+    argv, bound = SHAPES[shape]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"denominator": [{"support": {"kind": "all"}, "z": "1/2", "a": 1}]}))
+    code = """
+import runpy, sys
+sys.argv = ["bellforge", *sys.argv[1:]]
+try:
+    runpy.run_module("bellforge", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+for name in sorted(m for m in sys.modules if m.startswith("bellforge")):
+    with open(sys.modules[name].__file__, encoding="utf-8") as fh:
+        print(name, len(fh.readlines()), file=sys.stderr)
+"""
+    argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
+    lines = run_child("-c", code, *argv).stderr.splitlines()
+    sizes = dict(line.split() for line in lines if line.startswith("bellforge"))
+    assert sum(map(int, sizes.values())) <= bound, sizes
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -143,6 +177,32 @@ def test_only_partfun_names_both_routes():
     assert "series" not in imported("bellpoly") and "bellpoly" not in imported("series")
     assert not imported("bench") & {"bellpoly", "series"}
     assert {"bellpoly", "series"} <= imported("partfun")
+
+
+def test_only_cli_prices_and_refuses():
+    # each command only plans its request; cli.main alone prices the plan and refuses it
+    def refusals(tree):
+        return [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and "needs more work than the budget" in str(node.value)
+        ]
+
+    priced = {"check_work", "_check_work", "work_estimate", "kernel_size"}
+    for path in sorted((SRC / "bellforge").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+        called = {
+            getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        if path.stem in ("verify", "errata", "specfile", "bench"):
+            assert not (imported | called) & priced, path.stem
+        if path.stem != "cli":
+            assert not called & {"check_work", "_check_work"} and not refusals(tree), path.stem
+    tree = ast.parse((SRC / "bellforge" / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert len(refusals(tree)) == 1 and refusals(tree) == refusals(main)
 
 
 @pytest.mark.parametrize(

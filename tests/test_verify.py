@@ -1,12 +1,15 @@
 import inspect
+import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from bellforge import errata, verify
+from bellforge import cli
 from bellforge.bellpoly import InconsistencyError, ratio_coefficients
-from bellforge.partfun import SEQUENCES, restricted_product, work_estimate
+from bellforge.cli import main
+from bellforge.partfun import SEQUENCES, sequence
 from bellforge.series import TruncatedSeries
 from bellforge.supports import FINITE, MULTIPLES, ProductSpec, scaled_factors
 from bellforge.verify import (
@@ -17,6 +20,7 @@ from bellforge.verify import (
     run_suite,
     theta_suite,
 )
+from plans import CI_RATIO, plan, plan_price, record_runs
 
 
 def test_random_family_stays_in_documented_bounds():
@@ -65,11 +69,11 @@ def test_run_suite_rejects_unknown():
 
 def test_default_sizes_live_only_in_default_max():
     # the default --max of each suite is the second entry of its SUITES row
-    for name, (suite, _, _) in SUITES.items():
+    for name, (suite, _) in SUITES.items():
         assert inspect.signature(suite).parameters["max_n"].default is inspect.Parameter.empty, name
         with pytest.raises(TypeError):
             suite()
-    suite, default, _ = SUITES["chan"]
+    suite, default = SUITES["chan"]
     assert run_suite("chan") == suite(default)
 
 
@@ -88,50 +92,63 @@ def test_suites_reject_a_max_that_is_not_a_natural(name, max_n, error):
         run_suite(name, max_n)
 
 
-@pytest.mark.parametrize("name", [*sorted(SUITES), "errata"])
-def test_prices_cover_every_prefix_that_runs(name, monkeypatch):
-    # every prefix a suite or the errata report requests, as (route, numer, denom, n)
-    requested = []
+REQUESTS = {
+    **{name: ("verify", name) for name in sorted(SUITES)},
+    "errata": ("errata",),
+    **{f"seq-{name}": ("seq", name) for name in SEQUENCES if name != "w"},
+    "seq-w": ("seq", "w", "--parts", "1,2,5"),
+    **{f"eval-{m}": ("eval", "--spec", "SPEC", "--method", m) for m in ("faa", "series", "both")},
+    "bench": ("bench", "--repeat", "2"),
+}
 
-    def recording_sequence(real):
-        def sequence(seq, n, method="faa", parts=None):
-            sides = SEQUENCES[seq] if parts is None else (None, restricted_product(parts))
-            requested.append((method, *sides, n))
-            return real(seq, n, method, parts)
 
-        return sequence
-
-    def route_prefix(numer, denom, n, method, real=verify.route_prefix):
-        requested.append((method, numer, denom, n))
-        return real(numer, denom, n, method)
-
-    def ratio_coefficients(numer, denom, n, real=verify.ratio_coefficients):
-        requested.append(("faa", numer, denom, n))
-        return real(numer, denom, n)
-
-    price = errata.report_work if name == "errata" else SUITES[name][2]
-    # priced before the wrappers go in: euler's price reads p on the series route
-    prices = {n_max: price(n_max) for n_max in (0, 1, 7, 23)}
-    for module in (verify, errata):
-        monkeypatch.setattr(module, "sequence", recording_sequence(module.sequence))
-    monkeypatch.setattr(verify, "route_prefix", route_prefix)
-    monkeypatch.setattr(verify, "ratio_coefficients", ratio_coefficients)
-    monkeypatch.setattr(errata, "ratio_coefficients", ratio_coefficients)
-    for n_max, work in prices.items():
-        requested.clear()
-        if name == "errata":
-            errata.build_report(n_max)
+@pytest.mark.parametrize("name", list(REQUESTS))
+def test_prices_cover_every_prefix_that_runs(name, monkeypatch, tmp_path, capsys):
+    # the plan that cli.main prices is what runs: after the plan is made, the prefixes
+    # evaluated through either route are exactly its requests, in order, and main
+    # refuses the request at one unit below the plan's price and runs it at the price
+    spec = tmp_path / "ratio.json"
+    spec.write_text(json.dumps(CI_RATIO))
+    base = [str(spec) if arg == "SPEC" else arg for arg in REQUESTS[name]]
+    for n_max in (0, 1, 7, 23):
+        argv = [*base, "--max", str(n_max)]
+        label, requests, copies, extra, _ = plan(*argv)
+        work = plan_price(requests, copies, extra)
+        assert requests or name == "sigma"
+        # every request is priced once, but for reciprocal's product prefixes, priced again for
+        # their convolutions, and bench's, once per run; the other units are euler's p(N) (N + 1)
+        # enumerated vectors and sigma's N isqrt(N) divisor trials
+        runs = (len(range(10, n_max, 10)) + 1) * 2
+        assert copies == {
+            "reciprocal": [2 if denom is None else 1 for _, _, denom, _ in requests],
+            "bench": [runs, runs],
+        }.get(name, [1] * len(requests))
+        assert extra == {
+            "euler": sequence("p", n_max)[-1] * (n_max + 1),
+            "sigma": 16 * n_max * isqrt(n_max),
+        }.get(name, 0)
+        made, ran = record_runs(monkeypatch, argv[0])
+        monkeypatch.setattr(cli, "WORK_BUDGET", work - 1)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"bellforge: error: {label} needs more work than the budget of {work - 1:.0e} units\n"
+        )
+        assert len(made) == 1 and ran == []
+        made.clear()
+        monkeypatch.setattr(cli, "WORK_BUDGET", work)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 0 or (name, n_max, code) == ("sigma", 0, 2) and "no checks" in err, (code, err)
+        assert made[0][1:4] == (requests, copies, extra), (name, n_max)
+        if name == "bench":
+            # each bucket runs one prefix per route at or below --max, runs times in all
+            for (route, numer, denom, top), c in zip(requests, copies):
+                timed = [r for r in ran if r[0] == route]
+                assert len(timed) == c and all(r[1:3] == (numer, denom) and r[3] <= top for r in timed)
+            assert len(ran) == sum(copies)
         else:
-            run_suite(name, n_max)
-        assert requested or name == "sigma"
-        ran = sum(work_estimate(*prefix) for prefix in requested)
-        if name == "reciprocal":
-            # and one more prefix of each spec for its convolutions
-            ran += sum(work_estimate(*prefix) for prefix in requested if prefix[2] is None)
-        if name in ("reciprocal", "additivity-index", "additivity-set", "restricted-recursion", "errata"):
-            # priced on the draws or the specs that run, so exactly
-            assert ran == work, (name, n_max)
-        assert ran <= work, (name, n_max)
+            assert ran == requests, (name, n_max)
+        monkeypatch.undo()
 
 
 def test_integer_convolution_matches_the_fraction_cauchy_product():
