@@ -9,9 +9,10 @@ Subcommands:
 * ``errata`` — print the closed-formula transcription status report.
 
 Exit codes: 0 success, 1 verification/disagreement failure, 2 usage or
-parse error, or a request over :data:`WORK_BUDGET`: :func:`main` alone prices
-each command's plan (its module's ``plan_<command>``) before any work.  Data
-output is byte-stable for identical inputs; only ``bench`` prints timings.
+parse error, or a request over :data:`WORK_BUDGET`.  Each command only plans
+(its module's ``plan_<command>``) and reports: :func:`main` alone prices the
+plan, evaluates each of its prefix requests once, in order, and returns its
+report of them.  Data output is byte-stable; only ``bench`` prints timings.
 
 Each request is a fresh process, so start-up is part of its cost.  One table,
 :data:`COMMANDS`, defines the arguments: :func:`match` parses a well-formed
@@ -27,7 +28,7 @@ import sys
 from importlib import import_module
 
 from . import __version__
-from .partfun import InconsistencyError, SEQUENCES, restricted_product, sequence, work_estimate
+from .partfun import InconsistencyError, SEQUENCES, as_counts, prefixes, restricted_product, work_estimate
 
 # The keys of verify.SUITES, listed here so that parsing does not import the
 # suites; a test keeps the two equal.
@@ -158,27 +159,21 @@ def plan_seq(args):
     elif args["parts"] is not None:
         raise UsageError("--parts only applies to function w")
     numer, denom = (None, restricted_product(parts)) if parts else SEQUENCES[args["function"]]
-    def run(requests) -> int:  # sequence runs the one request and checks each value is a count
-        values = list(enumerate(sequence(args["function"], args["max"], parts=parts)))
+    def report(prefix) -> int:
+        values = list(enumerate(as_counts(args["function"], prefix)))
         if args["format"] == "csv":
             print("n,value")
             for n, v in values:
                 print(f"{n},{v}")
-        else:
-            params = {"max": args["max"]}
-            if parts is not None:
-                params["parts"] = parts
-            report = {
-                "name": args["function"],
-                "params": params,
-                "values": [[n, str(v)] for n, v in values],
-                "verdicts": [],
-            }
-            import json
+            return 0
+        import json
 
-            print(json.dumps(report, indent=2))
+        params = {"max": args["max"], **({} if parts is None else {"parts": parts})}
+        values = [[n, str(v)] for n, v in values]
+        doc = {"name": args["function"], "params": params, "values": values, "verdicts": []}
+        print(json.dumps(doc, indent=2))
         return 0
-    return f"seq --max {args['max']}", [("faa", numer, denom, args["max"])], [1], 0, run
+    return f"seq --max {args['max']}", [("faa", numer, denom, args["max"])], [1], 0, report
 
 
 def _parse_parts(text: str) -> list[int]:
@@ -205,11 +200,11 @@ def main(argv=None) -> int:
         if args["max"] is not None and args["max"] < 0:
             raise UsageError("--max must be >= 0")
         module = import_module(f"{__package__}.{COMMANDS[args['command']][3]}")
-        label, requests, copies, extra, run = getattr(module, f"plan_{args['command']}")(args)
+        label, requests, copies, extra, report = getattr(module, f"plan_{args['command']}")(args)
         work = sum(c * work_estimate(*request) for c, request in zip(copies, requests, strict=True))
         if work + extra > WORK_BUDGET:
             raise UsageError(f"{label} needs more work than the budget of {WORK_BUDGET:.0e} units")
-        return run(requests)
+        return report(*prefixes(requests))
     except UsageError as exc:
         print(f"bellforge: error: {exc}", file=sys.stderr)
         return 2

@@ -10,17 +10,15 @@ partitions with weights ``w sum c_i sigma(j / i)`` over the ``i`` dividing
 ``j``.  As ``-log E(t^i) = sum_{i | j} i sigma(j / i) t^j / j`` for
 ``E(t) = prod (1 - t^k)``, it is the product ``prod_i E(t^i)^(-w c_i / i)``
 (:func:`transcription_spec`), with rational exponents, which the closed sum
-reads.  The report's plan lists every prefix it reads.  The product-form column
-is the ground truth; nothing here asserts what the transcriptions "should" give.
+reads.  The report's plan lists every prefix it reads, and its rows read only
+those prefixes.  The product-form column is the ground truth; nothing here
+asserts what the transcriptions "should" give.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .arith import require_natural
-from .bellpoly import ratio_coefficients
-from .partfun import SEQUENCES, route_prefix
+from .partfun import SEQUENCES, prefixes
 from .supports import ProductSpec, SupportSet, _require_rational, spec_from_factors
 
 
@@ -72,49 +70,38 @@ def _terms(name: str) -> list[tuple[int, ProductSpec]]:
     """``[(k, spec)]`` whose sum of ``k`` times the spec's coefficients is the
     transcription ``name``: ``c R``, or ``(c - d) R + d (L R)`` for a double
     sum, as ``L(0) = 1``.  A term with ``k = 0`` is left out."""
-    if name not in _FORMULAS:
-        raise ValueError(f"unknown transcription {name!r}; known: {', '.join(_FORMULAS)}")
     c, right, d, left = _FORMULAS[name][3]
     terms = [(c - d, (right,)), (d, (right, left))] if left else [(c, (right,))]
     return [(k, transcription_spec(*sums)) for k, sums in terms if k]
 
 
-def printed(name: str, n: int) -> list[Fraction]:
-    """Values ``0..n`` of the transcription ``name`` of :data:`_FORMULAS`, as
-    printed, from the closed sums of its :func:`_terms`."""
-    return _combine([(k, ratio_coefficients(spec, None, n)) for k, spec in _terms(name)], n)
-
-
-def _combine(columns, n: int) -> list[Fraction]:
-    return [sum(k * column[m] for k, column in columns) for m in range(n + 1)]
-
-
-def _requests(max_n: int) -> list[tuple]:
-    """Each formula's product form on the series route, then each term's spec on the closed sum."""
+def _plan(max_n: int):
+    """``(requests, rows)``: each formula's product form on the series route, then each
+    of its terms' specs on the closed sum, and the report rows of their prefixes."""
     n = require_natural(max_n, "max_n")
+    terms = {name: _terms(name) for name in _FORMULAS}
     forms = [("series", *SEQUENCES[seq], s * n + s - 1) for _, seq, s, _ in _FORMULAS.values()]
-    return forms + [("faa", spec, None, n) for name in _FORMULAS for _, spec in _terms(name)]
+    requests = forms + [("faa", spec, None, n) for name in _FORMULAS for _, spec in terms[name]]
+    def rows(*columns) -> list[dict]:
+        out, sums = [], iter(columns[len(_FORMULAS) :])
+        for (name, (description, _, step, _)), form in zip(_FORMULAS.items(), columns):
+            ref, weighted = form[step - 1 :: step], [(k, next(sums)) for k, _ in terms[name]]
+            got = [sum(k * column[m] for k, column in weighted) for m in range(n + 1)]
+            first = next((m for m in range(n + 1) if ref[m] != got[m]), None)
+            out.append(dict(
+                name=name, description=description, checked_n=list(range(n + 1)),
+                product_form=[str(v) for v in ref], transcription=[str(v) for v in got],
+                agrees=first is None, first_mismatch=first,
+            ))
+        return out
+    return requests, rows
 
 
 def build_report(max_n: int = 8) -> list[dict]:
     """Evaluate all transcriptions for ``n = 0..max_n`` and compare: one row
     per formula, the rows that :func:`render_json` prints."""
-    return _report(max_n, _requests(max_n))
-
-
-def _report(n: int, requests) -> list[dict]:
-    prefixes = [route_prefix(numer, denom, m, route) for route, numer, denom, m in requests]
-    rows, columns = [], iter(prefixes[len(_FORMULAS) :])
-    for (name, (description, _, step, _)), form in zip(_FORMULAS.items(), prefixes):
-        ref = form[step - 1 :: step]
-        got = _combine([(k, next(columns)) for k, _ in _terms(name)], n)
-        first = next((m for m in range(n + 1) if ref[m] != got[m]), None)
-        rows.append(dict(
-            name=name, description=description, checked_n=list(range(n + 1)),
-            product_form=[str(v) for v in ref], transcription=[str(v) for v in got],
-            agrees=first is None, first_mismatch=first,
-        ))
-    return rows
+    requests, rows = _plan(max_n)
+    return rows(*prefixes(requests))
 
 
 def render_markdown(report) -> str:
@@ -145,9 +132,9 @@ def render_json(report) -> str:
 
 def plan_errata(args):
     """The ``errata`` command: the report to ``--max``, as Markdown or JSON."""
-    requests = _requests(args["max"])
-    def run(requests) -> int:
-        rows = _report(args["max"], requests)
-        print(render_markdown(rows) if args["format"] == "md" else render_json(rows))
+    requests, rows = _plan(args["max"])
+    def report(*columns) -> int:
+        table = rows(*columns)
+        print(render_markdown(table) if args["format"] == "md" else render_json(table))
         return 0
-    return f"errata --max {args['max']}", requests, [1] * len(requests), 0, run
+    return f"errata --max {args['max']}", requests, [1] * len(requests), 0, report

@@ -5,9 +5,9 @@ Each function here is the coefficient sequence of a fixed quotient of
 ``"faa"``, the partition-indexed closed sum (:mod:`bellforge.bellpoly`) on the
 whole prefix ``0..n`` by one integer Bell recurrence, and ``"series"``, the
 product ratio's expansion (:mod:`bellforge.series`).  This is the only module
-that names both: :func:`route_prefix` runs a route and :func:`work_estimate`
-prices it, each through one map from a route name to its evaluator and its
-``kernel_steps``.  Neither route keeps state, so the two share nothing.
+that names both: :func:`route_prefix` runs a route (:func:`prefixes`, a list of
+requests) and :func:`work_estimate` prices it, each through one map from a route
+name to its evaluator and its ``kernel_steps``.  Neither route keeps state.
 :func:`sequence` answers every named count as its whole prefix ``0..n`` from
 one request, on the closed sum unless the caller asks for the series route.
 All named counts must come out as nonnegative integers; anything else raises
@@ -72,10 +72,14 @@ def _route(method: str):
     raise ValueError(f"method must be 'faa' or 'series', got {method!r}")
 
 
-def route_prefix(numer, denom, n: int, method: str) -> list[Fraction]:
-    """Coefficients ``0..n`` of numer/denom on the route ``method``."""
-    require_natural(n)
-    return _route(method)[0](numer, denom, n)
+def route_prefix(route: str, numer, denom, n: int) -> list[Fraction]:
+    """Coefficients ``0..n`` of numer/denom on ``route``, in a request's order."""
+    return _route(route)[0](numer, denom, require_natural(n))
+
+
+def prefixes(requests) -> list[list[Fraction]]:
+    """The prefix of each request ``(route, numer, denom, n)``, each evaluated once, in order."""
+    return [route_prefix(*request) for request in requests]
 
 
 def work_estimate(route: str, numer, denom, n: int) -> int:
@@ -150,11 +154,12 @@ def sequence(name: str, n: int, method: str = "faa", parts=None) -> list[int]:
         denom = restricted_product(parts)
     elif parts is not None:
         raise ValueError(f"a parts list applies only to sequence 'w', not {name!r}")
-    prefix = route_prefix(numer, denom, n, method)
-    return [_as_count(v, f"{name}({m})") for m, v in enumerate(prefix)]
+    return as_counts(name, route_prefix(method, numer, denom, n))
 
 
-def _as_count(value: Fraction, what: str) -> int:
-    if value.denominator != 1 or value < 0:
-        raise InconsistencyError(f"{what} evaluated to {value}, not a count")
-    return int(value)
+def as_counts(name: str, prefix) -> list[int]:
+    """``prefix`` as the counts ``name(0..n)``: anything else is an internal defect."""
+    for m, value in enumerate(prefix):
+        if value.denominator != 1 or value < 0:
+            raise InconsistencyError(f"{name}({m}) evaluated to {value}, not a count")
+    return [int(value) for value in prefix]

@@ -1,7 +1,8 @@
 """The ``eval`` command's plan, one prefix request per route, and the JSON spec file it reads.
 
 A spec file is ``{"numerator": [...], "denominator": [...]}``, each side a
-list of factors ``{"support": ..., "z": "p/q", "a": 1}`` with a support
+list of factors ``{"support": ..., "z": "p/q", "a": "p/q"}``, ``z`` and the
+nonzero ``a`` each an integer or a string in that form, with a support
 ``{"kind": "all"}``, ``{"kind": "multiples", "r": 2}`` or
 ``{"kind": "finite", "set": [1, 2]}``.  Only ``eval`` and the tests import
 this module, so no other request compiles the format.
@@ -14,7 +15,6 @@ import sys
 from fractions import Fraction
 
 from .cli import UsageError
-from .partfun import route_prefix
 from .supports import ALL, FINITE, MULTIPLES, Factor, ProductSpec, SupportSet
 
 # the keys a JSON support object may carry, by kind
@@ -30,9 +30,8 @@ def support_to_json(support: SupportSet) -> dict:
 
 
 def factor_to_json(factor: Factor) -> dict:
-    if not isinstance(factor.a, int):
-        raise ValueError(f"a spec file takes integer exponents, not {factor.a}")
-    return {"support": support_to_json(factor.support), "z": str(factor.z), "a": factor.a}
+    a = factor.a if isinstance(factor.a, int) else str(factor.a)
+    return {"support": support_to_json(factor.support), "z": str(factor.z), "a": a}
 
 
 def spec_to_json(spec: ProductSpec) -> list:
@@ -61,14 +60,7 @@ def factor_from_json(obj) -> Factor:
         raise ValueError("factor must be an object")
     _reject_unknown(obj, ("support", "z", "a"), "factor")
     support = support_from_json(obj.get("support"))
-    z = obj.get("z", "1")
-    if isinstance(z, str):
-        z = _parse_rational(z)
-    elif isinstance(z, int) and not isinstance(z, bool):
-        z = Fraction(z)
-    else:
-        raise ValueError("z must be an integer or a 'p/q' string")
-    return Factor(support, z, _as_int(obj.get("a"), "a"))
+    return Factor(support, _as_rational(obj.get("z", "1"), "z"), _as_rational(obj.get("a"), "a"))
 
 
 def ratio_from_json(text: str) -> tuple[ProductSpec | None, ProductSpec | None]:
@@ -95,6 +87,12 @@ def ratio_from_json(text: str) -> tuple[ProductSpec | None, ProductSpec | None]:
         return ProductSpec(tuple(factor_from_json(f) for f in raw))
 
     return side("numerator"), side("denominator")
+
+
+def _as_rational(value, name) -> Fraction:
+    if isinstance(value, str):
+        return _parse_rational(value)
+    return Fraction(_as_int(value, f"{name}, if not a 'p/q' string,"))
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -139,8 +137,7 @@ def plan_eval(args):
     return f"--max {args['max']} on this spec", requests, [1] * len(requests), 0, _print_columns
 
 
-def _print_columns(requests) -> int:
-    columns = [route_prefix(numer, denom, n, route) for route, numer, denom, n in requests]
+def _print_columns(*columns) -> int:
     # the budget bounds every value's bits: print past the digit limit (main restores it)
     getattr(sys, "set_int_max_str_digits", int)(0)
     if len(columns) == 1:

@@ -7,8 +7,8 @@ A :class:`ProductSpec` describes a (possibly infinite) product
 with exact rational ``z`` and a nonzero ``int`` or ``Fraction`` exponent ``a``.
 The rest of the library extracts power-series coefficients of such products,
 of their reciprocals, and of ratios of two of them; :mod:`bellforge.specfile`
-reads and writes them as JSON, with integer ``a``.  Both routes run a ratio on
-the integers of :func:`scaled_factors` and take the values back with :func:`unscale`.
+reads and writes them as JSON.  Both routes run a ratio on the integers of
+:func:`scaled_factors` and take the values back with :func:`unscale`.
 """
 
 from __future__ import annotations

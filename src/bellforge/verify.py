@@ -6,16 +6,15 @@ Randomized suites draw from a fixed documented family with a fixed default
 seed, keeping output byte-stable across runs.  The single-instance checks
 (additivity over exponents and over supports, the restricted-count
 recursion) live here as well, so a closed-sum request never compiles them.
-Each suite is a plan of ``--max N`` (:func:`_plan`), which the CLI prices
-before any of it runs.  Convolutions run on the integers ``c_m L^m`` of the
-routes' scaled outputs.
+Each suite is its plan at ``--max N`` (:func:`_plan`): :func:`run_suite`, like
+the CLI after pricing it, evaluates its requests and hands the prefixes to its
+check.  Convolutions run on the integers ``c_m L^m`` of the routes' scaled outputs.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import wraps
 from itertools import accumulate
 from math import isqrt
 from operator import mul
@@ -29,8 +28,8 @@ from .partfun import (
     KIM_NUMERATOR,
     PARTITION_PRODUCT,
     SEQUENCES,
+    prefixes,
     restricted_product,
-    route_prefix,
     sequence,
 )
 from .supports import Factor, ProductSpec, Record, SupportSet, scaled_factors
@@ -59,24 +58,10 @@ def _plan(instances, extra: int = 0):
     their requests, each priced once, and a check handing each ``rows`` its own prefixes."""
     instances = list(instances)
     requests = [request for own, _ in instances for request in own]
-    def check(*prefixes):
-        it = iter(prefixes)
+    def check(*columns):
+        it = iter(columns)
         return [row for own, rows in instances for row in rows(*(next(it) for _ in own))]
     return requests, [1] * len(requests), extra, check
-
-
-def _run(requests, check):
-    """``check`` on the prefixes of ``requests``, each ``(route, numer, denom, n)``."""
-    return check(*(route_prefix(numer, denom, n, route) for route, numer, denom, n in requests))
-
-
-def _suite(plan):
-    """The suite that runs the plans of ``plan``, which stays its ``__wrapped__``."""
-    @wraps(plan)
-    def suite(*args, **kwargs):
-        requests, _, _, check = plan(*args, **kwargs)
-        return _run(requests, check)
-    return suite
 
 
 def index_additivity_report(n, base, a_index, b_index) -> IdentityReport:
@@ -88,14 +73,16 @@ def index_additivity_report(n, base, a_index, b_index) -> IdentityReport:
     are equal-length vectors of nonzero integers.  Combined exponents that
     cancel to zero simply drop their factor.
     """
-    return _run(*_additivity("additivity-index", n, *_index_specs(base, a_index, b_index)))[0]
+    requests, rows = _additivity("additivity-index", n, *_index_specs(base, a_index, b_index))
+    return rows(*prefixes(requests))[0]
 
 
 def set_additivity_report(n, spec_a: ProductSpec, spec_b: ProductSpec) -> IdentityReport:
     """Check that coefficients of the merged factor list equal the
     convolution of the two sides' coefficients."""
     merged = ProductSpec(spec_a.factors + spec_b.factors)
-    return _run(*_additivity("additivity-set", n, merged, spec_a, spec_b))[0]
+    requests, rows = _additivity("additivity-set", n, merged, spec_a, spec_b)
+    return rows(*prefixes(requests))[0]
 
 
 def _index_specs(base, a_index, b_index):
@@ -127,7 +114,8 @@ def restricted_recursion_report(n: int, parts) -> IdentityReport:
     parts = list(parts)
     if len(parts) < 2:
         raise ValueError("the recursion needs at least two parts")
-    return _run(*_restricted(n, parts))[0]
+    requests, rows = _restricted(n, parts)
+    return rows(*prefixes(requests))[0]
 
 
 def _restricted(n: int, parts: list[int]):
@@ -174,7 +162,6 @@ def _random_factor(rng: random.Random, support: SupportSet) -> Factor:
     return Factor(support, rng.choice(_Z_CHOICES), rng.choice(_A_CHOICES))
 
 
-@_suite
 def reciprocal_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Convolving product and reciprocal coefficients must give the unit
     sequence: ``sum_k P_k W_{n-k} == [n == 0]``, for each of ``SPEC_COUNT``
@@ -199,7 +186,6 @@ def _reciprocal(check: str, spec: ProductSpec, top: int):
     return [("faa", spec, None, top), ("faa", None, spec, top)], rows
 
 
-@_suite
 def euler_suite(max_n: int):
     """Triple agreement for p(n): closed sum, series route (on p, Cauchy's
     Durfee-square sum; its column keeps the label ``pentagonal=`` so that the
@@ -236,7 +222,6 @@ def euler_suite(max_n: int):
 SIGMA_TRIAL_UNITS = 16
 
 
-@_suite
 def sigma_suite(max_n: int):
     """Divisor enumeration against the prime-factorization formula."""
     require_natural(max_n, "max_n")
@@ -249,13 +234,11 @@ def sigma_suite(max_n: int):
     return _plan([([], rows)], SIGMA_TRIAL_UNITS * max_n * isqrt(max_n))
 
 
-@_suite
 def chan_suite(max_n: int):
     """a(3n+2) equals Chan's product value and is divisible by 3."""
     return _progression("chan", "cubic", "a", CHAN_NUMERATOR, CHAN_DENOMINATOR, 3, max_n)
 
 
-@_suite
 def kim_suite(max_n: int):
     """abar(3n+2) equals Kim's product value and is divisible by 6."""
     return _progression("kim", "overcubic", "abar", KIM_NUMERATOR, KIM_DENOMINATOR, 6, max_n)
@@ -277,7 +260,6 @@ def _progression(check, name, label, numer, denom, multiple, max_n):
     return _plan([(requests, rows)])
 
 
-@_suite
 def index_additivity_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Adding exponent vectors over a fixed factor family must convolve
     the coefficient sequences: ``INSTANCES`` random pairs, each at a drawn ``n``."""
@@ -294,7 +276,6 @@ def index_additivity_suite(max_n: int, seed: int = DEFAULT_SEED):
     return _plan(instances)
 
 
-@_suite
 def set_additivity_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Merging two factor families must convolve the coefficient sequences:
     ``INSTANCES`` random pairs, ``b`` on finite supports in 1..9, each at a drawn ``n``."""
@@ -313,7 +294,6 @@ def set_additivity_suite(max_n: int, seed: int = DEFAULT_SEED):
     return _plan(instances)
 
 
-@_suite
 def restricted_recursion_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Dropping the last allowed part: W(n,d) - W(n-last,d) == W(n,d[:-1]),
     for ``LIST_COUNT`` random parts lists inside 1..8, each at a drawn ``n``."""
@@ -326,7 +306,6 @@ def restricted_recursion_suite(max_n: int, seed: int = DEFAULT_SEED):
     return _plan(instances)
 
 
-@_suite
 def theta_suite(max_n: int):
     """The two theta quotients, expanded on the series route, must reduce to
     the triangular-number indicator and the doubled square indicator."""
@@ -368,19 +347,20 @@ def run_suite(name: str, max_n: int | None = None):
     if name not in SUITES:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(SUITES)}")
     suite, default = SUITES[name]
-    return suite(max_n=default if max_n is None else max_n)
+    requests, _, _, check = suite(default if max_n is None else max_n)
+    return check(*prefixes(requests))
 
 
 def plan_verify(args):
-    """The ``verify`` command: its suite's plan, run to one line per check and a summary."""
+    """The ``verify`` command: its suite's plan, reported as one line per check and a summary."""
     from .cli import UsageError
 
     name = args["identity"]
     suite, default = SUITES[name]
     max_n = default if args["max"] is None else args["max"]
-    requests, copies, extra, check = suite.__wrapped__(max_n)
-    def run(requests) -> int:
-        rows = _run(requests, check)
+    requests, copies, extra, check = suite(max_n)
+    def report(*columns) -> int:
+        rows = check(*columns)
         if not rows:
             raise UsageError(f"--max {max_n} leaves the {name} suite with no checks")
         failures = 0
@@ -390,4 +370,4 @@ def plan_verify(args):
             failures += not row.ok
         print(f"# {name}: {len(rows) - failures}/{len(rows)} checks passed (max {max_n})")
         return 1 if failures else 0
-    return f"verify {name} --max {max_n}", requests, copies, extra, run
+    return f"verify {name} --max {max_n}", requests, copies, extra, report

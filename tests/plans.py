@@ -2,15 +2,16 @@
 prefixes that run after it is made.
 
 Each command's module plans a request by ``plan_<command>(args)``:
-``(label, requests, copies, extra, run)``.  The tests price a plan here with
-their own sum, so that a test can hold the price that ``main`` checks against
-it, and read prices (the errata report's, a suite's) without running anything.
+``(label, requests, copies, extra, report)``.  ``main`` prices it, evaluates each
+request once, in order, and returns ``report`` of those prefixes.  The tests price a
+plan here with their own sum, so that a test can hold the price that ``main`` checks
+against it, and read prices (the errata report's, a suite's) without running anything.
 """
 
 from importlib import import_module
 
 from bellforge import cli, partfun
-from bellforge.partfun import work_estimate
+from bellforge.partfun import prefixes, work_estimate
 
 # CI's rational-z ratio spec (L = 105)
 CI_RATIO = {
@@ -47,17 +48,30 @@ def report_work(max_n: int) -> int:
     return price("errata", "--max", max_n)
 
 
+def run(suite_plan):
+    """The rows of a suite's plan ``(requests, copies, extra, check)``."""
+    requests, _, _, check = suite_plan
+    return check(*prefixes(requests))
+
+
 def record_runs(monkeypatch, command: str):
-    """``(plans, ran)``: each plan that ``command`` makes, and every prefix, as
-    ``(route, numer, denom, n)``, that either route evaluates once a plan is made.
+    """``(plans, ran, reports)``: each plan that ``command`` makes; every prefix, as
+    ``(route, numer, denom, n)``, that either route evaluates once a plan is made; and
+    for each call of a plan's report, ``len(ran)`` at that call and the prefixes it got.
     The prefixes are recorded where :mod:`bellforge.partfun` looks a route up, so
     every caller's are, and pricing (which reads only a route's step count) is not."""
-    plans, ran = [], []
+    plans, ran, reports = [], [], []
     module = import_module(f"bellforge.{cli.COMMANDS[command][3]}")
     make, route = getattr(module, f"plan_{command}"), partfun._route
 
     def planned(args):
-        plans.append(make(args))
+        *plan, report = make(args)
+
+        def recorded(*prefixes):
+            reports.append((len(ran), prefixes))
+            return report(*prefixes)
+
+        plans.append((*plan, recorded))
         return plans[-1]
 
     def recording_route(method):
@@ -72,4 +86,4 @@ def record_runs(monkeypatch, command: str):
 
     monkeypatch.setattr(module, f"plan_{command}", planned)
     monkeypatch.setattr(partfun, "_route", recording_route)
-    return plans, ran
+    return plans, ran, reports

@@ -34,6 +34,7 @@ from bellforge.verify import (
     reciprocal_suite,
     set_additivity_suite,
 )
+from plans import run
 from reference import count_restricted_bruteforce
 
 
@@ -64,7 +65,7 @@ def test_c01_closed_sum_matches_series_oracle():
 
 def test_c02_reciprocal_identity():
     def body():
-        rows = reciprocal_suite(max_n=20, seed=202)
+        rows = run(reciprocal_suite(max_n=20, seed=202))
         assert len(rows) == 30 * 21
         assert all(row.ok for row in rows)
 
@@ -110,7 +111,7 @@ def test_c05_cubic_and_chan():
             convolution = sum(p[m] * p[n - 2 * m] for m in range(n // 2 + 1))
             assert closed[n] == convolution
         cubic = sequence("cubic", 62, "series")
-        chan = route_prefix(CHAN_NUMERATOR, CHAN_DENOMINATOR, 20, "series")
+        chan = route_prefix("series", CHAN_NUMERATOR, CHAN_DENOMINATOR, 20)
         for n in range(21):
             value = cubic[3 * n + 2]
             assert value == 3 * chan[n]
@@ -123,14 +124,14 @@ def test_c06_overcubic_and_kim():
     def body():
         overcubic = sequence("overcubic", 62, "series")
         closed = sequence("overcubic", 62)
-        kim = route_prefix(KIM_NUMERATOR, KIM_DENOMINATOR, 20, "series")
+        kim = route_prefix("series", KIM_NUMERATOR, KIM_DENOMINATOR, 20)
         for n in range(21):
             value = overcubic[3 * n + 2]
             assert value == 6 * kim[n]
             assert value == closed[3 * n + 2]
             assert value % 6 == 0
         # closed-sum route agrees with the series quotient at desk scale
-        quotient = route_prefix(OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR, 18, "series")
+        quotient = route_prefix("series", OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR, 18)
         for n in range(19):
             assert ratio_coefficients(OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR, n)[n] == quotient[n]
 
@@ -160,8 +161,8 @@ def test_c08_sigma_formula_full_range():
 
 def test_c09_additivity_recursions():
     def body():
-        index_rows = index_additivity_suite(max_n=12, seed=909)
-        set_rows = set_additivity_suite(max_n=12, seed=910)
+        index_rows = run(index_additivity_suite(max_n=12, seed=909))
+        set_rows = run(set_additivity_suite(max_n=12, seed=910))
         assert len(index_rows) == len(set_rows) == 20
         assert all(row.ok for row in index_rows)
         assert all(row.ok for row in set_rows)

@@ -384,7 +384,7 @@ def test_eval_series_takes_kims_quotient_to_2000(capsys, tmp_path):
     path = spec_file(tmp_path, payload)
     code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "2000", "--method", "series")
     assert (code, err) == (0, "")
-    want = route_prefix(KIM_NUMERATOR, KIM_DENOMINATOR, 2000, "faa")
+    want = route_prefix("faa", KIM_NUMERATOR, KIM_DENOMINATOR, 2000)
     assert out == "n,value\n" + "".join(f"{n},{c}\n" for n, c in enumerate(want))
 
 
@@ -581,7 +581,7 @@ def test_every_command_is_refused_before_any_prefix_runs(capsys, monkeypatch, tm
     spec = tmp_path / "ratio.json"
     spec.write_text(json.dumps(CI_RATIO))
     argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
-    made, ran = record_runs(monkeypatch, argv[0])
+    made, ran, _ = record_runs(monkeypatch, argv[0])
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
@@ -669,8 +669,8 @@ def test_bench_times_the_closed_sum_cold(capsys, monkeypatch):
     extended.clear()
     code, _, _ = run_cli(capsys, "bench", "--max", "20", "--repeat", "3")
     assert code == 0
-    # each repeat of each bucket extends the whole prefix 1..hi from scratch
-    assert extended == [(1, 10)] * 3 + [(1, 20)] * 3
+    # main's check run first, then each repeat of each bucket extends the whole prefix 1..hi from scratch
+    assert extended == [(1, 20)] + [(1, 10)] * 3 + [(1, 20)] * 3
 
 
 def test_errata_json(capsys):

@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from bellforge import SupportSet, bellpoly, errata, expand_ratio, sequence, spec_from_factors
+from bellforge import SupportSet, bellpoly, expand_ratio, partfun, sequence, spec_from_factors
 from bellforge.bellpoly import ratio_coefficients
 from bellforge.divisors import sigma
 from bellforge.errata import (
     _FORMULAS,
     build_report,
-    printed,
     render_json,
     render_markdown,
     transcription_spec,
@@ -101,7 +100,7 @@ def test_report_product_form_column_is_ground_truth():
 def test_cubic_transcription_differs_from_engine_at_two():
     # the report must be able to show a divergence for the cubic formula;
     # the exact transcription value is recorded, not asserted
-    assert printed("cubic", 2)[2] != sequence("cubic", 2)[2]
+    assert Fraction(build_report(max_n=2)[0]["transcription"][2]) != sequence("cubic", 2)[2]
 
 
 def test_transcription_sum_weight_folding():
@@ -115,7 +114,8 @@ def test_transcription_sum_weight_folding():
 
 def test_transcription_double_sum_shape():
     # the two-block transcriptions reduce to plain sums at n = 0
-    assert printed("triangular-theta", 0) == [1]
+    row = next(st for st in build_report(max_n=0) if st["name"] == "triangular-theta")
+    assert row["transcription"] == ["1"]
 
 
 def test_renderings():
@@ -184,8 +184,6 @@ def test_transcription_column_is_the_literal_double_sums():
     assert [st["name"] for st in report] == list(literal)
     for st in report:
         assert st["transcription"] == [str(literal[st["name"]](n)) for n in range(9)], st["name"]
-    for name, value in literal.items():
-        assert printed(name, 8) == [value(n) for n in range(9)], name
 
 
 def test_each_printed_sum_is_the_literal_partition_sum():
@@ -236,19 +234,12 @@ def test_the_table_reads_the_same_on_both_routes():
     )
 
 
-def test_unknown_transcription_names_the_known_ones():
-    with pytest.raises(ValueError, match="unknown transcription 'nope'") as caught:
-        printed("nope", 3)
-    for name in EXPECTED_NAMES:
-        assert name in str(caught.value)
-
-
 @pytest.mark.parametrize("n", [0, 1, 7, 23, 60])
 def test_printed_integers_fit_the_majorants_that_price_them(n, monkeypatch):
-    # report_work prices each spec that printed reads on its closed sum, whose B bounds
-    # the bits of every weight and value of the Bell recurrence, N! (L q)^n included
+    # report_work prices each spec that build_report reads on its closed sum, whose B bounds
+    # the bits of every weight and value of the Bell recurrence, (L q^2)^n included
     seen, runs = [], []
-    extend, read = bellpoly.bell_extend, errata.ratio_coefficients
+    extend, read = bellpoly.bell_extend, partfun.ratio_coefficients
 
     def recording_extend(coeffs, weights, n):
         extend(coeffs, weights, n)
@@ -261,9 +252,8 @@ def test_printed_integers_fit_the_majorants_that_price_them(n, monkeypatch):
         return values
 
     monkeypatch.setattr(bellpoly, "bell_extend", recording_extend)
-    monkeypatch.setattr(errata, "ratio_coefficients", reading)
-    for name in _FORMULAS:
-        printed(name, n)
+    monkeypatch.setattr(partfun, "ratio_coefficients", reading)
+    build_report(n)
     assert [spec for spec, _, _ in runs] == term_specs()
     assert all(bits <= bound for _, bits, bound in runs)
 

@@ -19,7 +19,7 @@ from bellforge.partfun import (
     KIM_NUMERATOR,
     PARTITION_PRODUCT,
     SEQUENCES,
-    _as_count,
+    as_counts,
     route_prefix,
     sequence,
 )
@@ -101,7 +101,7 @@ def test_cubic_matches_convolution_oracle():
 
 def test_chan_identity_small():
     cubic = sequence("cubic", 3 * 12 + 2)
-    chan = [3 * v for v in route_prefix(CHAN_NUMERATOR, CHAN_DENOMINATOR, 12, "series")]
+    chan = [3 * v for v in route_prefix("series", CHAN_NUMERATOR, CHAN_DENOMINATOR, 12)]
     assert chan[0] == cubic[2] == 3
     assert chan[1] == cubic[5]
     for n in range(13):
@@ -125,7 +125,7 @@ def test_overcubic_matches_convolution_oracle():
 
 def test_kim_identity_small():
     overcubic = sequence("overcubic", 3 * 10 + 2)
-    kim = [6 * v for v in route_prefix(KIM_NUMERATOR, KIM_DENOMINATOR, 10, "series")]
+    kim = [6 * v for v in route_prefix("series", KIM_NUMERATOR, KIM_DENOMINATOR, 10)]
     assert kim[0] == overcubic[2] == 6
     assert kim[1] == overcubic[5]
     for n in range(11):
@@ -216,7 +216,7 @@ def test_routes_return_equal_lists():
     cases += [(None, None), (PARTITION_PRODUCT, None), (None, PARTITION_PRODUCT)]
     cases += [(multiples((1, 1)), multiples((2, 3)))]
     for numer, denom in cases:
-        faa, ser = (route_prefix(numer, denom, 12, method) for method in ("faa", "series"))
+        faa, ser = (route_prefix(method, numer, denom, 12) for method in ("faa", "series"))
         assert type(faa) is type(ser) is list
         assert all(type(v) is Fraction for v in faa + ser)
         assert faa == ser and len(faa) == 13
@@ -294,10 +294,10 @@ def test_sequence_takes_the_closed_sum_at_every_n(monkeypatch, capsys):
 
 def test_count_guard_rejects_non_integral():
     with pytest.raises(InconsistencyError):
-        _as_count(Fraction(3, 2), "test")
-    with pytest.raises(InconsistencyError):
-        _as_count(Fraction(-1), "test")
-    assert _as_count(Fraction(7), "test") == 7
+        as_counts("test", [Fraction(1), Fraction(3, 2)])
+    with pytest.raises(InconsistencyError, match=r"test\(1\) evaluated to -1, not a count"):
+        as_counts("test", [Fraction(1), Fraction(-1)])
+    assert as_counts("test", [Fraction(7)]) == [7] and type(as_counts("test", [Fraction(7)])[0]) is int
 
 
 def test_sequence_checks_its_route_and_parts():
@@ -391,7 +391,7 @@ def test_cache_under_thread_stress():
             if route == "faa":
                 got = ratio_coefficients(None, spec, n)
             else:
-                got = route_prefix(None, spec, n, "series")
+                got = route_prefix("series", None, spec, n)
             if got != want[spec][: n + 1]:
                 errors.append((route, spec, n))
 

@@ -19,7 +19,7 @@ supports = st.one_of(
     st.lists(st.integers(1, 10**6), min_size=1, max_size=6, unique=True).map(SupportSet.finite),
 )
 exact_z = st.one_of(st.integers(-(10**30), 10**30), st.fractions(max_denominator=10**30))
-exponents = st.integers(-(10**12), 10**12).filter(bool)
+exponents = st.one_of(st.integers(-(10**12), 10**12), st.fractions(max_denominator=10**12)).filter(bool)
 factors = st.builds(Factor, supports, exact_z, exponents)
 sides = st.one_of(st.none(), st.lists(factors, min_size=1, max_size=4).map(ProductSpec))
 
@@ -36,13 +36,15 @@ def test_valid_specs_survive_a_round_trip(numer, denom):
     assert ratio_from_json(json.dumps(document(numer, denom))) == (numer, denom)
 
 
-def test_rational_exponents_are_not_written():
-    # the format keeps integer exponents: a Fraction would reach json.dumps and fail there
-    half = ProductSpec((Factor(SupportSet.all_naturals(), 1, Fraction(1, 2)),))
-    with pytest.raises(ValueError, match="integer exponents"):
-        spec_to_json(half)
+def test_rational_exponents_survive_a_round_trip():
+    # a rational a is written as a "p/q" string, the grammar of z, and an integral one as an int
+    half = ProductSpec((Factor(SupportSet.all_naturals(), 1, Fraction(-3, 2)),))
+    assert spec_to_json(half) == [{"support": {"kind": "all"}, "z": "1", "a": "-3/2"}]
+    assert ratio_from_json(json.dumps({"denominator": spec_to_json(half)})) == (None, half)
     whole = ProductSpec((Factor(SupportSet.all_naturals(), 1, Fraction(-2)),))
     assert spec_to_json(whole) == [{"support": {"kind": "all"}, "z": "1", "a": -2}]
+    text = json.dumps({"numerator": [{"support": {"kind": "all"}, "z": 1, "a": "+6/4"}]})
+    assert ratio_from_json(text)[0].factors[0].a == Fraction(3, 2)
 
 
 NOT_AN_OBJECT = (None, True, False, 0, 1.5, "x", [], [1])
@@ -60,7 +62,7 @@ SPOILERS = (
     + [("z", bad) for bad in (None, True, False, 1.5, [], {}, "abc", "1/0", "", "1/2/3")]
     # only [+-]digits[/digits] in ASCII: Fraction would expand "1e-20000000" for seconds
     + [("z", bad) for bad in ("0.5", "1e3", "1e-20000000", "1_000", " 1/2 ", "1/ 2", "1/-2", "+-1", "\u0661", "0x10")]
-    + [("a", bad) for bad in (None, True, False, 0, 1.5, "1", [], {})]
+    + [("a", bad) for bad in (None, True, False, 0, 1.5, [], {}, "0", "-0/3", "1/0", "0.5", "1e3", "abc", "", "true")]
     + [("extra", 1)]
 )
 
@@ -118,3 +120,19 @@ def test_z_strings_in_the_documented_forms_are_exact(z, value):
     text = json.dumps({"numerator": [{"support": {"kind": "all"}, "z": z, "a": 1}]})
     numer, _ = ratio_from_json(text)
     assert numer.factors[0].z == value
+
+
+def test_eval_compares_the_routes_on_an_errata_spec(spec_path):
+    # overcubic-progression's double sum L R, with exponents -8, -3/2, 2 and 3/4
+    from bellforge.errata import _FORMULAS, transcription_spec
+
+    _, right, _, left = _FORMULAS["overcubic-progression"][3]
+    spec = transcription_spec(right, left)
+    assert {f.a.denominator for f in spec.factors if isinstance(f.a, Fraction)} == {2, 4}
+    spec_path.write_text(json.dumps({"numerator": spec_to_json(spec)}), encoding="utf-8")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["eval", "--spec", str(spec_path), "--max", "30", "--method", "both"])
+    rows = out.getvalue().splitlines()
+    assert code == 0 and rows[0] == "n,faa,series,agree" and len(rows) == 32
+    assert all(row.endswith(",true") for row in rows[1:])

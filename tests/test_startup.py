@@ -96,11 +96,11 @@ for name in sorted(m for m in sys.modules if m.startswith("bellforge")):
 # its count (seq's bound is the test above): without a bytecode cache, compiling is most
 # of bellforge's share of a request
 SHAPES = {
-    "verify-chan": (("verify", "chan", "--max", "14"), 1446),
-    "verify-euler": (("verify", "euler", "--max", "30"), 1494),
-    "verify-reciprocal": (("verify", "reciprocal", "--max", "5"), 1142),
-    "errata-json": (("errata", "--max", "8", "--format", "json"), 1206),
-    "eval-series": (("eval", "--spec", "SPEC", "--max", "100", "--method", "series"), 1211),
+    "verify-chan": (("verify", "chan", "--max", "14"), 1426),
+    "verify-euler": (("verify", "euler", "--max", "30"), 1474),
+    "verify-reciprocal": (("verify", "reciprocal", "--max", "5"), 1122),
+    "errata-json": (("errata", "--max", "8", "--format", "json"), 1193),
+    "eval-series": (("eval", "--spec", "SPEC", "--max", "100", "--method", "series"), 1208),
 }
 
 

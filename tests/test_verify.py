@@ -9,7 +9,7 @@ import pytest
 from bellforge import cli
 from bellforge.bellpoly import InconsistencyError, ratio_coefficients
 from bellforge.cli import main
-from bellforge.partfun import SEQUENCES, sequence
+from bellforge.partfun import SEQUENCES, prefixes, sequence
 from bellforge.series import TruncatedSeries
 from bellforge.supports import FINITE, MULTIPLES, ProductSpec, scaled_factors
 from bellforge.verify import (
@@ -20,7 +20,7 @@ from bellforge.verify import (
     run_suite,
     theta_suite,
 )
-from plans import CI_RATIO, plan, plan_price, record_runs
+from plans import CI_RATIO, plan, plan_price, record_runs, run
 
 
 def test_random_family_stays_in_documented_bounds():
@@ -57,7 +57,7 @@ def test_every_suite_passes_at_reduced_size():
 
 
 def test_failed_rows_carry_both_sides():
-    rows = theta_suite(10)
+    rows = run(theta_suite(10))
     for row in rows:
         assert row.lhs != "" and row.rhs != ""
 
@@ -74,7 +74,7 @@ def test_default_sizes_live_only_in_default_max():
         with pytest.raises(TypeError):
             suite()
     suite, default = SUITES["chan"]
-    assert run_suite("chan") == suite(default)
+    assert run_suite("chan") == run(suite(default))
 
 
 def test_suites_are_deterministic():
@@ -105,8 +105,9 @@ REQUESTS = {
 @pytest.mark.parametrize("name", list(REQUESTS))
 def test_prices_cover_every_prefix_that_runs(name, monkeypatch, tmp_path, capsys):
     # the plan that cli.main prices is what runs: after the plan is made, the prefixes
-    # evaluated through either route are exactly its requests, in order, and main
-    # refuses the request at one unit below the plan's price and runs it at the price
+    # evaluated through either route are exactly its requests, in order, its report
+    # receives exactly those prefixes and runs no route itself (but bench's timed loop),
+    # and main refuses the request at one unit below the plan's price and runs it at the price
     spec = tmp_path / "ratio.json"
     spec.write_text(json.dumps(CI_RATIO))
     base = [str(spec) if arg == "SPEC" else arg for arg in REQUESTS[name]]
@@ -116,38 +117,42 @@ def test_prices_cover_every_prefix_that_runs(name, monkeypatch, tmp_path, capsys
         work = plan_price(requests, copies, extra)
         assert requests or name == "sigma"
         # every request is priced once, but for reciprocal's product prefixes, priced again for
-        # their convolutions, and bench's, once per run; the other units are euler's p(N) (N + 1)
-        # enumerated vectors and sigma's N isqrt(N) divisor trials
+        # their convolutions, and bench's, once for its agree column and once per timed run; the
+        # other units are euler's p(N) (N + 1) enumerated vectors and sigma's N isqrt(N) divisor trials
         runs = (len(range(10, n_max, 10)) + 1) * 2
         assert copies == {
             "reciprocal": [2 if denom is None else 1 for _, _, denom, _ in requests],
-            "bench": [runs, runs],
+            "bench": [runs + 1, runs + 1],
         }.get(name, [1] * len(requests))
         assert extra == {
             "euler": sequence("p", n_max)[-1] * (n_max + 1),
             "sigma": 16 * n_max * isqrt(n_max),
         }.get(name, 0)
-        made, ran = record_runs(monkeypatch, argv[0])
+        want = prefixes(requests)
+        made, ran, reports = record_runs(monkeypatch, argv[0])
         monkeypatch.setattr(cli, "WORK_BUDGET", work - 1)
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"bellforge: error: {label} needs more work than the budget of {work - 1:.0e} units\n"
         )
-        assert len(made) == 1 and ran == []
+        assert len(made) == 1 and ran == reports == []
         made.clear()
         monkeypatch.setattr(cli, "WORK_BUDGET", work)
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 0 or (name, n_max, code) == ("sigma", 0, 2) and "no checks" in err, (code, err)
         assert made[0][1:4] == (requests, copies, extra), (name, n_max)
+        assert reports == [(len(requests), tuple(want))], (name, n_max)
+        assert ran[: len(requests)] == requests, (name, n_max)
+        timed = ran[len(requests) :]
         if name == "bench":
-            # each bucket runs one prefix per route at or below --max, runs times in all
-            for (route, numer, denom, top), c in zip(requests, copies):
-                timed = [r for r in ran if r[0] == route]
-                assert len(timed) == c and all(r[1:3] == (numer, denom) and r[3] <= top for r in timed)
-            assert len(ran) == sum(copies)
+            # each bucket times one prefix per route at or below --max, runs times in all
+            for route, numer, denom, top in requests:
+                mine = [r for r in timed if r[0] == route]
+                assert len(mine) == runs and all(r[1:3] == (numer, denom) and r[3] <= top for r in mine)
+            assert len(timed) == 2 * runs
         else:
-            assert ran == requests, (name, n_max)
+            assert timed == [], (name, n_max)
         monkeypatch.undo()
 
 
