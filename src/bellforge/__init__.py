@@ -2,7 +2,7 @@
 
 Closed sums indexed by integer partitions give the coefficients of products
 ``prod (1 - z t^m)^a``, of their reciprocals, and of ratios of two such
-products; a truncated-power-series engine over exact rationals provides an
+products; their expansion as a power series, on integers, provides an
 independent route to every value.  Classical sequences (the partition
 function, restricted counts, cubic and overcubic partitions, theta
 coefficients) are exposed on top as prefixes, by ``sequence``, each with its
@@ -20,10 +20,11 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("divisors", "factorize sigma sigma_via_factorization"),
-        ("bellpoly", "InconsistencyError ratio_coefficients"),
+        ("arith", "InconsistencyError"),
+        ("bellpoly", "ratio_coefficients"),
         ("partfun", "sequence work_estimate"),
         ("partitions", "iter_partitions"),
-        ("series", "TruncatedSeries exp_log_expand expand_ratio"),
+        ("series", "TruncatedSeries expand_ratio"),
         ("supports", "Factor ProductSpec SupportSet spec_from_factors"),
         (
             "verify",

@@ -1,4 +1,4 @@
-"""Argument checks shared by the package.
+"""Argument checks and the contract error shared by the package.
 
 Everything in the package is exact: unbounded ``int`` arithmetic, and
 ``fractions.Fraction`` values, which are always stored reduced with a
@@ -7,6 +7,10 @@ positive denominator.  Factorization and divisor sums are in
 """
 
 from __future__ import annotations
+
+
+class InconsistencyError(ArithmeticError):
+    """An exact computation produced a value its contract rules out."""
 
 
 def require_int(value, name: str) -> int:

@@ -26,12 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .arith import require_natural
+from .arith import InconsistencyError, require_natural
 from .supports import FINITE, ProductSpec, scaled_factors, unscale
-
-
-class InconsistencyError(ArithmeticError):
-    """An exact computation produced a value its contract rules out."""
 
 
 def bell_extend(coeffs: list[int], weights: list[int], n: int) -> None:

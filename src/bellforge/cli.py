@@ -28,7 +28,8 @@ import sys
 from importlib import import_module
 
 from . import __version__
-from .partfun import InconsistencyError, SEQUENCES, as_counts, prefixes, restricted_product, work_estimate
+from .arith import InconsistencyError
+from .partfun import SEQUENCES, as_counts, prefixes, restricted_product, work_estimate
 
 # The keys of verify.SUITES, listed here so that parsing does not import the
 # suites; a test keeps the two equal.

@@ -19,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .arith import require_natural
-from .bellpoly import InconsistencyError, kernel_steps, ratio_coefficients
+from .arith import InconsistencyError, require_natural
+from .bellpoly import kernel_steps, ratio_coefficients
 from .supports import ProductSpec, SupportSet, scaled_factors, spec_from_factors
 
 _ALL = SupportSet.all_naturals()

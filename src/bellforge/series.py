@@ -1,10 +1,4 @@
-"""Truncated formal power series over exact rationals.
-
-This is the independent oracle for the whole package: every closed-form
-coefficient elsewhere is checked against plain series arithmetic done here.
-A series carries an explicit truncation order ``N`` and exactly ``N + 1``
-``Fraction`` coefficients; binary operations require equal orders instead of
-silently re-truncating.
+"""The series route: a product or a ratio of products expanded as a power series.
 
 :func:`expand_ratio` computes a product or a ratio of products on integers: a
 ratio is the product of the numerator's factors and the denominator's with negated
@@ -16,8 +10,13 @@ exponents fold as their integer multiples ``q a`` and take the ``q``-th root by
 J. C. P. Miller's power recurrence, which forms no logarithm.  The results are the
 integers ``(L q^2)^n c_n`` (``q = 1`` for integer exponents), which
 :func:`~bellforge.supports.unscale` divides back; :func:`kernel_steps` counts the
-products of it all for the price.  The ``Fraction`` methods of
-:class:`TruncatedSeries` remain the general API and the cross-check path.
+products of it all for the price.
+
+:class:`TruncatedSeries` holds ``N + 1`` exact ``Fraction`` coefficients, and its
+Cauchy product requires equal orders instead of re-truncating.  No request calls
+it: it keeps only ``constant`` and the five ``Fraction`` methods (``mul``,
+``reciprocal``, ``log``, ``exp``, ``int_pow``) that the benchmark's tracer wraps by
+name and the tests use as the cross-check path.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import add
 
-from .arith import require_int, require_natural
+from .arith import InconsistencyError, require_int, require_natural
 from .supports import (
     FINITE, ProductSpec, Record, SupportSet, _require_rational, scaled_factors, unscale,
 )
@@ -57,31 +56,6 @@ class TruncatedSeries(Record):
         cs[0] = value
         return cls(cs)
 
-    @classmethod
-    def from_dict(cls, terms: dict, order: int) -> "TruncatedSeries":
-        """Series from an {exponent: coefficient} mapping; exponents above
-        the order are dropped."""
-        require_natural(order, "order")
-        cs = [_ZERO] * (order + 1)
-        for e, c in terms.items():
-            require_natural(e, "exponent")
-            if e <= order:
-                cs[e] = c
-        return cls(cs)
-
-    def coefficient(self, n: int) -> Fraction:
-        require_natural(n)
-        if n > self.order:
-            raise ValueError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        """Drop coefficients above ``order`` (which must not exceed self.order)."""
-        require_natural(order, "order")
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, truncated at the common order."""
         self._check_order(other)
@@ -96,18 +70,6 @@ class TruncatedSeries(Record):
                 if vj:
                     out[i + j] += ui * vj
         return TruncatedSeries(out)
-
-    __mul__ = mul
-
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    __add__ = add
-
-    def scale(self, factor) -> "TruncatedSeries":
-        f = _require_rational(factor, "a scale factor")
-        return TruncatedSeries(f * c for c in self.coeffs)
 
     def reciprocal(self) -> "TruncatedSeries":
         """Series ``v`` with ``self.mul(v) == 1``, by the triangular recurrence
@@ -235,32 +197,19 @@ def _fold_steps(support: SupportSet, a: int, n: int) -> int:
     return (1 + j) * terms - j * (r * k * (k - 1) // 2 + min(n + 1 - last, r * k))
 
 
-def exp_log_expand(spec: ProductSpec, order: int) -> TruncatedSeries:
-    """The product ``spec`` as a series, via exp of the summed factor
-    logarithms: a code path independent of :func:`expand_ratio`, kept for
-    cross-checks."""
-    require_natural(order, "order")
-    total = TruncatedSeries.constant(0, order)
-    for factor in spec.factors:
-        for m in factor.support.members_up_to(order):
-            binom = TruncatedSeries.from_dict({0: 1, m: -factor.z}, order)
-            total = total.add(binom.log().scale(factor.a))
-    return total.exp()
-
-
 def _root(g: list[int], q: int) -> list[int]:
     """``[q^(2n) f_n]`` for ``f = g^(1/q)``, ``g_0 = 1``, by J. C. P. Miller's
     recurrence ``q n F_n = sum_{k=1..n} ((q+1)k - q n) q^(2k) g_k F_(n-k)``,
     ``F_0 = 1`` (Knuth, TAOCP Vol. 2, 4.7).  Each ``F_n`` is an integer (see
     :func:`scaled_factors`), so every division is exact; a remainder raises
-    :class:`ArithmeticError`."""
+    :class:`InconsistencyError`."""
     h = [0] + [q ** (2 * k) * g[k] for k in range(1, len(g))]
     f = [1]
     for n in range(1, len(g)):
         total = sum(((q + 1) * k - q * n) * h[k] * f[n - k] for k in range(1, n + 1))
         f_n, rem = divmod(total, q * n)
         if rem:
-            raise ArithmeticError(f"q-th root: inexact division by {q * n}")
+            raise InconsistencyError(f"q-th root: inexact division by {q * n}")
         f.append(f_n)
     return f
 

@@ -105,14 +105,6 @@ class SupportSet(Record):
     def finite(cls, members) -> "SupportSet":
         return cls(FINITE, members=tuple(members))
 
-    def contains(self, d: int) -> bool:
-        return self._holds(require_int(d, "d"))
-
-    def _holds(self, d: int) -> bool:
-        if self.kind == FINITE:
-            return d in self.members
-        return d >= 1 and d % self.r == 0  # all naturals are the multiples of r = 1
-
     def members_up_to(self, n: int):
         """Elements of the set that are <= n, in increasing order."""
         require_natural(n)
@@ -123,8 +115,10 @@ class SupportSet(Record):
     def divisors_in(self, n: int) -> list[int]:
         """Divisors of ``n`` that lie in the set, in increasing order."""
         low = [i for i in range(1, isqrt(require_positive(n)) + 1) if n % i == 0]
-        high = [n // i for i in reversed(low) if i * i != n]
-        return [d for d in low + high if self._holds(d)]
+        divisors = low + [n // i for i in reversed(low) if i * i != n]
+        if self.kind == FINITE:
+            return [d for d in divisors if d in self.members]
+        return [d for d in divisors if d % self.r == 0]  # all naturals are the multiples of r = 1
 
 
 class Factor(Record):

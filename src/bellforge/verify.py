@@ -19,8 +19,7 @@ from itertools import accumulate
 from math import isqrt
 from operator import mul
 
-from .arith import require_natural
-from .bellpoly import InconsistencyError
+from .arith import InconsistencyError, require_natural
 from .partfun import (
     CHAN_DENOMINATOR,
     CHAN_NUMERATOR,

@@ -2,9 +2,11 @@
 
 The partition sum here is the paper's formula written out, one term per
 partition of ``n``; the package evaluates the same sum with the Bell
-recurrence.  The remaining helpers are small independent oracles (exact-parts
-counts, restricted counts by exhaustive recursion, divisor sums over a
-support, the divisibility indicator).  None of this is on a request path.
+recurrence.  :func:`exp_log_expand` expands a product as the exponential of
+its factors' ``Fraction`` logarithms, independently of the series route.  The
+remaining helpers are small independent oracles (exact-parts counts,
+restricted counts by exhaustive recursion, divisor sums over a support, the
+divisibility indicator).  None of this is on a request path.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from bellforge.arith import require_natural, require_positive
+from bellforge.series import TruncatedSeries
 from bellforge.supports import Factor, ProductSpec, SupportSet
 
 _ZERO = Fraction(0)
@@ -22,6 +25,20 @@ _ONE = Fraction(1)
 def negated(spec: ProductSpec) -> ProductSpec:
     """``spec`` with every exponent negated: the product's reciprocal."""
     return ProductSpec(tuple(Factor(f.support, f.z, -f.a) for f in spec.factors))
+
+
+def exp_log_expand(spec: ProductSpec, order: int) -> TruncatedSeries:
+    """The product ``spec`` to ``order`` as ``exp`` of the sum of ``a log(1 - z t^m)``
+    over its factors and support members, each logarithm by ``TruncatedSeries.log``."""
+    require_natural(order, "order")
+    total = [_ZERO] * (order + 1)
+    for factor in spec.factors:
+        for m in factor.support.members_up_to(order):
+            binomial = [_ONE] + [_ZERO] * order
+            binomial[m] = -factor.z
+            log = TruncatedSeries(binomial).log().coeffs
+            total = [t + factor.a * c for t, c in zip(total, log)]
+    return TruncatedSeries(total).exp()
 
 
 def divisor_power_sum(n: int, support: SupportSet, z: Fraction) -> Fraction:

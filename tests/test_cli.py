@@ -17,10 +17,9 @@ from bellforge.partfun import (
     sequence,
     work_estimate,
 )
-from bellforge.series import exp_log_expand
 from bellforge.specfile import ratio_from_json, spec_to_json
 from plans import CI_RATIO, price, record_runs, report_work
-from reference import negated
+from reference import exp_log_expand, negated
 
 
 def run_cli(capsys, *argv):
@@ -180,8 +179,20 @@ def test_eval_series_golden_rational_z(capsys, tmp_path):
     assert code == 0
     numer, denom = ratio_from_json(json.dumps(payload))
     want = exp_log_expand(numer, 60).mul(exp_log_expand(negated(denom), 60))
-    assert want.coefficient(60).denominator > 1
+    assert want.coeffs[60].denominator > 1
     assert out == "n,value\n" + "".join(f"{n},{c}\n" for n, c in enumerate(want.coeffs))
+
+
+def test_eval_series_root_remainder_is_an_inconsistency(capsys, tmp_path, monkeypatch):
+    # a rational exponent takes the q-th root; a remainder there breaks the route's contract
+    from bellforge import series
+
+    monkeypatch.setattr(series, "divmod", lambda a, b: (a // b, 1), raising=False)
+    payload = {"denominator": [{"support": {"kind": "all"}, "z": "1", "a": "1/2"}]}
+    code, out, err = run_cli(capsys, "eval", "--spec", spec_file(tmp_path, payload), "--max", "5", "--method", "series")
+    assert code == 1
+    assert out == ""
+    assert err == "bellforge: inconsistency: q-th root: inexact division by 2\n"
 
 
 def test_eval_boolean_z_exits_2(capsys, tmp_path):

@@ -31,7 +31,7 @@ def samples():
         (IdentityReport("x", 3, True, "1", "1"), IdentityReport(check="x", n=3, ok=True, lhs="1", rhs="1")),
         (
             TruncatedSeries([1, Fraction(1, 2)]),
-            TruncatedSeries.from_dict({1: Fraction(1, 2), 0: 1}, 1),
+            TruncatedSeries(coeffs=iter([Fraction(2, 2), Fraction(2, 4)])),
         ),
     ]
 
