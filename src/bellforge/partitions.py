@@ -9,7 +9,7 @@ and the all-ones partition last.  Golden tests rely on this order.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .arith import require_natural
 

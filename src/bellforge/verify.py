@@ -8,13 +8,14 @@ seed, keeping output byte-stable across runs.  The single-instance checks
 recursion) live here as well, so a closed-sum request never compiles them.
 Each suite is its plan at ``--max N`` (:func:`_plan`): :func:`run_suite`, like
 the CLI after pricing it, evaluates its requests and hands the prefixes to its
-check.  Convolutions run on the integers ``c_m L^m`` of the routes' scaled outputs.
+check.  Convolutions run on the integers ``c_m (L q^2)^m`` of the routes' scaled outputs.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import isqrt
 from operator import mul
@@ -69,8 +70,9 @@ def index_additivity_report(n, base, a_index, b_index) -> IdentityReport:
     (support, z) families.
 
     ``base`` is a sequence of (support, z) pairs; ``a_index``/``b_index``
-    are equal-length vectors of nonzero integers.  Combined exponents that
-    cancel to zero simply drop their factor.
+    are equal-length vectors of exponents, each a nonzero ``int`` or
+    ``Fraction``.  Combined exponents that cancel to zero simply drop their
+    factor.
     """
     requests, rows = _additivity("additivity-index", n, *_index_specs(base, a_index, b_index))
     return rows(*prefixes(requests))[0]
@@ -97,9 +99,10 @@ def _index_specs(base, a_index, b_index):
 
 def _additivity(check, n, combined, spec_a, spec_b):
     """Coefficient ``n`` of ``combined`` against the convolution of those of
-    ``spec_a`` and ``spec_b``, on the integers ``c_m L^m`` of both sides."""
+    ``spec_a`` and ``spec_b``, on the integers ``c_m (L q^2)^m`` of both sides."""
     require_natural(n)
-    scale = scaled_factors(spec_a, spec_b)[0]
+    scale, q, _ = scaled_factors(spec_a, spec_b)
+    scale *= q * q
     def rows(whole, u, v):
         rhs = Fraction(_convolve(_scaled(u, scale), _scaled(v, scale), n), scale**n)
         return [IdentityReport(check, n, whole[n] == rhs, str(whole[n]), str(rhs))]
@@ -133,7 +136,7 @@ def _convolve(u: list[int], v: list[int], n: int) -> int:
 
 
 def _scaled(prefix, scale: int) -> list[int]:
-    """The integers ``c_m L^m`` of a route's coefficients ``c_m``, ``L = scale``."""
+    """The integers ``c_m S^m`` of a route's coefficients ``c_m``, ``S = scale``."""
     scaled = [c * scale**m for m, c in enumerate(prefix)]
     if any(c.denominator != 1 for c in scaled):
         raise InconsistencyError(f"a coefficient is not an integer over {scale}^m")
@@ -175,7 +178,8 @@ def reciprocal_suite(max_n: int, seed: int = DEFAULT_SEED):
 
 
 def _reciprocal(check: str, spec: ProductSpec, top: int):
-    scale = scaled_factors(spec, None)[0]
+    scale, q, _ = scaled_factors(spec, None)
+    scale *= q * q
     def rows(prods, recips):
         prods, recips = _scaled(prods, scale), _scaled(recips, scale)
         convs = [Fraction(_convolve(prods, recips, n), scale**n) for n in range(top + 1)]
@@ -233,20 +237,11 @@ def sigma_suite(max_n: int):
     return _plan([([], rows)], SIGMA_TRIAL_UNITS * max_n * isqrt(max_n))
 
 
-def chan_suite(max_n: int):
-    """a(3n+2) equals Chan's product value and is divisible by 3."""
-    return _progression("chan", "cubic", "a", CHAN_NUMERATOR, CHAN_DENOMINATOR, 3, max_n)
-
-
-def kim_suite(max_n: int):
-    """abar(3n+2) equals Kim's product value and is divisible by 6."""
-    return _progression("kim", "overcubic", "abar", KIM_NUMERATOR, KIM_DENOMINATOR, 6, max_n)
-
-
 def _progression(check, name, label, numer, denom, multiple, max_n):
     """``name(3n+2)`` equals ``multiple`` times the ``t^n`` coefficient of
     numer/denom and is divisible by ``multiple``; both sides on the series
     route, each from one prefix."""
+    require_natural(max_n, "max_n")
     def rows(counts, quotient):
         rows = []
         for n in range(max_n + 1):
@@ -308,6 +303,7 @@ def restricted_recursion_suite(max_n: int, seed: int = DEFAULT_SEED):
 def theta_suite(max_n: int):
     """The two theta quotients, expanded on the series route, must reduce to
     the triangular-number indicator and the doubled square indicator."""
+    require_natural(max_n, "max_n")
     def rows(psi, phi):
         rows = []
         for n, got in enumerate(psi):
@@ -332,8 +328,10 @@ SUITES = {
     "reciprocal": (reciprocal_suite, 20),
     "euler": (euler_suite, 60),
     "sigma": (sigma_suite, 10_000),
-    "chan": (chan_suite, 20),
-    "kim": (kim_suite, 20),
+    # a(3n+2) equals 3 times Chan's quotient and is divisible by 3; abar(3n+2)
+    # equals 6 times Kim's quotient and is divisible by 6
+    "chan": (partial(_progression, "chan", "cubic", "a", CHAN_NUMERATOR, CHAN_DENOMINATOR, 3), 20),
+    "kim": (partial(_progression, "kim", "overcubic", "abar", KIM_NUMERATOR, KIM_DENOMINATOR, 6), 20),
     "additivity-index": (index_additivity_suite, 12),
     "additivity-set": (set_additivity_suite, 12),
     "restricted-recursion": (restricted_recursion_suite, 40),

@@ -29,9 +29,10 @@ from bellforge.partfun import (
     PHI_NUMERATOR,
     PSI_DENOMINATOR,
     PSI_NUMERATOR,
+    prefixes,
 )
 from bellforge.supports import Factor, ProductSpec, SupportSet
-from bellforge.verify import random_product_spec
+from bellforge.verify import _reciprocal, random_product_spec
 from reference import divisor_power_sum, log_weight, log_weight_table, negated, partition_power_sum
 
 F = Fraction
@@ -374,6 +375,21 @@ def test_additivity_random_instances():
             random_product_spec(rng, max_factors=2),
             random_product_spec(rng, max_factors=2),
         ).ok
+
+
+def test_additivity_and_reciprocal_hold_on_rational_exponents():
+    # each side's coefficients are integers over (L q^2)^m, not over L^m
+    families = [(ALL, F(1)), (SupportSet.multiples_of(2), F(-1, 2))]
+    for a_idx, b_idx in (([F(1, 2), 1], [F(-1, 3), F(3, 2)]), ([F(3, 2), F(-1, 3)], [F(-1, 2), 2])):
+        for n in range(13):
+            assert index_additivity_report(n, families, a_idx, b_idx).ok, (a_idx, b_idx, n)
+    half = spec_from_factors((ALL, 1, F(1, 2)))
+    finite = spec_from_factors((SupportSet.finite([1, 3]), F(2, 3), F(-1, 3)), (ALL, F(1, 2), F(3, 2)))
+    for spec_a, spec_b in ((half, half), (half, finite), (finite, half)):
+        for n in range(13):
+            assert set_additivity_report(n, spec_a, spec_b).ok, (spec_a, spec_b, n)
+    requests, rows = _reciprocal("reciprocal", finite, 12)
+    assert all(row.ok for row in rows(*prefixes(requests)))
 
 
 def test_partition_power_sum_validates_input():

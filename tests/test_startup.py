@@ -1,10 +1,14 @@
 """What a CLI request imports: each command loads only the modules it uses.
 
 Every request is a fresh ``python -m bellforge`` process, so an unused import
-is paid on every request.  The checks run the package's ``__main__`` in a
-child interpreter and list the modules that the run added."""
+is paid on every request, and without a bytecode cache each of its
+``bellforge`` modules is compiled.  ``SHAPES`` has a row for each shape of the
+benchmark's requests and for a few more requests.  Each row's request runs
+once, under ``tests/startup_probe.py`` in a ``python -S`` child, and the tests
+below read what it loaded and compiled."""
 
 import ast
+import functools
 import importlib.util
 import json
 import os
@@ -16,27 +20,59 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-CHILD = """
-import runpy, sys
-before = set(sys.modules)
-sys.argv = ["bellforge", *sys.argv[1:]]
-try:
-    runpy.run_module("bellforge", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    code = exc.code
-sys.stdout.flush()
-sys.stderr.write("\\n" + " ".join(sorted(set(sys.modules) - before)) + "\\n")
-sys.exit(code)
-"""
-
-# never needed by a request
-HEAVY = {"dataclasses", "inspect", "bellforge.errata"}
+SERIES, PARTITIONS = {"bellforge.series"}, {"bellforge.partitions"}
 # the series route and the partition iterator, unused by the closed sum
-SERIES_ROUTE = {"bellforge.series", "bellforge.partitions"}
+SERIES_ROUTE = SERIES | PARTITIONS
+# the modules of seq on the closed sum
+CLOSED_SUM = {f"bellforge{m}" for m in ("", ".cli", ".arith", ".supports", ".bellpoly", ".partfun")}
+EVAL = CLOSED_SUM | {"bellforge.specfile", "json"}
+VERIFY = CLOSED_SUM | {"bellforge.verify", "random"}
+# each loaded by its own command only (divisors by verify sigma)
+COMMANDS = {f"bellforge.{m}" for m in ("specfile", "verify", "errata", "bench", "divisors")}
 # the argparse parser and what it imports, needed only for help and errors
 ARGPARSE = {"argparse", "gettext", "locale"}
-# loaded by other commands only, or by none
-OTHER_COMMANDS = {"bellforge.specfile", "bellforge.bench", "bellforge.divisors"}
+SEQ_ABSENT = ARGPARSE | SERIES_ROUTE | COMMANDS
+EVAL_ABSENT = ARGPARSE | PARTITIONS | COMMANDS - {"bellforge.specfile"}
+VERIFY_ABSENT = ARGPARSE | {"json"} | COMMANDS - {"bellforge.verify"}
+
+
+def row(argv, loads, absent, bound):
+    # no request needs these; under -S the site's own imports cannot hide them
+    return tuple(argv.split()), loads, absent | {"dataclasses", "inspect", "threading", "typing"}, bound
+
+
+# name -> (argv, must load, must not load, bound on the source lines that it compiles);
+# seq rows are named by their sequence, and SPEC stands for a spec file
+SHAPES = {
+    "p": row("seq p --max 5", CLOSED_SUM, SEQ_ABSENT | {"json"}, 774),
+    "w": row("seq w --max 4 --parts 1,2", CLOSED_SUM, SEQ_ABSENT | {"json"}, 745),
+    "cubic": row("seq cubic --max 5", CLOSED_SUM, SEQ_ABSENT | {"json"}, 745),
+    "overcubic": row("seq overcubic --max 5", CLOSED_SUM, SEQ_ABSENT | {"json"}, 745),
+    "psi-star": row("seq psi-star --max 5", CLOSED_SUM, SEQ_ABSENT | {"json"}, 745),
+    "phi-star": row("seq phi-star --max 5", CLOSED_SUM, SEQ_ABSENT | {"json"}, 745),
+    "cubic-json": row("seq cubic --max 5 --format json", CLOSED_SUM | {"json"}, SEQ_ABSENT, 745),
+    "eval-faa": row("eval --spec SPEC --max 5 --method faa", EVAL, EVAL_ABSENT | SERIES, 900),
+    "eval-both": row("eval --spec SPEC --max 5 --method both", EVAL | SERIES, EVAL_ABSENT, 1153),
+    "eval-series": row("eval --spec SPEC --max 100 --method series", EVAL | SERIES, EVAL_ABSENT, 1153),
+    "verify-euler": row("verify euler --max 30", VERIFY | SERIES_ROUTE, VERIFY_ABSENT, 1416),
+    "verify-reciprocal": row("verify reciprocal --max 5", VERIFY, VERIFY_ABSENT | SERIES_ROUTE, 1115),
+    "verify-additivity-index": row("verify additivity-index --max 4", VERIFY, VERIFY_ABSENT | SERIES_ROUTE, 1115),
+    "verify-additivity-set": row("verify additivity-set --max 4", VERIFY, VERIFY_ABSENT | SERIES_ROUTE, 1115),
+    "verify-chan": row("verify chan --max 14", VERIFY | SERIES, VERIFY_ABSENT | PARTITIONS, 1368),
+    "verify-kim": row("verify kim --max 4", VERIFY | SERIES, VERIFY_ABSENT | PARTITIONS, 1368),
+    "verify-theta": row("verify theta --max 5", VERIFY | SERIES, VERIFY_ABSENT | PARTITIONS, 1368),
+    "verify-chan-default": row("verify chan", VERIFY | SERIES, VERIFY_ABSENT | PARTITIONS, 1368),
+    "verify-sigma": row(
+        "verify sigma --max 3", VERIFY | {"bellforge.divisors"},
+        VERIFY_ABSENT - {"bellforge.divisors"} | SERIES_ROUTE, 1181,
+    ),
+    "errata-json": row(
+        "errata --max 8 --format json", CLOSED_SUM | SERIES | {"bellforge.errata", "json"},
+        ARGPARSE | PARTITIONS | COMMANDS - {"bellforge.errata"}, 1138,
+    ),
+    "help": row("--help", CLOSED_SUM | ARGPARSE, SERIES_ROUTE | COMMANDS, 745),
+    "seq-help": row("seq --help", CLOSED_SUM | ARGPARSE, SERIES_ROUTE | COMMANDS, 745),
+}
 
 
 def run_child(*args):
@@ -49,119 +85,89 @@ def run_child(*args):
     return proc
 
 
-def loaded_by(*argv):
-    return set(run_child("-c", CHILD, *argv).stderr.splitlines()[-1].split())
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory):
+    """``(stdout, {module the request added: its line count, or "" if not bellforge's})``
+    of a row, from one child per row."""
+    spec = tmp_path_factory.mktemp("shapes") / "spec.json"
+    spec.write_text(json.dumps({"denominator": [{"support": {"kind": "all"}, "z": "1/2", "a": 1}]}))
+
+    @functools.cache
+    def run(name):
+        argv = [str(spec) if arg == "SPEC" else arg for arg in SHAPES[name][0]]
+        proc = run_child("-S", str(Path(__file__).with_name("startup_probe.py")), *argv)
+        return proc.stdout, dict(line.partition(" ")[::2] for line in proc.stderr.splitlines())
+    return run
 
 
-def test_seq_loads_neither_suites_nor_json():
-    loaded = loaded_by("seq", "p", "--max", "1")
-    assert "bellforge.cli" in loaded
-    assert not loaded & (HEAVY | SERIES_ROUTE | ARGPARSE | OTHER_COMMANDS | {"bellforge.verify", "json"})
+def loads(probe, name):
+    """Check the row's load entries."""
+    _, must, absent, _ = SHAPES[name]
+    loaded = set(probe(name)[1])
+    assert must - loaded == set() and loaded & absent == set(), name
+
+
+def argv_ids(*names):
+    # the ids that these tests had when they were parametrized by argv
+    return pytest.mark.parametrize("name", names, ids=[f"argv{i}" for i in range(len(names))])
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_request_shapes_compile_under_their_bounds(probe, name):
+    sizes = {module: int(lines) for module, lines in probe(name)[1].items() if lines}
+    assert sum(sizes.values()) <= SHAPES[name][3], sizes
+
+
+def test_seq_compiles_under_775_lines(probe):
+    test_request_shapes_compile_under_their_bounds(probe, "p")
+
+
+# each test below checks every load entry of the rows that it names; together they read every row
+def test_seq_loads_neither_suites_nor_json(probe):
+    loads(probe, "p")
+
+
+def test_seq_loads_no_threading(probe):
+    loads(probe, "p")
+
+
+@pytest.mark.parametrize("name", ["p", "w", "cubic", "overcubic", "psi-star", "phi-star"])
+def test_closed_sum_requests_load_no_series_route_for_seq(probe, name):
+    loads(probe, name)
 
 
 @pytest.mark.parametrize("name", ["psi-star", "phi-star"])
-def test_theta_sequences_take_the_closed_sum(name):
-    # every named sequence runs the closed sum; only verify and errata ask for the oracle
-    loaded = loaded_by("seq", name, "--max", "1")
-    assert "bellforge.bellpoly" in loaded
-    assert not loaded & (SERIES_ROUTE | ARGPARSE | OTHER_COMMANDS)
+def test_theta_sequences_take_the_closed_sum(probe, name):
+    loads(probe, name)
 
 
-def test_seq_loads_no_threading():
-    # -S keeps the site's own imports, which may load threading, from hiding it
-    loaded = set(run_child("-S", "-c", CHILD, "seq", "p", "--max", "1").stderr.splitlines()[-1].split())
-    assert "bellforge.bellpoly" in loaded
-    assert "threading" not in loaded
+def test_closed_sum_requests_load_no_series_route(probe):
+    for name in ("eval-faa", "verify-reciprocal", "verify-additivity-index", "verify-additivity-set"):
+        loads(probe, name)
 
 
-def test_seq_compiles_under_775_lines():
-    # every request compiles its modules when no bytecode cache is written
-    code = """
-import runpy, sys
-sys.argv = ["bellforge", "seq", "p", "--max", "1"]
-try:
-    runpy.run_module("bellforge", run_name="__main__", alter_sys=True)
-except SystemExit:
-    pass
-for name in sorted(m for m in sys.modules if m.startswith("bellforge")):
-    with open(sys.modules[name].__file__, encoding="utf-8") as fh:
-        print(name, len(fh.readlines()), file=sys.stderr)
-"""
-    sizes = dict(line.split() for line in run_child("-c", code).stderr.splitlines())
-    assert set(sizes) == {f"bellforge{m}" for m in ("", ".cli", ".arith", ".supports", ".bellpoly", ".partfun")}
-    assert sum(map(int, sizes.values())) < 775, sizes
+def test_eval_series_loads_json_but_not_suites(probe):
+    loads(probe, "eval-series")
 
 
-# source lines that each shape of the benchmark's requests compiles, bounded just above
-# its count (seq's bound is the test above): without a bytecode cache, compiling is most
-# of bellforge's share of a request
-SHAPES = {
-    "verify-chan": (("verify", "chan", "--max", "14"), 1370),
-    "verify-euler": (("verify", "euler", "--max", "30"), 1418),
-    "verify-reciprocal": (("verify", "reciprocal", "--max", "5"), 1117),
-    "errata-json": (("errata", "--max", "8", "--format", "json"), 1138),
-    "eval-series": (("eval", "--spec", "SPEC", "--max", "100", "--method", "series"), 1153),
-}
+@argv_ids("verify-chan", "verify-chan-default", "verify-euler", "verify-kim", "verify-theta")
+def test_verify_loads_its_suites_only(probe, name):
+    loads(probe, name)
 
 
-@pytest.mark.parametrize("shape", list(SHAPES))
-def test_request_shapes_compile_under_their_bounds(shape, tmp_path):
-    argv, bound = SHAPES[shape]
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"denominator": [{"support": {"kind": "all"}, "z": "1/2", "a": 1}]}))
-    code = """
-import runpy, sys
-sys.argv = ["bellforge", *sys.argv[1:]]
-try:
-    runpy.run_module("bellforge", run_name="__main__", alter_sys=True)
-except SystemExit:
-    pass
-for name in sorted(m for m in sys.modules if m.startswith("bellforge")):
-    with open(sys.modules[name].__file__, encoding="utf-8") as fh:
-        print(name, len(fh.readlines()), file=sys.stderr)
-"""
-    argv = [str(spec) if arg == "SPEC" else arg for arg in argv]
-    lines = run_child("-c", code, *argv).stderr.splitlines()
-    sizes = dict(line.split() for line in lines if line.startswith("bellforge"))
-    assert sum(map(int, sizes.values())) <= bound, sizes
+def test_errata_loads_no_divisor_sums(probe):
+    loads(probe, "errata-json")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("seq", "cubic", "--max", "5", "--format", "json"),
-        ("seq", "w", "--max", "4", "--parts", "1,2"),
-        ("eval", "--spec", "SPEC", "--max", "5", "--method", "both"),
-        ("verify", "sigma", "--max", "3"),
-        ("verify", "chan"),
-        ("errata", "--max", "2", "--format", "json"),
-    ],
-)
-def test_well_formed_requests_never_import_argparse(argv, tmp_path):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"denominator": [{"support": {"kind": "all"}, "z": "1/2", "a": 1}]}))
-    loaded = loaded_by(*(str(spec) if arg == "SPEC" else arg for arg in argv))
-    assert not loaded & ARGPARSE
+@argv_ids("cubic-json", "w", "eval-both", "verify-sigma", "verify-chan-default", "errata-json")
+def test_well_formed_requests_never_import_argparse(probe, name):
+    loads(probe, name)
 
 
-@pytest.mark.parametrize("argv", [("--help",), ("seq", "--help")])
-def test_help_still_comes_from_argparse(argv):
-    proc = run_child("-c", CHILD, *argv)
-    assert proc.stdout.startswith("usage: bellforge")
-    assert ARGPARSE <= set(proc.stderr.splitlines()[-1].split())
-
-
-def test_closed_sum_requests_load_no_series_route(tmp_path):
-    # partfun loads the series route only when a request runs or prices it
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"denominator": [{"support": {"kind": "all"}, "z": "1/2", "a": 1}]}))
-    loaded = loaded_by("eval", "--spec", str(spec), "--max", "5", "--method", "faa")
-    assert "bellforge.bellpoly" in loaded and "bellforge.specfile" in loaded
-    assert not loaded & (HEAVY | SERIES_ROUTE | {"bellforge.verify", "bellforge.bench"})
-    for suite in ("reciprocal", "additivity-index", "additivity-set"):
-        loaded = loaded_by("verify", suite)
-        assert "bellforge.verify" in loaded
-        assert not loaded & (HEAVY | SERIES_ROUTE)
+@argv_ids("help", "seq-help")
+def test_help_still_comes_from_argparse(probe, name):
+    loads(probe, name)
+    assert probe(name)[0].startswith("usage: bellforge")
 
 
 def test_only_partfun_names_both_routes():
@@ -204,47 +210,6 @@ def test_only_cli_prices_and_refuses():
     main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
     assert len(refusals(tree)) == 1 and refusals(tree) == refusals(main)
 
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("seq", "p"),
-        ("seq", "w", "--parts", "1,2"),
-        ("seq", "cubic"),
-        ("seq", "overcubic"),
-        ("seq", "psi-star"),
-        ("seq", "phi-star"),
-    ],
-    ids=lambda argv: argv[1],
-)
-def test_closed_sum_requests_load_no_series_route_for_seq(argv):
-    # a module-level series import in partfun would show here for every name
-    loaded = loaded_by(*argv, "--max", "5")
-    assert "bellforge.bellpoly" in loaded
-    assert not loaded & (HEAVY | SERIES_ROUTE | ARGPARSE | OTHER_COMMANDS | {"bellforge.verify"})
-
-
-def test_eval_series_loads_json_but_not_suites(tmp_path):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"denominator": [{"support": {"kind": "all"}, "z": "1/2", "a": 1}]}))
-    loaded = loaded_by("eval", "--spec", str(spec), "--max", "5", "--method", "series")
-    assert "json" in loaded
-    assert not loaded & (HEAVY | {"bellforge.verify"})
-
-
-@pytest.mark.parametrize("argv", [("verify", "chan", "--max", "2"), ("verify", "chan")])
-def test_verify_loads_its_suites_only(argv):
-    loaded = loaded_by(*argv)
-    assert "bellforge.verify" in loaded
-    # only the sigma suite reads the divisor sums
-    assert not loaded & (HEAVY | {"json", "bellforge.divisors"})
-
-
-def test_errata_loads_no_divisor_sums():
-    # its printed sums are product specs read by the closed sum, not sigma tables
-    loaded = loaded_by("errata", "--max", "2", "--format", "json")
-    assert "bellforge.errata" in loaded
-    assert not loaded & {"bellforge.divisors", "bellforge.verify", "bellforge.partitions"}
 
 
 def test_import_loads_no_submodule():

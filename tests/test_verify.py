@@ -88,7 +88,7 @@ def test_suites_are_deterministic():
     "max_n, error", [(True, TypeError), (2.0, TypeError), (-1, ValueError)], ids=["bool", "float", "negative"]
 )
 def test_suites_reject_a_max_that_is_not_a_natural(name, max_n, error):
-    with pytest.raises(error, match="must be"):
+    with pytest.raises(error, match="max_n must be"):
         run_suite(name, max_n)
 
 
