@@ -16,18 +16,17 @@ literal sum, one term per partition, is kept only as the tests' reference.
 The weight table is one walk over each factor's support members, on the
 integers of :func:`~bellforge.supports.scaled_factors`, and the recurrence runs
 from 1 on the integers ``(L q^2)^n c_n``, ``q`` the lcm of the exponents'
-denominators.  Nothing here keeps state: every request runs its own recurrence,
-whose steps :func:`kernel_steps` counts before it runs.  Everything is exact and
-independently checked against :mod:`bellforge.series`, which shares nothing.
+denominators, handed back with their scale.  Nothing here keeps state: every
+request runs its own recurrence, whose steps :func:`kernel_steps` counts before it
+runs.  Everything is exact and independently checked against :mod:`bellforge.series`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 from .arith import InconsistencyError, require_natural
-from .supports import FINITE, ProductSpec, scaled_factors, unscale
+from .supports import FINITE, ProductSpec, scaled_factors
 
 
 def bell_extend(coeffs: list[int], weights: list[int], n: int) -> None:
@@ -58,12 +57,11 @@ def kernel_steps(factors, q: int, n: int) -> int:
 
 def ratio_coefficients(
     numer: ProductSpec | None, denom: ProductSpec | None, n: int
-) -> list[Fraction]:
-    """Coefficients ``0..n`` of numerator-product / denominator-product;
-    ``None`` on either side is the constant 1.  One Bell recurrence on the
-    integers ``A_m = (L q^2)^m c_m`` of :func:`scaled_factors`, from ``A_0 = 1``,
-    evaluates it: a support member ``m`` adds ``-a m (z (L q^2)^m)^j`` to the
-    weight ``w_k (L q^2)^k`` of ``k = j m``."""
+) -> tuple[list[int], int]:
+    """``(A, L q^2)``, ``A_m = (L q^2)^m c_m`` for the coefficients ``c_0..c_n`` of
+    numerator-product / denominator-product (``None`` on either side is 1) by one Bell
+    recurrence on the integers of :func:`scaled_factors`, from ``A_0 = 1``: a support
+    member ``m`` adds ``-a m (z (L q^2)^m)^j`` to the weight ``w_k (L q^2)^k`` of ``k = j m``."""
     scale, q, factors = scaled_factors(numer, denom)
     require_natural(n)
     weights = [0] * (n + 1)
@@ -76,4 +74,4 @@ def ratio_coefficients(
                 term *= base
     coeffs = [1]
     bell_extend(coeffs, weights, n)
-    return unscale(coeffs, scale * q * q)
+    return coeffs, scale * q * q

@@ -27,6 +27,7 @@ def plan_bench(args):
     runs = len(buckets) * repeat
     requests = [(route, None, PARTITION_PRODUCT, n_max) for route in ROUTES.values()]
     def report(closed_sums, series) -> int:
+        (closed_sums, _), (series, _) = closed_sums, series
         print("n_max,method,seconds,agree")
         disagreement = False
         for hi in buckets:

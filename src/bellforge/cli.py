@@ -161,7 +161,7 @@ def plan_seq(args):
         raise UsageError("--parts only applies to function w")
     numer, denom = (None, restricted_product(parts)) if parts else SEQUENCES[args["function"]]
     def report(prefix) -> int:
-        values = list(enumerate(as_counts(args["function"], prefix)))
+        values = list(enumerate(as_counts(args["function"], *prefix)))
         if args["format"] == "csv":
             print("n,value")
             for n, v in values:

@@ -17,9 +17,11 @@ asserts what the transcriptions "should" give.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .arith import require_natural
 from .partfun import SEQUENCES, prefixes
-from .supports import ProductSpec, SupportSet, _require_rational, spec_from_factors
+from .supports import ProductSpec, SupportSet, _require_rational, spec_from_factors, unscale
 
 
 def transcription_spec(*sums) -> ProductSpec:
@@ -29,7 +31,7 @@ def transcription_spec(*sums) -> ProductSpec:
         (
             SupportSet.multiples_of(i),
             1,
-            -_require_rational(w, "weight") * _require_rational(c, "c") / i,
+            Fraction(-_require_rational(w, "weight") * _require_rational(c, "c"), i),
         )
         for table, w in sums
         for i, c in table.items()
@@ -83,9 +85,9 @@ def _plan(max_n: int):
     forms = [("series", *SEQUENCES[seq], s * n + s - 1) for _, seq, s, _ in _FORMULAS.values()]
     requests = forms + [("faa", spec, None, n) for name in _FORMULAS for _, spec in terms[name]]
     def rows(*columns) -> list[dict]:
-        out, sums = [], iter(columns[len(_FORMULAS) :])
+        out, sums = [], (unscale(*column) for column in columns[len(_FORMULAS) :])
         for (name, (description, _, step, _)), form in zip(_FORMULAS.items(), columns):
-            ref, weighted = form[step - 1 :: step], [(k, next(sums)) for k, _ in terms[name]]
+            ref, weighted = form[0][step - 1 :: step], [(k, next(sums)) for k, _ in terms[name]]
             got = [sum(k * column[m] for k, column in weighted) for m in range(n + 1)]
             first = next((m for m in range(n + 1) if ref[m] != got[m]), None)
             out.append(dict(

@@ -7,16 +7,15 @@ whole prefix ``0..n`` by one integer Bell recurrence, and ``"series"``, the
 product ratio's expansion (:mod:`bellforge.series`).  This is the only module
 that names both: :func:`route_prefix` runs a route (:func:`prefixes`, a list of
 requests) and :func:`work_estimate` prices it, each through one map from a route
-name to its evaluator and its ``kernel_steps``.  Neither route keeps state.
-:func:`sequence` answers every named count as its whole prefix ``0..n`` from
-one request, on the closed sum unless the caller asks for the series route.
-All named counts must come out as nonnegative integers; anything else raises
-:class:`InconsistencyError` since it can only mean an internal defect.
+name to its evaluator and its ``kernel_steps``.  Neither route keeps state; each
+hands back ``(A, S)``, the integers ``A_n = S^n c_n`` and their scale ``S``.
+:func:`sequence` answers every named count as its whole prefix ``0..n`` from one
+request, on the closed sum unless the caller asks for the series route; a count
+off scale 1 or below 0 raises :class:`InconsistencyError`, as an internal defect.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 from .arith import InconsistencyError, require_natural
@@ -72,12 +71,12 @@ def _route(method: str):
     raise ValueError(f"method must be 'faa' or 'series', got {method!r}")
 
 
-def route_prefix(route: str, numer, denom, n: int) -> list[Fraction]:
-    """Coefficients ``0..n`` of numer/denom on ``route``, in a request's order."""
+def route_prefix(route: str, numer, denom, n: int) -> tuple[list[int], int]:
+    """``(A, S)`` for coefficients ``0..n`` of numer/denom on ``route``, in a request's order."""
     return _route(route)[0](numer, denom, require_natural(n))
 
 
-def prefixes(requests) -> list[list[Fraction]]:
+def prefixes(requests) -> list[tuple[list[int], int]]:
     """The prefix of each request ``(route, numer, denom, n)``, each evaluated once, in order."""
     return [route_prefix(*request) for request in requests]
 
@@ -154,12 +153,12 @@ def sequence(name: str, n: int, method: str = "faa", parts=None) -> list[int]:
         denom = restricted_product(parts)
     elif parts is not None:
         raise ValueError(f"a parts list applies only to sequence 'w', not {name!r}")
-    return as_counts(name, route_prefix(method, numer, denom, n))
+    return as_counts(name, *route_prefix(method, numer, denom, n))
 
 
-def as_counts(name: str, prefix) -> list[int]:
-    """``prefix`` as the counts ``name(0..n)``: anything else is an internal defect."""
-    for m, value in enumerate(prefix):
-        if value.denominator != 1 or value < 0:
-            raise InconsistencyError(f"{name}({m}) evaluated to {value}, not a count")
-    return [int(value) for value in prefix]
+def as_counts(name: str, ints: list[int], scale: int) -> list[int]:
+    """``ints`` at ``scale`` 1 as the counts ``name(0..n)``: anything else is an internal defect."""
+    for m, value in enumerate(ints):
+        if value < 0 or scale != 1:
+            raise InconsistencyError(f"{name}({m}) evaluated to {value} at scale {scale}, not a count")
+    return ints

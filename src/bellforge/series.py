@@ -8,9 +8,8 @@ multiples of ``r`` folds by Euler's or Cauchy's q-series identity over its
 ``O(sqrt(n / r))`` terms, a finite support by one binomial per member.  Rational
 exponents fold as their integer multiples ``q a`` and take the ``q``-th root by
 J. C. P. Miller's power recurrence, which forms no logarithm.  The results are the
-integers ``(L q^2)^n c_n`` (``q = 1`` for integer exponents), which
-:func:`~bellforge.supports.unscale` divides back; :func:`kernel_steps` counts the
-products of it all for the price.
+integers ``(L q^2)^n c_n`` (``q = 1`` for integer exponents), handed back with their
+scale ``L q^2``; :func:`kernel_steps` counts the products of it all for the price.
 
 :class:`TruncatedSeries` holds ``N + 1`` exact ``Fraction`` coefficients, and its
 Cauchy product requires equal orders instead of re-truncating.  No request calls
@@ -27,7 +26,7 @@ from operator import add
 
 from .arith import InconsistencyError, require_int, require_natural
 from .supports import (
-    FINITE, ProductSpec, Record, SupportSet, _require_rational, scaled_factors, unscale,
+    FINITE, ProductSpec, Record, SupportSet, _require_rational, scaled_factors,
 )
 
 _ZERO = Fraction(0)
@@ -40,7 +39,7 @@ class TruncatedSeries(Record):
     _fields = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(_require_rational(c, "a coefficient") for c in coeffs)
+        cs = tuple(Fraction(_require_rational(c, "a coefficient")) for c in coeffs)
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         self._assign(cs)
@@ -153,9 +152,9 @@ class TruncatedSeries(Record):
 
 def expand_ratio(
     numer: ProductSpec | None, denom: ProductSpec | None, order: int
-) -> list[Fraction]:
-    """Coefficients ``0..order`` of ``numer / denom``; ``None`` on either
-    side is the constant 1.
+) -> tuple[list[int], int]:
+    """``(A, L q^2)``, ``A_n = (L q^2)^n c_n`` for the coefficients ``c_0..c_order`` of
+    ``numer / denom``; ``None`` on either side is the constant 1.
 
     Every factor of :func:`scaled_factors` is folded in integers, a pass per
     unit of ``|a|`` that for ``a < 0`` divides exactly: by its support's kind, a
@@ -172,7 +171,7 @@ def expand_ratio(
         elif z:
             for m in support.members_up_to(order):
                 _fold_binomial(cs, z * scale ** (m - 1), m, a)
-    return unscale(_root(cs, q) if q > 1 else cs, scale * q * q)
+    return _root(cs, q) if q > 1 else cs, scale * q * q
 
 
 def kernel_steps(factors, q: int, n: int) -> int:

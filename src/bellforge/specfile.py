@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .cli import UsageError
-from .supports import ALL, FINITE, MULTIPLES, Factor, ProductSpec, SupportSet
+from .supports import ALL, FINITE, MULTIPLES, Factor, ProductSpec, SupportSet, unscale
 
 # the keys a JSON support object may carry, by kind
 _SUPPORT_KEYS = {ALL: ("kind",), MULTIPLES: ("kind", "r"), FINITE: ("kind", "set")}
@@ -140,16 +140,16 @@ def plan_eval(args):
 def _print_columns(*columns) -> int:
     # the budget bounds every value's bits: print past the digit limit (main restores it)
     getattr(sys, "set_int_max_str_digits", int)(0)
+    values = unscale(*columns[0])
     if len(columns) == 1:
         print("n,value")
-        for n, value in enumerate(columns[0]):
+        for n, value in enumerate(values):
             print(f"{n},{value}")
         return 0
 
-    mismatched = False
+    # equal (ints, scale) pairs hold equal values: two routes that agree unscale once
+    others = values if columns[1] == columns[0] else unscale(*columns[1])
     print("n,faa,series,agree")
-    for n, (left, right) in enumerate(zip(*columns)):
-        agree = left == right
-        mismatched |= not agree
-        print(f"{n},{left},{right},{str(agree).lower()}")
-    return 1 if mismatched else 0
+    for n, (left, right) in enumerate(zip(values, others)):
+        print(f"{n},{left},{right},{str(left == right).lower()}")
+    return 0 if values == others else 1

@@ -4,16 +4,15 @@ A :class:`ProductSpec` describes a (possibly infinite) product
 
     prod over factors  prod_{m in support} (1 - z * t^m)^a
 
-with exact rational ``z`` and a nonzero ``int`` or ``Fraction`` exponent ``a``.
+with exact rational ``z`` and nonzero ``a``, each an ``int`` or a ``Fraction``.
 The rest of the library extracts power-series coefficients of such products,
 of their reciprocals, and of ratios of two of them; :mod:`bellforge.specfile`
-reads and writes them as JSON.  Both routes run a ratio on the integers of
-:func:`scaled_factors` and take the values back with :func:`unscale`.
+reads and writes them as JSON.  Both routes hand back a ratio as the integers of
+:func:`scaled_factors` with their scale, and :func:`unscale` takes the values back.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt, lcm
 
 from .arith import require_int, require_natural, require_positive
@@ -126,13 +125,13 @@ class Factor(Record):
 
     _fields = ("support", "z", "a")
 
-    def __init__(self, support: SupportSet, z: Fraction, a: int | Fraction):
+    def __init__(self, support: SupportSet, z: int | Fraction, a: int | Fraction):
         if not isinstance(support, SupportSet):
             raise TypeError(f"a factor's support must be a SupportSet, got {support!r}")
         a = _require_rational(a, "factor exponent a")
         if a == 0:
             raise ValueError("factor exponent a must be nonzero")
-        self._assign(support, _require_rational(z, "factor z"), int(a) if a.denominator == 1 else a)
+        self._assign(support, _require_rational(z, "factor z"), a)
 
 
 class ProductSpec(Record):
@@ -178,18 +177,22 @@ def scaled_factors(numer, denom) -> tuple[int, int, list[tuple[SupportSet, int, 
 
 
 def unscale(ints, scale: int) -> list[Fraction]:
-    """``[Fraction(c_n, L^n)]`` for the integers ``c_n`` and ``L = scale``."""
-    out = []
-    power = 1
+    """``[Fraction(A_n, S^n)]``, the values of a route's ``(ints, scale) = (A, S)``."""
+    from fractions import Fraction
+
+    out, power = [], 1
     for c in ints:
         out.append(Fraction(c, power))
         power *= scale
     return out
 
 
-def _require_rational(value, name: str = "value") -> Fraction:
-    """``value`` as a ``Fraction``: it must be an ``int`` (not a ``bool``) or
-    a ``Fraction``; a float is rejected rather than coerced."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(require_int(value, f"{name}, if not a Fraction,"))
+def _require_rational(value, name: str = "value") -> int | Fraction:
+    """``value``, an ``int`` (not a ``bool``) or a ``Fraction``, as an ``int`` if integral; a
+    float is rejected rather than coerced.  Only a value that is no ``int`` loads ``fractions``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        from fractions import Fraction
+
+        if not isinstance(value, Fraction):
+            require_int(value, f"{name}, if not a Fraction,")
+    return int(value) if value.denominator == 1 else value

@@ -8,7 +8,7 @@ seed, keeping output byte-stable across runs.  The single-instance checks
 recursion) live here as well, so a closed-sum request never compiles them.
 Each suite is its plan at ``--max N`` (:func:`_plan`): :func:`run_suite`, like
 the CLI after pricing it, evaluates its requests and hands the prefixes to its
-check.  Convolutions run on the integers ``c_m (L q^2)^m`` of the routes' scaled outputs.
+check.  Convolutions run on the routes' integers ``c_m S^m``, each at its scale ``S``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import accumulate
 from math import isqrt
 from operator import mul
 
-from .arith import InconsistencyError, require_natural
+from .arith import require_natural
 from .partfun import (
     CHAN_DENOMINATOR,
     CHAN_NUMERATOR,
@@ -32,7 +32,7 @@ from .partfun import (
     restricted_product,
     sequence,
 )
-from .supports import Factor, ProductSpec, Record, SupportSet, scaled_factors
+from .supports import Factor, ProductSpec, Record, SupportSet, unscale
 
 DEFAULT_SEED = 1103
 # instances per randomized suite: random specs, additivity pairs, parts lists
@@ -81,6 +81,9 @@ def index_additivity_report(n, base, a_index, b_index) -> IdentityReport:
 def set_additivity_report(n, spec_a: ProductSpec, spec_b: ProductSpec) -> IdentityReport:
     """Check that coefficients of the merged factor list equal the
     convolution of the two sides' coefficients."""
+    for name, spec in (("spec_a", spec_a), ("spec_b", spec_b)):
+        if not isinstance(spec, ProductSpec):
+            raise TypeError(f"{name} must be a ProductSpec, got {spec!r}")
     merged = ProductSpec(spec_a.factors + spec_b.factors)
     requests, rows = _additivity("additivity-set", n, merged, spec_a, spec_b)
     return rows(*prefixes(requests))[0]
@@ -98,14 +101,15 @@ def _index_specs(base, a_index, b_index):
 
 
 def _additivity(check, n, combined, spec_a, spec_b):
-    """Coefficient ``n`` of ``combined`` against the convolution of those of
-    ``spec_a`` and ``spec_b``, on the integers ``c_m (L q^2)^m`` of both sides."""
+    """Coefficient ``n`` of ``combined`` against the convolution of those of ``spec_a``
+    and ``spec_b``, from their integers ``u_k = s^k a_k`` and ``v_k = t^k b_k`` as
+    ``sum_k u_k t^k v_(n-k) s^(n-k) / (s t)^n``: the row compares the values that it prints."""
     require_natural(n)
-    scale, q, _ = scaled_factors(spec_a, spec_b)
-    scale *= q * q
     def rows(whole, u, v):
-        rhs = Fraction(_convolve(_scaled(u, scale), _scaled(v, scale), n), scale**n)
-        return [IdentityReport(check, n, whole[n] == rhs, str(whole[n]), str(rhs))]
+        (whole, r), (u, s), (v, t) = whole, u, v
+        conv = sum(u[k] * t**k * v[n - k] * s ** (n - k) for k in range(n + 1))
+        lhs, rhs = Fraction(whole[n], r**n), Fraction(conv, (s * t) ** n)
+        return [IdentityReport(check, n, lhs == rhs, str(lhs), str(rhs))]
     return [("faa", spec, None, n) for spec in (combined, spec_a, spec_b)], rows
 
 
@@ -123,24 +127,12 @@ def restricted_recursion_report(n: int, parts) -> IdentityReport:
 def _restricted(n: int, parts: list[int]):
     """``W`` with and without the last part, both on the series route."""
     def rows(counts, rest):
+        (counts, _), (rest, _) = counts, rest
         full, shifted = counts[n], counts[n - parts[-1]] if n >= parts[-1] else 0
         lhs, rhs = full - shifted, rest[n]
         check = "restricted-recursion"
         return [IdentityReport(check, n, lhs == rhs, f"{full}-{shifted}={lhs}", str(rhs))]
     return [("series", None, restricted_product(p), n) for p in (parts, parts[:-1])], rows
-
-
-def _convolve(u: list[int], v: list[int], n: int) -> int:
-    """Coefficient ``n`` of the Cauchy product of two integer prefixes."""
-    return sum(map(mul, u[: n + 1], v[n::-1]))
-
-
-def _scaled(prefix, scale: int) -> list[int]:
-    """The integers ``c_m S^m`` of a route's coefficients ``c_m``, ``S = scale``."""
-    scaled = [c * scale**m for m, c in enumerate(prefix)]
-    if any(c.denominator != 1 for c in scaled):
-        raise InconsistencyError(f"a coefficient is not an integer over {scale}^m")
-    return [c.numerator for c in scaled]
 
 
 def random_support(rng: random.Random) -> SupportSet:
@@ -178,13 +170,11 @@ def reciprocal_suite(max_n: int, seed: int = DEFAULT_SEED):
 
 
 def _reciprocal(check: str, spec: ProductSpec, top: int):
-    scale, q, _ = scaled_factors(spec, None)
-    scale *= q * q
     def rows(prods, recips):
-        prods, recips = _scaled(prods, scale), _scaled(recips, scale)
-        convs = [Fraction(_convolve(prods, recips, n), scale**n) for n in range(top + 1)]
-        units = [Fraction(1 if n == 0 else 0) for n in range(top + 1)]
-        pairs = enumerate(zip(convs, units))
+        # f and 1/f scale by the same L q^2, so their integers convolve as they are
+        (prods, scale), (recips, _) = prods, recips
+        convs = [sum(map(mul, prods[: n + 1], recips[n::-1])) for n in range(top + 1)]
+        pairs = enumerate(zip(unscale(convs, scale), [1] + [0] * top))
         return [IdentityReport(check, n, c == u, str(c), str(u)) for n, (c, u) in pairs]
     return [("faa", spec, None, top), ("faa", None, spec, top)], rows
 
@@ -206,6 +196,7 @@ def euler_suite(max_n: int):
         top = min(2 * top + 1, max_n)
         enumeration = sequence("p", top, "series")[-1] * (max_n + 1)
     def rows(closed_sums, series):
+        (closed_sums, _), (series, _) = closed_sums, series
         # the only suite that uses the partition iterator
         from .partitions import iter_partitions
 
@@ -243,6 +234,7 @@ def _progression(check, name, label, numer, denom, multiple, max_n):
     route, each from one prefix."""
     require_natural(max_n, "max_n")
     def rows(counts, quotient):
+        (counts, _), (quotient, _) = counts, quotient
         rows = []
         for n in range(max_n + 1):
             lhs, rhs = counts[3 * n + 2], multiple * quotient[n]
@@ -305,6 +297,7 @@ def theta_suite(max_n: int):
     the triangular-number indicator and the doubled square indicator."""
     require_natural(max_n, "max_n")
     def rows(psi, phi):
+        (psi, _), (phi, _) = psi, phi
         rows = []
         for n, got in enumerate(psi):
             want = 1 if _is_triangular(n) else 0

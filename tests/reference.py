@@ -67,6 +67,15 @@ def log_weight_table(spec: ProductSpec, n: int) -> list[Fraction]:
     return [_ZERO] + [log_weight(j, spec) for j in range(1, n + 1)]
 
 
+def literal_ratio_weights(numer, denom, n):
+    """``log_weight_table(numer) - log_weight_table(denom)``, a missing side
+    contributing nothing: the weights of the paper's sum for numer/denom."""
+    zero = [_ZERO] * (n + 1)
+    top = log_weight_table(numer, n) if numer is not None else zero
+    bottom = log_weight_table(denom, n) if denom is not None else zero
+    return [a - b for a, b in zip(top, bottom)]
+
+
 def partition_power_sum(n: int, weights, alternate_sign: bool = False) -> Fraction:
     """Exact evaluation of ``sum over (k_1..k_n), sum j k_j = n, of
     prod_j (1/k_j!) (weights[j]/j)^{k_j}``, one term per partition of ``n``.

@@ -16,7 +16,9 @@ from bellforge import (
     set_additivity_report,
     sigma,
     spec_from_factors,
+    unscale,
 )
+from bellforge import bellpoly
 from bellforge.bellpoly import bell_extend
 from bellforge.partfun import (
     CHAN_DENOMINATOR,
@@ -33,7 +35,14 @@ from bellforge.partfun import (
 )
 from bellforge.supports import Factor, ProductSpec, SupportSet
 from bellforge.verify import _reciprocal, random_product_spec
-from reference import divisor_power_sum, log_weight, log_weight_table, negated, partition_power_sum
+from reference import (
+    divisor_power_sum,
+    literal_ratio_weights,
+    log_weight,
+    log_weight_table,
+    negated,
+    partition_power_sum,
+)
 
 F = Fraction
 ALL = SupportSet.all_naturals()
@@ -105,22 +114,22 @@ def test_log_weight_table_matches_pointwise():
 
 
 def test_product_coefficient_examples():
-    assert ratio_coefficients(EULER, None, 0)[0] == 1
-    assert ratio_coefficients(EULER, None, 5)[5] == 1
-    assert ratio_coefficients(INV_EULER, None, 3)[3] == 3
+    assert unscale(*ratio_coefficients(EULER, None, 0))[0] == 1
+    assert unscale(*ratio_coefficients(EULER, None, 5))[5] == 1
+    assert unscale(*ratio_coefficients(INV_EULER, None, 3))[3] == 3
 
 
 def test_reciprocal_coefficient_examples():
-    assert ratio_coefficients(None, EULER, 0)[0] == 1
-    assert ratio_coefficients(None, EULER, 4)[4] == 5
+    assert unscale(*ratio_coefficients(None, EULER, 0))[0] == 1
+    assert unscale(*ratio_coefficients(None, EULER, 4))[4] == 5
     two_parts = spec_from_factors(
         (SupportSet.finite([1]), 1, 1), (SupportSet.finite([2]), 1, 1)
     )
-    assert ratio_coefficients(None, two_parts, 2)[2] == 2
+    assert unscale(*ratio_coefficients(None, two_parts, 2))[2] == 2
 
 
 def test_reciprocal_recursion_examples():
-    recips = ratio_coefficients(None, EULER, 6)
+    recips = unscale(*ratio_coefficients(None, EULER, 6))
     assert recips[0] == 1
     assert recips[1] == 1
     assert recips[6] == 11
@@ -130,8 +139,8 @@ def test_closed_sum_matches_series_oracle_random_family():
     rng = random.Random(20)
     for _ in range(12):
         spec = random_product_spec(rng)
-        expanded = expand_ratio(spec, None, 15)
-        prods = ratio_coefficients(spec, None, 15)
+        expanded = unscale(*expand_ratio(spec, None, 15))
+        prods = unscale(*ratio_coefficients(spec, None, 15))
         for n in range(16):
             assert prods[n] == expanded[n]
 
@@ -140,17 +149,17 @@ def test_reciprocal_matches_series_oracle_random_family():
     rng = random.Random(21)
     for _ in range(8):
         spec = random_product_spec(rng)
-        recip = TruncatedSeries(expand_ratio(spec, None, 12)).reciprocal()
+        recip = TruncatedSeries(unscale(*expand_ratio(spec, None, 12))).reciprocal()
         for n in range(13):
-            assert ratio_coefficients(None, spec, n)[n] == recip.coeffs[n]
+            assert unscale(*ratio_coefficients(None, spec, n))[n] == recip.coeffs[n]
 
 
 def test_reciprocal_convolution_is_unit():
     rng = random.Random(22)
     for _ in range(8):
         spec = random_product_spec(rng)
-        prods = ratio_coefficients(spec, None, 18)
-        recips = ratio_coefficients(None, spec, 18)
+        prods = unscale(*ratio_coefficients(spec, None, 18))
+        recips = unscale(*ratio_coefficients(None, spec, 18))
         for n in range(19):
             conv = sum(prods[k] * recips[n - k] for k in range(n + 1))
             assert conv == (1 if n == 0 else 0)
@@ -161,8 +170,8 @@ def test_negation_involution():
     for _ in range(10):
         spec = random_product_spec(rng)
         for n in range(11):
-            assert ratio_coefficients(None, spec, n)[n] == ratio_coefficients(negated(spec), None, n)[n]
-            assert ratio_coefficients(spec, None, n)[n] == ratio_coefficients(None, negated(spec), n)[n]
+            assert ratio_coefficients(None, spec, n) == ratio_coefficients(negated(spec), None, n)
+            assert ratio_coefficients(spec, None, n) == ratio_coefficients(None, negated(spec), n)
 
 
 def test_explicit_and_recursive_reciprocal_agree():
@@ -172,13 +181,13 @@ def test_explicit_and_recursive_reciprocal_agree():
         weights = log_weight_table(spec, 12)
         for n in range(13):
             explicit = partition_power_sum(n, weights, alternate_sign=True)
-            assert ratio_coefficients(None, spec, n)[n] == explicit
+            assert unscale(*ratio_coefficients(None, spec, n))[n] == explicit
 
 
 def assert_recurrence_matches_dfs(spec, max_n):
     weights = log_weight_table(spec, max_n)
-    prods = ratio_coefficients(spec, None, max_n)
-    recips = ratio_coefficients(None, spec, max_n)
+    prods = unscale(*ratio_coefficients(spec, None, max_n))
+    recips = unscale(*ratio_coefficients(None, spec, max_n))
     for n in range(max_n + 1):
         assert prods[n] == partition_power_sum(n, weights)
         assert recips[n] == partition_power_sum(n, weights, alternate_sign=True)
@@ -207,10 +216,10 @@ def test_recurrence_matches_partition_dfs_named_specs(spec):
 
 def test_a_shorter_prefix_is_a_prefix_of_a_longer_one():
     spec = spec_from_factors((ALL, F(1, 3), 2), (SupportSet.finite([2, 5]), F(-3, 2), -1))
-    short = ratio_coefficients(None, spec, 7)
-    assert ratio_coefficients(None, spec, 19)[:8] == short
-    assert ratio_coefficients(None, spec, 19) == list(
-        TruncatedSeries(expand_ratio(spec, None, 19)).reciprocal().coeffs
+    short = unscale(*ratio_coefficients(None, spec, 7))
+    assert unscale(*ratio_coefficients(None, spec, 19))[:8] == short
+    assert unscale(*ratio_coefficients(None, spec, 19)) == list(
+        TruncatedSeries(unscale(*expand_ratio(spec, None, 19))).reciprocal().coeffs
     )
 
 
@@ -239,19 +248,19 @@ def test_inexact_bell_division_raises():
 
 def fraction_quotient(numer, denom, order):
     """numer / denom by ``TruncatedSeries`` arithmetic on the two products."""
-    top, bottom = (TruncatedSeries(expand_ratio(s, None, order)) for s in (numer, denom))
+    top, bottom = (TruncatedSeries(unscale(*expand_ratio(s, None, order))) for s in (numer, denom))
     return top.mul(bottom.reciprocal())
 
 
 def test_ratio_coefficient_same_spec_is_unit():
     spec = spec_from_factors((ALL, 1, 1), (SupportSet.multiples_of(3), F(1, 2), -2))
-    assert ratio_coefficients(spec, spec, 11) == [1] + [0] * 11
+    assert unscale(*ratio_coefficients(spec, spec, 11)) == [1] + [0] * 11
 
 
 def test_ratio_coefficient_triangular_series():
     numer = spec_from_factors((SupportSet.multiples_of(2), 1, 2))
     denom = EULER
-    assert ratio_coefficients(numer, denom, 2)[1:] == [1, 0]
+    assert unscale(*ratio_coefficients(numer, denom, 2))[1:] == [1, 0]
 
 
 def test_ratio_coefficient_matches_series_quotient():
@@ -261,7 +270,7 @@ def test_ratio_coefficient_matches_series_quotient():
         denom = random_product_spec(rng, max_factors=2)
         quotient = fraction_quotient(numer, denom, 10)
         for n in range(11):
-            assert ratio_coefficients(numer, denom, n)[n] == quotient.coeffs[n]
+            assert unscale(*ratio_coefficients(numer, denom, n))[n] == quotient.coeffs[n]
 
 
 def test_ratio_coefficients_match_the_series_route_at_larger_orders():
@@ -275,22 +284,13 @@ def test_ratio_coefficients_match_the_series_route_at_larger_orders():
 
 
 def test_ratio_coefficient_none_sides():
-    assert ratio_coefficients(None, None, 3) == [1, 0, 0, 0]
-    assert ratio_coefficients(EULER, None, 4) == [1, -1, -1, 0, 0]
-    assert ratio_coefficients(None, EULER, 4) == [1, 1, 2, 3, 5]
-
-
-def literal_ratio_weights(numer, denom, n):
-    """``log_weight_table(numer) - log_weight_table(denom)``, a missing side
-    contributing nothing: the weights of the paper's sum for numer/denom."""
-    zero = [F(0)] * (n + 1)
-    top = log_weight_table(numer, n) if numer is not None else zero
-    bottom = log_weight_table(denom, n) if denom is not None else zero
-    return [a - b for a, b in zip(top, bottom)]
+    assert unscale(*ratio_coefficients(None, None, 3)) == [1, 0, 0, 0]
+    assert unscale(*ratio_coefficients(EULER, None, 4)) == [1, -1, -1, 0, 0]
+    assert unscale(*ratio_coefficients(None, EULER, 4)) == [1, 1, 2, 3, 5]
 
 
 def assert_ratio_matches_literal_sum(numer, denom, top):
-    prefix = ratio_coefficients(numer, denom, top)
+    prefix = unscale(*ratio_coefficients(numer, denom, top))
     weights = literal_ratio_weights(numer, denom, top)
     for n in range(top + 1):
         assert prefix[n] == partition_power_sum(n, weights), n
@@ -326,18 +326,20 @@ def test_ratio_matches_literal_partition_sum_random():
 
 def test_ratio_coefficients_are_one_recurrence(monkeypatch):
     # a ratio is one Bell recurrence on merged weights, with no convolution
-    from bellforge import verify
+    runs = []
 
-    def no_convolution(*args):
-        raise AssertionError("the ratio path convolved two prefixes")
+    def counted(coeffs, weights, n):
+        runs.append(n)
+        bell_extend(coeffs, weights, n)
 
-    monkeypatch.setattr(verify, "_convolve", no_convolution)
+    monkeypatch.setattr(bellpoly, "bell_extend", counted)
     numer = spec_from_factors((SupportSet.multiples_of(2), F(2, 3), 2))
     denom = spec_from_factors((ALL, F(-1, 4), 1), (SupportSet.finite([3]), 1, -2))
-    values = ratio_coefficients(numer, denom, 15)
+    values = unscale(*ratio_coefficients(numer, denom, 15))
+    assert runs == [15]
     assert values == list(fraction_quotient(numer, denom, 15).coeffs)
-    assert ratio_coefficients(None, None, 4) == [1, 0, 0, 0, 0]
-    assert [ratio_coefficients(numer, denom, n)[n] for n in range(16)] == values
+    assert unscale(*ratio_coefficients(None, None, 4)) == [1, 0, 0, 0, 0]
+    assert [unscale(*ratio_coefficients(numer, denom, n))[n] for n in range(16)] == values
 
 
 def test_index_additivity_examples():

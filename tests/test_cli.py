@@ -18,6 +18,7 @@ from bellforge.partfun import (
     work_estimate,
 )
 from bellforge.specfile import ratio_from_json, spec_to_json
+from bellforge.supports import unscale
 from plans import CI_RATIO, price, record_runs, report_work
 from reference import exp_log_expand, negated
 
@@ -395,7 +396,7 @@ def test_eval_series_takes_kims_quotient_to_2000(capsys, tmp_path):
     path = spec_file(tmp_path, payload)
     code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "2000", "--method", "series")
     assert (code, err) == (0, "")
-    want = route_prefix("faa", KIM_NUMERATOR, KIM_DENOMINATOR, 2000)
+    want = unscale(*route_prefix("faa", KIM_NUMERATOR, KIM_DENOMINATOR, 2000))
     assert out == "n,value\n" + "".join(f"{n},{c}\n" for n, c in enumerate(want))
 
 

@@ -24,9 +24,9 @@ from bellforge.partfun import (
     sequence,
 )
 from bellforge.series import expand_ratio
-from bellforge.supports import SupportSet, spec_from_factors
+from bellforge.supports import SupportSet, scaled_factors, spec_from_factors, unscale
 from bellforge.verify import random_product_spec
-from reference import count_restricted_bruteforce
+from reference import count_restricted_bruteforce, literal_ratio_weights, partition_power_sum
 
 
 def cubic_by_convolution(n):
@@ -101,7 +101,7 @@ def test_cubic_matches_convolution_oracle():
 
 def test_chan_identity_small():
     cubic = sequence("cubic", 3 * 12 + 2)
-    chan = [3 * v for v in route_prefix("series", CHAN_NUMERATOR, CHAN_DENOMINATOR, 12)]
+    chan = [3 * v for v in unscale(*route_prefix("series", CHAN_NUMERATOR, CHAN_DENOMINATOR, 12))]
     assert chan[0] == cubic[2] == 3
     assert chan[1] == cubic[5]
     for n in range(13):
@@ -125,7 +125,7 @@ def test_overcubic_matches_convolution_oracle():
 
 def test_kim_identity_small():
     overcubic = sequence("overcubic", 3 * 10 + 2)
-    kim = [6 * v for v in route_prefix("series", KIM_NUMERATOR, KIM_DENOMINATOR, 10)]
+    kim = [6 * v for v in unscale(*route_prefix("series", KIM_NUMERATOR, KIM_DENOMINATOR, 10))]
     assert kim[0] == overcubic[2] == 6
     assert kim[1] == overcubic[5]
     for n in range(11):
@@ -186,9 +186,9 @@ def multiples(*slots):
 def test_four_factor_psi_reproduction():
     # two multiples-of-2 numerator factors fold to the squared factor
     numer, denom = multiples((2, 1), (2, 1)), multiples((1, 1))
-    values = ratio_coefficients(numer, denom, 20)
+    values = unscale(*ratio_coefficients(numer, denom, 20))
     assert values[:2] == [1, 1]
-    folded = ratio_coefficients(multiples((2, 2)), denom, 20)
+    folded = unscale(*ratio_coefficients(multiples((2, 2)), denom, 20))
     psi = sequence("psi-star", 20, "series")
     closed = sequence("psi-star", 20)
     for n in range(21):
@@ -197,7 +197,7 @@ def test_four_factor_psi_reproduction():
 
 
 def test_four_factor_cubic_reproduction():
-    values = ratio_coefficients(None, multiples((1, 1), (2, 1)), 15)
+    values = unscale(*ratio_coefficients(None, multiples((1, 1), (2, 1)), 15))
     assert values[3] == 4
     assert values[0] == 1
     assert values == sequence("cubic", 15)
@@ -205,21 +205,31 @@ def test_four_factor_cubic_reproduction():
 
 def test_four_factor_can_be_rational():
     # a pure numerator never has poles, so try an unbalanced quotient
-    values = ratio_coefficients(multiples((1, 1)), multiples((2, 3)), 9)
+    values = unscale(*ratio_coefficients(multiples((1, 1)), multiples((2, 3)), 9))
     assert all(isinstance(v, Fraction) for v in values)
     assert values[0] == 1
 
 
 def test_routes_return_equal_lists():
+    # both routes hand back (ints, scale), ints[n] = scale^n c_n, with the same scale L q^2
     rng = random.Random(16)
     cases = [(random_product_spec(rng, 2), random_product_spec(rng, 2)) for _ in range(6)]
     cases += [(None, None), (PARTITION_PRODUCT, None), (None, PARTITION_PRODUCT)]
     cases += [(multiples((1, 1)), multiples((2, 3)))]
+    # p/q exponents and rational z: third/fifth has L = 15 and q = 6, so its scale is 15 * 6^2
+    third = spec_from_factors((SupportSet.all_naturals(), Fraction(2, 3), Fraction(1, 2)))
+    fifth = spec_from_factors((SupportSet.finite([1, 3]), Fraction(-1, 5), Fraction(-2, 3)))
+    cases += [(None, third), (fifth, None), (third, fifth)]
     for numer, denom in cases:
         faa, ser = (route_prefix(method, numer, denom, 12) for method in ("faa", "series"))
-        assert type(faa) is type(ser) is list
-        assert all(type(v) is Fraction for v in faa + ser)
-        assert faa == ser and len(faa) == 13
+        assert type(faa) is type(ser) is tuple and type(faa[0]) is type(ser[0]) is list
+        assert all(type(v) is int for v in faa[0] + ser[0] + [faa[1], ser[1]])
+        assert faa == ser and len(faa[0]) == 13
+        scale, q, _ = scaled_factors(numer, denom)
+        assert faa[1] == scale * q * q
+        weights = literal_ratio_weights(numer, denom, 8)
+        assert unscale(*faa)[:9] == [partition_power_sum(n, weights) for n in range(9)]
+    assert faa[1] == 15 * 6**2
 
 
 def test_restricted_recursion_examples():
@@ -285,7 +295,7 @@ def test_sequence_takes_the_closed_sum_at_every_n(monkeypatch, capsys):
                 assert sequence(name, top, parts=extra) == want
                 assert [sequence(name, n, parts=extra)[n] for n in range(top + 1)] == want
             numer, denom = multiples((2, 2)), multiples((1, 1))
-            assert [ratio_coefficients(numer, denom, n)[n] for n in range(top + 1)] == psi
+            assert [unscale(*ratio_coefficients(numer, denom, n))[n] for n in range(top + 1)] == psi
             for name, want in (("psi-star", psi), ("phi-star", phi)):
                 assert main(["seq", name, "--max", str(top)]) == 0
                 rows = capsys.readouterr().out.splitlines()
@@ -293,11 +303,12 @@ def test_sequence_takes_the_closed_sum_at_every_n(monkeypatch, capsys):
 
 
 def test_count_guard_rejects_non_integral():
-    with pytest.raises(InconsistencyError):
-        as_counts("test", [Fraction(1), Fraction(3, 2)])
-    with pytest.raises(InconsistencyError, match=r"test\(1\) evaluated to -1, not a count"):
-        as_counts("test", [Fraction(1), Fraction(-1)])
-    assert as_counts("test", [Fraction(7)]) == [7] and type(as_counts("test", [Fraction(7)])[0]) is int
+    # counts are a route's integers at scale 1: 3/2 is (1, 3) at scale 2
+    with pytest.raises(InconsistencyError, match=r"test\(0\) evaluated to 1 at scale 2, not a count"):
+        as_counts("test", [1, 3], 2)
+    with pytest.raises(InconsistencyError, match=r"test\(1\) evaluated to -1 at scale 1, not a count"):
+        as_counts("test", [1, -1], 1)
+    assert as_counts("test", [7], 1) == [7] and type(as_counts("test", [7], 1)[0]) is int
 
 
 def test_sequence_checks_its_route_and_parts():
@@ -381,7 +392,7 @@ def test_each_request_runs_its_own_recurrence(monkeypatch):
 def test_cache_under_thread_stress():
     # more threads than cores, switching often, over both routes and three ratios
     specs = [spec_from_factors((SupportSet.multiples_of(r), Fraction(1, r + 1), 1)) for r in (1, 2, 3)]
-    want = {spec: expand_ratio(None, spec, 120) for spec in specs}
+    want = {spec: unscale(*expand_ratio(None, spec, 120)) for spec in specs}
     errors = []
 
     def work(seed):
@@ -389,9 +400,9 @@ def test_cache_under_thread_stress():
         for _ in range(40):
             spec, n, route = rng.choice(specs), rng.randint(0, 120), rng.choice(("faa", "series"))
             if route == "faa":
-                got = ratio_coefficients(None, spec, n)
+                got = unscale(*ratio_coefficients(None, spec, n))
             else:
-                got = route_prefix("series", None, spec, n)
+                got = unscale(*route_prefix("series", None, spec, n))
             if got != want[spec][: n + 1]:
                 errors.append((route, spec, n))
 

@@ -15,6 +15,7 @@ from bellforge import (
     TruncatedSeries,
     expand_ratio,
     ratio_coefficients,
+    set_additivity_report,
 )
 
 
@@ -74,7 +75,7 @@ def test_repr_text():
     assert repr(finite) == "SupportSet(kind='finite', r=1, members=(2, 5))"
     factor = Factor(finite, 4, 1)
     assert repr(factor) == (
-        "Factor(support=SupportSet(kind='finite', r=1, members=(2, 5)), z=Fraction(4, 1), a=1)"
+        "Factor(support=SupportSet(kind='finite', r=1, members=(2, 5)), z=4, a=1)"
     )
     assert repr(ProductSpec((factor,))) == f"ProductSpec(factors=({factor!r},))"
     assert repr(IdentityReport("x", 3, True, "1", "1")) == (
@@ -142,6 +143,9 @@ def test_constructor_validation():
         (TypeError, lambda: ProductSpec(("x",))),
         (TypeError, lambda: ProductSpec((factor, support))),
         (TypeError, lambda: ProductSpec((spec,))),
+        # each side of an additivity check is a ProductSpec
+        (TypeError, lambda: set_additivity_report(4, None, spec)),
+        (TypeError, lambda: set_additivity_report(4, spec, "x")),
     ]
     # a side of a ratio is a ProductSpec or None, on both routes
     for evaluate in (ratio_coefficients, expand_ratio):
@@ -151,5 +155,5 @@ def test_constructor_validation():
     for error, build in cases:
         with pytest.raises(error):
             build()
-    assert Factor(support, 2, 1).z == Fraction(2)
+    assert Factor(support, 2, 1).z == Fraction(2) and type(Factor(support, Fraction(2), 1).z) is int
     assert SupportSet.finite([9, 4]).members == (4, 9)

@@ -31,7 +31,9 @@ VERIFY = CLOSED_SUM | {"bellforge.verify", "random"}
 COMMANDS = {f"bellforge.{m}" for m in ("specfile", "verify", "errata", "bench", "divisors")}
 # the argparse parser and what it imports, needed only for help and errors
 ARGPARSE = {"argparse", "gettext", "locale"}
-SEQ_ABSENT = ARGPARSE | SERIES_ROUTE | COMMANDS
+# fractions and what it imports: a count is an int, and only a printed non-integer needs them
+FRACTIONS = {"fractions", "decimal", "numbers"}
+SEQ_ABSENT = ARGPARSE | SERIES_ROUTE | COMMANDS | FRACTIONS
 EVAL_ABSENT = ARGPARSE | PARTITIONS | COMMANDS - {"bellforge.specfile"}
 VERIFY_ABSENT = ARGPARSE | {"json"} | COMMANDS - {"bellforge.verify"}
 
@@ -70,8 +72,8 @@ SHAPES = {
         "errata --max 8 --format json", CLOSED_SUM | SERIES | {"bellforge.errata", "json"},
         ARGPARSE | PARTITIONS | COMMANDS - {"bellforge.errata"}, 1138,
     ),
-    "help": row("--help", CLOSED_SUM | ARGPARSE, SERIES_ROUTE | COMMANDS, 745),
-    "seq-help": row("seq --help", CLOSED_SUM | ARGPARSE, SERIES_ROUTE | COMMANDS, 745),
+    "help": row("--help", CLOSED_SUM | ARGPARSE, SERIES_ROUTE | COMMANDS | FRACTIONS, 745),
+    "seq-help": row("seq --help", CLOSED_SUM | ARGPARSE, SERIES_ROUTE | COMMANDS | FRACTIONS, 745),
 }
 
 
@@ -263,7 +265,7 @@ def test_test_only_oracles_are_not_exported():
         with pytest.raises(AttributeError):
             getattr(bellforge, name)
         assert name not in bellforge.__all__
-    assert len(bellforge.__all__) == 18
+    assert len(bellforge.__all__) == 19
     assert bellforge.sequence is importlib.import_module("bellforge.partfun").sequence
     assert importlib.util.find_spec("bellforge.fourfactor") is None
     checks = "IdentityReport index_additivity_report set_additivity_report restricted_recursion_report"

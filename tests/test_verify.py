@@ -1,23 +1,22 @@
 import inspect
 import json
 import random
-from fractions import Fraction
 from math import isqrt
 
 import pytest
 
 from bellforge import cli
-from bellforge.bellpoly import InconsistencyError, ratio_coefficients
+from bellforge.bellpoly import ratio_coefficients
 from bellforge.cli import main
 from bellforge.partfun import SEQUENCES, prefixes, sequence
 from bellforge.series import TruncatedSeries
-from bellforge.supports import FINITE, MULTIPLES, ProductSpec, scaled_factors
+from bellforge.supports import FINITE, MULTIPLES, ProductSpec, unscale
 from bellforge.verify import (
     SUITES,
-    _convolve,
-    _scaled,
+    _reciprocal,
     random_product_spec,
     run_suite,
+    set_additivity_report,
     theta_suite,
 )
 from plans import CI_RATIO, plan, plan_price, record_runs, run
@@ -157,19 +156,19 @@ def test_prices_cover_every_prefix_that_runs(name, monkeypatch, tmp_path, capsys
 
 
 def test_integer_convolution_matches_the_fraction_cauchy_product():
-    # the identities convolve c_m L^m under the lcm L of both sides' z denominators
+    # additivity convolves each side's integers c_m S^m on its own scale S, and reciprocal
+    # convolves those of f and 1/f, whose scales are equal
     rng = random.Random(24)
     mixed = 0
     for _ in range(50):
         spec_a, spec_b = random_product_spec(rng), random_product_spec(rng)
         n = rng.randint(0, 30)
-        u, v = ratio_coefficients(spec_a, None, n), ratio_coefficients(spec_b, None, n)
-        scale = scaled_factors(spec_a, spec_b)[0]
-        mixed += scaled_factors(spec_a, None)[0] != scaled_factors(spec_b, None)[0]
-        want = TruncatedSeries(u).mul(TruncatedSeries(v)).coeffs
-        got = [_convolve(_scaled(u, scale), _scaled(v, scale), k) for k in range(n + 1)]
-        assert [Fraction(c, scale**k) for k, c in enumerate(got)] == list(want)
+        (u, s), (v, t) = ratio_coefficients(spec_a, None, n), ratio_coefficients(spec_b, None, n)
+        mixed += s != t
+        want = TruncatedSeries(unscale(u, s)).mul(TruncatedSeries(unscale(v, t))).coeffs
+        report = set_additivity_report(n, spec_a, spec_b)
+        assert report.ok and report.rhs == str(want[n]) == report.lhs
+        requests, rows = _reciprocal("reciprocal", spec_a, n)
+        recips = ratio_coefficients(None, spec_a, n)
+        assert recips[1] == s and [row.lhs for row in rows(*prefixes(requests))] == ["1"] + ["0"] * n
     assert mixed >= 10
-    # a coefficient whose denominator does not divide L^m is an error, not a floor
-    with pytest.raises(InconsistencyError):
-        _scaled([Fraction(1), Fraction(1, 3)], 2)
