@@ -25,7 +25,7 @@ _EXPORTS = {
         ("partfun", "sequence work_estimate"),
         ("partitions", "iter_partitions"),
         ("series", "TruncatedSeries expand_ratio"),
-        ("supports", "Factor ProductSpec SupportSet spec_from_factors unscale"),
+        ("supports", "Factor ProductSpec SupportSet ratio spec_from_factors unscale"),
         (
             "verify",
             "IdentityReport index_additivity_report restricted_recursion_report "

@@ -55,14 +55,12 @@ def kernel_steps(factors, q: int, n: int) -> int:
     return steps
 
 
-def ratio_coefficients(
-    numer: ProductSpec | None, denom: ProductSpec | None, n: int
-) -> tuple[list[int], int]:
-    """``(A, L q^2)``, ``A_m = (L q^2)^m c_m`` for the coefficients ``c_0..c_n`` of
-    numerator-product / denominator-product (``None`` on either side is 1) by one Bell
+def ratio_coefficients(spec: ProductSpec | None, n: int) -> tuple[list[int], int]:
+    """``(A, L q^2)``, ``A_m = (L q^2)^m c_m`` for the coefficients ``c_0..c_n`` of ``spec``
+    (``None`` is 1; a ratio is one spec, see :func:`~bellforge.supports.ratio`) by one Bell
     recurrence on the integers of :func:`scaled_factors`, from ``A_0 = 1``: a support
     member ``m`` adds ``-a m (z (L q^2)^m)^j`` to the weight ``w_k (L q^2)^k`` of ``k = j m``."""
-    scale, q, factors = scaled_factors(numer, denom)
+    scale, q, factors = scaled_factors(spec)
     require_natural(n)
     weights = [0] * (n + 1)
     for support, z, a in factors:

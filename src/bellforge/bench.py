@@ -14,7 +14,7 @@ import time
 from math import inf
 
 from .cli import UsageError
-from .partfun import PARTITION_PRODUCT, route_prefix
+from .partfun import SEQUENCES, route_prefix
 
 ROUTES = {"closed-sum": "faa", "series": "series"}  # printed name -> route
 
@@ -25,7 +25,7 @@ def plan_bench(args):
         raise UsageError("--repeat must be >= 1")
     buckets = [*range(10, n_max, 10), n_max]
     runs = len(buckets) * repeat
-    requests = [(route, None, PARTITION_PRODUCT, n_max) for route in ROUTES.values()]
+    requests = [(route, SEQUENCES["p"], n_max) for route in ROUTES.values()]
     def report(closed_sums, series) -> int:
         (closed_sums, _), (series, _) = closed_sums, series
         print("n_max,method,seconds,agree")
@@ -37,7 +37,7 @@ def plan_bench(args):
                 seconds = inf
                 for _ in range(repeat):  # main's run checked the values and loaded the series route
                     start = time.perf_counter()
-                    route_prefix(route, None, PARTITION_PRODUCT, hi)
+                    route_prefix(route, SEQUENCES["p"], hi)
                     seconds = min(seconds, time.perf_counter() - start)
                 print(f"{hi},{name},{seconds:.6f},{str(agree).lower()}")
         return 1 if disagreement else 0

@@ -29,7 +29,7 @@ from importlib import import_module
 
 from . import __version__
 from .arith import InconsistencyError
-from .partfun import SEQUENCES, as_counts, prefixes, restricted_product, work_estimate
+from .partfun import SEQUENCES, as_counts, prefixes, restricted_spec, work_estimate
 
 # The keys of verify.SUITES, listed here so that parsing does not import the
 # suites; a test keeps the two equal.
@@ -159,7 +159,7 @@ def plan_seq(args):
         parts = _parse_parts(args["parts"])
     elif args["parts"] is not None:
         raise UsageError("--parts only applies to function w")
-    numer, denom = (None, restricted_product(parts)) if parts else SEQUENCES[args["function"]]
+    spec = restricted_spec(parts) if parts else SEQUENCES[args["function"]]
     def report(prefix) -> int:
         values = list(enumerate(as_counts(args["function"], *prefix)))
         if args["format"] == "csv":
@@ -174,7 +174,7 @@ def plan_seq(args):
         doc = {"name": args["function"], "params": params, "values": values, "verdicts": []}
         print(json.dumps(doc, indent=2))
         return 0
-    return f"seq --max {args['max']}", [("faa", numer, denom, args["max"])], [1], 0, report
+    return f"seq --max {args['max']}", [("faa", spec, args["max"])], [1], 0, report
 
 
 def _parse_parts(text: str) -> list[int]:

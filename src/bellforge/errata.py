@@ -82,8 +82,8 @@ def _plan(max_n: int):
     of its terms' specs on the closed sum, and the report rows of their prefixes."""
     n = require_natural(max_n, "max_n")
     terms = {name: _terms(name) for name in _FORMULAS}
-    forms = [("series", *SEQUENCES[seq], s * n + s - 1) for _, seq, s, _ in _FORMULAS.values()]
-    requests = forms + [("faa", spec, None, n) for name in _FORMULAS for _, spec in terms[name]]
+    forms = [("series", SEQUENCES[seq], s * n + s - 1) for _, seq, s, _ in _FORMULAS.values()]
+    requests = forms + [("faa", spec, n) for name in _FORMULAS for _, spec in terms[name]]
     def rows(*columns) -> list[dict]:
         out, sums = [], (unscale(*column) for column in columns[len(_FORMULAS) :])
         for (name, (description, _, step, _)), form in zip(_FORMULAS.items(), columns):

@@ -22,41 +22,12 @@ from .arith import InconsistencyError, require_natural
 from .bellpoly import kernel_steps, ratio_coefficients
 from .supports import ProductSpec, SupportSet, scaled_factors, spec_from_factors
 
-_ALL = SupportSet.all_naturals()
+_ALL, _M2, _M4 = SupportSet.all_naturals(), SupportSet.multiples_of(2), SupportSet.multiples_of(4)
 
 
-# generating products for the named sequences
-PARTITION_PRODUCT = spec_from_factors((_ALL, 1, 1))
-CUBIC_PRODUCT = spec_from_factors((_ALL, 1, 1), (SupportSet.multiples_of(2), 1, 1))
-OVERCUBIC_NUMERATOR = spec_from_factors((SupportSet.multiples_of(4), 1, 1))
-OVERCUBIC_DENOMINATOR = spec_from_factors(
-    (_ALL, 1, 2), (SupportSet.multiples_of(2), 1, 1)
-)
-# 3 and 6 times the t^n coefficients of Chan's and Kim's quotients are
-# a(3n+2) and abar(3n+2); verify reads them on the series route
-CHAN_NUMERATOR = spec_from_factors(
-    (SupportSet.multiples_of(3), 1, 3), (SupportSet.multiples_of(6), 1, 3)
-)
-CHAN_DENOMINATOR = spec_from_factors(
-    (_ALL, 1, 4), (SupportSet.multiples_of(2), 1, 4)
-)
-KIM_NUMERATOR = spec_from_factors(
-    (SupportSet.multiples_of(3), 1, 6), (SupportSet.multiples_of(4), 1, 3)
-)
-KIM_DENOMINATOR = spec_from_factors(
-    (_ALL, 1, 8), (SupportSet.multiples_of(2), 1, 3)
-)
-PSI_NUMERATOR = spec_from_factors((SupportSet.multiples_of(2), 1, 2))
-PSI_DENOMINATOR = PARTITION_PRODUCT
-PHI_NUMERATOR = spec_from_factors((SupportSet.multiples_of(2), 1, 5))
-PHI_DENOMINATOR = spec_from_factors(
-    (_ALL, 1, 2), (SupportSet.multiples_of(4), 1, 2)
-)
-
-
-def restricted_product(parts) -> ProductSpec:
-    """The product ``prod_{d in parts} (1 - t^d)`` for a distinct parts list."""
-    return spec_from_factors((SupportSet.finite(parts), 1, 1))
+def restricted_spec(parts) -> ProductSpec:
+    """W's product ``prod_{d in parts} (1 - t^d)^-1`` for a distinct parts list."""
+    return spec_from_factors((SupportSet.finite(parts), 1, -1))
 
 
 def _route(method: str):
@@ -71,25 +42,25 @@ def _route(method: str):
     raise ValueError(f"method must be 'faa' or 'series', got {method!r}")
 
 
-def route_prefix(route: str, numer, denom, n: int) -> tuple[list[int], int]:
-    """``(A, S)`` for coefficients ``0..n`` of numer/denom on ``route``, in a request's order."""
-    return _route(route)[0](numer, denom, require_natural(n))
+def route_prefix(route: str, spec, n: int) -> tuple[list[int], int]:
+    """``(A, S)`` for coefficients ``0..n`` of ``spec`` on ``route``, in a request's order."""
+    return _route(route)[0](spec, require_natural(n))
 
 
 def prefixes(requests) -> list[tuple[list[int], int]]:
-    """The prefix of each request ``(route, numer, denom, n)``, each evaluated once, in order."""
+    """The prefix of each request ``(route, spec, n)``, each evaluated once, in order."""
     return [route_prefix(*request) for request in requests]
 
 
-def work_estimate(route: str, numer, denom, n: int) -> int:
-    """Work of ``route`` on ``numer/denom`` to order ``n`` in one unit for both routes:
+def work_estimate(route: str, spec, n: int) -> int:
+    """Work of ``route`` on ``spec`` to order ``n`` in one unit for both routes:
     ``steps (1 + B/64)^1.5``, plus ``(1 + B/64)^2`` per output coefficient for its gcd
     and decimal form.  Callers check it; nothing here does."""
-    steps, bits = kernel_size(route, numer, denom, n)
+    steps, bits = kernel_size(route, spec, n)
     return (8 * steps * isqrt((64 + bits) ** 3) + (n + 1) * (64 + bits) ** 2) // 4096
 
 
-def kernel_size(route: str, numer, denom, n: int) -> tuple[int, int]:
+def kernel_size(route: str, spec, n: int) -> tuple[int, int]:
     """``(steps, B)`` of ``route`` to order ``n``, in O(factors) closed forms: the
     route counts its steps by its own ``kernel_steps``.  Every integer either route
     produces (a q-series term and sum too) is dominated by ``prod (1 - Z L^m s^m)^-S``
@@ -99,7 +70,7 @@ def kernel_size(route: str, numer, denom, n: int) -> tuple[int, int]:
     for the root's terms ``g_k F_(n-k)``; as ``|(q+1)k - q n| <= k + q (n - k)`` and ``n p_T(n)
     = T [x^n] P_T(x) sum_m m x^m / (1 - x^m)``, a root's partial sum is under ``2 n`` times that."""
     require_natural(n)
-    scale, q, factors = scaled_factors(numer, denom)
+    scale, q, factors = scaled_factors(spec)
     steps = _route(route)[1](factors, q, n)
     lz = max([scale] + [abs(z) for _, z, _ in factors])
     size = sum(abs(a) for _, _, a in factors)
@@ -122,22 +93,23 @@ def _sqrt_bits(x: int) -> int:
     return 371 * (isqrt(x) + 1) // 100
 
 
-# name -> (numerator, denominator) of the named count sequences
+# name -> the generating product of the named count sequences, a ratio as one spec
+# with the denominator's exponents negated
 SEQUENCES = {
-    # p(n): partitions of n
-    "p": (None, PARTITION_PRODUCT),
-    # partitions of n into parts from a distinct list; the denominator is
-    # the product over that list
-    "w": (None, None),
+    # p(n): partitions of n, 1 / prod (1-t^m)
+    "p": spec_from_factors((_ALL, 1, -1)),
+    # partitions of n into parts from a distinct list: restricted_spec(parts), the
+    # reciprocal of the product over that list; None (the constant 1) until one is given
+    "w": None,
     # a(n): partitions of n whose even parts come in two colors
-    "cubic": (None, CUBIC_PRODUCT),
+    "cubic": spec_from_factors((_ALL, 1, -1), (_M2, 1, -1)),
     # abar(n), overlined cubic partitions: prod (1-t^{4m}) / [prod (1-t^m)^2 prod (1-t^{2m})]
-    "overcubic": (OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR),
+    "overcubic": spec_from_factors((_M4, 1, 1), (_ALL, 1, -2), (_M2, 1, -1)),
     # prod (1-t^{2m})^2 / prod (1-t^m): 1 at the triangular numbers, else 0
-    "psi-star": (PSI_NUMERATOR, PSI_DENOMINATOR),
+    "psi-star": spec_from_factors((_M2, 1, 2), (_ALL, 1, -1)),
     # prod (1-t^{2m})^5 / [prod (1-t^m)^2 prod (1-t^{4m})^2]: 2 at the
     # positive squares, 1 at 0, else 0
-    "phi-star": (PHI_NUMERATOR, PHI_DENOMINATOR),
+    "phi-star": spec_from_factors((_M2, 1, 5), (_ALL, 1, -2), (_M4, 1, -2)),
 }
 
 
@@ -146,14 +118,14 @@ def sequence(name: str, n: int, method: str = "faa", parts=None) -> list[int]:
     route ``method``; ``"w"`` needs ``parts`` and no other name takes them."""
     if name not in SEQUENCES:
         raise ValueError(f"unknown sequence {name!r}; known: {', '.join(SEQUENCES)}")
-    numer, denom = SEQUENCES[name]
+    spec = SEQUENCES[name]
     if name == "w":
         if parts is None:
             raise ValueError("sequence 'w' needs a parts list")
-        denom = restricted_product(parts)
+        spec = restricted_spec(parts)
     elif parts is not None:
         raise ValueError(f"a parts list applies only to sequence 'w', not {name!r}")
-    return as_counts(name, *route_prefix(method, numer, denom, n))
+    return as_counts(name, *route_prefix(method, spec, n))
 
 
 def as_counts(name: str, ints: list[int], scale: int) -> list[int]:

@@ -1,8 +1,7 @@
 """The series route: a product or a ratio of products expanded as a power series.
 
-:func:`expand_ratio` computes a product or a ratio of products on integers: a
-ratio is the product of the numerator's factors and the denominator's with negated
-exponents, which :func:`~bellforge.supports.scaled_factors` lists with integer
+:func:`expand_ratio` computes a product whose exponents may be negative (a ratio) on
+integers: :func:`~bellforge.supports.scaled_factors` lists its factors with integer
 multipliers under ``t = L s``, so every fold stays integral.  A family on the
 multiples of ``r`` folds by Euler's or Cauchy's q-series identity over its
 ``O(sqrt(n / r))`` terms, a finite support by one binomial per member.  Rational
@@ -12,15 +11,14 @@ integers ``(L q^2)^n c_n`` (``q = 1`` for integer exponents), handed back with t
 scale ``L q^2``; :func:`kernel_steps` counts the products of it all for the price.
 
 :class:`TruncatedSeries` holds ``N + 1`` exact ``Fraction`` coefficients, and its
-Cauchy product requires equal orders instead of re-truncating.  No request calls
-it: it keeps only ``constant`` and the five ``Fraction`` methods (``mul``,
-``reciprocal``, ``log``, ``exp``, ``int_pow``) that the benchmark's tracer wraps by
-name and the tests use as the cross-check path.
+Cauchy product requires equal orders instead of re-truncating.  No request calls it
+(it imports ``fractions`` only when built): it keeps only ``constant`` and the five
+``Fraction`` methods (``mul``, ``reciprocal``, ``log``, ``exp``, ``int_pow``) that the
+benchmark's tracer wraps by name and the tests use as the cross-check path.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from operator import add
 
@@ -29,9 +27,6 @@ from .supports import (
     FINITE, ProductSpec, Record, SupportSet, _require_rational, scaled_factors,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class TruncatedSeries(Record):
     """Coefficients ``(c_0, ..., c_N)`` of a power series, exact and immutable."""
@@ -39,6 +34,8 @@ class TruncatedSeries(Record):
     _fields = ("coeffs",)
 
     def __init__(self, coeffs):
+        from fractions import Fraction
+
         cs = tuple(Fraction(_require_rational(c, "a coefficient")) for c in coeffs)
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
@@ -51,7 +48,7 @@ class TruncatedSeries(Record):
     @classmethod
     def constant(cls, value, order: int) -> "TruncatedSeries":
         require_natural(order, "order")
-        cs = [_ZERO] * (order + 1)
+        cs = [0] * (order + 1)
         cs[0] = value
         return cls(cs)
 
@@ -60,7 +57,7 @@ class TruncatedSeries(Record):
         self._check_order(other)
         u, v = self.coeffs, other.coeffs
         n = len(u)
-        out = [_ZERO] * n
+        out = [0] * n
         for i, ui in enumerate(u):
             if not ui:
                 continue
@@ -77,10 +74,10 @@ class TruncatedSeries(Record):
         if u[0] == 0:
             raise ValueError("series with zero constant term has no reciprocal")
         inv0 = 1 / u[0]
-        out = [_ZERO] * len(u)
+        out = [0] * len(u)
         out[0] = inv0
         for n in range(1, len(u)):
-            s = _ZERO
+            s = 0
             for k in range(1, n + 1):
                 uk = u[k]
                 if uk:
@@ -94,7 +91,7 @@ class TruncatedSeries(Record):
         u = self.coeffs
         if u[0] != 1:
             raise ValueError("log requires constant term 1")
-        out = [_ZERO] * len(u)
+        out = [0] * len(u)
         for n in range(1, len(u)):
             s = n * u[n]
             for k in range(1, n):
@@ -109,10 +106,9 @@ class TruncatedSeries(Record):
         u = self.coeffs
         if u[0] != 0:
             raise ValueError("exp requires constant term 0")
-        out = [_ZERO] * len(u)
-        out[0] = _ONE
+        out = [1] + [0] * (len(u) - 1)
         for n in range(1, len(u)):
-            s = _ZERO
+            s = u[0]  # a Fraction 0: an int 0 over n would be a float
             for k in range(1, n + 1):
                 uk = u[k]
                 if uk:
@@ -150,11 +146,9 @@ class TruncatedSeries(Record):
         return f"TruncatedSeries([{shown}{more}], order={self.order})"
 
 
-def expand_ratio(
-    numer: ProductSpec | None, denom: ProductSpec | None, order: int
-) -> tuple[list[int], int]:
+def expand_ratio(spec: ProductSpec | None, order: int) -> tuple[list[int], int]:
     """``(A, L q^2)``, ``A_n = (L q^2)^n c_n`` for the coefficients ``c_0..c_order`` of
-    ``numer / denom``; ``None`` on either side is the constant 1.
+    ``spec``, whose exponents may be negative (a ratio); ``None`` is the constant 1.
 
     Every factor of :func:`scaled_factors` is folded in integers, a pass per
     unit of ``|a|`` that for ``a < 0`` divides exactly: by its support's kind, a
@@ -162,7 +156,7 @@ def expand_ratio(
     member (a ``z = 0`` factor is 1), skipping terms above ``order``.  The exponents
     are ``q a``, and for ``q > 1`` :func:`_root` takes the ``q``-th root.
     """
-    scale, q, factors = scaled_factors(numer, denom)
+    scale, q, factors = scaled_factors(spec)
     require_natural(order, "order")
     cs = [1] + [0] * order
     for support, z, a in factors:

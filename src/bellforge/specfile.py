@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .cli import UsageError
-from .supports import ALL, FINITE, MULTIPLES, Factor, ProductSpec, SupportSet, unscale
+from .supports import ALL, FINITE, MULTIPLES, Factor, ProductSpec, SupportSet, ratio, unscale
 
 # the keys a JSON support object may carry, by kind
 _SUPPORT_KEYS = {ALL: ("kind",), MULTIPLES: ("kind", "r"), FINITE: ("kind", "set")}
@@ -63,8 +63,8 @@ def factor_from_json(obj) -> Factor:
     return Factor(support, _as_rational(obj.get("z", "1"), "z"), _as_rational(obj.get("a"), "a"))
 
 
-def ratio_from_json(text: str) -> tuple[ProductSpec | None, ProductSpec | None]:
-    """Parse the ``{"numerator": [...], "denominator": [...]}`` spec format.
+def ratio_from_json(text: str) -> ProductSpec | None:
+    """Parse the ``{"numerator": [...], "denominator": [...]}`` spec format as one spec.
 
     Either side may be empty (meaning the constant series 1).
     """
@@ -86,7 +86,7 @@ def ratio_from_json(text: str) -> tuple[ProductSpec | None, ProductSpec | None]:
             return None
         return ProductSpec(tuple(factor_from_json(f) for f in raw))
 
-    return side("numerator"), side("denominator")
+    return ratio(side("numerator"), side("denominator"))
 
 
 def _as_rational(value, name) -> Fraction:
@@ -129,11 +129,11 @@ def plan_eval(args):
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read spec file: {exc}") from exc
     try:
-        numer, denom = ratio_from_json(text)
+        spec = ratio_from_json(text)
     except ValueError as exc:
         raise UsageError(f"bad spec file: {exc}") from exc
     routes = ("faa", "series") if args["method"] == "both" else (args["method"],)
-    requests = [(route, numer, denom, args["max"]) for route in routes]
+    requests = [(route, spec, args["max"]) for route in routes]
     return f"--max {args['max']} on this spec", requests, [1] * len(requests), 0, _print_columns
 
 

@@ -6,9 +6,10 @@ A :class:`ProductSpec` describes a (possibly infinite) product
 
 with exact rational ``z`` and nonzero ``a``, each an ``int`` or a ``Fraction``.
 The rest of the library extracts power-series coefficients of such products,
-of their reciprocals, and of ratios of two of them; :mod:`bellforge.specfile`
-reads and writes them as JSON.  Both routes hand back a ratio as the integers of
-:func:`scaled_factors` with their scale, and :func:`unscale` takes the values back.
+of their reciprocals, and of ratios of two of them, each one spec with signed
+exponents (:func:`ratio`); :mod:`bellforge.specfile` reads and writes them as JSON.
+Both routes hand back a spec's values as the integers of :func:`scaled_factors` with
+their scale, and :func:`unscale` takes the values back.
 """
 
 from __future__ import annotations
@@ -154,25 +155,33 @@ def spec_from_factors(*triples) -> ProductSpec:
     return ProductSpec(tuple(Factor(s, z, a) for s, z, a in triples))
 
 
-def scaled_factors(numer, denom) -> tuple[int, int, list[tuple[SupportSet, int, int]]]:
-    """``(L, q, [(support, z L, q a), ...])`` for ``numer / denom``, each side a
-    :class:`ProductSpec` or ``None`` for 1: the numerator's factors, then the
-    denominator's with ``-a``.  ``L`` is the lcm of all z denominators, so
-    under ``t = L s`` a factor ``(1 - z t^m)^a`` is ``(1 - (z L) L^(m-1) s^m)^a``,
-    and ``q`` that of the exponents'.  The ratio's ``t^n`` coefficients ``c_n`` give
-    integers ``(L q^2)^n c_n``: ``binom(1/q, j) q^(2j)`` is ``p``-integral for ``p`` prime
-    to ``q`` (Mahler, 1958) and, by ``v_p(j!) < j``, for ``p | q``."""
+def ratio(numer, denom) -> ProductSpec | None:
+    """``numer / denom``, each a :class:`ProductSpec` or ``None`` for 1, as one spec:
+    the numerator's factors, then the denominator's with ``-a``; ``None`` if both are 1."""
     factors = []
     for name, side, sign in (("numer", numer, 1), ("denom", denom, -1)):
         if isinstance(side, ProductSpec):
-            factors += [(f, sign * f.a) for f in side.factors]
+            factors += [Factor(f.support, f.z, sign * f.a) for f in side.factors]
         elif side is not None:
             raise TypeError(f"{name} must be a ProductSpec or None, got {side!r}")
-    scale = lcm(*(f.z.denominator for f, _ in factors))
-    q = lcm(*(a.denominator for _, a in factors))
+    return ProductSpec(factors) if factors else None
+
+
+def scaled_factors(spec) -> tuple[int, int, list[tuple[SupportSet, int, int]]]:
+    """``(L, q, [(support, z L, q a), ...])`` for ``spec``, a :class:`ProductSpec` whose
+    exponents may be negative (a ratio, see :func:`ratio`) or ``None`` for 1.  ``L`` is
+    the lcm of all z denominators, so under ``t = L s`` a factor ``(1 - z t^m)^a`` is
+    ``(1 - (z L) L^(m-1) s^m)^a``, and ``q`` that of the exponents'.  The ``t^n``
+    coefficients ``c_n`` give integers ``(L q^2)^n c_n``: ``binom(1/q, j) q^(2j)`` is
+    ``p``-integral for ``p`` prime to ``q`` (Mahler, 1958) and, by ``v_p(j!) < j``, for ``p | q``."""
+    if spec is not None and not isinstance(spec, ProductSpec):
+        raise TypeError(f"spec must be a ProductSpec or None, got {spec!r}")
+    factors = () if spec is None else spec.factors
+    scale = lcm(*(f.z.denominator for f in factors))
+    q = lcm(*(f.a.denominator for f in factors))
     return scale, q, [
-        (f.support, f.z.numerator * (scale // f.z.denominator), a.numerator * (q // a.denominator))
-        for f, a in factors
+        (f.support, f.z.numerator * (scale // f.z.denominator), f.a.numerator * (q // f.a.denominator))
+        for f in factors
     ]
 
 

@@ -14,25 +14,14 @@ check.  Convolutions run on the routes' integers ``c_m S^m``, each at its scale 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import isqrt
 from operator import mul
 
 from .arith import require_natural
-from .partfun import (
-    CHAN_DENOMINATOR,
-    CHAN_NUMERATOR,
-    KIM_DENOMINATOR,
-    KIM_NUMERATOR,
-    PARTITION_PRODUCT,
-    SEQUENCES,
-    prefixes,
-    restricted_product,
-    sequence,
-)
-from .supports import Factor, ProductSpec, Record, SupportSet, unscale
+from .partfun import SEQUENCES, prefixes, restricted_spec, sequence
+from .supports import Factor, ProductSpec, Record, SupportSet, ratio, spec_from_factors, unscale
 
 DEFAULT_SEED = 1103
 # instances per randomized suite: random specs, additivity pairs, parts lists
@@ -40,7 +29,6 @@ SPEC_COUNT = 30
 INSTANCES = 20
 LIST_COUNT = 30
 
-_Z_CHOICES = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
 _A_CHOICES = (-3, -2, -1, 1, 2, 3)
 
 
@@ -106,11 +94,13 @@ def _additivity(check, n, combined, spec_a, spec_b):
     ``sum_k u_k t^k v_(n-k) s^(n-k) / (s t)^n``: the row compares the values that it prints."""
     require_natural(n)
     def rows(whole, u, v):
+        from fractions import Fraction
+
         (whole, r), (u, s), (v, t) = whole, u, v
         conv = sum(u[k] * t**k * v[n - k] * s ** (n - k) for k in range(n + 1))
         lhs, rhs = Fraction(whole[n], r**n), Fraction(conv, (s * t) ** n)
         return [IdentityReport(check, n, lhs == rhs, str(lhs), str(rhs))]
-    return [("faa", spec, None, n) for spec in (combined, spec_a, spec_b)], rows
+    return [("faa", spec, n) for spec in (combined, spec_a, spec_b)], rows
 
 
 def restricted_recursion_report(n: int, parts) -> IdentityReport:
@@ -132,7 +122,7 @@ def _restricted(n: int, parts: list[int]):
         lhs, rhs = full - shifted, rest[n]
         check = "restricted-recursion"
         return [IdentityReport(check, n, lhs == rhs, f"{full}-{shifted}={lhs}", str(rhs))]
-    return [("series", None, restricted_product(p), n) for p in (parts, parts[:-1])], rows
+    return [("series", restricted_spec(p), n) for p in (parts, parts[:-1])], rows
 
 
 def random_support(rng: random.Random) -> SupportSet:
@@ -153,7 +143,14 @@ def random_product_spec(rng: random.Random, max_factors: int = 3) -> ProductSpec
 
 
 def _random_factor(rng: random.Random, support: SupportSet) -> Factor:
-    return Factor(support, rng.choice(_Z_CHOICES), rng.choice(_A_CHOICES))
+    return Factor(support, _random_z(rng), rng.choice(_A_CHOICES))
+
+
+def _random_z(rng: random.Random):
+    """z drawn from {1, -1, 1/2, 2}: only a suite that draws one loads ``fractions``."""
+    from fractions import Fraction
+
+    return rng.choice((1, -1, Fraction(1, 2), 2))
 
 
 def reciprocal_suite(max_n: int, seed: int = DEFAULT_SEED):
@@ -176,7 +173,7 @@ def _reciprocal(check: str, spec: ProductSpec, top: int):
         convs = [sum(map(mul, prods[: n + 1], recips[n::-1])) for n in range(top + 1)]
         pairs = enumerate(zip(unscale(convs, scale), [1] + [0] * top))
         return [IdentityReport(check, n, c == u, str(c), str(u)) for n, (c, u) in pairs]
-    return [("faa", spec, None, top), ("faa", None, spec, top)], rows
+    return [("faa", spec, top), ("faa", ratio(None, spec), top)], rows
 
 
 def euler_suite(max_n: int):
@@ -207,7 +204,7 @@ def euler_suite(max_n: int):
             IdentityReport("euler", n, c == s == i, f"closed={c};iter={i}", f"pentagonal={s}")
             for n, (c, s, i) in enumerate(zip(closed_sums, series, accumulate(reversed(ones))))
         ]
-    routes = [(route, None, PARTITION_PRODUCT, max_n) for route in ("faa", "series")]
+    routes = [(route, SEQUENCES["p"], max_n) for route in ("faa", "series")]
     return _plan([(routes, rows)], enumeration)
 
 
@@ -228,9 +225,9 @@ def sigma_suite(max_n: int):
     return _plan([([], rows)], SIGMA_TRIAL_UNITS * max_n * isqrt(max_n))
 
 
-def _progression(check, name, label, numer, denom, multiple, max_n):
+def _progression(check, name, label, quotient, multiple, max_n):
     """``name(3n+2)`` equals ``multiple`` times the ``t^n`` coefficient of
-    numer/denom and is divisible by ``multiple``; both sides on the series
+    ``quotient`` and is divisible by ``multiple``; both sides on the series
     route, each from one prefix."""
     require_natural(max_n, "max_n")
     def rows(counts, quotient):
@@ -242,7 +239,7 @@ def _progression(check, name, label, numer, denom, multiple, max_n):
             shown = f"{label}({3 * n + 2})={lhs}", f"{multiple}*coeff={rhs}"
             rows.append(IdentityReport(check, n, ok, *shown))
         return rows
-    requests = [("series", *SEQUENCES[name], 3 * max_n + 2), ("series", numer, denom, max_n)]
+    requests = [("series", SEQUENCES[name], 3 * max_n + 2), ("series", quotient, max_n)]
     return _plan([(requests, rows)])
 
 
@@ -254,7 +251,7 @@ def index_additivity_suite(max_n: int, seed: int = DEFAULT_SEED):
     instances = []
     for _ in range(INSTANCES):
         size = rng.randint(1, 3)
-        base = [(random_support(rng), rng.choice(_Z_CHOICES)) for _ in range(size)]
+        base = [(random_support(rng), _random_z(rng)) for _ in range(size)]
         a_index = [rng.choice(_A_CHOICES) for _ in range(size)]
         b_index = [rng.choice(_A_CHOICES) for _ in range(size)]
         specs = _index_specs(base, a_index, b_index)
@@ -306,7 +303,7 @@ def theta_suite(max_n: int):
             want = 1 if n == 0 else 2 if isqrt(n) ** 2 == n else 0
             rows.append(IdentityReport("theta-phi", n, got == want, str(got), str(want)))
         return rows
-    requests = [("series", *SEQUENCES[name], max_n) for name in ("psi-star", "phi-star")]
+    requests = [("series", SEQUENCES[name], max_n) for name in ("psi-star", "phi-star")]
     return _plan([(requests, rows)])
 
 
@@ -316,6 +313,15 @@ def _is_triangular(n: int) -> bool:
     return root * root == 8 * n + 1
 
 
+CHAN_QUOTIENT = spec_from_factors(
+    (SupportSet.multiples_of(3), 1, 3), (SupportSet.multiples_of(6), 1, 3),
+    (SupportSet.all_naturals(), 1, -4), (SupportSet.multiples_of(2), 1, -4),
+)
+KIM_QUOTIENT = spec_from_factors(
+    (SupportSet.multiples_of(3), 1, 6), (SupportSet.multiples_of(4), 1, 3),
+    (SupportSet.all_naturals(), 1, -8), (SupportSet.multiples_of(2), 1, -3),
+)
+
 # name -> (suite, default --max)
 SUITES = {
     "reciprocal": (reciprocal_suite, 20),
@@ -323,8 +329,8 @@ SUITES = {
     "sigma": (sigma_suite, 10_000),
     # a(3n+2) equals 3 times Chan's quotient and is divisible by 3; abar(3n+2)
     # equals 6 times Kim's quotient and is divisible by 6
-    "chan": (partial(_progression, "chan", "cubic", "a", CHAN_NUMERATOR, CHAN_DENOMINATOR, 3), 20),
-    "kim": (partial(_progression, "kim", "overcubic", "abar", KIM_NUMERATOR, KIM_DENOMINATOR, 6), 20),
+    "chan": (partial(_progression, "chan", "cubic", "a", CHAN_QUOTIENT, 3), 20),
+    "kim": (partial(_progression, "kim", "overcubic", "abar", KIM_QUOTIENT, 6), 20),
     "additivity-index": (index_additivity_suite, 12),
     "additivity-set": (set_additivity_suite, 12),
     "restricted-recursion": (restricted_recursion_suite, 40),

@@ -56,7 +56,7 @@ def run(suite_plan):
 
 def record_runs(monkeypatch, command: str):
     """``(plans, ran, reports)``: each plan that ``command`` makes; every prefix, as
-    ``(route, numer, denom, n)``, that either route evaluates once a plan is made; and
+    ``(route, spec, n)``, that either route evaluates once a plan is made; and
     for each call of a plan's report, ``len(ran)`` at that call and the prefixes it got.
     The prefixes are recorded where :mod:`bellforge.partfun` looks a route up, so
     every caller's are, and pricing (which reads only a route's step count) is not."""
@@ -77,10 +77,10 @@ def record_runs(monkeypatch, command: str):
     def recording_route(method):
         evaluate, steps = route(method)
 
-        def recorded(numer, denom, n):
+        def recorded(spec, n):
             if plans:
-                ran.append((method, numer, denom, n))
-            return evaluate(numer, denom, n)
+                ran.append((method, spec, n))
+            return evaluate(spec, n)
 
         return recorded, steps
 

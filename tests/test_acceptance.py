@@ -20,16 +20,10 @@ from bellforge import (
     unscale,
 )
 from bellforge.errata import build_report
-from bellforge.partfun import (
-    CHAN_DENOMINATOR,
-    CHAN_NUMERATOR,
-    KIM_DENOMINATOR,
-    KIM_NUMERATOR,
-    OVERCUBIC_DENOMINATOR,
-    OVERCUBIC_NUMERATOR,
-    route_prefix,
-)
+from bellforge.partfun import SEQUENCES, route_prefix
 from bellforge.verify import (
+    CHAN_QUOTIENT,
+    KIM_QUOTIENT,
     index_additivity_suite,
     random_product_spec,
     reciprocal_suite,
@@ -56,8 +50,8 @@ def test_c01_closed_sum_matches_series_oracle():
         rng = random.Random(101)
         for _ in range(30):
             spec = random_product_spec(rng)
-            oracle = unscale(*expand_ratio(spec, None, 15))
-            closed = unscale(*ratio_coefficients(spec, None, 15))
+            oracle = unscale(*expand_ratio(spec, 15))
+            closed = unscale(*ratio_coefficients(spec, 15))
             for n in range(16):
                 assert closed[n] == oracle[n]
 
@@ -112,7 +106,7 @@ def test_c05_cubic_and_chan():
             convolution = sum(p[m] * p[n - 2 * m] for m in range(n // 2 + 1))
             assert closed[n] == convolution
         cubic = sequence("cubic", 62, "series")
-        chan = unscale(*route_prefix("series", CHAN_NUMERATOR, CHAN_DENOMINATOR, 20))
+        chan = unscale(*route_prefix("series", CHAN_QUOTIENT, 20))
         for n in range(21):
             value = cubic[3 * n + 2]
             assert value == 3 * chan[n]
@@ -125,16 +119,16 @@ def test_c06_overcubic_and_kim():
     def body():
         overcubic = sequence("overcubic", 62, "series")
         closed = sequence("overcubic", 62)
-        kim = unscale(*route_prefix("series", KIM_NUMERATOR, KIM_DENOMINATOR, 20))
+        kim = unscale(*route_prefix("series", KIM_QUOTIENT, 20))
         for n in range(21):
             value = overcubic[3 * n + 2]
             assert value == 6 * kim[n]
             assert value == closed[3 * n + 2]
             assert value % 6 == 0
         # closed-sum route agrees with the series quotient at desk scale
-        quotient = unscale(*route_prefix("series", OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR, 18))
+        quotient = unscale(*route_prefix("series", SEQUENCES["overcubic"], 18))
         for n in range(19):
-            closed = unscale(*ratio_coefficients(OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR, n))
+            closed = unscale(*ratio_coefficients(SEQUENCES["overcubic"], n))
             assert closed[n] == quotient[n]
 
     run_criterion("criterion 06: Kim identity, mod-6 congruence, dual routes", 20, body)

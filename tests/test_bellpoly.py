@@ -20,21 +20,9 @@ from bellforge import (
 )
 from bellforge import bellpoly
 from bellforge.bellpoly import bell_extend
-from bellforge.partfun import (
-    CHAN_DENOMINATOR,
-    CHAN_NUMERATOR,
-    KIM_DENOMINATOR,
-    KIM_NUMERATOR,
-    OVERCUBIC_DENOMINATOR,
-    OVERCUBIC_NUMERATOR,
-    PHI_DENOMINATOR,
-    PHI_NUMERATOR,
-    PSI_DENOMINATOR,
-    PSI_NUMERATOR,
-    prefixes,
-)
-from bellforge.supports import Factor, ProductSpec, SupportSet
-from bellforge.verify import _reciprocal, random_product_spec
+from bellforge.partfun import SEQUENCES, prefixes
+from bellforge.supports import Factor, ProductSpec, SupportSet, ratio
+from bellforge.verify import CHAN_QUOTIENT, KIM_QUOTIENT, _reciprocal, random_product_spec
 from reference import (
     divisor_power_sum,
     literal_ratio_weights,
@@ -49,6 +37,24 @@ ALL = SupportSet.all_naturals()
 
 EULER = spec_from_factors((ALL, 1, 1))        # prod (1 - t^m)
 INV_EULER = spec_from_factors((ALL, 1, -1))   # 1 / prod (1 - t^m)
+# the named quotients, each one signed spec
+NAMED = {
+    "overcubic": SEQUENCES["overcubic"],
+    "chan": CHAN_QUOTIENT,
+    "kim": KIM_QUOTIENT,
+    "psi-star": SEQUENCES["psi-star"],
+    "phi-star": SEQUENCES["phi-star"],
+    "inverse-euler": SEQUENCES["p"],
+}
+
+
+def sides(spec):
+    """``(numer, denom)`` of a signed spec, ``None`` for an empty side: its factors with
+    ``a > 0``, and those with ``a < 0`` negated, so that ``ratio(*sides(spec))`` is ``spec``
+    when the positive factors come first."""
+    numer = [f for f in spec.factors if f.a > 0]
+    denom = [Factor(f.support, f.z, -f.a) for f in spec.factors if f.a < 0]
+    return tuple(ProductSpec(side) if side else None for side in (numer, denom))
 
 
 def brute_partition_power_sum(n, weights, alternate_sign=False):
@@ -114,22 +120,22 @@ def test_log_weight_table_matches_pointwise():
 
 
 def test_product_coefficient_examples():
-    assert unscale(*ratio_coefficients(EULER, None, 0))[0] == 1
-    assert unscale(*ratio_coefficients(EULER, None, 5))[5] == 1
-    assert unscale(*ratio_coefficients(INV_EULER, None, 3))[3] == 3
+    assert unscale(*ratio_coefficients(EULER, 0))[0] == 1
+    assert unscale(*ratio_coefficients(EULER, 5))[5] == 1
+    assert unscale(*ratio_coefficients(INV_EULER, 3))[3] == 3
 
 
 def test_reciprocal_coefficient_examples():
-    assert unscale(*ratio_coefficients(None, EULER, 0))[0] == 1
-    assert unscale(*ratio_coefficients(None, EULER, 4))[4] == 5
+    assert unscale(*ratio_coefficients(ratio(None, EULER), 0))[0] == 1
+    assert unscale(*ratio_coefficients(ratio(None, EULER), 4))[4] == 5
     two_parts = spec_from_factors(
         (SupportSet.finite([1]), 1, 1), (SupportSet.finite([2]), 1, 1)
     )
-    assert unscale(*ratio_coefficients(None, two_parts, 2))[2] == 2
+    assert unscale(*ratio_coefficients(ratio(None, two_parts), 2))[2] == 2
 
 
 def test_reciprocal_recursion_examples():
-    recips = unscale(*ratio_coefficients(None, EULER, 6))
+    recips = unscale(*ratio_coefficients(ratio(None, EULER), 6))
     assert recips[0] == 1
     assert recips[1] == 1
     assert recips[6] == 11
@@ -139,8 +145,8 @@ def test_closed_sum_matches_series_oracle_random_family():
     rng = random.Random(20)
     for _ in range(12):
         spec = random_product_spec(rng)
-        expanded = unscale(*expand_ratio(spec, None, 15))
-        prods = unscale(*ratio_coefficients(spec, None, 15))
+        expanded = unscale(*expand_ratio(spec, 15))
+        prods = unscale(*ratio_coefficients(spec, 15))
         for n in range(16):
             assert prods[n] == expanded[n]
 
@@ -149,17 +155,17 @@ def test_reciprocal_matches_series_oracle_random_family():
     rng = random.Random(21)
     for _ in range(8):
         spec = random_product_spec(rng)
-        recip = TruncatedSeries(unscale(*expand_ratio(spec, None, 12))).reciprocal()
+        recip = TruncatedSeries(unscale(*expand_ratio(spec, 12))).reciprocal()
         for n in range(13):
-            assert unscale(*ratio_coefficients(None, spec, n))[n] == recip.coeffs[n]
+            assert unscale(*ratio_coefficients(ratio(None, spec), n))[n] == recip.coeffs[n]
 
 
 def test_reciprocal_convolution_is_unit():
     rng = random.Random(22)
     for _ in range(8):
         spec = random_product_spec(rng)
-        prods = unscale(*ratio_coefficients(spec, None, 18))
-        recips = unscale(*ratio_coefficients(None, spec, 18))
+        prods = unscale(*ratio_coefficients(spec, 18))
+        recips = unscale(*ratio_coefficients(ratio(None, spec), 18))
         for n in range(19):
             conv = sum(prods[k] * recips[n - k] for k in range(n + 1))
             assert conv == (1 if n == 0 else 0)
@@ -170,8 +176,8 @@ def test_negation_involution():
     for _ in range(10):
         spec = random_product_spec(rng)
         for n in range(11):
-            assert ratio_coefficients(None, spec, n) == ratio_coefficients(negated(spec), None, n)
-            assert ratio_coefficients(spec, None, n) == ratio_coefficients(None, negated(spec), n)
+            assert ratio_coefficients(ratio(None, spec), n) == ratio_coefficients(negated(spec), n)
+            assert ratio_coefficients(spec, n) == ratio_coefficients(ratio(None, negated(spec)), n)
 
 
 def test_explicit_and_recursive_reciprocal_agree():
@@ -181,13 +187,13 @@ def test_explicit_and_recursive_reciprocal_agree():
         weights = log_weight_table(spec, 12)
         for n in range(13):
             explicit = partition_power_sum(n, weights, alternate_sign=True)
-            assert unscale(*ratio_coefficients(None, spec, n))[n] == explicit
+            assert unscale(*ratio_coefficients(ratio(None, spec), n))[n] == explicit
 
 
 def assert_recurrence_matches_dfs(spec, max_n):
     weights = log_weight_table(spec, max_n)
-    prods = unscale(*ratio_coefficients(spec, None, max_n))
-    recips = unscale(*ratio_coefficients(None, spec, max_n))
+    prods = unscale(*ratio_coefficients(spec, max_n))
+    recips = unscale(*ratio_coefficients(ratio(None, spec), max_n))
     for n in range(max_n + 1):
         assert prods[n] == partition_power_sum(n, weights)
         assert recips[n] == partition_power_sum(n, weights, alternate_sign=True)
@@ -199,27 +205,21 @@ def test_recurrence_matches_partition_dfs_random_family():
         assert_recurrence_matches_dfs(random_product_spec(rng), 15)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        CHAN_NUMERATOR,
-        CHAN_DENOMINATOR,
-        KIM_NUMERATOR,
-        KIM_DENOMINATOR,
-        OVERCUBIC_NUMERATOR,
-        OVERCUBIC_DENOMINATOR,
-    ],
-)
+# the numerators and denominators of Chan's, Kim's and the overcubic quotients
+NAMED_SIDES = [side for name in ("chan", "kim", "overcubic") for side in sides(NAMED[name])]
+
+
+@pytest.mark.parametrize("spec", NAMED_SIDES)
 def test_recurrence_matches_partition_dfs_named_specs(spec):
     assert_recurrence_matches_dfs(spec, 30)
 
 
 def test_a_shorter_prefix_is_a_prefix_of_a_longer_one():
     spec = spec_from_factors((ALL, F(1, 3), 2), (SupportSet.finite([2, 5]), F(-3, 2), -1))
-    short = unscale(*ratio_coefficients(None, spec, 7))
-    assert unscale(*ratio_coefficients(None, spec, 19))[:8] == short
-    assert unscale(*ratio_coefficients(None, spec, 19)) == list(
-        TruncatedSeries(unscale(*expand_ratio(spec, None, 19))).reciprocal().coeffs
+    short = unscale(*ratio_coefficients(ratio(None, spec), 7))
+    assert unscale(*ratio_coefficients(ratio(None, spec), 19))[:8] == short
+    assert unscale(*ratio_coefficients(ratio(None, spec), 19)) == list(
+        TruncatedSeries(unscale(*expand_ratio(spec, 19))).reciprocal().coeffs
     )
 
 
@@ -230,7 +230,7 @@ def test_a_session_keeps_no_closed_sum_memory():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for r in range(1, 41):
-            ratio_coefficients(None, spec_from_factors((SupportSet.multiples_of(r), F(1, 2), 1)), 300)
+            ratio_coefficients(spec_from_factors((SupportSet.multiples_of(r), F(1, 2), -1)), 300)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -248,19 +248,19 @@ def test_inexact_bell_division_raises():
 
 def fraction_quotient(numer, denom, order):
     """numer / denom by ``TruncatedSeries`` arithmetic on the two products."""
-    top, bottom = (TruncatedSeries(unscale(*expand_ratio(s, None, order))) for s in (numer, denom))
+    top, bottom = (TruncatedSeries(unscale(*expand_ratio(s, order))) for s in (numer, denom))
     return top.mul(bottom.reciprocal())
 
 
 def test_ratio_coefficient_same_spec_is_unit():
     spec = spec_from_factors((ALL, 1, 1), (SupportSet.multiples_of(3), F(1, 2), -2))
-    assert unscale(*ratio_coefficients(spec, spec, 11)) == [1] + [0] * 11
+    assert unscale(*ratio_coefficients(ratio(spec, spec), 11)) == [1] + [0] * 11
 
 
 def test_ratio_coefficient_triangular_series():
     numer = spec_from_factors((SupportSet.multiples_of(2), 1, 2))
     denom = EULER
-    assert unscale(*ratio_coefficients(numer, denom, 2))[1:] == [1, 0]
+    assert unscale(*ratio_coefficients(ratio(numer, denom), 2))[1:] == [1, 0]
 
 
 def test_ratio_coefficient_matches_series_quotient():
@@ -270,7 +270,7 @@ def test_ratio_coefficient_matches_series_quotient():
         denom = random_product_spec(rng, max_factors=2)
         quotient = fraction_quotient(numer, denom, 10)
         for n in range(11):
-            assert unscale(*ratio_coefficients(numer, denom, n))[n] == quotient.coeffs[n]
+            assert unscale(*ratio_coefficients(ratio(numer, denom), n))[n] == quotient.coeffs[n]
 
 
 def test_ratio_coefficients_match_the_series_route_at_larger_orders():
@@ -280,35 +280,26 @@ def test_ratio_coefficients_match_the_series_route_at_larger_orders():
         numer = random_product_spec(rng) if rng.randrange(4) else None
         denom = random_product_spec(rng) if rng.randrange(4) else None
         order = rng.randint(40, 120)
-        assert ratio_coefficients(numer, denom, order) == expand_ratio(numer, denom, order)
+        assert ratio_coefficients(ratio(numer, denom), order) == expand_ratio(ratio(numer, denom), order)
 
 
 def test_ratio_coefficient_none_sides():
-    assert unscale(*ratio_coefficients(None, None, 3)) == [1, 0, 0, 0]
-    assert unscale(*ratio_coefficients(EULER, None, 4)) == [1, -1, -1, 0, 0]
-    assert unscale(*ratio_coefficients(None, EULER, 4)) == [1, 1, 2, 3, 5]
+    assert unscale(*ratio_coefficients(None, 3)) == [1, 0, 0, 0]
+    assert unscale(*ratio_coefficients(EULER, 4)) == [1, -1, -1, 0, 0]
+    assert unscale(*ratio_coefficients(ratio(None, EULER), 4)) == [1, 1, 2, 3, 5]
 
 
 def assert_ratio_matches_literal_sum(numer, denom, top):
-    prefix = unscale(*ratio_coefficients(numer, denom, top))
+    prefix = unscale(*ratio_coefficients(ratio(numer, denom), top))
     weights = literal_ratio_weights(numer, denom, top)
     for n in range(top + 1):
         assert prefix[n] == partition_power_sum(n, weights), n
 
 
-@pytest.mark.parametrize(
-    "numer, denom",
-    [
-        (OVERCUBIC_NUMERATOR, OVERCUBIC_DENOMINATOR),
-        (CHAN_NUMERATOR, CHAN_DENOMINATOR),
-        (KIM_NUMERATOR, KIM_DENOMINATOR),
-        (PSI_NUMERATOR, PSI_DENOMINATOR),
-        (PHI_NUMERATOR, PHI_DENOMINATOR),
-        (None, EULER),
-    ],
-    ids=["overcubic", "chan", "kim", "psi-star", "phi-star", "inverse-euler"],
-)
-def test_ratio_matches_literal_partition_sum_named(numer, denom):
+@pytest.mark.parametrize("name", list(NAMED))
+def test_ratio_matches_literal_partition_sum_named(name):
+    numer, denom = sides(NAMED[name])
+    assert ratio(numer, denom) == NAMED[name]
     assert_ratio_matches_literal_sum(numer, denom, 20)
 
 
@@ -335,11 +326,11 @@ def test_ratio_coefficients_are_one_recurrence(monkeypatch):
     monkeypatch.setattr(bellpoly, "bell_extend", counted)
     numer = spec_from_factors((SupportSet.multiples_of(2), F(2, 3), 2))
     denom = spec_from_factors((ALL, F(-1, 4), 1), (SupportSet.finite([3]), 1, -2))
-    values = unscale(*ratio_coefficients(numer, denom, 15))
+    values = unscale(*ratio_coefficients(ratio(numer, denom), 15))
     assert runs == [15]
     assert values == list(fraction_quotient(numer, denom, 15).coeffs)
-    assert unscale(*ratio_coefficients(None, None, 4)) == [1, 0, 0, 0, 0]
-    assert [unscale(*ratio_coefficients(numer, denom, n))[n] for n in range(16)] == values
+    assert unscale(*ratio_coefficients(None, 4)) == [1, 0, 0, 0, 0]
+    assert [unscale(*ratio_coefficients(ratio(numer, denom), n))[n] for n in range(16)] == values
 
 
 def test_index_additivity_examples():
@@ -351,6 +342,10 @@ def test_index_additivity_examples():
     # exponents cancelling to zero drop the factor entirely
     cancel = index_additivity_report(5, base, [2], [-2])
     assert cancel.ok and cancel.lhs == "0"
+    # one exponent per family in each vector
+    for a_idx, b_idx in (([1], [1, 2]), ([1, 2], [1]), ([1, 2], [1, 2])):
+        with pytest.raises(ValueError, match="^index vectors must match the factor family$"):
+            index_additivity_report(3, base, a_idx, b_idx)
 
 
 def test_set_additivity_example():

@@ -8,19 +8,11 @@ import pytest
 
 from bellforge import bellpoly, verify
 from bellforge.cli import SUITE_NAMES, WORK_BUDGET, main
-from bellforge.partfun import (
-    KIM_DENOMINATOR,
-    KIM_NUMERATOR,
-    PARTITION_PRODUCT,
-    SEQUENCES,
-    route_prefix,
-    sequence,
-    work_estimate,
-)
+from bellforge.partfun import SEQUENCES, route_prefix, sequence, work_estimate
 from bellforge.specfile import ratio_from_json, spec_to_json
 from bellforge.supports import unscale
 from plans import CI_RATIO, price, record_runs, report_work
-from reference import exp_log_expand, negated
+from reference import exp_log_expand
 
 
 def run_cli(capsys, *argv):
@@ -178,8 +170,7 @@ def test_eval_series_golden_rational_z(capsys, tmp_path):
     path = spec_file(tmp_path, payload)
     code, out, _ = run_cli(capsys, "eval", "--spec", path, "--max", "60", "--method", "series")
     assert code == 0
-    numer, denom = ratio_from_json(json.dumps(payload))
-    want = exp_log_expand(numer, 60).mul(exp_log_expand(negated(denom), 60))
+    want = exp_log_expand(ratio_from_json(json.dumps(payload)), 60)
     assert want.coeffs[60].denominator > 1
     assert out == "n,value\n" + "".join(f"{n},{c}\n" for n, c in enumerate(want.coeffs))
 
@@ -306,18 +297,18 @@ def test_eval_prints_values_past_the_digit_limit(capsys, tmp_path, method):
 
 
 def largest_documented_evals():
-    """(method, numer, denom, n) of the largest eval shape in the tests, CI and
+    """(method, spec, n) of the largest eval shape in the tests, CI and
     each benchmark template: every z and |a| a template draws, at its largest
     support and order."""
     shapes = [
-        ("both", None, PARTITION_PRODUCT, 1000),  # the Euler spec, here and in CI
-        ("both", *ratio_from_json(json.dumps(CI_RATIO)), 60),
-        ("series", *ratio_from_json(json.dumps(GOLDEN_RATIONAL_Z)), 60),
-        ("both", *ratio_from_json(json.dumps(HUGE_Z)), 2),
+        ("both", SEQUENCES["p"], 1000),  # the Euler spec, here and in CI
+        ("both", ratio_from_json(json.dumps(CI_RATIO)), 60),
+        ("series", ratio_from_json(json.dumps(GOLDEN_RATIONAL_Z)), 60),
+        ("both", ratio_from_json(json.dumps(HUGE_Z)), 2),
     ]
     series_z = ("1/2", "2/3", "-1/3", "3/2", "-2/5", "3/4")
     for z1, z2, z3 in itertools.product(series_z, repeat=3):
-        numer, denom = ratio_from_json(
+        spec = ratio_from_json(
             json.dumps(
                 {
                     "numerator": [{"support": {"kind": "multiples", "r": 2}, "z": z1, "a": 2}],
@@ -328,39 +319,39 @@ def largest_documented_evals():
                 }
             )
         )
-        shapes.append(("series", numer, denom, 140))
+        shapes.append(("series", spec, 140))
     for zs in itertools.product(("1", "-1", "2", "1/2", "-1/2"), repeat=3):
         for signs in itertools.product((1, 2, -1), repeat=3):
             factors = [{"support": {"kind": "all"}, "z": z, "a": a} for z, a in zip(zs, signs)]
-            numer, denom = ratio_from_json(
+            spec = ratio_from_json(
                 json.dumps({"numerator": factors[:1], "denominator": factors[1:]})
             )
-            shapes += [("faa", numer, denom, 34), ("both", numer, denom, 32)]
+            shapes += [("faa", spec, 34), ("both", spec, 32)]
     return shapes
 
 
 def test_series_budget_leaves_room_for_the_largest_documented_eval():
     # both routes: the budget is 100 times the largest eval shape of the tests and benchmark
-    for method, numer, denom, n in largest_documented_evals():
+    for method, spec, n in largest_documented_evals():
         routes = ("faa", "series") if method == "both" else (method,)
-        work = sum(work_estimate(route, numer, denom, n) for route in routes)
-        assert 100 * work <= WORK_BUDGET, (method, numer, denom, n)
+        work = sum(work_estimate(route, spec, n) for route in routes)
+        assert 100 * work <= WORK_BUDGET, (method, spec, n)
 
 
 def test_every_request_ci_runs_is_within_the_budget():
     # CI runs requests up to the budget, without the headroom above: errata at 934 takes
     # 99.7 % of it, p to 10000 on both routes 93.7 % and the ratio spec's series route at
     # 1500 58.9 %; a price drift that would refuse one of them fails here
-    euler, ratio = (ratio_from_json(json.dumps(spec)) for spec in (EULER, CI_RATIO))
-    kim, faa, series, both = (KIM_NUMERATOR, KIM_DENOMINATOR), ("faa",), ("series",), ("faa", "series")
+    euler, ci = (ratio_from_json(json.dumps(spec)) for spec in (EULER, CI_RATIO))
+    kim, faa, series, both = verify.KIM_QUOTIENT, ("faa",), ("series",), ("faa", "series")
     evals = [(euler, both, 10000), (euler, faa, 1000), (euler, faa, 3), (kim, series, 2000)]
-    evals += [(ratio, series, 1500), (ratio, both, 700), (ratio, both, 60)]
+    evals += [(ci, series, 1500), (ci, both, 700), (ci, both, 60)]
     prices = {
-        ("eval", routes, n): sum(work_estimate(route, *sides, n) for route in routes)
-        for sides, routes, n in evals
+        ("eval", routes, n): sum(work_estimate(route, spec, n) for route in routes)
+        for spec, routes, n in evals
     }
     seqs = [("p", 1000), ("overcubic", 2000)]
-    prices |= {("seq", name, n): work_estimate("faa", *SEQUENCES[name], n) for name, n in seqs}
+    prices |= {("seq", name, n): work_estimate("faa", SEQUENCES[name], n) for name, n in seqs}
     suites = [(name, default) for name, (_, default) in verify.SUITES.items()]
     suites += [("reciprocal", 474), ("theta", 300)]
     prices |= {("verify", name, n): price("verify", name, "--max", n) for name, n in suites}
@@ -392,11 +383,11 @@ def test_eval_non_utf8_spec_exits_2(capsys, tmp_path):
 
 def test_eval_series_takes_kims_quotient_to_2000(capsys, tmp_path):
     # each of its z = 1 families folds by one q-series pass per unit of |a|, inside the budget
-    payload = {"numerator": spec_to_json(KIM_NUMERATOR), "denominator": spec_to_json(KIM_DENOMINATOR)}
+    payload = {"numerator": spec_to_json(verify.KIM_QUOTIENT)}
     path = spec_file(tmp_path, payload)
     code, out, err = run_cli(capsys, "eval", "--spec", path, "--max", "2000", "--method", "series")
     assert (code, err) == (0, "")
-    want = unscale(*route_prefix("faa", KIM_NUMERATOR, KIM_DENOMINATOR, 2000))
+    want = unscale(*route_prefix("faa", verify.KIM_QUOTIENT, 2000))
     assert out == "n,value\n" + "".join(f"{n},{c}\n" for n, c in enumerate(want))
 
 
@@ -614,7 +605,7 @@ def test_documented_verify_and_errata_sizes_stay_within_the_budget():
 
 def test_seq_p_to_10000_stays_within_the_budget():
     # the largest documented seq request; the budget refuses cubic at the same --max
-    assert work_estimate("faa", None, PARTITION_PRODUCT, 10000) <= WORK_BUDGET
+    assert work_estimate("faa", SEQUENCES["p"], 10000) <= WORK_BUDGET
 
 
 @pytest.mark.parametrize("name", ["additivity-index", "reciprocal"])
@@ -651,14 +642,20 @@ def test_bench_small(capsys):
 
 
 def test_bench_rejects_max_beyond_bound(capsys):
-    for argv in (("--max", "100000"), ("--max", "0", "--repeat", str(10**9))):
+    over = "needs more work than the budget of 1e+09 units"
+    refusals = {
+        ("--max", "100000"): f"bench --max 100000 --repeat 3 {over}",
+        ("--max", "0", "--repeat", str(10**9)): f"bench --max 0 --repeat {10**9} {over}",
+        # a run needs at least one timed repeat
+        ("--repeat", "0"): "--repeat must be >= 1",
+    }
+    for argv, message in refusals.items():
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "bench", *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
-        assert err.startswith("bellforge: error: bench --max") and "budget" in err
-        assert len(err.splitlines()) == 1
+        assert err == f"bellforge: error: {message}\n"
     # a run well inside the budget still agrees
     code, out, _ = run_cli(capsys, "bench", "--max", "200", "--repeat", "1")
     assert code == 0

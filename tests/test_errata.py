@@ -110,7 +110,7 @@ def test_transcription_sum_weight_folding():
     for w in (1, 2, -3):
         assert transcription_spec(({1: 1}, w)) == spec_from_factors((all_naturals, 1, -w))
     spec = transcription_spec(({1: 1}, 1))
-    assert unscale(*ratio_coefficients(spec, None, 11)) == sequence("p", 11, "series")
+    assert unscale(*ratio_coefficients(spec, 11)) == sequence("p", 11, "series")
 
 
 def test_transcription_double_sum_shape():
@@ -194,8 +194,8 @@ def test_each_printed_sum_is_the_literal_partition_sum():
     for table, weight in sums:
         want = [literal_sum(m, coefficient(table), weight) for m in range(31)]
         spec = transcription_spec((table, weight))
-        pair = ratio_coefficients(spec, None, 30)
-        assert pair == expand_ratio(spec, None, 30) and unscale(*pair) == want
+        pair = ratio_coefficients(spec, 30)
+        assert pair == expand_ratio(spec, 30) and unscale(*pair) == want
 
 
 def test_rational_weights_scale_to_integers():
@@ -209,8 +209,8 @@ def test_rational_weights_scale_to_integers():
     for table, weight in cases:
         want = [literal_sum(m, coefficient(table), weight) for m in range(13)]
         spec = transcription_spec((table, weight))
-        pair = ratio_coefficients(spec, None, 12)
-        assert pair == expand_ratio(spec, None, 12) and unscale(*pair) == want
+        pair = ratio_coefficients(spec, 12)
+        assert pair == expand_ratio(spec, 12) and unscale(*pair) == want
 
 
 def test_floats_are_rejected_not_coerced():
@@ -226,7 +226,7 @@ def test_the_table_reads_the_same_on_both_routes():
     specs = errata_specs()
     assert len(specs) == 11
     for spec in specs:
-        assert ratio_coefficients(spec, None, 60) == expand_ratio(spec, None, 60)
+        assert ratio_coefficients(spec, 60) == expand_ratio(spec, 60)
     # overcubic-progression's L R: exponents -w c_i / i of both sums
     all_naturals, multiples = SupportSet.all_naturals(), SupportSet.multiples_of
     assert specs[-3] == spec_from_factors(
@@ -248,10 +248,10 @@ def test_printed_integers_fit_the_majorants_that_price_them(n, monkeypatch):
         extend(coeffs, weights, n)
         seen.append(max(abs(v) for v in weights + coeffs).bit_length())
 
-    def reading(numer, denom, n):
+    def reading(spec, n):
         seen.clear()
-        values = read(numer, denom, n)
-        runs.append((numer, max(seen), kernel_size("faa", numer, denom, n)[1]))
+        values = read(spec, n)
+        runs.append((spec, max(seen), kernel_size("faa", spec, n)[1]))
         return values
 
     monkeypatch.setattr(bellpoly, "bell_extend", recording_extend)
@@ -268,8 +268,8 @@ def test_the_shipped_table_prices_on_its_product_specs(n):
     assert len(term_specs()) == 7
     forms = [(seq, step * n + step - 1) for _, seq, step, _ in _FORMULAS.values()]
     assert report_work(n) == (
-        sum(work_estimate("series", *SEQUENCES[seq], m) for seq, m in forms)
-        + sum(work_estimate("faa", spec, None, n) for spec in term_specs())
+        sum(work_estimate("series", SEQUENCES[seq], m) for seq, m in forms)
+        + sum(work_estimate("faa", spec, n) for spec in term_specs())
     )
     assert (report_work(n) <= 10**9) == (n <= 934)
 

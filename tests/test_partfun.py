@@ -9,23 +9,13 @@ import pytest
 
 import bellforge
 from bellforge import InconsistencyError, restricted_recursion_report
-from bellforge import bellpoly, series
+from bellforge import bellpoly, partfun, series, verify
 from bellforge.bellpoly import ratio_coefficients
 from bellforge.cli import main
-from bellforge.partfun import (
-    CHAN_DENOMINATOR,
-    CHAN_NUMERATOR,
-    KIM_DENOMINATOR,
-    KIM_NUMERATOR,
-    PARTITION_PRODUCT,
-    SEQUENCES,
-    as_counts,
-    route_prefix,
-    sequence,
-)
+from bellforge.partfun import SEQUENCES, as_counts, restricted_spec, route_prefix, sequence
 from bellforge.series import expand_ratio
-from bellforge.supports import SupportSet, scaled_factors, spec_from_factors, unscale
-from bellforge.verify import random_product_spec
+from bellforge.supports import ProductSpec, SupportSet, ratio, scaled_factors, spec_from_factors, unscale
+from bellforge.verify import CHAN_QUOTIENT, KIM_QUOTIENT, random_product_spec
 from reference import count_restricted_bruteforce, literal_ratio_weights, partition_power_sum
 
 
@@ -101,7 +91,7 @@ def test_cubic_matches_convolution_oracle():
 
 def test_chan_identity_small():
     cubic = sequence("cubic", 3 * 12 + 2)
-    chan = [3 * v for v in unscale(*route_prefix("series", CHAN_NUMERATOR, CHAN_DENOMINATOR, 12))]
+    chan = [3 * v for v in unscale(*route_prefix("series", CHAN_QUOTIENT, 12))]
     assert chan[0] == cubic[2] == 3
     assert chan[1] == cubic[5]
     for n in range(13):
@@ -125,7 +115,7 @@ def test_overcubic_matches_convolution_oracle():
 
 def test_kim_identity_small():
     overcubic = sequence("overcubic", 3 * 10 + 2)
-    kim = [6 * v for v in unscale(*route_prefix("series", KIM_NUMERATOR, KIM_DENOMINATOR, 10))]
+    kim = [6 * v for v in unscale(*route_prefix("series", KIM_QUOTIENT, 10))]
     assert kim[0] == overcubic[2] == 6
     assert kim[1] == overcubic[5]
     for n in range(11):
@@ -186,9 +176,9 @@ def multiples(*slots):
 def test_four_factor_psi_reproduction():
     # two multiples-of-2 numerator factors fold to the squared factor
     numer, denom = multiples((2, 1), (2, 1)), multiples((1, 1))
-    values = unscale(*ratio_coefficients(numer, denom, 20))
+    values = unscale(*ratio_coefficients(ratio(numer, denom), 20))
     assert values[:2] == [1, 1]
-    folded = unscale(*ratio_coefficients(multiples((2, 2)), denom, 20))
+    folded = unscale(*ratio_coefficients(ratio(multiples((2, 2)), denom), 20))
     psi = sequence("psi-star", 20, "series")
     closed = sequence("psi-star", 20)
     for n in range(21):
@@ -197,7 +187,7 @@ def test_four_factor_psi_reproduction():
 
 
 def test_four_factor_cubic_reproduction():
-    values = unscale(*ratio_coefficients(None, multiples((1, 1), (2, 1)), 15))
+    values = unscale(*ratio_coefficients(ratio(None, multiples((1, 1), (2, 1))), 15))
     assert values[3] == 4
     assert values[0] == 1
     assert values == sequence("cubic", 15)
@@ -205,7 +195,7 @@ def test_four_factor_cubic_reproduction():
 
 def test_four_factor_can_be_rational():
     # a pure numerator never has poles, so try an unbalanced quotient
-    values = unscale(*ratio_coefficients(multiples((1, 1)), multiples((2, 3)), 9))
+    values = unscale(*ratio_coefficients(ratio(multiples((1, 1)), multiples((2, 3))), 9))
     assert all(isinstance(v, Fraction) for v in values)
     assert values[0] == 1
 
@@ -214,22 +204,38 @@ def test_routes_return_equal_lists():
     # both routes hand back (ints, scale), ints[n] = scale^n c_n, with the same scale L q^2
     rng = random.Random(16)
     cases = [(random_product_spec(rng, 2), random_product_spec(rng, 2)) for _ in range(6)]
-    cases += [(None, None), (PARTITION_PRODUCT, None), (None, PARTITION_PRODUCT)]
+    cases += [(None, None), (multiples((1, 1)), None), (None, multiples((1, 1)))]
     cases += [(multiples((1, 1)), multiples((2, 3)))]
     # p/q exponents and rational z: third/fifth has L = 15 and q = 6, so its scale is 15 * 6^2
     third = spec_from_factors((SupportSet.all_naturals(), Fraction(2, 3), Fraction(1, 2)))
     fifth = spec_from_factors((SupportSet.finite([1, 3]), Fraction(-1, 5), Fraction(-2, 3)))
     cases += [(None, third), (fifth, None), (third, fifth)]
     for numer, denom in cases:
-        faa, ser = (route_prefix(method, numer, denom, 12) for method in ("faa", "series"))
+        faa, ser = (route_prefix(method, ratio(numer, denom), 12) for method in ("faa", "series"))
         assert type(faa) is type(ser) is tuple and type(faa[0]) is type(ser[0]) is list
         assert all(type(v) is int for v in faa[0] + ser[0] + [faa[1], ser[1]])
         assert faa == ser and len(faa[0]) == 13
-        scale, q, _ = scaled_factors(numer, denom)
+        scale, q, _ = scaled_factors(ratio(numer, denom))
         assert faa[1] == scale * q * q
         weights = literal_ratio_weights(numer, denom, 8)
         assert unscale(*faa)[:9] == [partition_power_sum(n, weights) for n in range(9)]
     assert faa[1] == 15 * 6**2
+
+
+def test_each_named_product_is_one_signed_spec():
+    # a quotient is its numerator's factors and its denominator's with negated exponents
+    for name, spec in SEQUENCES.items():
+        assert spec is None if name == "w" else isinstance(spec, ProductSpec), name
+    assert SEQUENCES["p"] == spec_from_factors((SupportSet.all_naturals(), 1, -1))
+    assert restricted_spec([5, 2]) == spec_from_factors((SupportSet.finite([2, 5]), 1, -1))
+    quotients = ("OVERCUBIC", "CHAN", "KIM", "PSI", "PHI")
+    sides = [f"{name}_{side}" for name in quotients for side in ("NUMERATOR", "DENOMINATOR")]
+    gone = ["PARTITION_PRODUCT", "CUBIC_PRODUCT", *sides, "restricted_product"]
+    assert [name for name in gone if hasattr(partfun, name) or hasattr(verify, name)] == []
+    # an old caller's (numer, denom) pair is no spec, on either route
+    for route in ("faa", "series"):
+        with pytest.raises(TypeError, match="^spec must be a ProductSpec or None"):
+            route_prefix(route, (None, SEQUENCES["p"]), 3)
 
 
 def test_restricted_recursion_examples():
@@ -294,8 +300,8 @@ def test_sequence_takes_the_closed_sum_at_every_n(monkeypatch, capsys):
             for name, extra, want in cases:
                 assert sequence(name, top, parts=extra) == want
                 assert [sequence(name, n, parts=extra)[n] for n in range(top + 1)] == want
-            numer, denom = multiples((2, 2)), multiples((1, 1))
-            assert [unscale(*ratio_coefficients(numer, denom, n))[n] for n in range(top + 1)] == psi
+            quotient = ratio(multiples((2, 2)), multiples((1, 1)))
+            assert [unscale(*ratio_coefficients(quotient, n))[n] for n in range(top + 1)] == psi
             for name, want in (("psi-star", psi), ("phi-star", phi)):
                 assert main(["seq", name, "--max", str(top)]) == 0
                 rows = capsys.readouterr().out.splitlines()
@@ -349,7 +355,7 @@ def _signal_on_extend(monkeypatch, hook):
 
 def test_a_request_does_not_wait_on_unrelated_work(monkeypatch):
     unrelated = spec_from_factors((SupportSet.multiples_of(2), Fraction(1, 3), 2))
-    want = ratio_coefficients(None, unrelated, 30)
+    want = ratio_coefficients(ratio(None, unrelated), 30)
     entered = threading.Event()
 
     def hook(n, run):
@@ -357,12 +363,12 @@ def test_a_request_does_not_wait_on_unrelated_work(monkeypatch):
         run()
 
     _signal_on_extend(monkeypatch, hook)
-    worker = threading.Thread(target=ratio_coefficients, args=(None, PARTITION_PRODUCT, 4000))
+    worker = threading.Thread(target=ratio_coefficients, args=(SEQUENCES["p"], 4000))
     worker.start()
     try:
         assert entered.wait(10)
         start = time.perf_counter()
-        got = ratio_coefficients(None, unrelated, 30)
+        got = ratio_coefficients(ratio(None, unrelated), 30)
         waited = time.perf_counter() - start
         still_computing = worker.is_alive()
     finally:
@@ -376,7 +382,7 @@ def test_a_request_does_not_wait_on_unrelated_work(monkeypatch):
 def test_each_request_runs_its_own_recurrence(monkeypatch):
     # the closed sum keeps no prefix: an equal request computes it again
     spec = spec_from_factors((SupportSet.finite([1, 4]), Fraction(2, 5), -2))
-    want = expand_ratio(None, spec, 12)
+    want = expand_ratio(ratio(None, spec), 12)
     extended = []
 
     def hook(n, run):
@@ -384,15 +390,15 @@ def test_each_request_runs_its_own_recurrence(monkeypatch):
         run()
 
     _signal_on_extend(monkeypatch, hook)
-    first = ratio_coefficients(None, spec, 12)
-    assert ratio_coefficients(None, spec, 12) == first == want
+    first = ratio_coefficients(ratio(None, spec), 12)
+    assert ratio_coefficients(ratio(None, spec), 12) == first == want
     assert extended == [12, 12]
 
 
 def test_cache_under_thread_stress():
     # more threads than cores, switching often, over both routes and three ratios
     specs = [spec_from_factors((SupportSet.multiples_of(r), Fraction(1, r + 1), 1)) for r in (1, 2, 3)]
-    want = {spec: unscale(*expand_ratio(None, spec, 120)) for spec in specs}
+    want = {spec: unscale(*expand_ratio(ratio(None, spec), 120)) for spec in specs}
     errors = []
 
     def work(seed):
@@ -400,9 +406,9 @@ def test_cache_under_thread_stress():
         for _ in range(40):
             spec, n, route = rng.choice(specs), rng.randint(0, 120), rng.choice(("faa", "series"))
             if route == "faa":
-                got = unscale(*ratio_coefficients(None, spec, n))
+                got = unscale(*ratio_coefficients(ratio(None, spec), n))
             else:
-                got = unscale(*route_prefix("series", None, spec, n))
+                got = unscale(*route_prefix("series", ratio(None, spec), n))
             if got != want[spec][: n + 1]:
                 errors.append((route, spec, n))
 

@@ -14,8 +14,10 @@ from bellforge import (
     SupportSet,
     TruncatedSeries,
     expand_ratio,
+    ratio,
     ratio_coefficients,
     set_additivity_report,
+    work_estimate,
 )
 
 
@@ -147,13 +149,18 @@ def test_constructor_validation():
         (TypeError, lambda: set_additivity_report(4, None, spec)),
         (TypeError, lambda: set_additivity_report(4, spec, "x")),
     ]
-    # a side of a ratio is a ProductSpec or None, on both routes
-    for evaluate in (ratio_coefficients, expand_ratio):
-        for side in ("x", factor, (factor,), support, 1):
-            cases.append((TypeError, lambda e=evaluate, s=side: e(s, None, 3)))
-            cases.append((TypeError, lambda e=evaluate, s=side: e(spec, s, 3)))
+    # a spec is a ProductSpec or None on both routes and in the price, and so is each
+    # side of the one function that takes two; an old caller's (numer, denom) pair is no spec
+    named = []
+    for bad in ("x", factor, (factor,), support, 1, (spec, None)):
+        named += [("numer", lambda b=bad: ratio(b, None)), ("denom", lambda b=bad: ratio(spec, b))]
+        named += [("spec", lambda e=e, b=bad: e(b, 3)) for e in (ratio_coefficients, expand_ratio)]
+        named.append(("spec", lambda b=bad: work_estimate("faa", b, 3)))
     for error, build in cases:
         with pytest.raises(error):
+            build()
+    for name, build in named:
+        with pytest.raises(TypeError, match=f"^{name} must be a ProductSpec or None, got "):
             build()
     assert Factor(support, 2, 1).z == Fraction(2) and type(Factor(support, Fraction(2), 1).z) is int
     assert SupportSet.finite([9, 4]).members == (4, 9)

@@ -8,8 +8,8 @@ from bellforge import TruncatedSeries, expand_ratio, spec_from_factors
 from bellforge import bellpoly, partfun
 from bellforge import series as series_module
 from bellforge.partfun import kernel_size, work_estimate
-from bellforge.supports import Factor, ProductSpec, SupportSet, scaled_factors, unscale
-from bellforge.verify import random_product_spec, random_support
+from bellforge.supports import Factor, ProductSpec, SupportSet, ratio, scaled_factors, unscale
+from bellforge.verify import CHAN_QUOTIENT, KIM_QUOTIENT, random_product_spec, random_support
 from reference import exp_log_expand, log_weight_table, negated, partition_power_sum
 from test_errata import errata_specs
 
@@ -107,18 +107,18 @@ def test_reciprocal_inverts_random():
 
 def test_expand_product_examples():
     all_nat = SupportSet.all_naturals()
-    euler = unscale(*expand_ratio(spec_from_factors((all_nat, 1, 1)), None, 7))
+    euler = unscale(*expand_ratio(spec_from_factors((all_nat, 1, 1)), 7))
     assert euler == [1, -1, -1, 0, 0, 1, 0, 1]
-    inv = unscale(*expand_ratio(spec_from_factors((all_nat, 1, -1)), None, 5))
+    inv = unscale(*expand_ratio(spec_from_factors((all_nat, 1, -1)), 5))
     assert inv == [1, 1, 2, 3, 5, 7]
-    single = unscale(*expand_ratio(spec_from_factors((SupportSet.finite([2]), 1, 1)), None, 4))
+    single = unscale(*expand_ratio(spec_from_factors((SupportSet.finite([2]), 1, 1)), 4))
     assert single == [1, 0, -1, 0, 0]
     assert all(isinstance(c, Fraction) for c in euler + inv + single)
 
 
 def test_expand_product_skips_large_support_members():
     spec = spec_from_factors((SupportSet.finite([3, 9]), 1, 1))
-    assert unscale(*expand_ratio(spec, None, 4)) == [1, 0, 0, -1, 0]
+    assert unscale(*expand_ratio(spec, 4)) == [1, 0, 0, -1, 0]
 
 
 def test_expand_matches_exp_log_route():
@@ -139,7 +139,7 @@ def test_expand_matches_exp_log_route():
             factors.append(Factor(support, z, a))
         spec = ProductSpec(tuple(factors))
         order = rng.randint(0, 14)
-        assert unscale(*expand_ratio(spec, None, order)) == list(exp_log_expand(spec, order).coeffs)
+        assert unscale(*expand_ratio(spec, order)) == list(exp_log_expand(spec, order).coeffs)
 
 
 def test_immutability():
@@ -204,7 +204,7 @@ def kernel_specs():
 
 def test_expand_product_matches_fraction_paths():
     for spec in kernel_specs():
-        got = TruncatedSeries(unscale(*expand_ratio(spec, None, KERNEL_ORDER)))
+        got = TruncatedSeries(unscale(*expand_ratio(spec, KERNEL_ORDER)))
         assert got == fraction_product(spec, KERNEL_ORDER)
         assert got == exp_log_expand(spec, KERNEL_ORDER)
 
@@ -216,7 +216,7 @@ def test_expand_ratio_matches_fraction_path():
     for numer, denom in pairs:
         for order in (0, 1, 7, KERNEL_ORDER):
             want = fraction_ratio(numer, denom, order)
-            assert unscale(*expand_ratio(numer, denom, order)) == list(want.coeffs)
+            assert unscale(*expand_ratio(ratio(numer, denom), order)) == list(want.coeffs)
             if denom is not None:
                 inverse = exp_log_expand(negated(denom), order)
                 top = TruncatedSeries.constant(1, order)
@@ -224,13 +224,13 @@ def test_expand_ratio_matches_fraction_path():
                     top = exp_log_expand(numer, order)
                 assert want == top.mul(inverse)
     for order in (0, 5):
-        assert unscale(*expand_ratio(None, None, order)) == [1] + [0] * order
+        assert unscale(*expand_ratio(None, order)) == [1] + [0] * order
 
 
 def test_ratio_series_matches_fraction_path():
     specs = kernel_specs()
     for numer, denom in ((specs[-1], specs[30]), (specs[-1], None), (None, specs[-1])):
-        series = unscale(*expand_ratio(numer, denom, KERNEL_ORDER))
+        series = unscale(*expand_ratio(ratio(numer, denom), KERNEL_ORDER))
         assert series == list(fraction_ratio(numer, denom, KERNEL_ORDER).coeffs)
     # one merged fold against the reciprocal and Cauchy product of the two sides
     rng = random.Random(1931)
@@ -239,7 +239,8 @@ def test_ratio_series_matches_fraction_path():
         denom = random_product_spec(rng) if rng.randrange(4) else None
         order = rng.randint(0, 30)
         want = fraction_ratio(numer, denom, order)
-        assert unscale(*expand_ratio(numer, denom, order)) == list(want.coeffs), (numer, denom, order)
+        got = unscale(*expand_ratio(ratio(numer, denom), order))
+        assert got == list(want.coeffs), (numer, denom, order)
 
 
 def dense_ratio(numer, denom, order):
@@ -247,7 +248,7 @@ def dense_ratio(numer, denom, order):
     support member: the reference for the q-series pass."""
     from bellforge import series
 
-    scale, _, factors = scaled_factors(numer, denom)
+    scale, _, factors = scaled_factors(ratio(numer, denom))
     cs = [1] + [0] * order
     for support, z, a in factors:
         for m in support.members_up_to(order):
@@ -280,11 +281,12 @@ def test_q_series_pass_matches_the_binomial_folds():
     for case in range(60):
         order = 300 if case < 4 else rng.randint(0, 120)
         numer, denom = family_ratio(rng, order)
-        assert unscale(*expand_ratio(numer, denom, order)) == dense_ratio(numer, denom, order), case
+        got = unscale(*expand_ratio(ratio(numer, denom), order))
+        assert got == dense_ratio(numer, denom, order), case
     for z in FAMILY_Z:
         for a in (1, -1):
             family = spec_from_factors((SupportSet.all_naturals(), z, a))
-            assert unscale(*expand_ratio(family, None, 200)) == dense_ratio(family, None, 200), (z, a)
+            assert unscale(*expand_ratio(family, 200)) == dense_ratio(family, None, 200), (z, a)
 
 
 class CountingList(list):
@@ -371,7 +373,7 @@ def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
     specs = kernel_specs()
     pairs = [(specs[0], specs[1]), (specs[2], None), (None, specs[3]), (None, None)]
     pairs += [(specs[-1], specs[30]), (None, spec_from_factors((SupportSet.multiples_of(7), 1, 3)))]
-    pairs += [(partfun.KIM_NUMERATOR, partfun.KIM_DENOMINATOR), (None, partfun.PARTITION_PRODUCT)]
+    pairs += [(KIM_QUOTIENT, None), (partfun.SEQUENCES["p"], None)]
     pairs += [(spec_from_factors((SupportSet.multiples_of(3), 1, -2)), specs[-1])]
     pairs += [(None, spec_from_factors((SupportSet.multiples_of(r), 1, a))) for r in (13, 40) for a in (-2, 5)]
     pairs += [family_ratio(random.Random(seed), 40) for seed in range(8)]
@@ -383,8 +385,8 @@ def test_kernel_size_counts_the_fold_passes_that_run(monkeypatch):
     for numer, denom in pairs:
         for order in (0, 1, 6, 13, 40, 117):
             folded.clear()
-            expand_ratio(numer, denom, order)
-            assert kernel_size("series", numer, denom, order)[0] == sum(folded)
+            expand_ratio(ratio(numer, denom), order)
+            assert kernel_size("series", ratio(numer, denom), order)[0] == sum(folded)
 
 
 def test_a_family_with_no_term_up_to_the_order_does_nothing():
@@ -397,9 +399,9 @@ def test_a_family_with_no_term_up_to_the_order_does_nothing():
     for family in families:
         for numer, denom in ((None, family), (family, None)):
             start = time.perf_counter()
-            assert unscale(*expand_ratio(numer, denom, 1000)) == [1] + [0] * 1000
+            assert unscale(*expand_ratio(ratio(numer, denom), 1000)) == [1] + [0] * 1000
             assert time.perf_counter() - start < 1.0
-            assert kernel_size("series", numer, denom, 1000)[0] == 0
+            assert kernel_size("series", ratio(numer, denom), 1000)[0] == 0
 
 
 def test_kernel_size_is_closed_form_for_infinite_supports():
@@ -408,51 +410,51 @@ def test_kernel_size_is_closed_form_for_infinite_supports():
         for z, a in ((1, -3), (-1, -3), (F(2, 3), 2), (-5, 1)):
             family = spec_from_factors((SupportSet.multiples_of(r), z, a))
             want = abs(a) * q_series_products(r, a, order)
-            assert kernel_size("series", family, None, order)[0] == want
+            assert kernel_size("series", family, order)[0] == want
     spec = spec_from_factors((SupportSet.all_naturals(), -1, -3), (SupportSet.multiples_of(5), 2, 1))
     order = 10**12
-    assert kernel_size("faa", spec, None, order)[0] >= order * (order + 1) // 2
-    assert work_estimate("faa", spec, None, order) > work_estimate("faa", spec, None, order - 1)
+    assert kernel_size("faa", spec, order)[0] >= order * (order + 1) // 2
+    assert work_estimate("faa", spec, order) > work_estimate("faa", spec, order - 1)
     with pytest.raises(ValueError):
-        kernel_size("dfs", spec, None, 3)
+        kernel_size("dfs", spec, 3)
 
 
 def test_prices_are_pinned_to_exact_units():
     # each route's closed forms, to the unit, on both routes: q = 1 and q > 1 (an errata
     # spec, a 1/7 root), orders 0, 1, 60 and 10^12, a z = 0 family and one with r > n at
     # a = 10^8, a finite support and a 98-digit z denominator
-    every, P = SupportSet.all_naturals(), partfun.PARTITION_PRODUCT
-    KIM, ERRATA = (partfun.KIM_NUMERATOR, partfun.KIM_DENOMINATOR), errata_specs()[6]
+    every, P = SupportSet.all_naturals(), partfun.SEQUENCES["p"]
+    KIM, ERRATA = KIM_QUOTIENT, errata_specs()[6]
     ROOT = spec_from_factors((every, F(-5, 3), F(1, 7)))
     ZERO = spec_from_factors((every, 0, 10**8))
     FAR = spec_from_factors((SupportSet.multiples_of(2000), 1, 10**8))
     FIN = spec_from_factors((SupportSet.finite([1, 3, 7]), F(-2, 3), -5))
     WIDE = spec_from_factors((every, F(1, 10**98 - 1), 1))
-    assert scaled_factors(ERRATA, None)[1] == 2
+    assert scaled_factors(ERRATA)[1] == 2
     pins = [
-        ("faa", None, P, 0, 1),
-        ("series", None, P, 0, 1),
-        ("faa", None, P, 1, 4),
-        ("series", None, P, 60, 1563),
-        ("faa", None, P, 10**12, 6978672984394521672706485499161),
-        ("series", None, P, 10**12, 27918017527720236855947750),
-        ("faa", *KIM, 60, 13753),
-        ("series", *KIM, 2000, 114782448),
-        ("faa", ERRATA, None, 60, 30800),
-        ("series", ERRATA, None, 60, 134433),
-        ("faa", None, ROOT, 1, 6),
-        ("series", None, ROOT, 10**12, 21838767487536572365666927091906480653780),
-        ("faa", ZERO, None, 10**12, 6978481474402062891833711997325585938),
-        ("series", ZERO, None, 10**12, 336037598888421976227794335938),
-        ("series", None, FAR, 1000, 175631721),
-        ("faa", None, FAR, 1000, 4466356636),
-        ("faa", FIN, None, 60, 13761),
-        ("series", None, FIN, 60, 6601),
-        ("faa", None, WIDE, 60, 17499681),
-        ("series", None, WIDE, 1, 92),
+        ("faa", P, 0, 1),
+        ("series", P, 0, 1),
+        ("faa", P, 1, 4),
+        ("series", P, 60, 1563),
+        ("faa", P, 10**12, 6978672984394521672706485499161),
+        ("series", P, 10**12, 27918017527720236855947750),
+        ("faa", KIM, 60, 13753),
+        ("series", KIM, 2000, 114782448),
+        ("faa", ERRATA, 60, 30800),
+        ("series", ERRATA, 60, 134433),
+        ("faa", ratio(None, ROOT), 1, 6),
+        ("series", ratio(None, ROOT), 10**12, 21838767487536572365666927091906480653780),
+        ("faa", ZERO, 10**12, 6978481474402062891833711997325585938),
+        ("series", ZERO, 10**12, 336037598888421976227794335938),
+        ("series", ratio(None, FAR), 1000, 175631721),
+        ("faa", ratio(None, FAR), 1000, 4466356636),
+        ("faa", FIN, 60, 13761),
+        ("series", ratio(None, FIN), 60, 6601),
+        ("faa", ratio(None, WIDE), 60, 17499681),
+        ("series", ratio(None, WIDE), 1, 92),
     ]
-    for route, numer, denom, n, units in pins:
-        assert work_estimate(route, numer, denom, n) == units, (route, numer, denom, n)
+    for route, spec, n, units in pins:
+        assert work_estimate(route, spec, n) == units, (route, spec, n)
 
 
 def probe_pairs():
@@ -463,9 +465,8 @@ def probe_pairs():
     specs = kernel_specs()
     pairs = list(zip(specs[::2], specs[1::2])) + [(None, s) for s in specs[:30:3]]
     pairs += [(s, None) for s in specs[1:30:3]]
-    pairs += [(numer, denom) for numer, denom in partfun.SEQUENCES.values() if denom is not None]
-    pairs += [(partfun.CHAN_NUMERATOR, partfun.CHAN_DENOMINATOR)]
-    pairs += [(partfun.KIM_NUMERATOR, partfun.KIM_DENOMINATOR)]
+    pairs += [(spec, None) for spec in partfun.SEQUENCES.values() if spec is not None]
+    pairs += [(CHAN_QUOTIENT, None), (KIM_QUOTIENT, None)]
     rational_z = spec_from_factors(
         (SupportSet.all_naturals(), F(2, 3), 2), (SupportSet.multiples_of(2), F(-2, 5), 1)
     )
@@ -489,9 +490,9 @@ def test_kernel_size_bounds_the_closed_sum_terms(monkeypatch):
     for numer, denom, top in probe_pairs():
         for order in (0, 1, 2, 7, top):
             terms.clear()
-            bellpoly.ratio_coefficients(numer, denom, order)
+            bellpoly.ratio_coefficients(ratio(numer, denom), order)
             assert sum(terms) == order * (order + 1) // 2
-            assert kernel_size("faa", numer, denom, order)[0] >= sum(terms)
+            assert kernel_size("faa", ratio(numer, denom), order)[0] >= sum(terms)
 
 
 def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
@@ -555,12 +556,12 @@ def test_kernel_size_bounds_the_bits_of_every_integer(monkeypatch):
         # the series route folds one pass per unit of |a|
         size = sum(abs(f.a) for side in (numer, denom) if side is not None for f in side.factors)
         for order in (0, 1, 2, 7, top):
-            bits = kernel_size("faa", numer, denom, order)[1]
-            assert bits == kernel_size("series", numer, denom, order)[1]
+            bits = kernel_size("faa", ratio(numer, denom), order)[1]
+            assert bits == kernel_size("series", ratio(numer, denom), order)[1]
             seen.clear()
             if size <= 1000:
-                expand_ratio(numer, denom, order)
-            bellpoly.ratio_coefficients(numer, denom, order)
+                expand_ratio(ratio(numer, denom), order)
+            bellpoly.ratio_coefficients(ratio(numer, denom), order)
             assert max(seen) <= bits, (numer, denom, order)
 
 
@@ -628,8 +629,8 @@ def test_rational_exponents_agree_on_both_routes_and_the_literal_sum():
         numer = rational_spec(rng) if rng.randrange(4) else None
         denom = rational_spec(rng) if rng.randrange(4) else None
         order = rng.randint(*((0, 12) if case < 40 else (13, 30) if case < 80 else (31, 120)))
-        pair = expand_ratio(numer, denom, order)
-        assert bellpoly.ratio_coefficients(numer, denom, order) == pair, (numer, denom, order)
+        pair = expand_ratio(ratio(numer, denom), order)
+        assert bellpoly.ratio_coefficients(ratio(numer, denom), order) == pair, (numer, denom, order)
         got = unscale(*pair)
         factors = (numer.factors if numer else ()) + (negated(denom).factors if denom else ())
         if factors:
@@ -639,8 +640,8 @@ def test_rational_exponents_agree_on_both_routes_and_the_literal_sum():
             assert got == [partition_power_sum(n, weights) for n in range(order + 1)]
     half = spec_from_factors((SupportSet.finite([1]), 1, F(1, 2)))
     sqrt_1_minus_t = [1, F(-1, 2), F(-1, 8), F(-1, 16), F(-5, 128), F(-7, 256), F(-21, 1024)]
-    assert expand_ratio(half, None, 6) == bellpoly.ratio_coefficients(half, None, 6)
-    assert unscale(*expand_ratio(half, None, 6)) == sqrt_1_minus_t
+    assert expand_ratio(half, 6) == bellpoly.ratio_coefficients(half, 6)
+    assert unscale(*expand_ratio(half, 6)) == sqrt_1_minus_t
 
 
 def test_floats_and_bools_are_rejected_not_coerced():

@@ -31,11 +31,14 @@ VERIFY = CLOSED_SUM | {"bellforge.verify", "random"}
 COMMANDS = {f"bellforge.{m}" for m in ("specfile", "verify", "errata", "bench", "divisors")}
 # the argparse parser and what it imports, needed only for help and errors
 ARGPARSE = {"argparse", "gettext", "locale"}
-# fractions and what it imports: a count is an int, and only a printed non-integer needs them
+# fractions and what it imports: a count is an int, and only a printed non-integer needs them,
+# so neither seq nor a suite that compares counts loads them
 FRACTIONS = {"fractions", "decimal", "numbers"}
 SEQ_ABSENT = ARGPARSE | SERIES_ROUTE | COMMANDS | FRACTIONS
 EVAL_ABSENT = ARGPARSE | PARTITIONS | COMMANDS - {"bellforge.specfile"}
 VERIFY_ABSENT = ARGPARSE | {"json"} | COMMANDS - {"bellforge.verify"}
+# the series-route suites that compare counts: no partition iterator and no fractions
+COUNTS_ABSENT = VERIFY_ABSENT | PARTITIONS | FRACTIONS
 
 
 def row(argv, loads, absent, bound):
@@ -56,17 +59,17 @@ SHAPES = {
     "eval-faa": row("eval --spec SPEC --max 5 --method faa", EVAL, EVAL_ABSENT | SERIES, 900),
     "eval-both": row("eval --spec SPEC --max 5 --method both", EVAL | SERIES, EVAL_ABSENT, 1153),
     "eval-series": row("eval --spec SPEC --max 100 --method series", EVAL | SERIES, EVAL_ABSENT, 1153),
-    "verify-euler": row("verify euler --max 30", VERIFY | SERIES_ROUTE, VERIFY_ABSENT, 1416),
+    "verify-euler": row("verify euler --max 30", VERIFY | SERIES_ROUTE, VERIFY_ABSENT | FRACTIONS, 1416),
     "verify-reciprocal": row("verify reciprocal --max 5", VERIFY, VERIFY_ABSENT | SERIES_ROUTE, 1115),
     "verify-additivity-index": row("verify additivity-index --max 4", VERIFY, VERIFY_ABSENT | SERIES_ROUTE, 1115),
     "verify-additivity-set": row("verify additivity-set --max 4", VERIFY, VERIFY_ABSENT | SERIES_ROUTE, 1115),
-    "verify-chan": row("verify chan --max 14", VERIFY | SERIES, VERIFY_ABSENT | PARTITIONS, 1368),
-    "verify-kim": row("verify kim --max 4", VERIFY | SERIES, VERIFY_ABSENT | PARTITIONS, 1368),
-    "verify-theta": row("verify theta --max 5", VERIFY | SERIES, VERIFY_ABSENT | PARTITIONS, 1368),
-    "verify-chan-default": row("verify chan", VERIFY | SERIES, VERIFY_ABSENT | PARTITIONS, 1368),
+    "verify-chan": row("verify chan --max 14", VERIFY | SERIES, COUNTS_ABSENT, 1368),
+    "verify-kim": row("verify kim --max 4", VERIFY | SERIES, COUNTS_ABSENT, 1368),
+    "verify-theta": row("verify theta --max 5", VERIFY | SERIES, COUNTS_ABSENT, 1368),
+    "verify-chan-default": row("verify chan", VERIFY | SERIES, COUNTS_ABSENT, 1368),
     "verify-sigma": row(
         "verify sigma --max 3", VERIFY | {"bellforge.divisors"},
-        VERIFY_ABSENT - {"bellforge.divisors"} | SERIES_ROUTE, 1181,
+        VERIFY_ABSENT - {"bellforge.divisors"} | SERIES_ROUTE | FRACTIONS, 1181,
     ),
     "errata-json": row(
         "errata --max 8 --format json", CLOSED_SUM | SERIES | {"bellforge.errata", "json"},
@@ -265,7 +268,8 @@ def test_test_only_oracles_are_not_exported():
         with pytest.raises(AttributeError):
             getattr(bellforge, name)
         assert name not in bellforge.__all__
-    assert len(bellforge.__all__) == 19
+    assert len(bellforge.__all__) == 20
+    assert bellforge.ratio is importlib.import_module("bellforge.supports").ratio
     assert bellforge.sequence is importlib.import_module("bellforge.partfun").sequence
     assert importlib.util.find_spec("bellforge.fourfactor") is None
     checks = "IdentityReport index_additivity_report set_additivity_report restricted_recursion_report"

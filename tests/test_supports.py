@@ -8,6 +8,7 @@ from bellforge.supports import (
     Factor,
     ProductSpec,
     SupportSet,
+    ratio,
     scaled_factors,
     spec_from_factors,
     unscale,
@@ -72,6 +73,18 @@ def test_factor_validation_and_normalization():
     assert negated(ProductSpec((f,))) == ProductSpec((Factor(f.support, 2, -1),))
 
 
+def test_ratio_is_the_numerator_then_the_negated_denominator():
+    numer = spec_from_factors((SupportSet.multiples_of(2), Fraction(1, 3), 2))
+    denom = spec_from_factors(
+        (SupportSet.all_naturals(), 1, Fraction(-3, 4)), (SupportSet.finite([2]), 5, 1)
+    )
+    assert ratio(numer, denom) == ProductSpec(numer.factors + negated(denom).factors)
+    assert ratio(numer, None) == numer and ratio(None, denom) == negated(denom)
+    assert ratio(None, None) is None
+    # a cancelling ratio keeps both factors: its coefficients are those of 1
+    assert len(ratio(numer, numer).factors) == 2
+
+
 def test_product_spec_needs_factors():
     with pytest.raises(ValueError):
         ProductSpec(())
@@ -90,8 +103,7 @@ def test_json_roundtrip():
         (SupportSet.finite([1, 4]), 2, 1),
     )
     text = json.dumps({"numerator": spec_to_json(spec), "denominator": []})
-    numer, denom = ratio_from_json(text)
-    assert numer == spec and denom is None
+    assert ratio_from_json(text) == ratio(spec, None) == spec
 
 
 def test_ratio_from_json_errors():
@@ -139,11 +151,10 @@ def test_ratio_from_json_rejects_boolean_z():
 
 
 def test_ratio_from_json_accepts_integer_z():
-    numer, denom = ratio_from_json(
+    spec = ratio_from_json(
         '{"numerator": [{"support": {"kind": "finite", "set": [2]}, "z": 2, "a": 1}]}'
     )
-    assert denom is None
-    assert numer.factors[0].z == Fraction(2)
+    assert spec.factors[0].z == Fraction(2) and spec.factors[0].a == 1
 
 
 def test_support_rejects_bool_and_float():
@@ -191,7 +202,7 @@ def test_scaled_factors_take_one_lcm_and_negate_the_denominator():
     )
     denom = spec_from_factors((SupportSet.finite([1]), 4, 2))
     # L = lcm(3, 5, 1) = 15; each z becomes z L, the denominator's a becomes -a
-    assert scaled_factors(numer, denom) == (
+    assert scaled_factors(ratio(numer, denom)) == (
         15,
         1,
         [
@@ -200,13 +211,13 @@ def test_scaled_factors_take_one_lcm_and_negate_the_denominator():
             (SupportSet.finite([1]), 60, -2),
         ],
     )
-    assert scaled_factors(None, denom) == (1, 1, [(SupportSet.finite([1]), 4, -2)])
-    assert scaled_factors(None, None) == (1, 1, [])
+    assert scaled_factors(ratio(None, denom)) == (1, 1, [(SupportSet.finite([1]), 4, -2)])
+    assert scaled_factors(None) == scaled_factors(ratio(None, None)) == (1, 1, [])
     # q = lcm(2, 3) = 6 of the exponent denominators; each a becomes the integer q a
     rational = spec_from_factors(
         (SupportSet.all_naturals(), 1, Fraction(1, 2)), (SupportSet.finite([1]), 4, Fraction(-2, 3))
     )
-    assert scaled_factors(rational, denom) == (
+    assert scaled_factors(ratio(rational, denom)) == (
         1,
         6,
         [
@@ -215,10 +226,14 @@ def test_scaled_factors_take_one_lcm_and_negate_the_denominator():
             (SupportSet.finite([1]), 4, -12),
         ],
     )
-    assert all(type(a) is int for _, _, a in scaled_factors(rational, denom)[2])
-    for bad in ((numer, 1), ("x", None), (None, [denom]), (denom.factors[0], denom)):
-        with pytest.raises(TypeError, match="must be a ProductSpec or None"):
-            scaled_factors(*bad)
+    assert all(type(a) is int for _, _, a in scaled_factors(ratio(rational, denom))[2])
+    for name, bad in (("denom", (numer, 1)), ("numer", ("x", None)), ("denom", (None, [denom]))):
+        with pytest.raises(TypeError, match=f"^{name} must be a ProductSpec or None"):
+            ratio(*bad)
+    # an old caller's (numer, denom) pair is no spec
+    for bad in ((numer, denom), (None, denom), denom.factors[0], "x", 1):
+        with pytest.raises(TypeError, match="^spec must be a ProductSpec or None"):
+            scaled_factors(bad)
     # c_n = s^n coefficient / L^n
     assert unscale([3, 10, 450], 15) == [Fraction(3), Fraction(2, 3), Fraction(2)]
     assert unscale([], 15) == []
@@ -241,7 +256,7 @@ def test_multiples_of_one_is_all_naturals():
     assert multiples == ratio_from_json(text % '{"kind": "all"}')
     # both spellings of prod (1 - t^m) are one product
     one, other = (
-        bellpoly.ratio_coefficients(None, spec_from_factors((support, 1, 1)), 20)
+        bellpoly.ratio_coefficients(spec_from_factors((support, 1, -1)), 20)
         for support in (SupportSet.multiples_of(1), everything)
     )
     assert one == other

@@ -10,7 +10,7 @@ from bellforge.bellpoly import ratio_coefficients
 from bellforge.cli import main
 from bellforge.partfun import SEQUENCES, prefixes, sequence
 from bellforge.series import TruncatedSeries
-from bellforge.supports import FINITE, MULTIPLES, ProductSpec, unscale
+from bellforge.supports import FINITE, MULTIPLES, ProductSpec, ratio, unscale
 from bellforge.verify import (
     SUITES,
     _reciprocal,
@@ -119,8 +119,12 @@ def test_prices_cover_every_prefix_that_runs(name, monkeypatch, tmp_path, capsys
         # their convolutions, and bench's, once for its agree column and once per timed run; the
         # other units are euler's p(N) (N + 1) enumerated vectors and sigma's N isqrt(N) divisor trials
         runs = (len(range(10, n_max, 10)) + 1) * 2
+        if name == "reciprocal":
+            # each product prefix is followed by its reciprocal's
+            products = [spec for _, spec, _ in requests[::2]]
+            assert [spec for _, spec, _ in requests[1::2]] == [ratio(None, s) for s in products]
         assert copies == {
-            "reciprocal": [2 if denom is None else 1 for _, _, denom, _ in requests],
+            "reciprocal": [2, 1] * (len(requests) // 2),
             "bench": [runs + 1, runs + 1],
         }.get(name, [1] * len(requests))
         assert extra == {
@@ -146,9 +150,9 @@ def test_prices_cover_every_prefix_that_runs(name, monkeypatch, tmp_path, capsys
         timed = ran[len(requests) :]
         if name == "bench":
             # each bucket times one prefix per route at or below --max, runs times in all
-            for route, numer, denom, top in requests:
+            for route, spec, top in requests:
                 mine = [r for r in timed if r[0] == route]
-                assert len(mine) == runs and all(r[1:3] == (numer, denom) and r[3] <= top for r in mine)
+                assert len(mine) == runs and all(r[1] == spec and r[2] <= top for r in mine)
             assert len(timed) == 2 * runs
         else:
             assert timed == [], (name, n_max)
@@ -163,12 +167,12 @@ def test_integer_convolution_matches_the_fraction_cauchy_product():
     for _ in range(50):
         spec_a, spec_b = random_product_spec(rng), random_product_spec(rng)
         n = rng.randint(0, 30)
-        (u, s), (v, t) = ratio_coefficients(spec_a, None, n), ratio_coefficients(spec_b, None, n)
+        (u, s), (v, t) = ratio_coefficients(spec_a, n), ratio_coefficients(spec_b, n)
         mixed += s != t
         want = TruncatedSeries(unscale(u, s)).mul(TruncatedSeries(unscale(v, t))).coeffs
         report = set_additivity_report(n, spec_a, spec_b)
         assert report.ok and report.rhs == str(want[n]) == report.lhs
         requests, rows = _reciprocal("reciprocal", spec_a, n)
-        recips = ratio_coefficients(None, spec_a, n)
+        recips = ratio_coefficients(ratio(None, spec_a), n)
         assert recips[1] == s and [row.lhs for row in rows(*prefixes(requests))] == ["1"] + ["0"] * n
     assert mixed >= 10
