@@ -24,7 +24,7 @@ _EXPORTS = {
         ("bellpoly", "ratio_coefficients"),
         ("partfun", "sequence work_estimate"),
         ("partitions", "iter_partitions"),
-        ("series", "TruncatedSeries expand_ratio"),
+        ("series", "expand_ratio"),
         ("supports", "Factor ProductSpec SupportSet ratio spec_from_factors unscale"),
         (
             "verify",

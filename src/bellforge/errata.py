@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import require_natural
-from .partfun import SEQUENCES, prefixes
+from .partfun import SEQUENCES
 from .supports import ProductSpec, SupportSet, _require_rational, spec_from_factors, unscale
 
 
@@ -97,13 +97,6 @@ def _plan(max_n: int):
             ))
         return out
     return requests, rows
-
-
-def build_report(max_n: int = 8) -> list[dict]:
-    """Evaluate all transcriptions for ``n = 0..max_n`` and compare: one row
-    per formula, the rows that :func:`render_json` prints."""
-    requests, rows = _plan(max_n)
-    return rows(*prefixes(requests))
 
 
 def render_markdown(report) -> str:

@@ -189,6 +189,7 @@ def unscale(ints, scale: int) -> list[Fraction]:
     """``[Fraction(A_n, S^n)]``, the values of a route's ``(ints, scale) = (A, S)``."""
     from fractions import Fraction
 
+    require_positive(scale, "scale")
     out, power = [], 1
     for c in ints:
         out.append(Fraction(c, power))

@@ -6,14 +6,14 @@ Randomized suites draw from a fixed documented family with a fixed default
 seed, keeping output byte-stable across runs.  The single-instance checks
 (additivity over exponents and over supports, the restricted-count
 recursion) live here as well, so a closed-sum request never compiles them.
-Each suite is its plan at ``--max N`` (:func:`_plan`): :func:`run_suite`, like
-the CLI after pricing it, evaluates its requests and hands the prefixes to its
-check.  Convolutions run on the routes' integers ``c_m S^m``, each at its scale ``S``.
+Each suite is its plan at ``--max N`` (:func:`_plan`): the CLI, after pricing
+it, evaluates its requests and hands the prefixes to its check; a seeded suite
+draws its instances through :func:`_drawn`.  Convolutions run on the routes'
+integers ``c_m S^m``, each at its scale ``S``.
 """
 
 from __future__ import annotations
 
-import random
 from functools import partial
 from itertools import accumulate
 from math import isqrt
@@ -50,6 +50,15 @@ def _plan(instances, extra: int = 0):
         it = iter(columns)
         return [row for own, rows in instances for row in rows(*(next(it) for _ in own))]
     return requests, [1] * len(requests), extra, check
+
+
+def _drawn(seed: int, count: int, draw):
+    """The plan of ``count`` instances ``draw(rng, i)``, drawn in order from one
+    ``random.Random(seed)``: the only code that loads ``random``."""
+    import random
+
+    rng = random.Random(seed)
+    return _plan(draw(rng, i) for i in range(count))
 
 
 def index_additivity_report(n, base, a_index, b_index) -> IdentityReport:
@@ -125,7 +134,7 @@ def _restricted(n: int, parts: list[int]):
     return [("series", restricted_spec(p), n) for p in (parts, parts[:-1])], rows
 
 
-def random_support(rng: random.Random) -> SupportSet:
+def random_support(rng) -> SupportSet:
     kind = rng.randrange(3)
     if kind == 0:
         return SupportSet.all_naturals()
@@ -134,7 +143,7 @@ def random_support(rng: random.Random) -> SupportSet:
     return SupportSet.finite(rng.sample(range(1, 7), rng.randint(1, 3)))
 
 
-def random_product_spec(rng: random.Random, max_factors: int = 3) -> ProductSpec:
+def random_product_spec(rng, max_factors: int = 3) -> ProductSpec:
     """A spec from the documented random family: up to ``max_factors``
     factors, supports in {all, multiples r<=4, finite in [1,6]},
     z in {1, -1, 1/2, 2}, exponent in +-[1,3]."""
@@ -142,11 +151,11 @@ def random_product_spec(rng: random.Random, max_factors: int = 3) -> ProductSpec
     return ProductSpec(tuple(_random_factor(rng, random_support(rng)) for _ in range(count)))
 
 
-def _random_factor(rng: random.Random, support: SupportSet) -> Factor:
+def _random_factor(rng, support: SupportSet) -> Factor:
     return Factor(support, _random_z(rng), rng.choice(_A_CHOICES))
 
 
-def _random_z(rng: random.Random):
+def _random_z(rng):
     """z drawn from {1, -1, 1/2, 2}: only a suite that draws one loads ``fractions``."""
     from fractions import Fraction
 
@@ -159,10 +168,9 @@ def reciprocal_suite(max_n: int, seed: int = DEFAULT_SEED):
     random specs.  Each product prefix is priced twice: once more for the
     ``n (n + 1) / 2`` products of its convolutions."""
     require_natural(max_n, "max_n")
-    rng = random.Random(seed)
-    specs = [random_product_spec(rng) for _ in range(SPEC_COUNT)]
-    instances = [_reciprocal(f"reciprocal#{i:02d}", spec, max_n) for i, spec in enumerate(specs)]
-    requests, _, extra, check = _plan(instances)
+    def draw(rng, i):
+        return _reciprocal(f"reciprocal#{i:02d}", random_product_spec(rng), max_n)
+    requests, _, extra, check = _drawn(seed, SPEC_COUNT, draw)
     return requests, [2, 1] * SPEC_COUNT, extra, check
 
 
@@ -247,46 +255,39 @@ def index_additivity_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Adding exponent vectors over a fixed factor family must convolve
     the coefficient sequences: ``INSTANCES`` random pairs, each at a drawn ``n``."""
     require_natural(max_n, "max_n")
-    rng = random.Random(seed)
-    instances = []
-    for _ in range(INSTANCES):
+    def draw(rng, _):
         size = rng.randint(1, 3)
         base = [(random_support(rng), _random_z(rng)) for _ in range(size)]
         a_index = [rng.choice(_A_CHOICES) for _ in range(size)]
         b_index = [rng.choice(_A_CHOICES) for _ in range(size)]
         specs = _index_specs(base, a_index, b_index)
-        instances.append(_additivity("additivity-index", rng.randint(0, max_n), *specs))
-    return _plan(instances)
+        return _additivity("additivity-index", rng.randint(0, max_n), *specs)
+    return _drawn(seed, INSTANCES, draw)
 
 
 def set_additivity_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Merging two factor families must convolve the coefficient sequences:
     ``INSTANCES`` random pairs, ``b`` on finite supports in 1..9, each at a drawn ``n``."""
     require_natural(max_n, "max_n")
-    rng = random.Random(seed)
-    instances = []
-    for _ in range(INSTANCES):
+    def draw(rng, _):
         spec_a = random_product_spec(rng)
         count = rng.randint(1, 2)
         # a generator, so that each support is drawn just before its z and a
         finite = (rng.sample(range(1, 10), rng.randint(1, 3)) for _ in range(count))
         spec_b = ProductSpec(tuple(_random_factor(rng, SupportSet.finite(m)) for m in finite))
         merged = ProductSpec(spec_a.factors + spec_b.factors)
-        n = rng.randint(0, max_n)
-        instances.append(_additivity("additivity-set", n, merged, spec_a, spec_b))
-    return _plan(instances)
+        return _additivity("additivity-set", rng.randint(0, max_n), merged, spec_a, spec_b)
+    return _drawn(seed, INSTANCES, draw)
 
 
 def restricted_recursion_suite(max_n: int, seed: int = DEFAULT_SEED):
     """Dropping the last allowed part: W(n,d) - W(n-last,d) == W(n,d[:-1]),
     for ``LIST_COUNT`` random parts lists inside 1..8, each at a drawn ``n``."""
     require_natural(max_n, "max_n")
-    rng = random.Random(seed)
-    instances = []
-    for _ in range(LIST_COUNT):
+    def draw(rng, _):
         parts = rng.sample(range(1, 9), rng.randint(2, 5))
-        instances.append(_restricted(rng.randint(0, max_n), parts))
-    return _plan(instances)
+        return _restricted(rng.randint(0, max_n), parts)
+    return _drawn(seed, LIST_COUNT, draw)
 
 
 def theta_suite(max_n: int):
@@ -336,15 +337,6 @@ SUITES = {
     "restricted-recursion": (restricted_recursion_suite, 40),
     "theta": (theta_suite, 100),
 }
-
-
-def run_suite(name: str, max_n: int | None = None):
-    """Run one named suite; ``max_n`` falls back to the suite default."""
-    if name not in SUITES:
-        raise ValueError(f"unknown identity {name!r}; known: {', '.join(SUITES)}")
-    suite, default = SUITES[name]
-    requests, _, _, check = suite(default if max_n is None else max_n)
-    return check(*prefixes(requests))
 
 
 def plan_verify(args):

@@ -6,8 +6,12 @@ Each command's module plans a request by ``plan_<command>(args)``:
 request once, in order, and returns ``report`` of those prefixes.  The tests price a
 plan here with their own sum, so that a test can hold the price that ``main`` checks
 against it, and read prices (the errata report's, a suite's) without running anything.
+A suite's plan runs to its rows by ``run``, and the errata report's by ``report_rows``.
 """
 
+import io
+import json
+from contextlib import redirect_stdout
 from importlib import import_module
 
 from bellforge import cli, partfun
@@ -46,6 +50,14 @@ def price(*argv) -> int:
 def report_work(max_n: int) -> int:
     """The price of ``errata --max max_n``: its product forms and its transcriptions' specs."""
     return price("errata", "--max", max_n)
+
+
+def report_rows(max_n: int) -> list[dict]:
+    """The rows of ``errata --max max_n``, read back from the JSON that its report prints."""
+    _, requests, _, _, report = plan("errata", "--max", max_n, "--format", "json")
+    with redirect_stdout(io.StringIO()) as out:
+        report(*prefixes(requests))
+    return json.loads(out.getvalue())
 
 
 def run(suite_plan):

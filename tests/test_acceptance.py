@@ -19,7 +19,6 @@ from bellforge import (
     sigma_via_factorization,
     unscale,
 )
-from bellforge.errata import build_report
 from bellforge.partfun import SEQUENCES, route_prefix
 from bellforge.verify import (
     CHAN_QUOTIENT,
@@ -29,7 +28,7 @@ from bellforge.verify import (
     reciprocal_suite,
     set_additivity_suite,
 )
-from plans import run
+from plans import report_rows, run
 from reference import count_restricted_bruteforce
 
 
@@ -170,7 +169,7 @@ def test_c10_errata_report():
     def body():
         # ground truth by direct enumeration: 2 in two colors, or 1+1
         assert sequence("cubic", 2)[2] == 3
-        report = build_report(max_n=6)
+        report = report_rows(6)
         names = [st["name"] for st in report]
         assert "cubic" in names and len(report) == 6
         cubic = next(st for st in report if st["name"] == "cubic")

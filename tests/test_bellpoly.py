@@ -8,7 +8,6 @@ import pytest
 
 from bellforge import (
     InconsistencyError,
-    TruncatedSeries,
     expand_ratio,
     index_additivity_report,
     iter_partitions,
@@ -21,6 +20,7 @@ from bellforge import (
 from bellforge import bellpoly
 from bellforge.bellpoly import bell_extend
 from bellforge.partfun import SEQUENCES, prefixes
+from bellforge.series import TruncatedSeries
 from bellforge.supports import Factor, ProductSpec, SupportSet, ratio
 from bellforge.verify import CHAN_QUOTIENT, KIM_QUOTIENT, _reciprocal, random_product_spec
 from reference import (

@@ -8,13 +8,12 @@ from bellforge.bellpoly import ratio_coefficients
 from bellforge.divisors import sigma
 from bellforge.errata import (
     _FORMULAS,
-    build_report,
     render_json,
     render_markdown,
     transcription_spec,
 )
 from bellforge.partfun import SEQUENCES, kernel_size, work_estimate
-from plans import report_work
+from plans import report_rows, report_work
 from reference import partition_power_sum
 
 def literal_sum(n, coeff, weight=1):
@@ -78,7 +77,7 @@ def test_engine_cubic_value_vs_colored_enumeration():
 
 
 def test_report_is_produced_with_all_formulas():
-    report = build_report(max_n=6)
+    report = report_rows(6)
     assert [st["name"] for st in report] == EXPECTED_NAMES
     for st in report:
         assert len(st["product_form"]) == len(st["transcription"]) == 7
@@ -92,7 +91,7 @@ def test_report_is_produced_with_all_formulas():
 
 
 def test_report_product_form_column_is_ground_truth():
-    report = build_report(max_n=5)
+    report = report_rows(5)
     cubic = next(st for st in report if st["name"] == "cubic")
     assert [int(v) for v in cubic["product_form"]] == sequence("cubic", 5)
 
@@ -100,7 +99,7 @@ def test_report_product_form_column_is_ground_truth():
 def test_cubic_transcription_differs_from_engine_at_two():
     # the report must be able to show a divergence for the cubic formula;
     # the exact transcription value is recorded, not asserted
-    assert Fraction(build_report(max_n=2)[0]["transcription"][2]) != sequence("cubic", 2)[2]
+    assert Fraction(report_rows(2)[0]["transcription"][2]) != sequence("cubic", 2)[2]
 
 
 def test_transcription_sum_weight_folding():
@@ -115,12 +114,12 @@ def test_transcription_sum_weight_folding():
 
 def test_transcription_double_sum_shape():
     # the two-block transcriptions reduce to plain sums at n = 0
-    row = next(st for st in build_report(max_n=0) if st["name"] == "triangular-theta")
+    row = next(st for st in report_rows(0) if st["name"] == "triangular-theta")
     assert row["transcription"] == ["1"]
 
 
 def test_renderings():
-    report = build_report(max_n=4)
+    report = report_rows(4)
     md = render_markdown(report)
     for name in EXPECTED_NAMES:
         assert name in md
@@ -181,7 +180,7 @@ def test_transcription_column_is_the_literal_double_sums():
             n, T(n, square, 2), lambda m: T(m, lambda j: sig_at(j, 2), -5) * T(n - m, square, 2)
         ),
     }
-    report = build_report(max_n=8)
+    report = report_rows(8)
     assert [st["name"] for st in report] == list(literal)
     for st in report:
         assert st["transcription"] == [str(literal[st["name"]](n)) for n in range(9)], st["name"]
@@ -239,7 +238,7 @@ def test_the_table_reads_the_same_on_both_routes():
 
 @pytest.mark.parametrize("n", [0, 1, 7, 23, 60])
 def test_printed_integers_fit_the_majorants_that_price_them(n, monkeypatch):
-    # report_work prices each spec that build_report reads on its closed sum, whose B bounds
+    # report_work prices each spec that the report reads on its closed sum, whose B bounds
     # the bits of every weight and value of the Bell recurrence, (L q^2)^n included
     seen, runs = [], []
     extend, read = bellpoly.bell_extend, partfun.ratio_coefficients
@@ -256,7 +255,7 @@ def test_printed_integers_fit_the_majorants_that_price_them(n, monkeypatch):
 
     monkeypatch.setattr(bellpoly, "bell_extend", recording_extend)
     monkeypatch.setattr(partfun, "ratio_coefficients", reading)
-    build_report(n)
+    report_rows(n)
     assert [spec for spec, _, _ in runs] == term_specs()
     assert all(bits <= bound for _, bits, bound in runs)
 

@@ -12,13 +12,14 @@ from bellforge import (
     IdentityReport,
     ProductSpec,
     SupportSet,
-    TruncatedSeries,
     expand_ratio,
     ratio,
     ratio_coefficients,
     set_additivity_report,
+    unscale,
     work_estimate,
 )
+from bellforge.series import TruncatedSeries
 
 
 def samples():
@@ -148,6 +149,10 @@ def test_constructor_validation():
         # each side of an additivity check is a ProductSpec
         (TypeError, lambda: set_additivity_report(4, None, spec)),
         (TypeError, lambda: set_additivity_report(4, spec, "x")),
+        # a route's scale is a positive int: no bool read as 1, no zero or negative power
+        (TypeError, lambda: unscale([1, 2], True)),
+        (ValueError, lambda: unscale([1, 2], 0)),
+        (ValueError, lambda: unscale([1, 2], -2)),
     ]
     # a spec is a ProductSpec or None on both routes and in the price, and so is each
     # side of the one function that takes two; an old caller's (numer, denom) pair is no spec

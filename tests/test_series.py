@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from bellforge import TruncatedSeries, expand_ratio, spec_from_factors
+from bellforge import expand_ratio, spec_from_factors
 from bellforge import bellpoly, partfun
 from bellforge import series as series_module
 from bellforge.partfun import kernel_size, work_estimate
+from bellforge.series import TruncatedSeries
 from bellforge.supports import Factor, ProductSpec, SupportSet, ratio, scaled_factors, unscale
 from bellforge.verify import CHAN_QUOTIENT, KIM_QUOTIENT, random_product_spec, random_support
 from reference import exp_log_expand, log_weight_table, negated, partition_power_sum

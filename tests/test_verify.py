@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import random
@@ -15,7 +16,6 @@ from bellforge.verify import (
     SUITES,
     _reciprocal,
     random_product_spec,
-    run_suite,
     set_additivity_report,
     theta_suite,
 )
@@ -49,8 +49,8 @@ def test_every_suite_passes_at_reduced_size():
         "restricted-recursion": 20,
         "theta": 40,
     }
-    for name in SUITES:
-        rows = run_suite(name, sizes[name])
+    for name, (suite, _) in SUITES.items():
+        rows = run(suite(sizes[name]))
         assert rows, name
         assert all(row.ok for row in rows), name
 
@@ -61,9 +61,13 @@ def test_failed_rows_carry_both_sides():
         assert row.lhs != "" and row.rhs != ""
 
 
-def test_run_suite_rejects_unknown():
-    with pytest.raises(ValueError):
-        run_suite("nonsense")
+def test_run_suite_rejects_unknown(capsys):
+    # the suites are named in SUITES, and the CLI refuses any other name with exit 2
+    assert "nonsense" not in SUITES
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nonsense"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
 
 def test_default_sizes_live_only_in_default_max():
@@ -72,14 +76,49 @@ def test_default_sizes_live_only_in_default_max():
         assert inspect.signature(suite).parameters["max_n"].default is inspect.Parameter.empty, name
         with pytest.raises(TypeError):
             suite()
+    # the CLI's plan without --max is the suite's plan at its default
+    label, requests, _, _, _ = plan("verify", "chan")
     suite, default = SUITES["chan"]
-    assert run_suite("chan") == run(suite(default))
+    assert label == f"verify chan --max {default}" and requests == suite(default)[0]
 
 
 def test_suites_are_deterministic():
-    first = run_suite("additivity-set", 8)
-    second = run_suite("additivity-set", 8)
+    suite, _ = SUITES["additivity-set"]
+    first = run(suite(8))
+    second = run(suite(8))
     assert first == second
+
+
+# sha256 of each seeded suite's stdout at its default --max and DEFAULT_SEED, and of the
+# repr of its plan's requests: a draw taken in another order changes its instances. The
+# reciprocal suite's rows print 1 and 0 whatever its specs, so only its requests show them
+SEEDED_OUTPUT = {
+    "reciprocal": (
+        "4e89835c8a17925721f9b20c2487b7c40651be548fcdf13864c67d8ee4e83dea",
+        "b04b2c535770ad5550e1e20f828a850a32dad21b7d6dcfc990dc9c96c19ad632",
+    ),
+    "additivity-index": (
+        "f74e62890aad140a06fab340f4459f007d14365bf4193ae882d51dc17ef26402",
+        "ee88d202f65e7dd9401092bd6215464e4f5c74800fbb6c6aac77dc2afb769afb",
+    ),
+    "additivity-set": (
+        "d8ef024764f0af859b33a2ec848c74c3f53f8af1306688ecf79a2b9b75fb0096",
+        "055da217ec4ffe82928d4594bea859781e02f35d1d7d2a0fe1dc196fb5606eed",
+    ),
+    "restricted-recursion": (
+        "862c8e797f6cd7c16110b7849ce0d097e11835b22e1759ba7974374e427e117c",
+        "f12e5e4916bd753ee1dd9253939b346fa580c6d0ed4cdc64ecac68a1cbbfdaab",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_OUTPUT))
+def test_seeded_suites_print_their_recorded_rows(capsys, name):
+    assert main(["verify", name]) == 0
+    out = capsys.readouterr().out
+    _, requests, _, _, _ = plan("verify", name)
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (out, repr(requests)))
+    assert digests == SEEDED_OUTPUT[name]
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -87,8 +126,9 @@ def test_suites_are_deterministic():
     "max_n, error", [(True, TypeError), (2.0, TypeError), (-1, ValueError)], ids=["bool", "float", "negative"]
 )
 def test_suites_reject_a_max_that_is_not_a_natural(name, max_n, error):
+    suite, _ = SUITES[name]
     with pytest.raises(error, match="max_n must be"):
-        run_suite(name, max_n)
+        run(suite(max_n))
 
 
 REQUESTS = {
