@@ -11,8 +11,8 @@ partitions with weights ``w sum c_i sigma(j / i)`` over the ``i`` dividing
 ``E(t) = prod (1 - t^k)``, it is the product ``prod_i E(t^i)^(-w c_i / i)``
 (:func:`transcription_spec`), with rational exponents, which the closed sum
 reads.  The report's plan lists every prefix it reads, and its rows read only
-those prefixes.  The product-form column is the ground truth; nothing here
-asserts what the transcriptions "should" give.
+those prefixes, a product form as counts.  The product-form column is the ground
+truth; nothing here asserts what the transcriptions "should" give.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import require_natural
-from .partfun import SEQUENCES
+from .partfun import SEQUENCES, as_counts
 from .supports import ProductSpec, SupportSet, _require_rational, spec_from_factors, unscale
 
 
@@ -77,28 +77,6 @@ def _terms(name: str) -> list[tuple[int, ProductSpec]]:
     return [(k, transcription_spec(*sums)) for k, sums in terms if k]
 
 
-def _plan(max_n: int):
-    """``(requests, rows)``: each formula's product form on the series route, then each
-    of its terms' specs on the closed sum, and the report rows of their prefixes."""
-    n = require_natural(max_n, "max_n")
-    terms = {name: _terms(name) for name in _FORMULAS}
-    forms = [("series", SEQUENCES[seq], s * n + s - 1) for _, seq, s, _ in _FORMULAS.values()]
-    requests = forms + [("faa", spec, n) for name in _FORMULAS for _, spec in terms[name]]
-    def rows(*columns) -> list[dict]:
-        out, sums = [], (unscale(*column) for column in columns[len(_FORMULAS) :])
-        for (name, (description, _, step, _)), form in zip(_FORMULAS.items(), columns):
-            ref, weighted = form[0][step - 1 :: step], [(k, next(sums)) for k, _ in terms[name]]
-            got = [sum(k * column[m] for k, column in weighted) for m in range(n + 1)]
-            first = next((m for m in range(n + 1) if ref[m] != got[m]), None)
-            out.append(dict(
-                name=name, description=description, checked_n=list(range(n + 1)),
-                product_form=[str(v) for v in ref], transcription=[str(v) for v in got],
-                agrees=first is None, first_mismatch=first,
-            ))
-        return out
-    return requests, rows
-
-
 def render_markdown(report) -> str:
     lines = [
         "# Closed-formula transcription status",
@@ -119,17 +97,30 @@ def render_markdown(report) -> str:
     return "\n".join(lines)
 
 
-def render_json(report) -> str:
-    import json
-
-    return json.dumps(report, indent=2)
-
-
 def plan_errata(args):
-    """The ``errata`` command: the report to ``--max``, as Markdown or JSON."""
-    requests, rows = _plan(args["max"])
+    """The ``errata`` command: each formula's product form on the series route, then each of
+    its terms' specs on the closed sum, reported to ``--max`` as Markdown or JSON."""
+    n = require_natural(args["max"], "max_n")
+    terms = {name: _terms(name) for name in _FORMULAS}
+    forms = [("series", SEQUENCES[seq], s * n + s - 1) for _, seq, s, _ in _FORMULAS.values()]
+    requests = forms + [("faa", spec, n) for name in _FORMULAS for _, spec in terms[name]]
     def report(*columns) -> int:
-        table = rows(*columns)
-        print(render_markdown(table) if args["format"] == "md" else render_json(table))
+        table, sums = [], (unscale(*column) for column in columns[len(_FORMULAS) :])
+        for (name, (description, seq, step, _)), form in zip(_FORMULAS.items(), columns):
+            ref = as_counts(seq, *form)[step - 1 :: step]
+            weighted = [(k, next(sums)) for k, _ in terms[name]]
+            got = [sum(k * column[m] for k, column in weighted) for m in range(n + 1)]
+            first = next((m for m in range(n + 1) if ref[m] != got[m]), None)
+            table.append(dict(
+                name=name, description=description, checked_n=list(range(n + 1)),
+                product_form=[str(v) for v in ref], transcription=[str(v) for v in got],
+                agrees=first is None, first_mismatch=first,
+            ))
+        if args["format"] == "md":
+            print(render_markdown(table))
+        else:
+            import json
+
+            print(json.dumps(table, indent=2))
         return 0
     return f"errata --max {args['max']}", requests, [1] * len(requests), 0, report

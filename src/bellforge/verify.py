@@ -1,15 +1,15 @@
 """Identity suites: every checkable exact identity, as verdict lists.
 
-Each suite returns :class:`IdentityReport` rows (one per checked instance)
-so the CLI can print per-``n`` verdicts and the tests can assert them.
-Randomized suites draw from a fixed documented family with a fixed default
-seed, keeping output byte-stable across runs.  The single-instance checks
-(additivity over exponents and over supports, the restricted-count
-recursion) live here as well, so a closed-sum request never compiles them.
 Each suite is its plan at ``--max N`` (:func:`_plan`): the CLI, after pricing
-it, evaluates its requests and hands the prefixes to its check; a seeded suite
-draws its instances through :func:`_drawn`.  Convolutions run on the routes'
-integers ``c_m S^m``, each at its scale ``S``.
+it, evaluates its requests and hands the prefixes to its check, whose
+:class:`IdentityReport` rows (one per checked instance) are the per-``n``
+verdicts that the CLI prints and the tests assert.  Randomized suites draw
+from a fixed documented family with a fixed default seed, through
+:func:`_drawn`, keeping output byte-stable across runs.  The single-instance
+checks (additivity over exponents and over supports, the restricted-count
+recursion) live here as well, so a closed-sum request never compiles them.
+A count column is read by :func:`~bellforge.partfun.as_counts`; convolutions
+run on the routes' integers ``c_m S^m``, each at its scale ``S``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import isqrt
 from operator import mul
 
 from .arith import require_natural
-from .partfun import SEQUENCES, prefixes, restricted_spec, sequence
+from .partfun import SEQUENCES, as_counts, prefixes, restricted_spec, sequence
 from .supports import Factor, ProductSpec, Record, SupportSet, ratio, spec_from_factors, unscale
 
 DEFAULT_SEED = 1103
@@ -126,7 +126,7 @@ def restricted_recursion_report(n: int, parts) -> IdentityReport:
 def _restricted(n: int, parts: list[int]):
     """``W`` with and without the last part, both on the series route."""
     def rows(counts, rest):
-        (counts, _), (rest, _) = counts, rest
+        counts, rest = as_counts("w", *counts), as_counts("w", *rest)
         full, shifted = counts[n], counts[n - parts[-1]] if n >= parts[-1] else 0
         lhs, rhs = full - shifted, rest[n]
         check = "restricted-recursion"
@@ -201,7 +201,7 @@ def euler_suite(max_n: int):
         top = min(2 * top + 1, max_n)
         enumeration = sequence("p", top, "series")[-1] * (max_n + 1)
     def rows(closed_sums, series):
-        (closed_sums, _), (series, _) = closed_sums, series
+        closed_sums, series = as_counts("p", *closed_sums), as_counts("p", *series)
         # the only suite that uses the partition iterator
         from .partitions import iter_partitions
 
@@ -239,7 +239,7 @@ def _progression(check, name, label, quotient, multiple, max_n):
     route, each from one prefix."""
     require_natural(max_n, "max_n")
     def rows(counts, quotient):
-        (counts, _), (quotient, _) = counts, quotient
+        counts, quotient = as_counts(name, *counts), as_counts(f"{check} quotient", *quotient)
         rows = []
         for n in range(max_n + 1):
             lhs, rhs = counts[3 * n + 2], multiple * quotient[n]
@@ -295,7 +295,7 @@ def theta_suite(max_n: int):
     the triangular-number indicator and the doubled square indicator."""
     require_natural(max_n, "max_n")
     def rows(psi, phi):
-        (psi, _), (phi, _) = psi, phi
+        psi, phi = as_counts("psi-star", *psi), as_counts("phi-star", *phi)
         rows = []
         for n, got in enumerate(psi):
             want = 1 if _is_triangular(n) else 0

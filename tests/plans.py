@@ -6,7 +6,8 @@ Each command's module plans a request by ``plan_<command>(args)``:
 request once, in order, and returns ``report`` of those prefixes.  The tests price a
 plan here with their own sum, so that a test can hold the price that ``main`` checks
 against it, and read prices (the errata report's, a suite's) without running anything.
-A suite's plan runs to its rows by ``run``, and the errata report's by ``report_rows``.
+A suite's plan runs to its rows by ``run``, a request's report to its printed text by
+``printed``, and the errata report's to its rows by ``report_rows``.
 """
 
 import io
@@ -52,12 +53,17 @@ def report_work(max_n: int) -> int:
     return price("errata", "--max", max_n)
 
 
-def report_rows(max_n: int) -> list[dict]:
-    """The rows of ``errata --max max_n``, read back from the JSON that its report prints."""
-    _, requests, _, _, report = plan("errata", "--max", max_n, "--format", "json")
+def printed(*argv) -> str:
+    """What the report of the request ``argv`` prints, given its plan's prefixes."""
+    _, requests, _, _, report = plan(*argv)
     with redirect_stdout(io.StringIO()) as out:
         report(*prefixes(requests))
-    return json.loads(out.getvalue())
+    return out.getvalue()
+
+
+def report_rows(max_n: int) -> list[dict]:
+    """The rows of ``errata --max max_n``, read back from the JSON that its report prints."""
+    return json.loads(printed("errata", "--max", max_n, "--format", "json"))
 
 
 def run(suite_plan):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import sys
 import time
 from math import comb, isqrt
@@ -185,6 +186,31 @@ def test_eval_series_root_remainder_is_an_inconsistency(capsys, tmp_path, monkey
     assert code == 1
     assert out == ""
     assert err == "bellforge: inconsistency: q-th root: inexact division by 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "seq p --max 5", "verify euler --max 5", "verify theta --max 5", "verify chan --max 3",
+        "verify kim --max 3", "verify restricted-recursion --max 6", "bench --max 5 --repeat 1",
+        "errata --max 3 --format json",
+    ],
+)
+def test_count_reports_refuse_a_prefix_off_scale_1(capsys, monkeypatch, argv):
+    # every report of counts decodes its prefixes by as_counts: the right integers at
+    # scale 2 are no counts, and the request stops at one inconsistency line
+    from bellforge import partfun
+
+    route = partfun._route
+
+    def at_scale_2(method):
+        evaluate, steps = route(method)
+        return (lambda spec, n: (evaluate(spec, n)[0], 2)), steps
+
+    monkeypatch.setattr(partfun, "_route", at_scale_2)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"bellforge: inconsistency: .+\(0\) evaluated to \d+ at scale 2, not a count\n", err)
 
 
 def test_eval_boolean_z_exits_2(capsys, tmp_path):
@@ -575,6 +601,8 @@ def test_verify_and_errata_beyond_the_budget_exit_2_before_work(capsys, argv):
         ("errata", "--max", "935"),
         ("bench", "--max", "100000"),
         ("bench", "--max", "0", "--repeat", "1000000000"),
+        # priced from the count of its buckets, which it never lists
+        ("bench", "--max", str(10**17), "--repeat", "1"),
     ],
     ids=lambda argv: " ".join(arg for arg in argv if arg != "SPEC"),
 )
@@ -639,6 +667,27 @@ def test_bench_small(capsys):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert {row[1] for row in rows} == {"closed-sum", "series"}
     assert all(row[3] == "true" for row in rows)
+
+
+def test_bench_exits_1_when_the_routes_disagree(capsys, monkeypatch):
+    # a series-route p(12) one too large: the buckets from 20 on disagree, and so does n_max
+    from bellforge import partfun
+
+    route = partfun._route
+
+    def off_at_12(method):
+        evaluate, steps = route(method)
+        if method == "faa":
+            return evaluate, steps
+        return (lambda spec, n: ([v + (m == 12) for m, v in enumerate(evaluate(spec, n)[0])], 1)), steps
+
+    monkeypatch.setattr(partfun, "_route", off_at_12)
+    code, out, _ = run_cli(capsys, "bench", "--max", "25", "--repeat", "1")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 1
+    assert [(row[0], row[3]) for row in rows] == [
+        ("10", "true"), ("10", "true"), ("20", "false"), ("20", "false"), ("25", "false"), ("25", "false")
+    ]
 
 
 def test_bench_rejects_max_beyond_bound(capsys):

@@ -8,12 +8,11 @@ from bellforge.bellpoly import ratio_coefficients
 from bellforge.divisors import sigma
 from bellforge.errata import (
     _FORMULAS,
-    render_json,
     render_markdown,
     transcription_spec,
 )
 from bellforge.partfun import SEQUENCES, kernel_size, work_estimate
-from plans import report_rows, report_work
+from plans import printed, report_rows, report_work
 from reference import partition_power_sum
 
 def literal_sum(n, coeff, weight=1):
@@ -119,21 +118,23 @@ def test_transcription_double_sum_shape():
 
 
 def test_renderings():
-    report = report_rows(4)
-    md = render_markdown(report)
+    md = printed("errata", "--max", 4)
+    js = printed("errata", "--max", 4, "--format", "json")
+    # both formats print the same rows: the JSON indented by two, the Markdown by render_markdown
+    objects = json.loads(js)
+    assert js == json.dumps(objects, indent=2) + "\n"
+    assert md == render_markdown(objects) + "\n"
     for name in EXPECTED_NAMES:
-        assert name in md
-    assert "product form" in md
-    js = render_json(report)
+        assert f"## {name}: " in md
+    assert "| n | product form | transcription |" in md
     assert '"first_mismatch"' in js and '"agrees"' in js
     # one object per formula, its fields in order, sequences as arrays
-    objects = json.loads(js)
-    assert [list(obj) for obj in objects] == [FIELDS] * len(report)
-    assert objects == report
+    assert [list(obj) for obj in objects] == [FIELDS] * len(EXPECTED_NAMES)
     cubic = objects[0]
     assert cubic["name"] == "cubic" and cubic["checked_n"] == [0, 1, 2, 3, 4]
-    assert cubic["product_form"] == report[0]["product_form"]
-    assert cubic["first_mismatch"] == report[0]["first_mismatch"]
+    assert cubic["product_form"] == [str(v) for v in sequence("cubic", 4)]
+    assert (cubic["agrees"], cubic["first_mismatch"]) == (False, 1)
+    assert "Status: **first differs at n = 1**" in md
 
 
 def test_transcription_column_is_the_literal_double_sums():

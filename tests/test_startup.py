@@ -79,7 +79,7 @@ SHAPES = {
     ),
     "errata-json": row(
         "errata --max 8 --format json", CLOSED_SUM | SERIES | {"bellforge.errata", "json"},
-        ARGPARSE | PARTITIONS | COMMANDS - {"bellforge.errata"}, 1106,
+        ARGPARSE | PARTITIONS | COMMANDS - {"bellforge.errata"}, 1097,
     ),
     "help": row("--help", CLOSED_SUM | ARGPARSE, SERIES_ROUTE | COMMANDS | FRACTIONS, 745),
     "seq-help": row("seq --help", CLOSED_SUM | ARGPARSE, SERIES_ROUTE | COMMANDS | FRACTIONS, 745),
